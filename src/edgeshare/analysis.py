@@ -21,7 +21,7 @@ from .engine import (
     shapley_from_table,
 )
 from .model import Coalition, Scenario
-from .solver import DEFAULT_GAP_TOL, DEFAULT_MAX_ITER, DEFAULT_RESTARTS, SolveCounter
+from .solver import DEFAULT_GAP_TOL, DEFAULT_RESTARTS, SolveCounter
 
 DEFAULT_CORE_TOL = 1e-6
 SHAPLEY_PLAYER_LIMIT = 12  # beyond this the 2^N table is not built by default
@@ -49,10 +49,6 @@ class CoreReport:
     @property
     def is_individually_rational(self) -> bool:
         return not any(mask.bit_count() == 1 for mask in self.deficits)
-
-    @property
-    def is_imputation(self) -> bool:
-        return self.is_group_rational and self.is_individually_rational
 
     @property
     def in_core(self) -> bool:
@@ -187,14 +183,12 @@ def compare_methods(
     s: Scenario,
     repetitions: int = 5,
     restarts: int = DEFAULT_RESTARTS,
-    max_iter: int = DEFAULT_MAX_ITER,
     gap_tol: float = DEFAULT_GAP_TOL,
     include_shapley: bool | None = None,
 ) -> ComparisonReport:
     """Time both pipelines on one scenario with the monotonic wall clock.
 
-    Each repetition runs the full pipeline serially (parallel workers are
-    forced to 1 so timings are comparable); the reported numbers come from
+    Each repetition runs the full pipeline; the reported numbers come from
     the first repetition, the median from all of them.  Shapley is skipped
     automatically above SHAPLEY_PLAYER_LIMIT players unless forced.
     """
@@ -218,8 +212,7 @@ def compare_methods(
         def run_shapley():
             counter = SolveCounter()
             table = build_characteristic_table(
-                s, restarts=restarts, max_iter=max_iter, gap_tol=gap_tol,
-                counter=counter, workers=1)
+                s, restarts=restarts, gap_tol=gap_tol, counter=counter)
             return shapley_from_table(table), table, counter.count
 
         (phi, table, solves), times = timed(run_shapley)
@@ -231,8 +224,7 @@ def compare_methods(
 
     def run_fast():
         counter = SolveCounter()
-        result = fast_core(s, restarts=restarts, max_iter=max_iter,
-                           gap_tol=gap_tol, counter=counter, workers=1)
+        result = fast_core(s, restarts=restarts, gap_tol=gap_tol, counter=counter)
         return result, counter.count
 
     (fast_result, fast_solves), fast_times = timed(run_fast)

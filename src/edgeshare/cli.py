@@ -239,9 +239,8 @@ def cmd_verify(args, parser) -> int:
         parser.error("core verification needs the full table; "
                      f"caps at {MAX_ENUMERATION_PLAYERS} players")
     tol = args.tol
-    counter = solver.SolveCounter()
     table = engine.build_characteristic_table(
-        s, restarts=args.restarts, counter=counter)
+        s, restarts=args.restarts, gap_tol=args.tol_gap)
     vectors: dict[str, np.ndarray] = {}
     if args.payoffs:
         vectors = {m: v for m, v in read_payoffs_csv(Path(args.payoffs)).items()

@@ -9,8 +9,6 @@ each provider what its own capacity earns.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +16,6 @@ import numpy as np
 from .model import Allocation, Coalition, Scenario, all_coalitions
 from .solver import (
     DEFAULT_GAP_TOL,
-    DEFAULT_MAX_ITER,
     DEFAULT_RESTARTS,
     SolveCounter,
     SolveReport,
@@ -26,20 +23,6 @@ from .solver import (
     solve_native,
     solve_residual,
 )
-
-WORKERS_ENV = "COALITION_WORKERS"
-
-
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 @dataclass(frozen=True)
@@ -72,34 +55,22 @@ def build_characteristic_table(
     s: Scenario,
     masks=None,
     restarts: int = DEFAULT_RESTARTS,
-    max_iter: int = DEFAULT_MAX_ITER,
     gap_tol: float = DEFAULT_GAP_TOL,
     counter: SolveCounter | None = None,
-    workers: int | None = None,
 ) -> CharacteristicTable:
     """Solve the pooled problem for each requested coalition (default: all
-    2^N - 1).  Results are merged in ascending mask order regardless of the
-    worker count, so the table is reproducible with any parallelism."""
+    2^N - 1), serially in ascending mask order."""
     mask_list = sorted(
         c.mask if isinstance(c, Coalition) else int(c)
         for c in (masks if masks is not None else all_coalitions(s.n_players))
     )
-
-    def solve(mask: int) -> SolveReport:
-        return solve_coalition(s, Coalition(mask), restarts=restarts,
-                               max_iter=max_iter, gap_tol=gap_tol, counter=counter)
-
-    n_workers = _worker_count(workers)
-    if n_workers > 1 and len(mask_list) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            reports = list(pool.map(solve, mask_list))
-    else:
-        reports = [solve(m) for m in mask_list]
-    values = {m: r.value for m, r in zip(mask_list, reports)}
+    reports = {m: solve_coalition(s, Coalition(m), restarts=restarts, gap_tol=gap_tol,
+                                  counter=counter)
+               for m in mask_list}
     return CharacteristicTable(
         n_players=s.n_players,
-        values=values,
-        reports=dict(zip(mask_list, reports)),
+        values={m: r.value for m, r in reports.items()},
+        reports=reports,
     )
 
 
@@ -131,16 +102,13 @@ def shapley_from_table(table: CharacteristicTable) -> np.ndarray:
 def shapley_payoffs(
     s: Scenario,
     restarts: int = DEFAULT_RESTARTS,
-    max_iter: int = DEFAULT_MAX_ITER,
     gap_tol: float = DEFAULT_GAP_TOL,
     counter: SolveCounter | None = None,
-    workers: int | None = None,
 ) -> tuple[np.ndarray, CharacteristicTable]:
     """Full Shapley pipeline: build the complete table (2^N - 1 coalition
     solves), then average marginal contributions."""
     table = build_characteristic_table(
-        s, restarts=restarts, max_iter=max_iter, gap_tol=gap_tol,
-        counter=counter, workers=workers)
+        s, restarts=restarts, gap_tol=gap_tol, counter=counter)
     return shapley_from_table(table), table
 
 
@@ -167,11 +135,9 @@ class FastCoreResult:
 def fast_core(
     s: Scenario,
     restarts: int = DEFAULT_RESTARTS,
-    max_iter: int = DEFAULT_MAX_ITER,
     gap_tol: float = DEFAULT_GAP_TOL,
     counter: SolveCounter | None = None,
     order: tuple[int, ...] | None = None,
-    workers: int | None = None,
 ) -> FastCoreResult:
     """Two-phase allocation in 2N solves.
 
@@ -187,17 +153,8 @@ def fast_core(
     elif sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of all players")
 
-    def native(p: int) -> SolveReport:
-        return solve_native(s, p, restarts=restarts, max_iter=max_iter,
-                            gap_tol=gap_tol, counter=counter)
-
-    n_workers = _worker_count(workers)
-    if n_workers > 1 and n > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            native_reports = list(pool.map(native, range(n)))
-    else:
-        native_reports = [native(p) for p in range(n)]
-
+    native_reports = [solve_native(s, p, restarts=restarts, gap_tol=gap_tol, counter=counter)
+                      for p in range(n)]
     phase1 = np.array([r.value for r in native_reports])
     x_total = np.zeros((n, m, k))
     for r in native_reports:
@@ -208,8 +165,7 @@ def fast_core(
     phase2 = np.zeros(n)
     for p in order:
         report = solve_residual(s, p, residual_caps[p], residual_reqs,
-                                restarts=restarts, max_iter=max_iter,
-                                gap_tol=gap_tol, counter=counter)
+                                restarts=restarts, gap_tol=gap_tol, counter=counter)
         phase2[p] = report.value
         sold = report.allocation.x[p]
         x_total[p] += sold

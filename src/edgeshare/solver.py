@@ -10,7 +10,6 @@ transportation machinery.
 """
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 
@@ -22,30 +21,23 @@ from .model import Allocation, Coalition, Scenario
 from .utility import AppTerms, CoalitionProblem
 
 DEFAULT_RESTARTS = 16
-DEFAULT_MAX_ITER = 500
+MAX_ITER = 500  # Frank-Wolfe rounds per restart
 DEFAULT_GAP_TOL = 1e-6
 
 _NATIVE_TAG, _RESIDUAL_TAG, _COALITION_TAG = 0xA1, 0xB2, 0xC3
 
 
 class SolveCounter:
-    """Monotone counter of optimization subproblems, safe under threads."""
+    """Monotone counter of optimization subproblems."""
 
     def __init__(self) -> None:
-        self._count = 0
-        self._lock = threading.Lock()
-
-    @property
-    def count(self) -> int:
-        return self._count
+        self.count = 0
 
     def increment(self) -> None:
-        with self._lock:
-            self._count += 1
+        self.count += 1
 
     def reset(self) -> None:
-        with self._lock:
-            self._count = 0
+        self.count = 0
 
 
 @dataclass(frozen=True)
@@ -190,18 +182,18 @@ def _best_step(segment_value, coarse: int = 17, refine: int = 24) -> tuple[float
 
 
 def _frank_wolfe(objective, gradient, lmo, segment_factory, x0: np.ndarray,
-                 max_iter: int, gap_tol: float) -> tuple[np.ndarray, float, int, float]:
+                 gap_tol: float) -> tuple[np.ndarray, float, int, float]:
     """Conditional gradient ascent over a compact polytope.
 
     Stops when the Frank-Wolfe gap <grad, s - x> drops below
-    gap_tol * max(1, |f|) or after max_iter rounds.  Iterates stay feasible
+    gap_tol * max(1, |f|) or after MAX_ITER rounds.  Iterates stay feasible
     as convex combinations of vertices.
     """
     x = x0.copy()
     f = objective(x)
     gap = np.inf
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         g = gradient(x)
         s = lmo(g)
         d = s - x
@@ -223,7 +215,7 @@ def _restart_rng(s: Scenario, tag: int, ident: int, restart: int) -> np.random.G
 
 
 def _multistart_fw(s, tag, ident, objective, gradient, lmo, segment_factory,
-                   sample_vertex, shape, restarts, max_iter, gap_tol):
+                   sample_vertex, shape, restarts, gap_tol):
     """Best of `restarts` Frank-Wolfe runs: restart 0 starts from the zero
     allocation (the first step lands on the linearized warm start), the
     rest from randomly scaled random vertices."""
@@ -235,25 +227,28 @@ def _multistart_fw(s, tag, ident, objective, gradient, lmo, segment_factory,
             rng = _restart_rng(s, tag, ident, r)
             x0 = rng.uniform() * sample_vertex(rng)
         x, f, iters, gap = _frank_wolfe(objective, gradient, lmo, segment_factory,
-                                        x0, max_iter, gap_tol)
+                                        x0, gap_tol)
         if best is None or f > best[1]:
             best = (x, f, iters, gap)
     return best
 
 
 # ---------------------------------------------------------------------------
-# native problem: one provider, its own applications
+# single-provider problems: one budget against per-application caps
 
 
-def _native_parts(s: Scenario, n: int, caps: np.ndarray, reqs: np.ndarray):
-    terms = AppTerms.from_scenario(s, s.apps_of(n)).with_requests(np.asarray(reqs, dtype=float))
-    caps = np.asarray(caps, dtype=float)
+def _solve_provider(s: Scenario, n: int, tag: int, apps, terms: AppTerms,
+                    caps: np.ndarray, exact: bool, baseline: float,
+                    restarts: int, gap_tol: float, t0: float) -> SolveReport:
+    """Provider n ships from its budget `caps` to the applications `apps`,
+    whose terms (requests included) are `terms`; the value is their total
+    satisfaction less `baseline`.  When `exact` (every term with a nonzero
+    request is linear) the greedy fill is optimal; otherwise multistart
+    Frank-Wolfe runs."""
+    reqs = terms.requests
 
     def objective(x):
         return float(terms.value(x).sum())
-
-    def gradient(x):
-        return terms.slope(x)
 
     def lmo(g):
         cols = [_greedy_budget(g[:, k], caps[k], reqs[:, k]) for k in range(s.n_resources)]
@@ -265,10 +260,19 @@ def _native_parts(s: Scenario, n: int, caps: np.ndarray, reqs: np.ndarray):
             return terms.value(pts).sum(axis=(1, 2))
         return h
 
-    def sample_vertex(rng):
-        return lmo(rng.uniform(size=reqs.shape))
-
-    return terms, objective, gradient, lmo, segment_factory, sample_vertex
+    if exact:
+        x = lmo(terms.coeffs)
+        value, kind, iters, used, gap = objective(x), "exact_linear", 0, 0, 0.0
+    else:
+        x, value, iters, gap = _multistart_fw(
+            s, tag, n, objective, terms.slope, lmo, segment_factory,
+            lambda rng: lmo(rng.uniform(size=reqs.shape)), reqs.shape, restarts, gap_tol)
+        kind, used = "multistart_fw", restarts
+    full = np.zeros((s.n_players, s.m_total, s.n_resources))
+    full[n, apps, :] = x
+    return SolveReport(value=float(value - baseline), allocation=Allocation(full),
+                       solver_kind=kind, iterations=iters, restarts_used=used,
+                       gap=float(gap), wall_time=time.perf_counter() - t0)
 
 
 def solve_native(
@@ -277,7 +281,6 @@ def solve_native(
     caps: np.ndarray | None = None,
     reqs: np.ndarray | None = None,
     restarts: int = DEFAULT_RESTARTS,
-    max_iter: int = DEFAULT_MAX_ITER,
     gap_tol: float = DEFAULT_GAP_TOL,
     counter: SolveCounter | None = None,
 ) -> SolveReport:
@@ -287,26 +290,12 @@ def solve_native(
     if counter is not None:
         counter.increment()
     t0 = time.perf_counter()
+    apps = s.apps_of(n)
     caps = s.capacities[n] if caps is None else np.asarray(caps, dtype=float)
-    reqs = s.requests[s.apps_of(n)] if reqs is None else np.asarray(reqs, dtype=float)
-    terms, objective, gradient, lmo, segment_factory, sample_vertex = _native_parts(s, n, caps, reqs)
-    if s.utilities[n].kind == "linear":
-        x = lmo(terms.coeffs)
-        value, kind, iters, used, gap = objective(x), "exact_linear", 0, 0, 0.0
-    else:
-        x, value, iters, gap = _multistart_fw(
-            s, _NATIVE_TAG, n, objective, gradient, lmo, segment_factory,
-            sample_vertex, reqs.shape, restarts, max_iter, gap_tol)
-        kind, used = "multistart_fw", restarts
-    full = np.zeros((s.n_players, s.m_total, s.n_resources))
-    full[n, s.apps_of(n), :] = x
-    return SolveReport(value=float(value), allocation=Allocation(full), solver_kind=kind,
-                       iterations=iters, restarts_used=used, gap=float(gap),
-                       wall_time=time.perf_counter() - t0)
-
-
-# ---------------------------------------------------------------------------
-# residual problem: one provider's leftovers against foreign leftovers
+    reqs = s.requests[apps] if reqs is None else np.asarray(reqs, dtype=float)
+    terms = AppTerms.from_scenario(s, apps).with_requests(reqs)
+    return _solve_provider(s, n, _NATIVE_TAG, apps, terms, caps,
+                           s.utilities[n].kind == "linear", 0.0, restarts, gap_tol, t0)
 
 
 def solve_residual(
@@ -315,7 +304,6 @@ def solve_residual(
     residual_caps: np.ndarray,
     residual_reqs: np.ndarray,
     restarts: int = DEFAULT_RESTARTS,
-    max_iter: int = DEFAULT_MAX_ITER,
     gap_tol: float = DEFAULT_GAP_TOL,
     counter: SolveCounter | None = None,
 ) -> SolveReport:
@@ -329,69 +317,37 @@ def solve_residual(
     if counter is not None:
         counter.increment()
     t0 = time.perf_counter()
-    caps = np.asarray(residual_caps, dtype=float)
     reqs = np.asarray(residual_reqs, dtype=float).copy()
     reqs[s.apps_of(n), :] = 0.0  # own applications are not foreign income
     terms = AppTerms.from_scenario(s).with_requests(reqs)
     baseline = float(terms.value(np.zeros_like(reqs)).sum())
-
-    def raw(x):
-        return float(terms.value(x).sum())
-
-    def gradient(x):
-        return terms.slope(x)
-
-    def lmo(g):
-        cols = [_greedy_budget(g[:, k], caps[k], reqs[:, k]) for k in range(s.n_resources)]
-        return np.stack(cols, axis=1)
-
-    def segment_factory(x, d):
-        def h(gammas):
-            pts = x[None] + gammas[:, None, None] * d[None]
-            return terms.value(pts).sum(axis=(1, 2))
-        return h
-
-    foreign_sigmoid = any(
-        s.utilities[j].kind == "sigmoid" for j in range(s.n_players) if j != n
-    )
-    if not foreign_sigmoid:
-        x = lmo(terms.coeffs * (reqs > 0))
-        value, kind, iters, used, gap = raw(x), "exact_linear", 0, 0, 0.0
-    else:
-        x, value, iters, gap = _multistart_fw(
-            s, _RESIDUAL_TAG, n, raw, gradient, lmo, segment_factory,
-            lambda rng: lmo(rng.uniform(size=reqs.shape)), reqs.shape,
-            restarts, max_iter, gap_tol)
-        kind, used = "multistart_fw", restarts
-    full = np.zeros((s.n_players, s.m_total, s.n_resources))
-    full[n] = x
-    return SolveReport(value=float(value - baseline), allocation=Allocation(full),
-                       solver_kind=kind, iterations=iters, restarts_used=used,
-                       gap=float(gap), wall_time=time.perf_counter() - t0)
+    foreign_linear = all(
+        s.utilities[j].kind == "linear" for j in range(s.n_players) if j != n)
+    return _solve_provider(s, n, _RESIDUAL_TAG, slice(None), terms,
+                           np.asarray(residual_caps, dtype=float), foreign_linear,
+                           baseline, restarts, gap_tol, t0)
 
 
 # ---------------------------------------------------------------------------
 # coalition problem: pooled capacities over pooled applications
 
 
-def _coalition_lmo(prob: CoalitionProblem, n_resources: int):
-    """Per-resource linear oracle in the coalition's local coordinates."""
-    size, ms = prob.size, len(prob.apps)
-
-    def lmo(g):
-        out = np.empty((size, ms, n_resources))
-        for k in range(n_resources):
-            profit = g[:, :, k]
-            if size == 1:
-                out[:, :, k] = _greedy_budget(profit[0], prob.caps[0, k], prob.reqs[:, k])[None, :]
-            elif prob.uniform_weight is not None and np.ptp(profit, axis=0).max() == 0.0:
-                out[:, :, k] = _lmo_factored(
-                    np.ones(size), profit[0], prob.caps[:, k], prob.reqs[:, k])
-            else:
-                out[:, :, k] = lmo_transport(profit, prob.caps[:, k], prob.reqs[:, k])
-        return out
-
-    return lmo
+def _pooled_lmo(prob: CoalitionProblem, profit: np.ndarray, factors) -> np.ndarray:
+    """Per-resource transport vertex in the coalition's local coordinates
+    maximizing sum profit * x.  One member: the greedy fill.  factors =
+    (alpha, gamma) with profit[u, i, k] == alpha[u] * gamma[i, k]: the
+    staircase.  Otherwise the transportation LP."""
+    out = np.empty(profit.shape)
+    for k in range(profit.shape[2]):
+        caps, reqs = prob.caps[:, k], prob.reqs[:, k]
+        if prob.size == 1:
+            out[:, :, k] = _greedy_budget(profit[0, :, k], caps[0], reqs)[None, :]
+        elif factors is not None:
+            alpha, gamma = factors
+            out[:, :, k] = _lmo_factored(alpha, gamma[:, k], caps, reqs)
+        else:
+            out[:, :, k] = lmo_transport(profit[:, :, k], caps, reqs)
+    return out
 
 
 def _linear_profit(s: Scenario, prob: CoalitionProblem) -> np.ndarray:
@@ -408,7 +364,6 @@ def solve_coalition(
     s: Scenario,
     coalition: Coalition,
     restarts: int = DEFAULT_RESTARTS,
-    max_iter: int = DEFAULT_MAX_ITER,
     gap_tol: float = DEFAULT_GAP_TOL,
     counter: SolveCounter | None = None,
 ) -> SolveReport:
@@ -419,37 +374,34 @@ def solve_coalition(
         counter.increment()
     t0 = time.perf_counter()
     prob = CoalitionProblem.build(s, coalition)
-    all_linear = all(s.utilities[m].kind == "linear" for m in prob.members)
     mem = np.array(prob.members)
-    if all_linear:
-        profit = _linear_profit(s, prob)
-        beta = s.w[mem]
+    if all(s.utilities[m].kind == "linear" for m in prob.members):
+        # with w == zeta for every member the profit factors as w_u * c_ik
         factored = np.all(s.w[mem] == s.zeta[mem])
-        x = np.empty((prob.size, len(prob.apps), s.n_resources))
-        coeffs = s.coeff_matrix()[prob.apps]
-        for k in range(s.n_resources):
-            if prob.size == 1:
-                x[:, :, k] = _greedy_budget(profit[0, :, k], prob.caps[0, k], prob.reqs[:, k])[None, :]
-            elif factored:
-                x[:, :, k] = _lmo_factored(beta, coeffs[:, k], prob.caps[:, k], prob.reqs[:, k])
-            else:
-                x[:, :, k] = lmo_transport(profit[:, :, k], prob.caps[:, k], prob.reqs[:, k])
+        factors = (s.w[mem], s.coeff_matrix()[prob.apps]) if factored else None
+        x = _pooled_lmo(prob, _linear_profit(s, prob), factors)
         value, kind, iters, used, gap = prob.objective(x), "exact_linear", 0, 0, 0.0
     else:
-        lmo = _coalition_lmo(prob, s.n_resources)
+        if prob.uniform_weight is not None:
+            # the gradient is the same row for every member
+            def lmo(g):
+                return _pooled_lmo(prob, g, (np.ones(prob.size), g[0]))
 
-        def segment_factory(xc, d):
-            if prob.uniform_weight is not None:
+            def segment_factory(xc, d):
                 tot, dtot = xc.sum(axis=0), d.sum(axis=0)
 
                 def h(gammas):
                     pts = tot[None] + gammas[:, None, None] * dtot[None]
                     return prob.uniform_weight * prob.terms.value(pts).sum(axis=(1, 2))
                 return h
+        else:
+            def lmo(g):
+                return _pooled_lmo(prob, g, None)
 
-            def h(gammas):
-                return np.array([prob.objective(xc + g * d) for g in gammas])
-            return h
+            def segment_factory(xc, d):
+                def h(gammas):
+                    return np.array([prob.objective(xc + g * d) for g in gammas])
+                return h
 
         def sample_vertex(rng):
             out = np.empty((prob.size, len(prob.apps), s.n_resources))
@@ -462,7 +414,7 @@ def solve_coalition(
         x, value, iters, gap = _multistart_fw(
             s, _COALITION_TAG, coalition.mask, prob.objective, prob.gradient,
             lmo, segment_factory, sample_vertex,
-            (prob.size, len(prob.apps), s.n_resources), restarts, max_iter, gap_tol)
+            (prob.size, len(prob.apps), s.n_resources), restarts, gap_tol)
         kind, used = "multistart_fw", restarts
     return SolveReport(value=float(value), allocation=prob.to_global(s, x),
                        solver_kind=kind, iterations=iters, restarts_used=used,

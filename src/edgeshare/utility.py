@@ -114,16 +114,20 @@ class CoalitionProblem:
         ordered = np.take_along_axis(xt, self.ord_pos[:, :, None], axis=1)
         return np.cumsum(ordered, axis=1)
 
+    def credits(self, x_local: np.ndarray) -> np.ndarray:
+        """Unweighted credit of each attribution slot, (MS, S, K): the term
+        at the slot's cumulative receipt less the term before it."""
+        cum = self._sorted_cumulative(x_local)
+        g = self.terms.value(cum.transpose(1, 0, 2)).transpose(1, 0, 2)
+        return np.concatenate([g[:, :1, :], np.diff(g, axis=1)], axis=1)
+
     def objective(self, x_local: np.ndarray) -> float:
         """Weighted coalition objective: w_j-weighted owner terms plus
         zeta-weighted sequential sharing credits."""
         if self.uniform_weight is not None:
             total = x_local.sum(axis=0)
             return float(self.uniform_weight * self.terms.value(total).sum())
-        cum = self._sorted_cumulative(x_local)
-        g = self.terms.value(cum.transpose(1, 0, 2)).transpose(1, 0, 2)
-        credits = np.concatenate([g[:, :1, :], np.diff(g, axis=1)], axis=1)
-        return float((self.zseq[:, :, None] * credits).sum())
+        return float((self.zseq[:, :, None] * self.credits(x_local)).sum())
 
     def gradient(self, x_local: np.ndarray) -> np.ndarray:
         if self.uniform_weight is not None:
@@ -164,30 +168,12 @@ def eval_own(s: Scenario, alloc: Allocation, n: int) -> float:
     return float(AppTerms.from_scenario(s, apps).value(total).sum())
 
 
-def _credit_cube(s: Scenario) -> CoalitionProblem:
-    """Grand-coalition attribution machinery; note that with every player a
-    member, local member positions coincide with player indices."""
-    return CoalitionProblem.build(s, Coalition.grand(s.n_players))
-
-
 def eval_shared(s: Scenario, alloc: Allocation, n: int) -> dict[int, float]:
     """Sharing income of supplier n, split by the application owner it
     serves: the satisfaction lift of n's contribution on top of what was
     already allocated (native supply first, lower player indices next).
     All-zero foreign supply maps to all-zero income."""
-    prob = _credit_cube(s)
-    x_local = prob.from_global(alloc)
-    cum = prob._sorted_cumulative(x_local)
-    g = prob.terms.value(cum.transpose(1, 0, 2)).transpose(1, 0, 2)
-    credits = np.concatenate([g[:, :1, :], np.diff(g, axis=1)], axis=1)  # (M, N, K)
-    slot_of_n = np.argmax(prob.ord_pos == n, axis=1)  # n's slot per app
-    per_app = np.take_along_axis(credits, slot_of_n[:, None, None], axis=1)[:, 0, :].sum(axis=1)
-    out = {}
-    for j in range(s.n_players):
-        if j == n:
-            continue
-        out[j] = float(per_app[s.owner[prob.apps] == j].sum())
-    return out
+    return breakdown(s, alloc)[n].shared
 
 
 @dataclass(frozen=True)
@@ -212,11 +198,9 @@ def breakdown(s: Scenario, alloc: Allocation) -> tuple[UtilityBreakdown, ...]:
     The weighted totals sum to the coalition objective at this allocation:
     sum_n w_n*own_n + zeta_n*sum_j shared_n[j].
     """
-    prob = _credit_cube(s)
-    x_local = prob.from_global(alloc)
-    cum = prob._sorted_cumulative(x_local)
-    g = prob.terms.value(cum.transpose(1, 0, 2)).transpose(1, 0, 2)
-    credits = np.concatenate([g[:, :1, :], np.diff(g, axis=1)], axis=1)  # (M, N, K)
+    # with every player a member, local member positions are player indices
+    prob = CoalitionProblem.build(s, Coalition.grand(s.n_players))
+    credits = prob.credits(prob.from_global(alloc))  # (M, N, K)
     owners = s.owner[prob.apps]
     results = []
     for n in range(s.n_players):

@@ -168,6 +168,22 @@ def test_verify_writes_pass_rows(tmp_path):
     assert {r["check"] for r in rows} == {"core", "superadditivity"}
 
 
+def test_verify_tol_gap_reaches_the_table(tmp_path, capsys):
+    # a huge solver gap stops Frank-Wolfe at its starting points, so the
+    # table's grand value depends on --tol-gap; payoffs that add up to the
+    # loose table's grand value are group rational only against that table
+    scenario = gen(tmp_path, players=2, utility="sigmoid", mu=3)
+    s = model.load_scenario(scenario)
+    from edgeshare.engine import build_characteristic_table
+    loose = build_characteristic_table(s, gap_tol=1e9).value(0b11)
+    assert loose < build_characteristic_table(s).value(0b11) - 1e-3
+    payoffs = tmp_path / "payoffs.csv"
+    write_payoffs_csv(payoffs, [("split", np.array([loose, 0.0]), np.zeros(2))])
+    main(["verify", "--scenario", str(scenario), "--payoffs", str(payoffs),
+          "--tol-gap", "1e9"])
+    assert "core[split]: FAIL group rationality" not in capsys.readouterr().out
+
+
 def test_verify_rejects_gappy_payoffs_file(tmp_path):
     scenario = gen(tmp_path, players=2)
     bad = tmp_path / "payoffs.csv"

@@ -85,13 +85,6 @@ def test_partial_table_on_request():
     assert not table.is_complete
 
 
-def test_parallel_table_identical_to_serial():
-    s = generate_scenario(3, 2, 2, utility="sigmoid", mu=10.0, seed=5)
-    serial = build_characteristic_table(s, workers=1)
-    threaded = build_characteristic_table(s, workers=4)
-    assert serial.values == threaded.values
-
-
 # ---------------------------------------------------------------------------
 # shapley
 
@@ -236,13 +229,6 @@ def test_fast_core_rejects_bad_order():
     s = generate_scenario(2, 1, 1, utility="linear", seed=14)
     with pytest.raises(ValueError):
         fast_core(s, order=(0, 0))
-
-
-def test_fast_core_parallel_phase_one_deterministic():
-    s = generate_scenario(4, 2, 3, utility="sigmoid", mu=0.01, seed=15)
-    a = fast_core(s, workers=1)
-    b = fast_core(s, workers=3)
-    assert np.array_equal(a.payoffs, b.payoffs)
 
 
 def test_methods_share_totals_but_not_splits():

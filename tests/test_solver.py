@@ -194,6 +194,24 @@ def test_residual_caps_at_capacity():
     assert rep.allocation.x[0, 1, 0] == pytest.approx(1.0)
 
 
+def test_residual_exact_when_only_the_seller_is_sigmoid():
+    # the seller's own sigmoid rows are zeroed out; its buyer is linear
+    s = Scenario(
+        n_players=2, n_resources=1,
+        capacities=np.array([[2.0], [0.0]]),
+        requests=np.array([[1.0], [1.5]]),
+        owner=np.array([0, 1]),
+        utilities=(UtilitySpec("sigmoid", mu=5.0), UtilitySpec("linear")),
+        w=np.ones(2), zeta=np.ones(2),
+    )
+    rep = solve_residual(s, 0, residual_caps=np.array([1.0]),
+                         residual_reqs=np.array([[1.0], [1.5]]))
+    assert rep.solver_kind == "exact_linear"
+    assert rep.value == pytest.approx(1.0, abs=1e-12)
+    assert rep.allocation.x[0, 0, 0] == 0.0
+    assert rep.allocation.x[0, 1, 0] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_residual_sigmoid_zero_supply_is_exactly_zero():
     s = Scenario(
         n_players=2, n_resources=1,
@@ -265,6 +283,24 @@ def test_coalition_sigmoid_matches_grid_oracle():
     want, _ = grid_best(s.capacities, s.requests,
                         lambda xb: sigmoid_term(xb, mu, s.requests).sum(axis=(1, 2)))
     assert rep.value == pytest.approx(want, rel=1e-2, abs=1e-2)
+
+
+def test_linear_coalition_with_member_weights_matches_brute_force():
+    # w == zeta per member but unequal across members: the profit w_u * c_i
+    # factors with a non-unit provider factor
+    rng = np.random.default_rng(29)
+    for n_players, apps in ((2, 2), (3, 1), (3, 1), (2, 2), (3, 1), (2, 2)):
+        caps = rng.integers(1, 4, size=(n_players, 1)).astype(float)
+        reqs = rng.integers(0, 3, size=(n_players * apps, 1)).astype(float)
+        coeffs = rng.integers(1, 4, size=(n_players * apps, 1)).astype(float)
+        w = rng.permutation(np.arange(1.0, n_players + 1.0))
+        owner = np.repeat(np.arange(n_players), apps)
+        s = linear_scenario(caps, reqs, owner, coeffs=coeffs, w=w, zeta=w)
+        rep = solve_coalition(s, Coalition.grand(n_players))
+        assert rep.solver_kind == "exact_linear"
+        assert audit_allocation(s, rep.allocation, Coalition.grand(n_players)) == []
+        want = brute_force_transport(w[:, None] * coeffs[None, :, 0], caps[:, 0], reqs[:, 0])
+        assert rep.value == pytest.approx(want, abs=1e-9)
 
 
 def test_general_weights_use_lp_and_agree_with_uniform_at_one():
