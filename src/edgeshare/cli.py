@@ -155,6 +155,17 @@ def _parse_weights(text: str, parser: argparse.ArgumentParser) -> tuple[float, f
         parser.error(f"--weights expects 'w:zeta', got {text!r}")
 
 
+def _restart_count(text: str) -> int:
+    """--restarts: a whole number of Frank-Wolfe starts, at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def cmd_gen(args, parser) -> int:
     if args.utility == "sigmoid" and args.mu is None:
         parser.error("--utility sigmoid requires --mu")
@@ -343,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="solve a scenario and write CSVs")
     run.add_argument("--scenario", required=True)
     run.add_argument("--method", choices=("shapley", "fast", "both"), default="both")
-    run.add_argument("--restarts", type=int, default=solver.DEFAULT_RESTARTS)
+    run.add_argument("--restarts", type=_restart_count, default=solver.DEFAULT_RESTARTS)
     run.add_argument("--tol", type=float, default=solver.DEFAULT_GAP_TOL,
                      help="solver stopping gap")
     run.add_argument("--out", default=".")
@@ -353,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--payoffs", default=None,
                      help="payoffs.csv to verify instead of recomputing")
     ver.add_argument("--method", choices=("shapley", "fast", "both"), default="both")
-    ver.add_argument("--restarts", type=int, default=solver.DEFAULT_RESTARTS)
+    ver.add_argument("--restarts", type=_restart_count, default=solver.DEFAULT_RESTARTS)
     ver.add_argument("--tol", type=float, default=analysis.DEFAULT_CORE_TOL,
                      help="verification tolerance")
     ver.add_argument("--tol-gap", type=float, default=solver.DEFAULT_GAP_TOL,
@@ -370,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--weights", default="1:1")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--method", choices=("shapley", "fast", "both"), default="both")
-    bench.add_argument("--restarts", type=int, default=solver.DEFAULT_RESTARTS)
+    bench.add_argument("--restarts", type=_restart_count, default=solver.DEFAULT_RESTARTS)
     bench.add_argument("--tol", type=float, default=solver.DEFAULT_GAP_TOL)
     bench.add_argument("--repetitions", type=int, default=5)
     bench.add_argument("--out", default=".")

@@ -383,35 +383,73 @@ def scenario_to_json(s: Scenario) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _field(obj: dict, key: str, kind, what: str, where: str):
+    """obj[key] if it is of `kind` (a JSON true/false is no number), else
+    a ValueError naming the field."""
+    value = obj.get(key)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{where}: {key!r} must be {what}, got {value!r}")
+    return value
+
+
+def _numbers(obj: dict, key: str, where: str) -> np.ndarray:
+    """A field holding a (nested) list of numbers, as a float array."""
+    value = _field(obj, key, list, "a list of numbers", where)
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}: {key!r} must be a list of numbers, got {value!r}") from None
+
+
 def scenario_from_json(text: str) -> Scenario:
+    """Parse a scenario document; a malformed one raises ValueError naming
+    the offending field."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("scenario must be a JSON object")
     if doc.get("version") != SCENARIO_FORMAT_VERSION:
         raise ValueError(f"unsupported scenario version {doc.get('version')!r}")
-    n, k = doc["n"], doc["k"]
+    n = _field(doc, "n", int, "an integer", "scenario")
+    k = _field(doc, "k", int, "an integer", "scenario")
+    seed = _field(doc, "seed", (int, type(None)), "an integer or null", "scenario")
+    players = _field(doc, "players", list, "a list of player objects", "scenario")
     caps, reqs, owner, specs, ws, zs = [], [], [], [], [], []
-    for idx, p in enumerate(doc["players"]):
-        caps.append(p["capacity"])
-        block = np.asarray(p["requests"], dtype=float).reshape(-1, k)
+    for idx, p in enumerate(players):
+        where = f"players[{idx}]"
+        if not isinstance(p, dict):
+            raise ValueError(f"{where} must be an object, got {p!r}")
+        caps.append(_numbers(p, "capacity", where))
+        block = _numbers(p, "requests", where)
+        try:
+            block = block.reshape(-1, k)
+        except ValueError:
+            raise ValueError(f"{where}: 'requests' must hold rows of k={k} numbers") from None
         reqs.append(block)
         owner.extend([idx] * block.shape[0])
-        u = p["utility"]
-        if u["kind"] == "sigmoid":
-            specs.append(UtilitySpec("sigmoid", mu=u["mu"]))
+        u = _field(p, "utility", dict, "an object", where)
+        kind = _field(u, "kind", str, "a string", f"{where}.utility")
+        if kind == "sigmoid":
+            specs.append(UtilitySpec("sigmoid", mu=_field(
+                u, "mu", (int, float), "a number", f"{where}.utility")))
         else:
-            coeffs = np.asarray(u["coeffs"], dtype=float) if "coeffs" in u else None
-            specs.append(UtilitySpec("linear", coeffs=coeffs))
-        ws.append(p["w"])
-        zs.append(p["zeta"])
+            coeffs = _numbers(u, "coeffs", f"{where}.utility") if "coeffs" in u else None
+            specs.append(UtilitySpec(kind, coeffs=coeffs))
+        ws.append(_field(p, "w", (int, float), "a number", where))
+        zs.append(_field(p, "zeta", (int, float), "a number", where))
+    try:
+        capacities = np.asarray(caps, dtype=float)
+    except ValueError:
+        raise ValueError("players: every 'capacity' must have the same length") from None
     return Scenario(
         n_players=n,
         n_resources=k,
-        capacities=np.asarray(caps, dtype=float),
+        capacities=capacities,
         requests=np.vstack(reqs) if reqs else np.zeros((0, k)),
         owner=np.asarray(owner, dtype=int),
         utilities=tuple(specs),
         w=np.asarray(ws, dtype=float),
         zeta=np.asarray(zs, dtype=float),
-        seed=doc.get("seed"),
+        seed=seed,
     )
 
 

@@ -5,8 +5,18 @@ polytopes: ship x_uik >= 0 from providers to applications subject to
 per-provider budgets and per-application request caps.  Linear objectives
 are solved exactly (greedy for single-provider and factorizable profit
 matrices, an LP otherwise); sigmoid objectives run a multi-start
-Frank-Wolfe conditional gradient whose linear oracle is the same
-transportation machinery.
+Frank-Wolfe conditional gradient.  All restarts of one solve advance
+together in one batched driver, and each leaves the batch when its own
+stopping test fires.
+
+Where the objective depends only on per-application receipts t_ik (one
+provider, or a coalition whose members share one weight w == zeta),
+Frank-Wolfe runs on (R, M, K) receipts: the receipts the members' budgets
+can deliver are exactly 0 <= t <= r with sum_i t_ik at most the pooled
+budget, so the linear oracle is one greedy fill of that budget.  A
+coalition's member allocation is then the northwest-corner staircase of
+the best receipts against member capacities.  Other weights run in member
+coordinates with the transportation machinery as oracle.
 """
 from __future__ import annotations
 
@@ -57,42 +67,57 @@ class SolveReport:
 # linear maximization oracles
 
 
-def _greedy_budget(profits: np.ndarray, budget: float, ubs: np.ndarray) -> np.ndarray:
-    """Exact fractional-knapsack fill: one budget, per-item caps.
+def _greedy_fill(profits: np.ndarray, budget: np.ndarray, ubs: np.ndarray) -> np.ndarray:
+    """Exact fractional-knapsack fill along the item axis -2 of profits
+    (..., M, K): one budget per resource (last axis), per-item caps ubs
+    (M, K), every leading index filled independently.
 
     Items are taken in decreasing profit order (ties to the lowest index),
     zero/negative-profit items are never shipped.
     """
-    order = np.argsort(-profits, kind="stable")
-    ub_o = np.where(profits[order] > 0, ubs[order], 0.0)
-    prev = np.concatenate([[0.0], np.cumsum(ub_o)[:-1]])
-    take = np.clip(budget - prev, 0.0, ub_o)
+    order = np.argsort(-profits, axis=-2, kind="stable")
+    ub_o = np.take_along_axis(np.where(profits > 0, ubs, 0.0), order, axis=-2)
+    prev = np.zeros_like(ub_o)
+    np.cumsum(ub_o[..., :-1, :], axis=-2, out=prev[..., 1:, :])
+    take = np.clip(np.expand_dims(budget, -2) - prev, 0.0, ub_o)
     x = np.empty_like(take)
-    x[order] = take
+    np.put_along_axis(x, order, take, axis=-2)
     return x
+
+
+def _staircase(supplies: np.ndarray, demands: np.ndarray) -> np.ndarray:
+    """Northwest-corner shipment (..., S, M) from supplies (..., S) to
+    demands (..., M), both in index order: the interval overlaps of the
+    cumulative supplies and demands."""
+    cu, ci = np.cumsum(supplies, axis=-1), np.cumsum(demands, axis=-1)
+    lo = np.maximum((cu - supplies)[..., :, None], (ci - demands)[..., None, :])
+    hi = np.minimum(cu[..., :, None], ci[..., None, :])
+    return np.clip(hi - lo, 0.0, None)
+
 
 def _lmo_factored(alpha: np.ndarray, gamma: np.ndarray,
                   supplies: np.ndarray, demands: np.ndarray) -> np.ndarray:
-    """Exact maximizer for factorizable profits p_ui = alpha_u * gamma_i.
+    """Exact maximizer for factorizable profits p_ui = alpha_u * gamma_i,
+    batched over leading axes: alpha and supplies (..., S), gamma and
+    demands (..., M) with equal leading shapes; returns (..., S, M).
 
     Sorting rows by alpha and columns by gamma makes the profit matrix
-    inverse-Monge, so the northwest-corner staircase is optimal; it is
-    computed as interval overlaps of the sorted cumulative supplies and
-    demands.  Ties break toward the lowest provider/application index.
+    inverse-Monge, so the northwest-corner staircase is optimal.  Ties
+    break toward the lowest provider/application index.
     """
     if np.any(alpha < 0) or np.any(gamma < 0):
         raise ValueError("factored oracle needs nonnegative factors")
-    order_u = np.argsort(-alpha, kind="stable")
-    order_i = np.argsort(-gamma, kind="stable")
-    su = np.where(alpha[order_u] > 0, supplies[order_u], 0.0)
-    di = np.where(gamma[order_i] > 0, demands[order_i], 0.0)
-    cu, ci = np.cumsum(su), np.cumsum(di)
-    lo = np.maximum((cu - su)[:, None], (ci - di)[None, :])
-    hi = np.minimum(cu[:, None], ci[None, :])
-    staircase = np.clip(hi - lo, 0.0, None)
-    x = np.zeros_like(staircase)
-    x[np.ix_(order_u, order_i)] = staircase
-    return x
+    order_u = np.argsort(-alpha, axis=-1, kind="stable")
+    order_i = np.argsort(-gamma, axis=-1, kind="stable")
+    su = np.where(np.take_along_axis(alpha, order_u, -1) > 0,
+                  np.take_along_axis(supplies, order_u, -1), 0.0)
+    di = np.where(np.take_along_axis(gamma, order_i, -1) > 0,
+                  np.take_along_axis(demands, order_i, -1), 0.0)
+    sorted_x = _staircase(su, di)
+    # back to index order: provider u sits at row position rank_u[u]
+    rank_u = np.argsort(order_u, axis=-1)[..., :, None]
+    rank_i = np.argsort(order_i, axis=-1)[..., None, :]
+    return np.take_along_axis(np.take_along_axis(sorted_x, rank_u, -2), rank_i, -1)
 
 
 def _lmo_linprog(profit: np.ndarray, supplies: np.ndarray, demands: np.ndarray) -> np.ndarray:
@@ -138,74 +163,96 @@ def lmo_transport(profit: np.ndarray, supplies: np.ndarray, demands: np.ndarray)
     if np.any(supplies < 0) or np.any(demands < 0):
         raise ValueError("supplies and demands must be >= 0")
     if supplies.size == 1:
-        return _greedy_budget(profit[0], float(supplies[0]), demands)[None, :]
+        return _greedy_fill(profit.T, supplies, demands[:, None]).T
     if demands.size == 1:
-        return _greedy_budget(profit[:, 0], float(demands[0]), supplies)[:, None]
+        return _greedy_fill(profit, demands, supplies[:, None])
     return _lmo_linprog(profit, supplies, demands)
 
 
 # ---------------------------------------------------------------------------
-# Frank-Wolfe with golden-section steps
+# batched multistart Frank-Wolfe with golden-section steps
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _best_step(segment_value, coarse: int = 17, refine: int = 24) -> tuple[float, float]:
-    """Maximize h(gamma) on [0, 1]: coarse scan, then golden-section around
-    the best coarse point.  segment_value maps a gamma vector to h values."""
+def _best_steps(value_at, n: int, coarse: int = 17, refine: int = 24):
+    """Maximize h_r(gamma) on [0, 1] for n segments at once: a coarse scan,
+    then golden-section search around each segment's best coarse point.
+    value_at maps one step per segment, shape (n,), to the n values h_r;
+    it is called with one grid point, or one probe, per segment at a time.
+    Returns each segment's best step and value."""
     grid = np.linspace(0.0, 1.0, coarse)
-    vals = segment_value(grid)
-    j = int(np.argmax(vals))
-    best_g, best_v = float(grid[j]), float(vals[j])
-    lo = grid[max(j - 1, 0)]
-    hi = grid[min(j + 1, coarse - 1)]
-    a, b = float(lo), float(hi)
+    vals = np.stack([value_at(np.full(n, g)) for g in grid], axis=1)
+    j = np.argmax(vals, axis=1)
+    best_g, best_v = grid[j], vals[np.arange(n), j]
+    a = grid[np.maximum(j - 1, 0)]
+    b = grid[np.minimum(j + 1, coarse - 1)]
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc = float(segment_value(np.array([c]))[0])
-    fd = float(segment_value(np.array([d]))[0])
+    fc = value_at(c)
+    fd = value_at(d)
     for _ in range(refine):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = float(segment_value(np.array([c]))[0])
-            cand_g, cand_v = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = float(segment_value(np.array([d]))[0])
-            cand_g, cand_v = d, fd
-        if cand_v > best_v:
-            best_g, best_v = cand_g, cand_v
+        # fc >= fd keeps [a, d] and probes a new c; otherwise [c, b] and a new d
+        left = fc >= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        probe = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        fp = value_at(probe)
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
+        better = fp > best_v
+        best_g, best_v = np.where(better, probe, best_g), np.where(better, fp, best_v)
     return best_g, best_v
 
 
-def _frank_wolfe(objective, gradient, lmo, segment_factory, x0: np.ndarray,
-                 gap_tol: float) -> tuple[np.ndarray, float, int, float]:
-    """Conditional gradient ascent over a compact polytope.
+def _batched_frank_wolfe(objective, gradient, lmo, x0: np.ndarray, gap_tol: float):
+    """Conditional gradient ascent from each start x0[r], all runs advancing
+    in lockstep along the leading axis.  objective maps a batch of points
+    to one value each; gradient and lmo map a batch to a batch.
 
-    Stops when the Frank-Wolfe gap <grad, s - x> drops below
-    gap_tol * max(1, |f|) or after MAX_ITER rounds.  Iterates stay feasible
-    as convex combinations of vertices.
+    Run r stops when its Frank-Wolfe gap <grad, s - x> drops below
+    gap_tol * max(1, |f|), when its line search cannot improve, or after
+    MAX_ITER rounds; a stopped run leaves the batch, so every run follows
+    the path it would follow alone.  Iterates stay feasible as convex
+    combinations of vertices.  Returns per-run (x, f, iterations, gap).
     """
     x = x0.copy()
     f = objective(x)
-    gap = np.inf
-    it = 0
+    iters = np.zeros(len(x), dtype=int)
+    gap = np.full(len(x), np.inf)
+    bcast = (-1,) + (1,) * (x.ndim - 1)  # one step per run against its point
+    live = np.arange(len(x))
     for it in range(1, MAX_ITER + 1):
-        g = gradient(x)
-        s = lmo(g)
-        d = s - x
-        gap = float((g * d).sum())
-        if gap <= gap_tol * max(1.0, abs(f)):
+        xl = x[live]
+        g = gradient(xl)
+        d = lmo(g) - xl
+        gl = (g * d).reshape(len(live), -1).sum(axis=1)
+        iters[live], gap[live] = it, gl
+        keep = gl > gap_tol * np.maximum(1.0, np.abs(f[live]))
+        live, xl, d = live[keep], xl[keep], d[keep]
+        if not live.size:
             break
-        step, f_new = _best_step(segment_factory(x, d))
-        if f_new <= f or step == 0.0:
-            break  # line search cannot improve along this direction
-        x = x + step * d
-        f = f_new
-    return x, f, it, gap
+        step, f_new = _best_steps(lambda gam: objective(xl + gam.reshape(bcast) * d),
+                                  len(live))
+        move = (f_new > f[live]) & (step != 0.0)  # else line search cannot improve
+        live, xl, d, step = live[move], xl[move], d[move], step[move]
+        x[live] = xl + step.reshape(bcast) * d
+        f[live] = f_new[move]
+        if not live.size:
+            break
+    return x, f, iters, gap
+
+
+def _multistart(objective, gradient, lmo, x0: np.ndarray, gap_tol: float):
+    """Best run of the batch (the first of equal values): (x, f, iterations, gap)."""
+    x, f, iters, gap = _batched_frank_wolfe(objective, gradient, lmo, x0, gap_tol)
+    best = int(np.argmax(f))
+    return x[best], float(f[best]), int(iters[best]), float(gap[best])
+
+
+def _check_restarts(restarts: int) -> None:
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
 
 
 def _restart_rng(s: Scenario, tag: int, ident: int, restart: int) -> np.random.Generator:
@@ -214,23 +261,39 @@ def _restart_rng(s: Scenario, tag: int, ident: int, restart: int) -> np.random.G
     )
 
 
-def _multistart_fw(s, tag, ident, objective, gradient, lmo, segment_factory,
-                   sample_vertex, shape, restarts, gap_tol):
-    """Best of `restarts` Frank-Wolfe runs: restart 0 starts from the zero
-    allocation (the first step lands on the linearized warm start), the
-    rest from randomly scaled random vertices."""
-    best = None
-    for r in range(restarts):
-        if r == 0:
-            x0 = np.zeros(shape)
-        else:
-            rng = _restart_rng(s, tag, ident, r)
-            x0 = rng.uniform() * sample_vertex(rng)
-        x, f, iters, gap = _frank_wolfe(objective, gradient, lmo, segment_factory,
-                                        x0, gap_tol)
-        if best is None or f > best[1]:
-            best = (x, f, iters, gap)
-    return best
+def _starts(s: Scenario, tag: int, ident: int, restarts: int, draw_shape,
+            vertices) -> np.ndarray:
+    """Start points, one per restart: restart 0 starts from zero (its first
+    step lands on the linearized warm start); restart r > 0 draws, from its
+    own stream, a scale and then uniform factors of draw_shape, and starts
+    at the scaled vertex that vertices (batched over restarts) builds from
+    those factors."""
+    scales = np.empty(restarts - 1)
+    draws = np.empty((restarts - 1, *draw_shape))
+    for r in range(1, restarts):
+        rng = _restart_rng(s, tag, ident, r)
+        scales[r - 1] = rng.uniform()
+        draws[r - 1] = rng.uniform(size=draw_shape)
+    v = vertices(draws)
+    x0 = np.zeros((restarts, *v.shape[1:]))
+    x0[1:] = scales.reshape((-1,) + (1,) * (v.ndim - 1)) * v
+    return x0
+
+
+def _receipt_oracles(terms: AppTerms, budget: np.ndarray, weight: float):
+    """Objective, gradient and linear oracle on batched receipts t
+    (R, M, K): the value is weight * sum_ik g_ik(t_ik), and the reachable
+    receipts are 0 <= t <= requests with sum_i t_ik <= budget_k."""
+    def objective(t):
+        return weight * terms.value(t).reshape(len(t), -1).sum(axis=1)
+
+    def gradient(t):
+        return weight * terms.slope(t)
+
+    def lmo(g):
+        return _greedy_fill(g, budget, terms.requests)
+
+    return objective, gradient, lmo
 
 
 # ---------------------------------------------------------------------------
@@ -244,29 +307,14 @@ def _solve_provider(s: Scenario, n: int, tag: int, apps, terms: AppTerms,
     whose terms (requests included) are `terms`; the value is their total
     satisfaction less `baseline`.  When `exact` (every term with a nonzero
     request is linear) the greedy fill is optimal; otherwise multistart
-    Frank-Wolfe runs."""
-    reqs = terms.requests
-
-    def objective(x):
-        return float(terms.value(x).sum())
-
-    def lmo(g):
-        cols = [_greedy_budget(g[:, k], caps[k], reqs[:, k]) for k in range(s.n_resources)]
-        return np.stack(cols, axis=1)
-
-    def segment_factory(x, d):
-        def h(gammas):
-            pts = x[None] + gammas[:, None, None] * d[None]
-            return terms.value(pts).sum(axis=(1, 2))
-        return h
-
+    Frank-Wolfe runs on the receipts, which are the allocation itself."""
+    objective, gradient, lmo = _receipt_oracles(terms, caps, 1.0)
     if exact:
         x = lmo(terms.coeffs)
-        value, kind, iters, used, gap = objective(x), "exact_linear", 0, 0, 0.0
+        value, kind, iters, used, gap = objective(x[None])[0], "exact_linear", 0, 0, 0.0
     else:
-        x, value, iters, gap = _multistart_fw(
-            s, tag, n, objective, terms.slope, lmo, segment_factory,
-            lambda rng: lmo(rng.uniform(size=reqs.shape)), reqs.shape, restarts, gap_tol)
+        x0 = _starts(s, tag, n, restarts, terms.requests.shape, lmo)
+        x, value, iters, gap = _multistart(objective, gradient, lmo, x0, gap_tol)
         kind, used = "multistart_fw", restarts
     full = np.zeros((s.n_players, s.m_total, s.n_resources))
     full[n, apps, :] = x
@@ -287,6 +335,7 @@ def solve_native(
     """Maximize player n's own utility over its native applications given a
     capacity budget (defaults: the scenario's full capacities/requests).
     Returns the unweighted optimum."""
+    _check_restarts(restarts)
     if counter is not None:
         counter.increment()
     t0 = time.perf_counter()
@@ -314,6 +363,7 @@ def solve_residual(
     by its owner's utility as the lift over the residual's zero-allocation
     baseline, so shipping nothing earns exactly 0.
     """
+    _check_restarts(restarts)
     if counter is not None:
         counter.increment()
     t0 = time.perf_counter()
@@ -337,17 +387,15 @@ def _pooled_lmo(prob: CoalitionProblem, profit: np.ndarray, factors) -> np.ndarr
     maximizing sum profit * x.  One member: the greedy fill.  factors =
     (alpha, gamma) with profit[u, i, k] == alpha[u] * gamma[i, k]: the
     staircase.  Otherwise the transportation LP."""
-    out = np.empty(profit.shape)
-    for k in range(profit.shape[2]):
-        caps, reqs = prob.caps[:, k], prob.reqs[:, k]
-        if prob.size == 1:
-            out[:, :, k] = _greedy_budget(profit[0, :, k], caps[0], reqs)[None, :]
-        elif factors is not None:
-            alpha, gamma = factors
-            out[:, :, k] = _lmo_factored(alpha, gamma[:, k], caps, reqs)
-        else:
-            out[:, :, k] = lmo_transport(profit[:, :, k], caps, reqs)
-    return out
+    if prob.size == 1:
+        return _greedy_fill(profit[0], prob.caps[0], prob.reqs)[None]
+    if factors is not None:
+        alpha, gamma = factors
+        x = _lmo_factored(np.broadcast_to(alpha, prob.caps.T.shape), gamma.T,
+                          prob.caps.T, prob.reqs.T)
+        return x.transpose(1, 2, 0)
+    return np.stack([lmo_transport(profit[:, :, k], prob.caps[:, k], prob.reqs[:, k])
+                     for k in range(profit.shape[2])], axis=2)
 
 
 def _linear_profit(s: Scenario, prob: CoalitionProblem) -> np.ndarray:
@@ -360,6 +408,54 @@ def _linear_profit(s: Scenario, prob: CoalitionProblem) -> np.ndarray:
     return weight[:, :, None] * coeffs[None, :, :]
 
 
+def _random_staircases(prob: CoalitionProblem, draws: np.ndarray) -> np.ndarray:
+    """Member allocations (B, S, MS, K) at the staircase vertices of random
+    positive factors: draws (B, K, S + MS) holds, per resource, the member
+    factors and then the application factors."""
+    size = prob.size
+    lead = draws.shape[:2]
+    x = _lmo_factored(draws[..., :size], draws[..., size:],
+                      np.broadcast_to(prob.caps.T, lead + (size,)),
+                      np.broadcast_to(prob.reqs.T, lead + (len(prob.apps),)))
+    return x.transpose(0, 2, 3, 1)
+
+
+def _member_oracles(prob: CoalitionProblem):
+    """Objective, gradient and LP-backed oracle in member coordinates
+    (R, S, MS, K), applied to one restart at a time."""
+    def objective(xs):
+        return np.array([prob.objective(x) for x in xs])
+
+    def gradient(xs):
+        return np.stack([prob.gradient(x) for x in xs])
+
+    def lmo(gs):
+        return np.stack([_pooled_lmo(prob, g, None) for g in gs])
+
+    return objective, gradient, lmo
+
+
+def _coalition_fw(s: Scenario, coalition: Coalition, prob: CoalitionProblem,
+                  restarts: int):
+    """Frank-Wolfe oracles and start points for a coalition with a sigmoid
+    member: on pooled receipts when all members share one weight (the
+    starts are the receipts of the member-coordinate starts), otherwise in
+    member coordinates."""
+    receipts = prob.uniform_weight is not None
+    if receipts:
+        oracles = _receipt_oracles(prob.terms, prob.caps.sum(axis=0), prob.uniform_weight)
+    else:
+        oracles = _member_oracles(prob)
+
+    def vertices(draws):
+        x = _random_staircases(prob, draws)
+        return x.sum(axis=1) if receipts else x
+
+    x0 = _starts(s, _COALITION_TAG, coalition.mask, restarts,
+                 (s.n_resources, prob.size + len(prob.apps)), vertices)
+    return oracles, x0
+
+
 def solve_coalition(
     s: Scenario,
     coalition: Coalition,
@@ -370,6 +466,7 @@ def solve_coalition(
     """Maximize the coalition's weighted objective: members pool capacity
     over the union of their applications (per-provider budgets and
     per-application caps still bind)."""
+    _check_restarts(restarts)
     if counter is not None:
         counter.increment()
     t0 = time.perf_counter()
@@ -382,39 +479,12 @@ def solve_coalition(
         x = _pooled_lmo(prob, _linear_profit(s, prob), factors)
         value, kind, iters, used, gap = prob.objective(x), "exact_linear", 0, 0, 0.0
     else:
+        oracles, x0 = _coalition_fw(s, coalition, prob, restarts)
+        x, value, iters, gap = _multistart(*oracles, x0, gap_tol)
         if prob.uniform_weight is not None:
-            # the gradient is the same row for every member
-            def lmo(g):
-                return _pooled_lmo(prob, g, (np.ones(prob.size), g[0]))
-
-            def segment_factory(xc, d):
-                tot, dtot = xc.sum(axis=0), d.sum(axis=0)
-
-                def h(gammas):
-                    pts = tot[None] + gammas[:, None, None] * dtot[None]
-                    return prob.uniform_weight * prob.terms.value(pts).sum(axis=(1, 2))
-                return h
-        else:
-            def lmo(g):
-                return _pooled_lmo(prob, g, None)
-
-            def segment_factory(xc, d):
-                def h(gammas):
-                    return np.array([prob.objective(xc + g * d) for g in gammas])
-                return h
-
-        def sample_vertex(rng):
-            out = np.empty((prob.size, len(prob.apps), s.n_resources))
-            for k in range(s.n_resources):
-                out[:, :, k] = _lmo_factored(
-                    rng.uniform(size=prob.size), rng.uniform(size=len(prob.apps)),
-                    prob.caps[:, k], prob.reqs[:, k])
-            return out
-
-        x, value, iters, gap = _multistart_fw(
-            s, _COALITION_TAG, coalition.mask, prob.objective, prob.gradient,
-            lmo, segment_factory, sample_vertex,
-            (prob.size, len(prob.apps), s.n_resources), restarts, gap_tol)
+            # x holds receipts: members ship them in northwest-corner order;
+            # a lone member ships them as they are, unrounded
+            x = x[None] if prob.size == 1 else _staircase(prob.caps.T, x.T).transpose(1, 2, 0)
         kind, used = "multistart_fw", restarts
     return SolveReport(value=float(value), allocation=prob.to_global(s, x),
                        solver_kind=kind, iterations=iters, restarts_used=used,

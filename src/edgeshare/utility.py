@@ -130,10 +130,7 @@ class CoalitionProblem:
         return float((self.zseq[:, :, None] * self.credits(x_local)).sum())
 
     def gradient(self, x_local: np.ndarray) -> np.ndarray:
-        if self.uniform_weight is not None:
-            total = x_local.sum(axis=0)
-            g = self.uniform_weight * self.terms.slope(total)
-            return np.broadcast_to(g, x_local.shape).copy()
+        """Gradient of the sequential-credit objective, (S, MS, K)."""
         cum = self._sorted_cumulative(x_local)
         gp = self.terms.slope(cum.transpose(1, 0, 2)).transpose(1, 0, 2)  # (MS, S, K)
         grad_sorted = np.empty_like(gp)

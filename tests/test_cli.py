@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front end and its CSV formats."""
 import csv
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -128,6 +129,32 @@ def test_run_malformed_scenario(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     assert main(["run", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("field, value", [("n", "2"), ("players", None)])
+def test_run_scenario_with_mistyped_field_is_a_usage_error(tmp_path, capsys, field, value):
+    doc = json.loads(gen(tmp_path).read_text(encoding="utf-8"))
+    doc[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    for argv in (["run", "--out", str(tmp_path / "out")], ["verify"]):
+        assert main([*argv, "--scenario", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert repr(field) in err and "Traceback" not in err
+
+
+def test_restarts_below_one_is_a_usage_error(tmp_path, capsys):
+    scenario = gen(tmp_path, utility="sigmoid", mu="3")
+    capsys.readouterr()
+    for restarts in ("0", "-2"):
+        for argv in (["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")],
+                     ["verify", "--scenario", str(scenario)],
+                     ["bench", "--players", "2", "--apps", "2", "--mu", "3",
+                      "--repetitions", "1", "--out", str(tmp_path / "bench")]):
+            assert main([*argv, "--restarts", restarts]) == 2
+            err = capsys.readouterr().err
+            assert "--restarts" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ import itertools
 import numpy as np
 import pytest
 
+from edgeshare import solver
 from edgeshare.model import (
     Allocation,
     Coalition,
     Scenario,
     UtilitySpec,
+    all_coalitions,
     audit_allocation,
     generate_scenario,
 )
@@ -24,7 +26,7 @@ from edgeshare.solver import (
     solve_native,
     solve_residual,
 )
-from edgeshare.utility import coalition_objective
+from edgeshare.utility import AppTerms, CoalitionProblem, coalition_objective
 
 from oracles import feasibility_violations, grid_best, sigmoid_term
 
@@ -375,6 +377,17 @@ def test_solver_reports_are_consistent():
     assert rep.solver_kind == "multistart_fw"
     assert rep.restarts_used == 4
     assert rep.gap >= 0.0 or rep.iterations > 0
+    # uniform-weight coalitions solve on pooled receipts; the member
+    # allocation built from them must be feasible and worth the value
+    for n_players in (2, 3, 4):
+        for mu in (1.0, 3.0, 10.0):
+            s = generate_scenario(n_players, 3, 3, utility="sigmoid", mu=mu,
+                                  seed=10 * n_players + int(mu))
+            for c in all_coalitions(n_players):
+                rep = solve_coalition(s, c, restarts=4)
+                assert audit_allocation(s, rep.allocation, c) == []
+                assert rep.value == pytest.approx(
+                    coalition_objective(s, rep.allocation, c), rel=1e-12, abs=1e-12)
 
 
 def test_solutions_feasible_across_random_instances():
@@ -407,3 +420,51 @@ def test_counter_counts_each_solve_once():
     assert counter.count == 3
     counter.reset()
     assert counter.count == 0
+
+
+def test_restarts_below_one_are_rejected():
+    s = generate_scenario(2, 2, 2, utility="sigmoid", mu=3.0, seed=3)
+    for restarts in (0, -1):
+        with pytest.raises(ValueError, match="restarts"):
+            solve_coalition(s, Coalition.grand(2), restarts=restarts)
+        with pytest.raises(ValueError, match="restarts"):
+            solve_native(s, 0, restarts=restarts)
+        with pytest.raises(ValueError, match="restarts"):
+            solve_residual(s, 0, residual_caps=np.ones(2),
+                           residual_reqs=s.requests, restarts=restarts)
+
+
+# ---------------------------------------------------------------------------
+# batched multistart Frank-Wolfe
+
+
+def assert_batch_matches_solo_runs(oracles, x0):
+    """Every run of a batch ends exactly where the driver run on its start
+    alone ends; returns the batch's iteration counts."""
+    x, f, iters, gap = solver._batched_frank_wolfe(*oracles, x0, solver.DEFAULT_GAP_TOL)
+    for r in range(len(x0)):
+        xr, fr, itr, gapr = solver._batched_frank_wolfe(
+            *oracles, x0[r:r + 1], solver.DEFAULT_GAP_TOL)
+        assert (f[r], iters[r], gap[r]) == (fr[0], itr[0], gapr[0]), f"restart {r}"
+        assert np.array_equal(x[r], xr[0]), f"restart {r}"
+    return iters
+
+
+def test_batched_restarts_match_solo_runs():
+    # native solve on receipts
+    s = generate_scenario(3, 3, 4, utility="sigmoid", mu=10.0, seed=1)
+    terms = AppTerms.from_scenario(s, s.apps_of(1))
+    oracles = solver._receipt_oracles(terms, s.capacities[1], 1.0)
+    x0 = solver._starts(s, solver._NATIVE_TAG, 1, 16, terms.requests.shape, oracles[2])
+    iters = assert_batch_matches_solo_runs(oracles, x0)
+    assert len(set(iters)) > 1  # runs leave the batch at different rounds
+    # uniform-weight coalition on pooled receipts, and a weighted one in
+    # member coordinates
+    for w, zeta in ((1.0, 1.0), (1.0, 0.5)):
+        s = generate_scenario(3, 3, 3, utility="sigmoid", mu=10.0, seed=1, w=w, zeta=zeta)
+        c = Coalition(0b110)
+        prob = CoalitionProblem.build(s, c)
+        oracles, x0 = solver._coalition_fw(s, c, prob, 16)
+        assert x0.ndim == (3 if w == zeta else 4)
+        iters = assert_batch_matches_solo_runs(oracles, x0)
+        assert len(set(iters)) > 1
