@@ -61,6 +61,10 @@ def coalition_rows(s: model.Scenario, table: engine.CharacteristicTable | None,
                 for b in breakdown(s, report.allocation):
                     if coalition.contains(b.player):
                         per_player[b.player] = b.weighted_total
+            elif coalition.size == 1:
+                # a singleton solved without an allocation (the fast route's
+                # phase one) earns its whole value
+                per_player[coalition.members()[0]] = table.value(mask)
             rows.append([mask, coalition.size, coalition.label(),
                          table.value(mask), *per_player])
     grand = model.Coalition.grand(s.n_players)

@@ -20,12 +20,11 @@ coordinates with the transportation machinery as oracle.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .model import Allocation, Coalition, Scenario
 from .utility import AppTerms, CoalitionProblem
@@ -120,23 +119,58 @@ def _lmo_factored(alpha: np.ndarray, gamma: np.ndarray,
     return np.take_along_axis(np.take_along_axis(sorted_x, rank_u, -2), rank_i, -1)
 
 
-def _lmo_linprog(profit: np.ndarray, supplies: np.ndarray, demands: np.ndarray) -> np.ndarray:
-    u_count, i_count = profit.shape
-    nvars = u_count * i_count
+@functools.cache
+def _highs():
+    """scipy's bundled HiGHS binding and the one solver instance every
+    transport LP runs on, with the options linprog(method="highs") passes:
+    presolve on, dual simplex, no output, no debug checks."""
+    from scipy.optimize._highspy import _core
+
+    h = _core._Highs()
+    opts = _core.HighsOptions()
+    opts.presolve = "on"
+    opts.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
+    opts.log_to_console = False
+    opts.output_flag = False
+    opts.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    if h.passOptions(opts) == _core.HighsStatus.kError:
+        raise RuntimeError("HiGHS rejected the transportation LP options")
+    return _core, h
+
+
+@functools.cache
+def _transport_model(u_count: int, i_count: int):
+    """HiGHS model of max profit.x over the (u_count, i_count) transportation
+    polytope: x_ui >= 0 in row-major order, supply rows then demand rows,
+    the constraint matrix in CSC form, built once per shape.  Costs and
+    right-hand sides are set per solve."""
+    core, _ = _highs()
+    nvars, nrows = u_count * i_count, u_count + i_count
     v = np.arange(nvars)
-    rows = np.concatenate([v // i_count, u_count + v % i_count])
-    cols = np.concatenate([v, v])
-    a_ub = sparse.csr_matrix((np.ones(2 * nvars), (rows, cols)), shape=(u_count + i_count, nvars))
-    res = linprog(
-        -profit.ravel(),
-        A_ub=a_ub,
-        b_ub=np.concatenate([supplies, demands]),
-        bounds=(0, None),
-        method="highs",
-    )
-    if res.status != 0:
-        raise RuntimeError(f"transportation LP failed: {res.message}")
-    x = np.maximum(res.x.reshape(u_count, i_count), 0.0)
+    lp = core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = nvars
+    lp.num_row_ = lp.a_matrix_.num_row_ = nrows
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.arange(0, 2 * nvars + 1, 2)
+    lp.a_matrix_.index_ = np.stack([v // i_count, u_count + v % i_count], axis=1).ravel()
+    lp.a_matrix_.value_ = np.ones(2 * nvars)
+    lp.col_lower_ = np.zeros(nvars)
+    lp.col_upper_ = np.full(nvars, np.inf)
+    lp.row_lower_ = np.full(nrows, -np.inf)
+    return lp
+
+
+def _lmo_highs(profit: np.ndarray, supplies: np.ndarray, demands: np.ndarray) -> np.ndarray:
+    u_count, i_count = profit.shape
+    core, h = _highs()
+    lp = _transport_model(u_count, i_count)
+    lp.col_cost_ = -profit.ravel()
+    lp.row_upper_ = np.concatenate([supplies, demands])
+    if (h.passModel(lp) == core.HighsStatus.kError or h.run() == core.HighsStatus.kError
+            or h.getModelStatus() != core.HighsModelStatus.kOptimal):
+        raise RuntimeError("transportation LP failed: "
+                           + h.modelStatusToString(h.getModelStatus()))
+    x = np.maximum(np.array(h.getSolution().col_value).reshape(u_count, i_count), 0.0)
     x[profit <= 0] = 0.0
     # strict feasibility despite LP tolerance dust: shrink rows then columns
     row = x.sum(axis=1)
@@ -151,7 +185,8 @@ def lmo_transport(profit: np.ndarray, supplies: np.ndarray, demands: np.ndarray)
     maximizing sum profit_ui * x_ui.
 
     Single-row/column instances use the exact greedy fill; the general case
-    is delegated to an LP solve.
+    is an LP solved by scipy's bundled HiGHS (dual simplex) on one reused
+    instance.
     """
     profit = np.asarray(profit, dtype=float)
     supplies = np.asarray(supplies, dtype=float)
@@ -166,7 +201,7 @@ def lmo_transport(profit: np.ndarray, supplies: np.ndarray, demands: np.ndarray)
         return _greedy_fill(profit.T, supplies, demands[:, None]).T
     if demands.size == 1:
         return _greedy_fill(profit, demands, supplies[:, None])
-    return _lmo_linprog(profit, supplies, demands)
+    return _lmo_highs(profit, supplies, demands)
 
 
 # ---------------------------------------------------------------------------
@@ -422,17 +457,12 @@ def _random_staircases(prob: CoalitionProblem, draws: np.ndarray) -> np.ndarray:
 
 def _member_oracles(prob: CoalitionProblem):
     """Objective, gradient and LP-backed oracle in member coordinates
-    (R, S, MS, K), applied to one restart at a time."""
-    def objective(xs):
-        return np.array([prob.objective(x) for x in xs])
-
-    def gradient(xs):
-        return np.stack([prob.gradient(x) for x in xs])
-
+    (R, S, MS, K).  The objective and gradient take the whole batch; the
+    oracle solves one transport LP per restart and resource."""
     def lmo(gs):
         return np.stack([_pooled_lmo(prob, g, None) for g in gs])
 
-    return objective, gradient, lmo
+    return prob.objective, prob.gradient, lmo
 
 
 def _coalition_fw(s: Scenario, coalition: Coalition, prob: CoalitionProblem,

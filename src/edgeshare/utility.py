@@ -13,6 +13,7 @@ coalition objective collapses to total satisfaction at total receipt.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -41,16 +42,33 @@ class AppTerms:
     def with_requests(self, requests: np.ndarray) -> "AppTerms":
         return AppTerms(self.is_sigmoid, self.mu, self.coeffs, requests)
 
+    @cached_property
+    def _kinds(self) -> tuple[bool, bool]:
+        """(any sigmoid term, any linear term): a one-kind set skips the
+        other kind's branch."""
+        return bool(self.is_sigmoid.any()), not bool(self.is_sigmoid.all())
+
     def value(self, received: np.ndarray) -> np.ndarray:
         """g_ik at the given receipts; broadcasts over leading axes of a
         (..., M, K) receipt array."""
+        any_sig, any_lin = self._kinds
+        if not any_sig:
+            return self.coeffs * received
         sig = expit(self.mu[:, None] * (received - self.requests))
+        if not any_lin:
+            return sig
         return np.where(self.is_sigmoid[:, None], sig, self.coeffs * received)
 
     def slope(self, received: np.ndarray) -> np.ndarray:
         """dg_ik/dt at the given receipts, same broadcasting as value."""
+        any_sig, any_lin = self._kinds
+        if not any_sig:
+            return np.broadcast_to(self.coeffs, np.shape(received)).copy()
         p = expit(self.mu[:, None] * (received - self.requests))
-        return np.where(self.is_sigmoid[:, None], self.mu[:, None] * p * (1 - p), self.coeffs)
+        sig = self.mu[:, None] * p * (1 - p)
+        if not any_lin:
+            return sig
+        return np.where(self.is_sigmoid[:, None], sig, self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -61,6 +79,8 @@ class CoalitionProblem:
     members[t]; column i to apps[i].  ord_pos holds, per app, the member
     positions in attribution order (owner first, then ascending index);
     zseq the matching credit weights (w for the owner slot, zeta after).
+    Objective, credits and gradient broadcast over leading axes of a
+    (..., S, MS, K) allocation, one batch index per Frank-Wolfe restart.
     """
 
     members: tuple[int, ...]
@@ -109,38 +129,47 @@ class CoalitionProblem:
 
     # -- objective in local coordinates ------------------------------------
 
+    def _slots(self, ndim: int) -> np.ndarray:
+        """ord_pos as a take/put-along-axis index for (..., MS, S, K) arrays
+        of ndim dimensions."""
+        return self.ord_pos.reshape((1,) * (ndim - 3) + self.ord_pos.shape + (1,))
+
     def _sorted_cumulative(self, x_local: np.ndarray) -> np.ndarray:
-        xt = x_local.transpose(1, 0, 2)  # (MS, S, K)
-        ordered = np.take_along_axis(xt, self.ord_pos[:, :, None], axis=1)
-        return np.cumsum(ordered, axis=1)
+        """Cumulative receipts in attribution order, (..., MS, S, K)."""
+        xt = np.swapaxes(x_local, -3, -2)
+        ordered = np.take_along_axis(xt, self._slots(xt.ndim), axis=-2)
+        return np.cumsum(ordered, axis=-2)
 
     def credits(self, x_local: np.ndarray) -> np.ndarray:
-        """Unweighted credit of each attribution slot, (MS, S, K): the term
-        at the slot's cumulative receipt less the term before it."""
+        """Unweighted credit of each attribution slot, (..., MS, S, K): the
+        term at the slot's cumulative receipt less the term before it."""
         cum = self._sorted_cumulative(x_local)
-        g = self.terms.value(cum.transpose(1, 0, 2)).transpose(1, 0, 2)
-        return np.concatenate([g[:, :1, :], np.diff(g, axis=1)], axis=1)
+        g = np.swapaxes(self.terms.value(np.swapaxes(cum, -3, -2)), -3, -2)
+        return np.concatenate([g[..., :1, :], np.diff(g, axis=-2)], axis=-2)
 
-    def objective(self, x_local: np.ndarray) -> float:
-        """Weighted coalition objective: w_j-weighted owner terms plus
+    def objective(self, x_local: np.ndarray) -> np.ndarray:
+        """Weighted coalition objective, one value per leading index (a
+        numpy scalar for one allocation): w_j-weighted owner terms plus
         zeta-weighted sequential sharing credits."""
+        lead = x_local.shape[:-3]
         if self.uniform_weight is not None:
-            total = x_local.sum(axis=0)
-            return float(self.uniform_weight * self.terms.value(total).sum())
-        return float((self.zseq[:, :, None] * self.credits(x_local)).sum())
+            total = x_local.sum(axis=-3)
+            return self.uniform_weight * self.terms.value(total).reshape(lead + (-1,)).sum(axis=-1)
+        weighted = self.zseq[:, :, None] * self.credits(x_local)
+        return weighted.reshape(lead + (-1,)).sum(axis=-1)
 
     def gradient(self, x_local: np.ndarray) -> np.ndarray:
-        """Gradient of the sequential-credit objective, (S, MS, K)."""
+        """Gradient of the sequential-credit objective, (..., S, MS, K)."""
         cum = self._sorted_cumulative(x_local)
-        gp = self.terms.slope(cum.transpose(1, 0, 2)).transpose(1, 0, 2)  # (MS, S, K)
+        gp = np.swapaxes(self.terms.slope(np.swapaxes(cum, -3, -2)), -3, -2)  # (..., MS, S, K)
         grad_sorted = np.empty_like(gp)
-        grad_sorted[:, -1, :] = self.zseq[:, -1, None] * gp[:, -1, :]
+        grad_sorted[..., -1, :] = self.zseq[:, -1, None] * gp[..., -1, :]
         for t in range(self.size - 2, -1, -1):
             step = (self.zseq[:, t] - self.zseq[:, t + 1])[:, None]
-            grad_sorted[:, t, :] = grad_sorted[:, t + 1, :] + step * gp[:, t, :]
+            grad_sorted[..., t, :] = grad_sorted[..., t + 1, :] + step * gp[..., t, :]
         out = np.empty_like(grad_sorted)
-        np.put_along_axis(out, self.ord_pos[:, :, None], grad_sorted, axis=1)
-        return out.transpose(1, 0, 2)
+        np.put_along_axis(out, self._slots(out.ndim), grad_sorted, axis=-2)
+        return np.swapaxes(out, -3, -2)
 
     # -- embedding ----------------------------------------------------------
 
@@ -218,4 +247,4 @@ def coalition_objective(s: Scenario, alloc: Allocation, coalition: Coalition) ->
     """The characteristic-function objective evaluated at a concrete
     allocation (no optimization)."""
     prob = CoalitionProblem.build(s, coalition)
-    return prob.objective(prob.from_global(alloc))
+    return float(prob.objective(prob.from_global(alloc)))

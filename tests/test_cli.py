@@ -109,6 +109,19 @@ def test_run_fast_skips_enumeration(tmp_path):
     assert comp["method"] == "fast" and int(comp["solves"]) == 20
 
 
+def test_run_fast_singleton_rows_credit_their_member(tmp_path):
+    # the u_p* columns split a row's value; a singleton's goes to its member
+    scenario = gen(tmp_path, players=3, apps=2, resources=2, weights="2:1")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--method", "fast",
+                 "--out", str(out)]) == 0
+    rows = read_csv(out / "coalition.csv")
+    for n, row in enumerate(rows[:3]):
+        split = [float(row[f"u_p{p + 1}"]) for p in range(3)]
+        assert float(row["value"]) > 0.0
+        assert split == [float(row["value"]) if p == n else 0.0 for p in range(3)]
+
+
 def test_run_zero_requests_gives_zero_values(tmp_path):
     s = model.generate_scenario(2, 2, 2, utility="linear", seed=0)
     s = dataclasses.replace(s, requests=np.zeros_like(s.requests))

@@ -4,10 +4,13 @@ Exactness is checked three independent ways: hand-enumerable instances
 with frozen optima, an exhaustive lattice oracle (oracles.grid_best), and
 integer brute force for the transport LMO.
 """
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import linprog
 
 from edgeshare import solver
 from edgeshare.model import (
@@ -103,6 +106,56 @@ def test_lmo_matches_integer_brute_force():
         assert not feasibility_violations(x[:, :, None], supplies[:, None], demands[:, None])
         got = float((profit * x).sum())
         assert got == pytest.approx(brute_force_transport(profit, supplies, demands), abs=1e-7)
+
+
+def linprog_transport(profit, supplies, demands):
+    """The transport vertex as scipy's public linprog(method="highs")
+    returns it, after lmo_transport's post-processing: clip at zero, zero
+    the nonpositive-profit entries, shrink rows then columns."""
+    u_n, i_n = profit.shape
+    v = np.arange(u_n * i_n)
+    a_ub = sparse.csr_matrix((np.ones(2 * v.size), (np.concatenate([v // i_n, u_n + v % i_n]),
+                                                    np.concatenate([v, v]))),
+                             shape=(u_n + i_n, v.size))
+    res = linprog(-profit.ravel(), A_ub=a_ub, b_ub=np.concatenate([supplies, demands]),
+                  bounds=(0, None), method="highs")
+    assert res.status == 0
+    x = np.maximum(res.x.reshape(u_n, i_n), 0.0)
+    x[profit <= 0] = 0.0
+    row = x.sum(axis=1)
+    x *= np.where(row > supplies, supplies / np.maximum(row, 1e-300), 1.0)[:, None]
+    col = x.sum(axis=0)
+    x *= np.where(col > demands, demands / np.maximum(col, 1e-300), 1.0)[None, :]
+    return x
+
+
+def test_lmo_returns_the_linprog_vertex():
+    """lmo_transport calls scipy's bundled HiGHS directly; it must pick
+    exactly the vertex linprog picks, degenerate ties included, so a scipy
+    release that changes the private binding fails here."""
+    rng = np.random.default_rng(5)
+    cases = 0
+    for u_n in (2, 3, 4):
+        for i_n in (2, 3, 5, 8, 13, 20):
+            for case in ("random", "tied rows", "nonpositive", "zero supply/demand"):
+                profit = rng.uniform(0.1, 2.0, size=(u_n, i_n))
+                supplies = rng.uniform(0.0, 12.0, size=u_n)
+                demands = rng.uniform(0.0, 6.0, size=i_n)
+                if case == "tied rows":
+                    # as a common-zeta coalition gradient: every row but the
+                    # first is the same
+                    profit[1:] = profit[1]
+                elif case == "nonpositive":
+                    profit[rng.uniform(size=profit.shape) < 0.4] *= -1.0
+                    profit[rng.uniform(size=profit.shape) < 0.2] = 0.0
+                elif case == "zero supply/demand":
+                    supplies[rng.integers(u_n)] = 0.0
+                    demands[rng.uniform(size=i_n) < 0.3] = 0.0
+                want = linprog_transport(profit, supplies, demands)
+                got = lmo_transport(profit, supplies, demands)
+                assert np.array_equal(got, want), (u_n, i_n, case)
+                cases += 1
+    assert cases == 72
 
 
 def test_lmo_rejects_bad_shapes():
@@ -420,6 +473,28 @@ def test_counter_counts_each_solve_once():
     assert counter.count == 3
     counter.reset()
     assert counter.count == 0
+
+
+@pytest.mark.parametrize("w, zeta", [
+    ([1.0, 1.0, 1.0], [0.5, 0.5, 0.5]),  # one w != zeta for every player
+    ([1.0, 2.0, 0.5], [0.75, 1.5, 0.25]),  # unequal weights per player
+])
+def test_member_objective_and_gradient_batch_bit_for_bit(w, zeta):
+    """The member-coordinate objective and gradient of a (R, S, MS, K)
+    restart stack equal, bit for bit, the values of each restart alone."""
+    s = dataclasses.replace(generate_scenario(3, 3, 3, utility="sigmoid", mu=3.0, seed=2),
+                            w=np.array(w), zeta=np.array(zeta))
+    for c in (Coalition(0b011), Coalition(0b101), Coalition.grand(3)):
+        prob = CoalitionProblem.build(s, c)
+        assert prob.uniform_weight is None
+        _, x0 = solver._coalition_fw(s, c, prob, 8)
+        rng = np.random.default_rng(c.mask)
+        xs = np.concatenate([x0, x0 * rng.uniform(0.0, 1.5, size=x0.shape)])
+        f, g = prob.objective(xs), prob.gradient(xs)
+        assert f.shape == (len(xs),) and g.shape == xs.shape
+        for r, x in enumerate(xs):
+            assert f[r] == prob.objective(x), f"restart {r}"
+            assert np.array_equal(g[r], prob.gradient(x)), f"restart {r}"
 
 
 def test_restarts_below_one_are_rejected():
