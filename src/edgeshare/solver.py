@@ -143,7 +143,8 @@ def _transport_model(u_count: int, i_count: int):
     """HiGHS model of max profit.x over the (u_count, i_count) transportation
     polytope: x_ui >= 0 in row-major order, supply rows then demand rows,
     the constraint matrix in CSC form, built once per shape.  Costs and
-    right-hand sides are set per solve."""
+    right-hand sides are overwritten per solve, so, like the one HiGHS
+    instance, a cached model serves one LP at a time."""
     core, _ = _highs()
     nvars, nrows = u_count * i_count, u_count + i_count
     v = np.arange(nvars)

@@ -43,30 +43,23 @@ class AppTerms:
         return AppTerms(self.is_sigmoid, self.mu, self.coeffs, requests)
 
     @cached_property
-    def _kinds(self) -> tuple[bool, bool]:
-        """(any sigmoid term, any linear term): a one-kind set skips the
-        other kind's branch."""
-        return bool(self.is_sigmoid.any()), not bool(self.is_sigmoid.all())
+    def all_sigmoid(self) -> bool:
+        """Every term is sigmoid: value and slope skip the linear branch."""
+        return bool(self.is_sigmoid.all())
 
     def value(self, received: np.ndarray) -> np.ndarray:
         """g_ik at the given receipts; broadcasts over leading axes of a
         (..., M, K) receipt array."""
-        any_sig, any_lin = self._kinds
-        if not any_sig:
-            return self.coeffs * received
         sig = expit(self.mu[:, None] * (received - self.requests))
-        if not any_lin:
+        if self.all_sigmoid:
             return sig
         return np.where(self.is_sigmoid[:, None], sig, self.coeffs * received)
 
     def slope(self, received: np.ndarray) -> np.ndarray:
         """dg_ik/dt at the given receipts, same broadcasting as value."""
-        any_sig, any_lin = self._kinds
-        if not any_sig:
-            return np.broadcast_to(self.coeffs, np.shape(received)).copy()
         p = expit(self.mu[:, None] * (received - self.requests))
         sig = self.mu[:, None] * p * (1 - p)
-        if not any_lin:
+        if self.all_sigmoid:
             return sig
         return np.where(self.is_sigmoid[:, None], sig, self.coeffs)
 
