@@ -38,7 +38,6 @@ from .model import (
     validate_scenario,
 )
 from .solver import (
-    SolveCounter,
     SolveReport,
     lmo_transport,
     solve_coalition,
@@ -64,7 +63,6 @@ __all__ = [
     "FastCoreResult",
     "MethodStats",
     "Scenario",
-    "SolveCounter",
     "SolveReport",
     "SuperadditivityReport",
     "UtilityBreakdown",

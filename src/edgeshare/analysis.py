@@ -21,7 +21,7 @@ from .engine import (
     shapley_from_table,
 )
 from .model import Coalition, Scenario
-from .solver import DEFAULT_GAP_TOL, DEFAULT_RESTARTS, SolveCounter
+from .solver import DEFAULT_GAP_TOL, DEFAULT_RESTARTS
 
 DEFAULT_CORE_TOL = 1e-6
 SHAPLEY_PLAYER_LIMIT = 12  # beyond this the 2^N table is not built by default
@@ -210,27 +210,21 @@ def compare_methods(
 
     if include_shapley:
         def run_shapley():
-            counter = SolveCounter()
-            table = build_characteristic_table(
-                s, restarts=restarts, gap_tol=gap_tol, counter=counter)
-            return shapley_from_table(table), table, counter.count
+            table = build_characteristic_table(s, restarts=restarts, gap_tol=gap_tol)
+            return shapley_from_table(table), table
 
-        (phi, table, solves), times = timed(run_shapley)
+        (phi, table), times = timed(run_shapley)
         stats["shapley"] = MethodStats(
             method="shapley", payoffs=tuple(map(float, phi)),
-            total=float(phi.sum()), solves=solves, times_ms=times)
+            total=float(phi.sum()), solves=len(table.reports), times_ms=times)
         grand_value = table.value(table.grand_mask)
         standalone = tuple(map(float, table.singleton_values()))
 
-    def run_fast():
-        counter = SolveCounter()
-        result = fast_core(s, restarts=restarts, gap_tol=gap_tol, counter=counter)
-        return result, counter.count
-
-    (fast_result, fast_solves), fast_times = timed(run_fast)
+    fast_result, fast_times = timed(
+        lambda: fast_core(s, restarts=restarts, gap_tol=gap_tol))
     stats["fast"] = MethodStats(
         method="fast", payoffs=tuple(map(float, fast_result.payoffs)),
-        total=float(fast_result.payoffs.sum()), solves=fast_solves,
+        total=float(fast_result.payoffs.sum()), solves=fast_result.solves,
         times_ms=fast_times)
     if standalone is None:
         standalone = tuple(float(v) for v in s.w * fast_result.phase1)

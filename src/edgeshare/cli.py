@@ -22,12 +22,18 @@ import numpy as np
 
 from . import analysis, engine, model, solver
 
-MAX_ENUMERATION_PLAYERS = model.MAX_PLAYERS
+COMPARISON_HEADER = ["n", "m_per_player", "k", "mu", "method", "solves", "median_ms"]
 
 
 def _fmt(x) -> str:
     """Floats are written as repr so re-reading reproduces them exactly."""
     return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+
+
+def _m_field(ms: tuple[int, ...]):
+    """The m_per_player column: the common count, or every player's count
+    joined by '|'."""
+    return ms[0] if len(set(ms)) == 1 else "|".join(map(str, ms))
 
 
 def _player_columns(n: int) -> list[str]:
@@ -105,25 +111,21 @@ def read_payoffs_csv(path: Path) -> dict[str, np.ndarray]:
 
 
 def comparison_row(rep: analysis.ComparisonReport, method: str) -> list:
-    ms = rep.m_per_player
-    m_field = ms[0] if len(set(ms)) == 1 else "|".join(map(str, ms))
     stat = rep.stats[method]
-    return [rep.n_players, m_field, rep.n_resources,
+    return [rep.n_players, _m_field(rep.m_per_player), rep.n_resources,
             "" if rep.mu is None else rep.mu, method, stat.solves, stat.median_ms]
 
 
 def write_comparison_csv(path: Path, reports: list[analysis.ComparisonReport]) -> None:
     rows = [comparison_row(rep, method)
             for rep in reports for method in sorted(rep.stats)]
-    _write_rows(path, ["n", "m_per_player", "k", "mu", "method", "solves", "median_ms"], rows)
+    _write_rows(path, COMPARISON_HEADER, rows)
 
 
 def plotdata_rows(rep: analysis.ComparisonReport) -> list[list]:
     """Long-format rows behind the standard figures: per-player utility
     alone vs with sharing, totals, solve counts and timing."""
-    ms = rep.m_per_player
-    m_field = ms[0] if len(set(ms)) == 1 else "|".join(map(str, ms))
-    base = [rep.n_players, m_field, rep.n_resources, rep.utility_kind,
+    base = [rep.n_players, _m_field(rep.m_per_player), rep.n_resources, rep.utility_kind,
             "" if rep.mu is None else rep.mu]
     rows = []
     for player, v in enumerate(rep.standalone, start=1):
@@ -194,35 +196,31 @@ def cmd_run(args, parser) -> int:
     from time import perf_counter
 
     s = _load(args)
-    if args.method in ("shapley", "both") and s.n_players > MAX_ENUMERATION_PLAYERS:
-        parser.error(f"coalition enumeration caps at {MAX_ENUMERATION_PLAYERS} players; use --method fast")
+    if args.method in ("shapley", "both") and s.n_players > model.MAX_PLAYERS:
+        parser.error(f"coalition enumeration caps at {model.MAX_PLAYERS} players; use --method fast")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     mu = s.utilities[0].mu if s.utilities[0].kind == "sigmoid" else ""
-    ms = s.m_per_player
-    m_field = ms[0] if len(set(ms)) == 1 else "|".join(map(str, ms))
+    m_field = _m_field(s.m_per_player)
     table = None
     phi = None
     fast_result = None
     comparison_rows = []
     if args.method in ("shapley", "both"):
-        counter = solver.SolveCounter()
         t0 = perf_counter()
-        phi, table = engine.shapley_payoffs(
-            s, restarts=args.restarts, gap_tol=args.tol, counter=counter)
+        phi, table = engine.shapley_payoffs(s, restarts=args.restarts, gap_tol=args.tol)
         elapsed = (perf_counter() - t0) * 1e3
+        solves = len(table.reports)
         comparison_rows.append([s.n_players, m_field, s.n_resources, mu,
-                                "shapley", counter.count, elapsed])
-        print(f"shapley: total={phi.sum():.6g} solves={counter.count}")
+                                "shapley", solves, elapsed])
+        print(f"shapley: total={phi.sum():.6g} solves={solves}")
     if args.method in ("fast", "both"):
-        counter = solver.SolveCounter()
         t0 = perf_counter()
-        fast_result = engine.fast_core(
-            s, restarts=args.restarts, gap_tol=args.tol, counter=counter)
+        fast_result = engine.fast_core(s, restarts=args.restarts, gap_tol=args.tol)
         elapsed = (perf_counter() - t0) * 1e3
         comparison_rows.append([s.n_players, m_field, s.n_resources, mu,
-                                "fast", counter.count, elapsed])
-        print(f"fast: total={fast_result.payoffs.sum():.6g} solves={counter.count}")
+                                "fast", fast_result.solves, elapsed])
+        print(f"fast: total={fast_result.payoffs.sum():.6g} solves={fast_result.solves}")
     # payoff rows in the fixed presentation order: fast split, then Shapley
     payoff_rows: list[tuple[str, np.ndarray]] = []
     payoff_entries = []
@@ -240,9 +238,7 @@ def cmd_run(args, parser) -> int:
         table = engine.CharacteristicTable(n_players=s.n_players, values=singles, reports={})
     write_coalition_csv(outdir / "coalition.csv", s, table, payoff_rows)
     write_payoffs_csv(outdir / "payoffs.csv", payoff_entries)
-    _write_rows(outdir / "comparison.csv",
-                ["n", "m_per_player", "k", "mu", "method", "solves", "median_ms"],
-                comparison_rows)
+    _write_rows(outdir / "comparison.csv", COMPARISON_HEADER, comparison_rows)
     print(f"wrote {outdir / 'coalition.csv'}, {outdir / 'payoffs.csv'} "
           f"and {outdir / 'comparison.csv'}")
     return 0
@@ -250,19 +246,22 @@ def cmd_run(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     s = _load(args)
-    if s.n_players > MAX_ENUMERATION_PLAYERS:
+    if s.n_players > model.MAX_PLAYERS:
         parser.error("core verification needs the full table; "
-                     f"caps at {MAX_ENUMERATION_PLAYERS} players")
+                     f"caps at {model.MAX_PLAYERS} players")
     tol = args.tol
-    table = engine.build_characteristic_table(
-        s, restarts=args.restarts, gap_tol=args.tol_gap)
     vectors: dict[str, np.ndarray] = {}
     if args.payoffs:
-        vectors = {m: v for m, v in read_payoffs_csv(Path(args.payoffs)).items()
-                   if v.shape == (s.n_players,)}
+        vectors = read_payoffs_csv(Path(args.payoffs))
         if not vectors:
-            parser.error(f"no usable payoff vectors in {args.payoffs}")
-    else:
+            parser.error(f"no payoff vectors in {args.payoffs}")
+        for method, v in vectors.items():
+            if len(v) != s.n_players:
+                parser.error(f"payoffs for {method!r} in {args.payoffs} have {len(v)} "
+                             f"rows, but the scenario has N = {s.n_players} players")
+    table = engine.build_characteristic_table(
+        s, restarts=args.restarts, gap_tol=args.tol_gap)
+    if not args.payoffs:
         if args.method in ("shapley", "both"):
             vectors["shapley"] = engine.shapley_from_table(table)
         if args.method in ("fast", "both"):

@@ -17,7 +17,6 @@ from .model import Allocation, Coalition, Scenario, all_coalitions
 from .solver import (
     DEFAULT_GAP_TOL,
     DEFAULT_RESTARTS,
-    SolveCounter,
     SolveReport,
     solve_coalition,
     solve_native,
@@ -56,7 +55,6 @@ def build_characteristic_table(
     masks=None,
     restarts: int = DEFAULT_RESTARTS,
     gap_tol: float = DEFAULT_GAP_TOL,
-    counter: SolveCounter | None = None,
 ) -> CharacteristicTable:
     """Solve the pooled problem for each requested coalition (default: all
     2^N - 1), serially in ascending mask order."""
@@ -64,8 +62,7 @@ def build_characteristic_table(
         c.mask if isinstance(c, Coalition) else int(c)
         for c in (masks if masks is not None else all_coalitions(s.n_players))
     )
-    reports = {m: solve_coalition(s, Coalition(m), restarts=restarts, gap_tol=gap_tol,
-                                  counter=counter)
+    reports = {m: solve_coalition(s, Coalition(m), restarts=restarts, gap_tol=gap_tol)
                for m in mask_list}
     return CharacteristicTable(
         n_players=s.n_players,
@@ -103,12 +100,10 @@ def shapley_payoffs(
     s: Scenario,
     restarts: int = DEFAULT_RESTARTS,
     gap_tol: float = DEFAULT_GAP_TOL,
-    counter: SolveCounter | None = None,
 ) -> tuple[np.ndarray, CharacteristicTable]:
     """Full Shapley pipeline: build the complete table (2^N - 1 coalition
     solves), then average marginal contributions."""
-    table = build_characteristic_table(
-        s, restarts=restarts, gap_tol=gap_tol, counter=counter)
+    table = build_characteristic_table(s, restarts=restarts, gap_tol=gap_tol)
     return shapley_from_table(table), table
 
 
@@ -123,6 +118,8 @@ class FastCoreResult:
     payoffs[n] = w_n * phase1[n] + zeta_n * phase2[n]: what n's own
     applications earned it natively plus its income from serving others'
     residual requests.  allocation is the combined final allocation.
+    solves is the number of subproblems the split solved: one native and
+    one residual solve per player, 2N.
     """
 
     payoffs: np.ndarray
@@ -131,12 +128,15 @@ class FastCoreResult:
     phase2: np.ndarray  # residual sharing income, unweighted
     order: tuple[int, ...]
 
+    @property
+    def solves(self) -> int:
+        return len(self.phase1) + len(self.phase2)
+
 
 def fast_core(
     s: Scenario,
     restarts: int = DEFAULT_RESTARTS,
     gap_tol: float = DEFAULT_GAP_TOL,
-    counter: SolveCounter | None = None,
     order: tuple[int, ...] | None = None,
 ) -> FastCoreResult:
     """Two-phase allocation in 2N solves.
@@ -153,7 +153,7 @@ def fast_core(
     elif sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of all players")
 
-    native_reports = [solve_native(s, p, restarts=restarts, gap_tol=gap_tol, counter=counter)
+    native_reports = [solve_native(s, p, restarts=restarts, gap_tol=gap_tol)
                       for p in range(n)]
     phase1 = np.array([r.value for r in native_reports])
     x_total = np.zeros((n, m, k))
@@ -165,7 +165,7 @@ def fast_core(
     phase2 = np.zeros(n)
     for p in order:
         report = solve_residual(s, p, residual_caps[p], residual_reqs,
-                                restarts=restarts, gap_tol=gap_tol, counter=counter)
+                                restarts=restarts, gap_tol=gap_tol)
         phase2[p] = report.value
         sold = report.allocation.x[p]
         x_total[p] += sold

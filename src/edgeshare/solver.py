@@ -36,19 +36,6 @@ DEFAULT_GAP_TOL = 1e-6
 _NATIVE_TAG, _RESIDUAL_TAG, _COALITION_TAG = 0xA1, 0xB2, 0xC3
 
 
-class SolveCounter:
-    """Monotone counter of optimization subproblems."""
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def increment(self) -> None:
-        self.count += 1
-
-    def reset(self) -> None:
-        self.count = 0
-
-
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of one subproblem solve."""
@@ -366,14 +353,11 @@ def solve_native(
     reqs: np.ndarray | None = None,
     restarts: int = DEFAULT_RESTARTS,
     gap_tol: float = DEFAULT_GAP_TOL,
-    counter: SolveCounter | None = None,
 ) -> SolveReport:
     """Maximize player n's own utility over its native applications given a
     capacity budget (defaults: the scenario's full capacities/requests).
     Returns the unweighted optimum."""
     _check_restarts(restarts)
-    if counter is not None:
-        counter.increment()
     t0 = time.perf_counter()
     apps = s.apps_of(n)
     caps = s.capacities[n] if caps is None else np.asarray(caps, dtype=float)
@@ -390,7 +374,6 @@ def solve_residual(
     residual_reqs: np.ndarray,
     restarts: int = DEFAULT_RESTARTS,
     gap_tol: float = DEFAULT_GAP_TOL,
-    counter: SolveCounter | None = None,
 ) -> SolveReport:
     """Maximize provider n's sharing income over foreign residual requests.
 
@@ -400,8 +383,6 @@ def solve_residual(
     baseline, so shipping nothing earns exactly 0.
     """
     _check_restarts(restarts)
-    if counter is not None:
-        counter.increment()
     t0 = time.perf_counter()
     reqs = np.asarray(residual_reqs, dtype=float).copy()
     reqs[s.apps_of(n), :] = 0.0  # own applications are not foreign income
@@ -492,14 +473,11 @@ def solve_coalition(
     coalition: Coalition,
     restarts: int = DEFAULT_RESTARTS,
     gap_tol: float = DEFAULT_GAP_TOL,
-    counter: SolveCounter | None = None,
 ) -> SolveReport:
     """Maximize the coalition's weighted objective: members pool capacity
     over the union of their applications (per-provider budgets and
     per-application caps still bind)."""
     _check_restarts(restarts)
-    if counter is not None:
-        counter.increment()
     t0 = time.perf_counter()
     prob = CoalitionProblem.build(s, coalition)
     mem = np.array(prob.members)

@@ -122,23 +122,22 @@ class CoalitionProblem:
 
     # -- objective in local coordinates ------------------------------------
 
-    def _slots(self, ndim: int) -> np.ndarray:
-        """ord_pos as a take/put-along-axis index for (..., MS, S, K) arrays
-        of ndim dimensions."""
-        return self.ord_pos.reshape((1,) * (ndim - 3) + self.ord_pos.shape + (1,))
+    @cached_property
+    def _by_slot(self) -> tuple[np.ndarray, np.ndarray]:
+        """Fancy index of a (..., S, MS, K) allocation in attribution order:
+        x[..., rows, cols, :][..., t, i, :] is what app i's t-th slot supplies."""
+        return self.ord_pos.T, np.arange(len(self.apps))
 
     def _sorted_cumulative(self, x_local: np.ndarray) -> np.ndarray:
-        """Cumulative receipts in attribution order, (..., MS, S, K)."""
-        xt = np.swapaxes(x_local, -3, -2)
-        ordered = np.take_along_axis(xt, self._slots(xt.ndim), axis=-2)
-        return np.cumsum(ordered, axis=-2)
+        """Cumulative receipts in attribution order, (..., S, MS, K)."""
+        rows, cols = self._by_slot
+        return np.cumsum(x_local[..., rows, cols, :], axis=-3)
 
     def credits(self, x_local: np.ndarray) -> np.ndarray:
-        """Unweighted credit of each attribution slot, (..., MS, S, K): the
+        """Unweighted credit of each attribution slot, (..., S, MS, K): the
         term at the slot's cumulative receipt less the term before it."""
-        cum = self._sorted_cumulative(x_local)
-        g = np.swapaxes(self.terms.value(np.swapaxes(cum, -3, -2)), -3, -2)
-        return np.concatenate([g[..., :1, :], np.diff(g, axis=-2)], axis=-2)
+        g = self.terms.value(self._sorted_cumulative(x_local))
+        return np.concatenate([g[..., :1, :, :], np.diff(g, axis=-3)], axis=-3)
 
     def objective(self, x_local: np.ndarray) -> np.ndarray:
         """Weighted coalition objective, one value per leading index (a
@@ -148,21 +147,22 @@ class CoalitionProblem:
         if self.uniform_weight is not None:
             total = x_local.sum(axis=-3)
             return self.uniform_weight * self.terms.value(total).reshape(lead + (-1,)).sum(axis=-1)
-        weighted = self.zseq[:, :, None] * self.credits(x_local)
-        return weighted.reshape(lead + (-1,)).sum(axis=-1)
+        weighted = self.zseq.T[:, :, None] * self.credits(x_local)
+        # summed app-major, (MS, S, K): a slot-major sum rounds differently
+        return np.swapaxes(weighted, -3, -2).reshape(lead + (-1,)).sum(axis=-1)
 
     def gradient(self, x_local: np.ndarray) -> np.ndarray:
         """Gradient of the sequential-credit objective, (..., S, MS, K)."""
-        cum = self._sorted_cumulative(x_local)
-        gp = np.swapaxes(self.terms.slope(np.swapaxes(cum, -3, -2)), -3, -2)  # (..., MS, S, K)
+        gp = self.terms.slope(self._sorted_cumulative(x_local))  # (..., S, MS, K) by slot
         grad_sorted = np.empty_like(gp)
-        grad_sorted[..., -1, :] = self.zseq[:, -1, None] * gp[..., -1, :]
+        grad_sorted[..., -1, :, :] = self.zseq[:, -1, None] * gp[..., -1, :, :]
         for t in range(self.size - 2, -1, -1):
             step = (self.zseq[:, t] - self.zseq[:, t + 1])[:, None]
-            grad_sorted[..., t, :] = grad_sorted[..., t + 1, :] + step * gp[..., t, :]
+            grad_sorted[..., t, :, :] = grad_sorted[..., t + 1, :, :] + step * gp[..., t, :, :]
+        rows, cols = self._by_slot
         out = np.empty_like(grad_sorted)
-        np.put_along_axis(out, self._slots(out.ndim), grad_sorted, axis=-2)
-        return np.swapaxes(out, -3, -2)
+        out[..., rows, cols, :] = grad_sorted
+        return out
 
     # -- embedding ----------------------------------------------------------
 
@@ -219,13 +219,14 @@ def breakdown(s: Scenario, alloc: Allocation) -> tuple[UtilityBreakdown, ...]:
     """
     # with every player a member, local member positions are player indices
     prob = CoalitionProblem.build(s, Coalition.grand(s.n_players))
-    credits = prob.credits(prob.from_global(alloc))  # (M, N, K)
+    credits = prob.credits(prob.from_global(alloc))  # (N, M, K) by slot
     owners = s.owner[prob.apps]
+    apps = np.arange(len(owners))
     results = []
     for n in range(s.n_players):
-        own = float(credits[owners == n, 0, :].sum())
+        own = float(credits[0, owners == n].sum())
         slot_of_n = np.argmax(prob.ord_pos == n, axis=1)
-        per_app = np.take_along_axis(credits, slot_of_n[:, None, None], axis=1)[:, 0, :].sum(axis=1)
+        per_app = credits[slot_of_n, apps].sum(axis=1)
         shared = {
             j: float(per_app[owners == j].sum())
             for j in range(s.n_players)

@@ -20,7 +20,7 @@ from edgeshare.engine import (
     shapley_from_table,
 )
 from edgeshare.model import Allocation, Coalition, Scenario, UtilitySpec, generate_scenario
-from edgeshare.solver import SolveCounter, solve_coalition, solve_native
+from edgeshare.solver import solve_coalition, solve_native
 from edgeshare.utility import eval_own
 
 from oracles import grid_best, sigmoid_term
@@ -190,15 +190,17 @@ def test_criterion_06_sharing_never_hurts(capsys, linear_cases, sigmoid_cases):
     assert not bad, bad
 
 
-def test_criterion_07_solve_counts(capsys):
+def test_criterion_07_solve_counts(capsys, solve_calls):
     """2^N - 1 coalition solves for the table, 2N for the fast split."""
     rows = []
     for n in range(2, 9):
         s = generate_scenario(n, 1, 1, utility="linear", seed=n)
-        c_table, c_fast = SolveCounter(), SolveCounter()
-        build_characteristic_table(s, counter=c_table)
-        fast_core(s, counter=c_fast)
-        rows.append((n, c_table.count, c_fast.count))
+        solve_calls.clear()
+        build_characteristic_table(s)
+        table_count = solve_calls.total()
+        solve_calls.clear()
+        fast_core(s)
+        rows.append((n, table_count, solve_calls.total()))
     announce(capsys, 7, "solve counts (n, table, fast): " + repr(rows))
     for n, table_count, fast_count in rows:
         assert table_count == 2**n - 1

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgeshare import model
+import edgeshare
+from edgeshare import engine, model
 from edgeshare.cli import main, read_payoffs_csv, write_payoffs_csv
 
 
@@ -232,6 +233,22 @@ def test_verify_rejects_gappy_payoffs_file(tmp_path):
     assert main(["verify", "--scenario", str(scenario), "--payoffs", str(bad)]) == 2
 
 
+def test_verify_rejects_payoffs_of_the_wrong_length(tmp_path, capsys, monkeypatch):
+    # a method with fewer rows than players was skipped, so it went unchecked
+    scenario = gen(tmp_path, players=3)
+    payoffs = tmp_path / "payoffs.csv"
+    write_payoffs_csv(payoffs, [("fast", np.ones(3), np.zeros(3)),
+                                ("shapley", np.ones(2), np.zeros(2))])
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("the table was built before the payoffs were checked")
+
+    monkeypatch.setattr(engine, "build_characteristic_table", no_table)
+    assert main(["verify", "--scenario", str(scenario), "--payoffs", str(payoffs)]) == 2
+    err = capsys.readouterr().err
+    assert "'shapley'" in err and "2 rows" in err and "N = 3" in err
+
+
 def test_verify_missing_payoffs_file(tmp_path):
     scenario = gen(tmp_path, players=2)
     assert main(["verify", "--scenario", str(scenario),
@@ -320,3 +337,8 @@ def test_console_script_installed(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(lib)})
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "s.json").exists()
+
+
+def test_public_names_resolve():
+    missing = [name for name in edgeshare.__all__ if not hasattr(edgeshare, name)]
+    assert not missing

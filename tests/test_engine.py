@@ -20,7 +20,6 @@ from edgeshare.model import (
     audit_allocation,
     generate_scenario,
 )
-from edgeshare.solver import SolveCounter
 from edgeshare.utility import coalition_objective
 
 from oracles import minform_value, shapley_by_permutations, two_phase_split
@@ -129,11 +128,11 @@ def test_shapley_hand_case():
     assert np.allclose(phi, [2.5, 0.5])
 
 
-def test_shapley_solve_count_is_exponential():
-    counter = SolveCounter()
+def test_shapley_solve_count_is_exponential(solve_calls):
     s = generate_scenario(4, 1, 1, utility="linear", seed=9)
-    shapley_payoffs(s, counter=counter)
-    assert counter.count == 2**4 - 1
+    _, table = shapley_payoffs(s)
+    assert solve_calls == {"solve_coalition": 2**4 - 1}
+    assert len(table.reports) == 2**4 - 1
 
 
 def test_shapley_efficiency():
@@ -201,11 +200,11 @@ def test_fast_core_individually_rational():
             assert res.payoffs[n] >= singles.value(1 << n) - 1e-9
 
 
-def test_fast_core_solve_count_is_linear():
-    counter = SolveCounter()
+def test_fast_core_solve_count_is_linear(solve_calls):
     s = generate_scenario(5, 1, 1, utility="linear", seed=11)
-    fast_core(s, counter=counter)
-    assert counter.count == 2 * 5
+    res = fast_core(s)
+    assert solve_calls == {"solve_native": 5, "solve_residual": 5}
+    assert res.solves == 2 * 5
 
 
 def test_fast_core_allocation_feasible_and_value_consistent():

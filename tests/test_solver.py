@@ -23,7 +23,6 @@ from edgeshare.model import (
     generate_scenario,
 )
 from edgeshare.solver import (
-    SolveCounter,
     lmo_transport,
     solve_coalition,
     solve_native,
@@ -463,18 +462,6 @@ def test_deterministic_given_seed():
     assert np.array_equal(a.allocation.x, b.allocation.x)
 
 
-def test_counter_counts_each_solve_once():
-    s = generate_scenario(2, 2, 2, utility="linear", seed=43)
-    counter = SolveCounter()
-    solve_native(s, 0, counter=counter)
-    solve_residual(s, 0, residual_caps=np.ones(2),
-                   residual_reqs=np.zeros((4, 2)), counter=counter)
-    solve_coalition(s, Coalition.grand(2), counter=counter)
-    assert counter.count == 3
-    counter.reset()
-    assert counter.count == 0
-
-
 @pytest.mark.parametrize("w, zeta", [
     ([1.0, 1.0, 1.0], [0.5, 0.5, 0.5]),  # one w != zeta for every player
     ([1.0, 2.0, 0.5], [0.75, 1.5, 0.25]),  # unequal weights per player
@@ -495,6 +482,25 @@ def test_member_objective_and_gradient_batch_bit_for_bit(w, zeta):
         for r, x in enumerate(xs):
             assert f[r] == prob.objective(x), f"restart {r}"
             assert np.array_equal(g[r], prob.gradient(x)), f"restart {r}"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("w, zeta", [(1.0, 0.5), (0.5, 1.0), (2.0, 1.0)])
+def test_member_gradient_matches_central_differences(n, w, zeta):
+    """CoalitionProblem.gradient is the gradient of objective: central
+    differences (h = 1e-6) agree within 1e-6 at a random point, for every
+    coalition."""
+    h = 1e-6
+    s = generate_scenario(n, 2, 2, utility="sigmoid", mu=3.0, seed=n, w=w, zeta=zeta)
+    rng = np.random.default_rng(n)
+    for c in all_coalitions(n):
+        prob = CoalitionProblem.build(s, c)
+        assert prob.uniform_weight is None
+        x = rng.uniform(0.0, 1.0, (prob.size, *prob.reqs.shape)) * prob.reqs
+        steps = h * np.eye(x.size).reshape(-1, *x.shape)
+        numeric = (prob.objective(x + steps) - prob.objective(x - steps)) / (2 * h)
+        err = np.abs(prob.gradient(x).ravel() - numeric).max()
+        assert err < 1e-6, f"coalition {c.label()}: {err}"
 
 
 def test_restarts_below_one_are_rejected():
