@@ -192,6 +192,8 @@ def compare_methods(
     the first repetition, the median from all of them.  Shapley is skipped
     automatically above SHAPLEY_PLAYER_LIMIT players unless forced.
     """
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     if include_shapley is None:
         include_shapley = s.n_players <= SHAPLEY_PLAYER_LIMIT
     stats: dict[str, MethodStats] = {}
@@ -200,7 +202,7 @@ def compare_methods(
 
     def timed(fn):
         times, first = [], None
-        for _ in range(max(1, repetitions)):
+        for _ in range(repetitions):
             t0 = time.perf_counter()
             out = fn()
             times.append((time.perf_counter() - t0) * 1e3)

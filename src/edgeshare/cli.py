@@ -161,14 +161,25 @@ def _parse_weights(text: str, parser: argparse.ArgumentParser) -> tuple[float, f
         parser.error(f"--weights expects 'w:zeta', got {text!r}")
 
 
-def _restart_count(text: str) -> int:
-    """--restarts: a whole number of Frank-Wolfe starts, at least 1."""
+def _count(text: str) -> int:
+    """--restarts, --repetitions: a whole number, at least 1."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """--tol, --tol-gap: a finite number, at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (np.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
     return value
 
 
@@ -357,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="solve a scenario and write CSVs")
     run.add_argument("--scenario", required=True)
     run.add_argument("--method", choices=("shapley", "fast", "both"), default="both")
-    run.add_argument("--restarts", type=_restart_count, default=solver.DEFAULT_RESTARTS)
-    run.add_argument("--tol", type=float, default=solver.DEFAULT_GAP_TOL,
+    run.add_argument("--restarts", type=_count, default=solver.DEFAULT_RESTARTS)
+    run.add_argument("--tol", type=_tolerance, default=solver.DEFAULT_GAP_TOL,
                      help="solver stopping gap")
     run.add_argument("--out", default=".")
 
@@ -367,10 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--payoffs", default=None,
                      help="payoffs.csv to verify instead of recomputing")
     ver.add_argument("--method", choices=("shapley", "fast", "both"), default="both")
-    ver.add_argument("--restarts", type=_restart_count, default=solver.DEFAULT_RESTARTS)
-    ver.add_argument("--tol", type=float, default=analysis.DEFAULT_CORE_TOL,
+    ver.add_argument("--restarts", type=_count, default=solver.DEFAULT_RESTARTS)
+    ver.add_argument("--tol", type=_tolerance, default=analysis.DEFAULT_CORE_TOL,
                      help="verification tolerance")
-    ver.add_argument("--tol-gap", type=float, default=solver.DEFAULT_GAP_TOL,
+    ver.add_argument("--tol-gap", type=_tolerance, default=solver.DEFAULT_GAP_TOL,
                      dest="tol_gap", help="solver stopping gap")
     ver.add_argument("--out", default=None, help="directory for verify.csv")
 
@@ -384,9 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--weights", default="1:1")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--method", choices=("shapley", "fast", "both"), default="both")
-    bench.add_argument("--restarts", type=_restart_count, default=solver.DEFAULT_RESTARTS)
-    bench.add_argument("--tol", type=float, default=solver.DEFAULT_GAP_TOL)
-    bench.add_argument("--repetitions", type=int, default=5)
+    bench.add_argument("--restarts", type=_count, default=solver.DEFAULT_RESTARTS)
+    bench.add_argument("--tol", type=_tolerance, default=solver.DEFAULT_GAP_TOL)
+    bench.add_argument("--repetitions", type=_count, default=5)
     bench.add_argument("--out", default=".")
 
     return parser

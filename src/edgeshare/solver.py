@@ -9,6 +9,13 @@ Frank-Wolfe conditional gradient.  All restarts of one solve advance
 together in one batched driver, and each leaves the batch when its own
 stopping test fires.
 
+Every sigmoid term is convex at receipts up to its request, and no
+feasible point exceeds a request, so receipt objectives are convex, and so
+are member-coordinate objectives whose credit weights do not increase
+along the attribution order (CoalitionProblem.convex).  There each round
+takes the unit step to the oracle's vertex; only the other weightings
+(some zeta above an owner's w, say) search the step by golden section.
+
 Where the objective depends only on per-application receipts t_ik (one
 provider, or a coalition whose members share one weight w == zeta),
 Frank-Wolfe runs on (R, M, K) receipts: the receipts the members' budgets
@@ -193,7 +200,8 @@ def lmo_transport(profit: np.ndarray, supplies: np.ndarray, demands: np.ndarray)
 
 
 # ---------------------------------------------------------------------------
-# batched multistart Frank-Wolfe with golden-section steps
+# batched multistart Frank-Wolfe: unit steps on convex objectives,
+# golden-section steps otherwise
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -228,16 +236,21 @@ def _best_steps(value_at, n: int, coarse: int = 17, refine: int = 24):
     return best_g, best_v
 
 
-def _batched_frank_wolfe(objective, gradient, lmo, x0: np.ndarray, gap_tol: float):
+def _batched_frank_wolfe(objective, gradient, lmo, x0: np.ndarray, gap_tol: float,
+                         convex: bool):
     """Conditional gradient ascent from each start x0[r], all runs advancing
     in lockstep along the leading axis.  objective maps a batch of points
     to one value each; gradient and lmo map a batch to a batch.
 
-    Run r stops when its Frank-Wolfe gap <grad, s - x> drops below
-    gap_tol * max(1, |f|), when its line search cannot improve, or after
-    MAX_ITER rounds; a stopped run leaves the batch, so every run follows
-    the path it would follow alone.  Iterates stay feasible as convex
-    combinations of vertices.  Returns per-run (x, f, iterations, gap).
+    When the objective is convex on the feasible set its maximum along the
+    segment [x, s] sits at an end, so each round evaluates only the vertex
+    s and moves there if it is better (the successive linearization
+    algorithm); otherwise a coarse scan and golden-section search pick the
+    step.  Run r stops when its Frank-Wolfe gap <grad, s - x> drops below
+    gap_tol * max(1, |f|), when its step cannot improve, or after MAX_ITER
+    rounds; a stopped run leaves the batch, so every run follows the path
+    it would follow alone.  Iterates stay feasible as convex combinations
+    of vertices.  Returns per-run (x, f, iterations, gap).
     """
     x = x0.copy()
     f = objective(x)
@@ -255,27 +268,35 @@ def _batched_frank_wolfe(objective, gradient, lmo, x0: np.ndarray, gap_tol: floa
         live, xl, d = live[keep], xl[keep], d[keep]
         if not live.size:
             break
-        step, f_new = _best_steps(lambda gam: objective(xl + gam.reshape(bcast) * d),
-                                  len(live))
-        move = (f_new > f[live]) & (step != 0.0)  # else line search cannot improve
-        live, xl, d, step = live[move], xl[move], d[move], step[move]
-        x[live] = xl + step.reshape(bcast) * d
+        if convex:
+            x_new = xl + d  # as the line search's step 1 forms it; xl + (s - xl) may round off s
+            f_new = objective(x_new)
+            move = f_new > f[live]
+        else:
+            step, f_new = _best_steps(lambda gam: objective(xl + gam.reshape(bcast) * d),
+                                      len(live))
+            move = (f_new > f[live]) & (step != 0.0)  # else line search cannot improve
+            x_new = xl + step.reshape(bcast) * d
+        live = live[move]
+        x[live] = x_new[move]
         f[live] = f_new[move]
         if not live.size:
             break
     return x, f, iters, gap
 
 
-def _multistart(objective, gradient, lmo, x0: np.ndarray, gap_tol: float):
+def _multistart(objective, gradient, lmo, x0: np.ndarray, gap_tol: float, convex: bool):
     """Best run of the batch (the first of equal values): (x, f, iterations, gap)."""
-    x, f, iters, gap = _batched_frank_wolfe(objective, gradient, lmo, x0, gap_tol)
+    x, f, iters, gap = _batched_frank_wolfe(objective, gradient, lmo, x0, gap_tol, convex)
     best = int(np.argmax(f))
     return x[best], float(f[best]), int(iters[best]), float(gap[best])
 
 
-def _check_restarts(restarts: int) -> None:
+def _check_settings(restarts: int, gap_tol: float) -> None:
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if not (np.isfinite(gap_tol) and gap_tol >= 0):
+        raise ValueError(f"gap_tol must be finite and >= 0, got {gap_tol}")
 
 
 def _restart_rng(s: Scenario, tag: int, ident: int, restart: int) -> np.random.Generator:
@@ -337,7 +358,9 @@ def _solve_provider(s: Scenario, n: int, tag: int, apps, terms: AppTerms,
         value, kind, iters, used, gap = objective(x[None])[0], "exact_linear", 0, 0, 0.0
     else:
         x0 = _starts(s, tag, n, restarts, terms.requests.shape, lmo)
-        x, value, iters, gap = _multistart(objective, gradient, lmo, x0, gap_tol)
+        # every term is convex at receipts up to its request, which the
+        # oracle never exceeds
+        x, value, iters, gap = _multistart(objective, gradient, lmo, x0, gap_tol, True)
         kind, used = "multistart_fw", restarts
     full = np.zeros((s.n_players, s.m_total, s.n_resources))
     full[n, apps, :] = x
@@ -357,7 +380,7 @@ def solve_native(
     """Maximize player n's own utility over its native applications given a
     capacity budget (defaults: the scenario's full capacities/requests).
     Returns the unweighted optimum."""
-    _check_restarts(restarts)
+    _check_settings(restarts, gap_tol)
     t0 = time.perf_counter()
     apps = s.apps_of(n)
     caps = s.capacities[n] if caps is None else np.asarray(caps, dtype=float)
@@ -382,7 +405,7 @@ def solve_residual(
     by its owner's utility as the lift over the residual's zero-allocation
     baseline, so shipping nothing earns exactly 0.
     """
-    _check_restarts(restarts)
+    _check_settings(restarts, gap_tol)
     t0 = time.perf_counter()
     reqs = np.asarray(residual_reqs, dtype=float).copy()
     reqs[s.apps_of(n), :] = 0.0  # own applications are not foreign income
@@ -477,7 +500,7 @@ def solve_coalition(
     """Maximize the coalition's weighted objective: members pool capacity
     over the union of their applications (per-provider budgets and
     per-application caps still bind)."""
-    _check_restarts(restarts)
+    _check_settings(restarts, gap_tol)
     t0 = time.perf_counter()
     prob = CoalitionProblem.build(s, coalition)
     mem = np.array(prob.members)
@@ -489,7 +512,7 @@ def solve_coalition(
         value, kind, iters, used, gap = prob.objective(x), "exact_linear", 0, 0, 0.0
     else:
         oracles, x0 = _coalition_fw(s, coalition, prob, restarts)
-        x, value, iters, gap = _multistart(*oracles, x0, gap_tol)
+        x, value, iters, gap = _multistart(*oracles, x0, gap_tol, prob.convex)
         if prob.uniform_weight is not None:
             # x holds receipts: members ship them in northwest-corner order;
             # a lone member ships them as they are, unrounded

@@ -120,6 +120,16 @@ class CoalitionProblem:
     def size(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def convex(self) -> bool:
+        """The objective is convex on the feasible set.  By Abel summation it
+        is sum_t (zseq_t - zseq_t+1) * g(c_t) + zseq_last * g(c_last) over
+        the cumulative receipts c_t of each app, and every term g is convex
+        at receipts up to its request; so non-increasing zseq rows with a
+        nonnegative last entry suffice (uniform weights, or any w >= zeta
+        shared by all members)."""
+        return bool(np.all(np.diff(self.zseq, axis=1) <= 0) and np.all(self.zseq[:, -1] >= 0))
+
     # -- objective in local coordinates ------------------------------------
 
     @cached_property

@@ -115,6 +115,12 @@ def test_solve_counts_ten_players():
     assert rep.stats["fast"].solves == 20
 
 
+def test_repetitions_below_one_are_rejected():
+    s = generate_scenario(2, 1, 1, utility="linear", seed=0)
+    with pytest.raises(ValueError, match="repetitions"):
+        compare_methods(s, repetitions=0)
+
+
 def test_shapley_skipped_above_player_limit():
     s = generate_scenario(13, 1, 1, utility="linear", seed=2)
     rep = compare_methods(s, repetitions=1)

@@ -171,6 +171,32 @@ def test_restarts_below_one_is_a_usage_error(tmp_path, capsys):
             assert "--restarts" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
+def test_invalid_tolerance_is_a_usage_error(tmp_path, capsys, tol):
+    # a NaN or infinite --tol used to stop Frank-Wolfe at its start points
+    # and write unoptimized payoffs with exit 0
+    scenario = gen(tmp_path, players=2, utility="sigmoid", mu="3")
+    capsys.readouterr()
+    bench = ["bench", "--players", "2", "--apps", "2", "--mu", "3",
+             "--repetitions", "1", "--out", str(tmp_path / "bench")]
+    for argv, flag in ((["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")],
+                        "--tol"),
+                       (["verify", "--scenario", str(scenario)], "--tol"),
+                       (["verify", "--scenario", str(scenario)], "--tol-gap"),
+                       (bench, "--tol")):
+        assert main([*argv, flag, tol]) == 2, (argv[0], flag)
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "bench").exists()
+
+
+def test_bench_repetitions_below_one_is_a_usage_error(tmp_path, capsys):
+    assert main(["bench", "--players", "2", "--apps", "2", "--utility", "linear",
+                 "--repetitions", "0", "--out", str(tmp_path / "bench")]) == 2
+    err = capsys.readouterr().err
+    assert "--repetitions" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 

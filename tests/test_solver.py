@@ -515,37 +515,133 @@ def test_restarts_below_one_are_rejected():
                            residual_reqs=s.requests, restarts=restarts)
 
 
+@pytest.mark.parametrize("gap_tol", [float("nan"), float("inf"), -1e-6])
+def test_invalid_gap_tol_is_rejected(gap_tol):
+    # a NaN or infinite tolerance stopped every restart at its start point
+    s = generate_scenario(2, 2, 2, utility="sigmoid", mu=3.0, seed=3)
+    with pytest.raises(ValueError, match="gap_tol"):
+        solve_coalition(s, Coalition.grand(2), gap_tol=gap_tol)
+    with pytest.raises(ValueError, match="gap_tol"):
+        solve_native(s, 0, gap_tol=gap_tol)
+    with pytest.raises(ValueError, match="gap_tol"):
+        solve_residual(s, 0, residual_caps=np.ones(2),
+                       residual_reqs=s.requests, gap_tol=gap_tol)
+
+
 # ---------------------------------------------------------------------------
 # batched multistart Frank-Wolfe
 
 
-def assert_batch_matches_solo_runs(oracles, x0):
+def assert_batch_matches_solo_runs(oracles, x0, convex):
     """Every run of a batch ends exactly where the driver run on its start
     alone ends; returns the batch's iteration counts."""
-    x, f, iters, gap = solver._batched_frank_wolfe(*oracles, x0, solver.DEFAULT_GAP_TOL)
+    x, f, iters, gap = solver._batched_frank_wolfe(*oracles, x0, solver.DEFAULT_GAP_TOL, convex)
     for r in range(len(x0)):
         xr, fr, itr, gapr = solver._batched_frank_wolfe(
-            *oracles, x0[r:r + 1], solver.DEFAULT_GAP_TOL)
+            *oracles, x0[r:r + 1], solver.DEFAULT_GAP_TOL, convex)
         assert (f[r], iters[r], gap[r]) == (fr[0], itr[0], gapr[0]), f"restart {r}"
         assert np.array_equal(x[r], xr[0]), f"restart {r}"
     return iters
 
 
 def test_batched_restarts_match_solo_runs():
-    # native solve on receipts
+    # with unit steps and with the line search: a native solve on receipts,
+    # a uniform-weight coalition on pooled receipts, and a weighted one in
+    # member coordinates
+    for convex in (True, False):
+        s = generate_scenario(3, 3, 4, utility="sigmoid", mu=10.0, seed=1)
+        terms = AppTerms.from_scenario(s, s.apps_of(1))
+        oracles = solver._receipt_oracles(terms, s.capacities[1], 1.0)
+        x0 = solver._starts(s, solver._NATIVE_TAG, 1, 16, terms.requests.shape, oracles[2])
+        iters = assert_batch_matches_solo_runs(oracles, x0, convex)
+        assert len(set(iters)) > 1  # runs leave the batch at different rounds
+        for w, zeta in ((1.0, 1.0), (1.0, 0.5)):
+            s = generate_scenario(3, 3, 3, utility="sigmoid", mu=10.0, seed=1, w=w, zeta=zeta)
+            c = Coalition(0b110)
+            prob = CoalitionProblem.build(s, c)
+            oracles, x0 = solver._coalition_fw(s, c, prob, 16)
+            assert x0.ndim == (3 if w == zeta else 4)
+            iters = assert_batch_matches_solo_runs(oracles, x0, convex)
+            assert len(set(iters)) > 1
+
+
+def convex_cases():
+    """(name, oracles, x0) for problems whose objective is convex: a native
+    and a residual solve on receipts, and coalitions on pooled receipts
+    (w == zeta) and in member coordinates (common w:zeta = 1:0.5, and
+    per-player weights with every credit sequence falling)."""
     s = generate_scenario(3, 3, 4, utility="sigmoid", mu=10.0, seed=1)
     terms = AppTerms.from_scenario(s, s.apps_of(1))
     oracles = solver._receipt_oracles(terms, s.capacities[1], 1.0)
-    x0 = solver._starts(s, solver._NATIVE_TAG, 1, 16, terms.requests.shape, oracles[2])
-    iters = assert_batch_matches_solo_runs(oracles, x0)
-    assert len(set(iters)) > 1  # runs leave the batch at different rounds
-    # uniform-weight coalition on pooled receipts, and a weighted one in
-    # member coordinates
-    for w, zeta in ((1.0, 1.0), (1.0, 0.5)):
-        s = generate_scenario(3, 3, 3, utility="sigmoid", mu=10.0, seed=1, w=w, zeta=zeta)
-        c = Coalition(0b110)
-        prob = CoalitionProblem.build(s, c)
-        oracles, x0 = solver._coalition_fw(s, c, prob, 16)
-        assert x0.ndim == (3 if w == zeta else 4)
-        iters = assert_batch_matches_solo_runs(oracles, x0)
-        assert len(set(iters)) > 1
+    yield "native", oracles, solver._starts(s, solver._NATIVE_TAG, 1, 16,
+                                            terms.requests.shape, oracles[2])
+    reqs = 0.5 * s.requests
+    reqs[s.apps_of(1)] = 0.0
+    terms = AppTerms.from_scenario(s).with_requests(reqs)
+    oracles = solver._receipt_oracles(terms, 0.5 * s.capacities[1], 1.0)
+    yield "residual", oracles, solver._starts(s, solver._RESIDUAL_TAG, 1, 16,
+                                              reqs.shape, oracles[2])
+    for label, w, zeta in (("uniform", [1.0] * 3, [1.0] * 3),
+                           ("1:0.5", [1.0] * 3, [0.5] * 3),
+                           ("per-player", [2.0, 1.5, 2.5], [1.0, 0.75, 0.5])):
+        sw = dataclasses.replace(generate_scenario(3, 3, 3, utility="sigmoid", mu=3.0, seed=4),
+                                 w=np.array(w), zeta=np.array(zeta))
+        for c in (Coalition(0b011), Coalition(0b110), Coalition.grand(3)):
+            prob = CoalitionProblem.build(sw, c)
+            assert prob.convex, f"{label} {c.label()}"
+            oracles, x0 = solver._coalition_fw(sw, c, prob, 8)
+            yield f"{label} {c.label()}", oracles, x0
+
+
+def test_unit_step_matches_line_search_on_convex_problems():
+    """Where the objective is convex the line search always lands on the
+    vertex, so unit steps follow the same path: every restart ends at the
+    same point, value, round count and gap, bit for bit."""
+    for name, oracles, x0 in convex_cases():
+        unit = solver._batched_frank_wolfe(*oracles, x0, solver.DEFAULT_GAP_TOL, True)
+        search = solver._batched_frank_wolfe(*oracles, x0, solver.DEFAULT_GAP_TOL, False)
+        for r in range(len(x0)):
+            assert np.array_equal(unit[0][r], search[0][r]), f"{name} restart {r}"
+            assert (unit[1][r], unit[2][r], unit[3][r]) == \
+                (search[1][r], search[2][r], search[3][r]), f"{name} restart {r}"
+        assert unit[2].max() > 1, name  # at least one restart took a step
+
+
+@pytest.mark.parametrize("w, zeta, convex", [
+    ([1.0] * 3, [1.0] * 3, True),  # uniform weights
+    ([1.0] * 3, [0.5] * 3, True),  # w above zeta
+    ([0.5] * 3, [1.0] * 3, False),  # w below zeta: foreign credit outweighs
+    ([1.0] * 3, [0.25, 0.5, 0.75], False),  # w >= zeta, but zeta rises by index
+])
+def test_convexity_predicate(w, zeta, convex):
+    s = dataclasses.replace(generate_scenario(3, 2, 2, utility="sigmoid", mu=3.0, seed=5),
+                            w=np.array(w), zeta=np.array(zeta))
+    assert CoalitionProblem.build(s, Coalition.grand(3)).convex is convex
+    for n in range(3):  # one member earns no sequential credit
+        assert CoalitionProblem.build(s, Coalition.singleton(n)).convex
+
+
+def test_non_convex_solve_searches_the_step(monkeypatch):
+    """The line search runs only where the objective is not convex, and
+    there it still finds interior steps and a feasible allocation worth
+    the reported value."""
+    steps = []
+    best_steps = solver._best_steps
+
+    def recording(value_at, n, **kwargs):
+        best = best_steps(value_at, n, **kwargs)
+        steps.extend(best[0])
+        return best
+
+    monkeypatch.setattr(solver, "_best_steps", recording)
+    convex = generate_scenario(2, 2, 3, utility="sigmoid", mu=3.0, seed=6, w=1.0, zeta=0.5)
+    for c in all_coalitions(2):
+        solve_coalition(convex, c, restarts=4)
+    assert not steps
+    s = generate_scenario(2, 2, 3, utility="sigmoid", mu=3.0, seed=6, w=0.5, zeta=1.0)
+    c = Coalition.grand(2)
+    rep = solve_coalition(s, c, restarts=4)
+    assert audit_allocation(s, rep.allocation, c) == []
+    assert rep.value == pytest.approx(coalition_objective(s, rep.allocation, c),
+                                      rel=1e-12, abs=1e-12)
+    assert any(0.0 < step < 1.0 for step in steps)
