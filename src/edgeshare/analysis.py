@@ -188,7 +188,8 @@ def compare_methods(
 ) -> ComparisonReport:
     """Time both pipelines on one scenario with the monotonic wall clock.
 
-    Each repetition runs the full pipeline; the reported numbers come from
+    Each repetition runs each full pipeline once, Shapley then fast, so a
+    drift in host speed falls on both alike; the reported numbers come from
     the first repetition, the median from all of them.  Shapley is skipped
     automatically above SHAPLEY_PLAYER_LIMIT players unless forced.
     """
@@ -196,38 +197,38 @@ def compare_methods(
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     if include_shapley is None:
         include_shapley = s.n_players <= SHAPLEY_PLAYER_LIMIT
+
+    def run_shapley():
+        table = build_characteristic_table(s, restarts=restarts, gap_tol=gap_tol)
+        return shapley_from_table(table), table
+
+    pipelines = {"shapley": run_shapley} if include_shapley else {}
+    pipelines["fast"] = lambda: fast_core(s, restarts=restarts, gap_tol=gap_tol)
+    first, times = {}, {name: [] for name in pipelines}
+    for _ in range(repetitions):
+        for name, fn in pipelines.items():
+            t0 = time.perf_counter()
+            out = fn()
+            times[name].append((time.perf_counter() - t0) * 1e3)
+            first.setdefault(name, out)
+
     stats: dict[str, MethodStats] = {}
     grand_value = None
     standalone = None
-
-    def timed(fn):
-        times, first = [], None
-        for _ in range(repetitions):
-            t0 = time.perf_counter()
-            out = fn()
-            times.append((time.perf_counter() - t0) * 1e3)
-            if first is None:
-                first = out
-        return first, tuple(times)
-
     if include_shapley:
-        def run_shapley():
-            table = build_characteristic_table(s, restarts=restarts, gap_tol=gap_tol)
-            return shapley_from_table(table), table
-
-        (phi, table), times = timed(run_shapley)
+        phi, table = first["shapley"]
         stats["shapley"] = MethodStats(
             method="shapley", payoffs=tuple(map(float, phi)),
-            total=float(phi.sum()), solves=len(table.reports), times_ms=times)
+            total=float(phi.sum()), solves=len(table.reports),
+            times_ms=tuple(times["shapley"]))
         grand_value = table.value(table.grand_mask)
         standalone = tuple(map(float, table.singleton_values()))
 
-    fast_result, fast_times = timed(
-        lambda: fast_core(s, restarts=restarts, gap_tol=gap_tol))
+    fast_result = first["fast"]
     stats["fast"] = MethodStats(
         method="fast", payoffs=tuple(map(float, fast_result.payoffs)),
         total=float(fast_result.payoffs.sum()), solves=fast_result.solves,
-        times_ms=fast_times)
+        times_ms=tuple(times["fast"]))
     if standalone is None:
         standalone = tuple(float(v) for v in s.w * fast_result.phase1)
 

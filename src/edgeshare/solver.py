@@ -23,7 +23,17 @@ can deliver are exactly 0 <= t <= r with sum_i t_ik at most the pooled
 budget, so the linear oracle is one greedy fill of that budget.  A
 coalition's member allocation is then the northwest-corner staircase of
 the best receipts against member capacities.  Other weights run in member
-coordinates with the transportation machinery as oracle.
+coordinates with the transportation machinery as oracle, one LP per
+resource and distinct gradient slice.
+
+Start points (_starts): restart 0 starts at zero; restart r > 0 seeds a
+PCG64 stream with SeedSequence([scenario seed, solve tag, player or mask,
+r]), draws a scale and uniform factors from it, and starts at the scaled
+vertex the factors pick: for native and residual solves the greedy fill
+of the factors as profits, for coalitions the staircase of random member
+and application factors (summed to receipts on the pooled path).  The
+streams depend only on the scenario and the solve, so every solve is
+reproducible on its own.
 """
 from __future__ import annotations
 
@@ -78,14 +88,39 @@ def _greedy_fill(profits: np.ndarray, budget: np.ndarray, ubs: np.ndarray) -> np
     return x
 
 
+def _overlaps(start_u: np.ndarray, end_u: np.ndarray,
+              start_i: np.ndarray, end_i: np.ndarray) -> np.ndarray:
+    """Lengths (..., S, M) of the overlaps of intervals [start_u, end_u)
+    (..., S) with intervals [start_i, end_i) (..., M)."""
+    lo = np.maximum(start_u[..., :, None], start_i[..., None, :])
+    hi = np.minimum(end_u[..., :, None], end_i[..., None, :])
+    return np.clip(hi - lo, 0.0, None)
+
+
 def _staircase(supplies: np.ndarray, demands: np.ndarray) -> np.ndarray:
     """Northwest-corner shipment (..., S, M) from supplies (..., S) to
     demands (..., M), both in index order: the interval overlaps of the
     cumulative supplies and demands."""
     cu, ci = np.cumsum(supplies, axis=-1), np.cumsum(demands, axis=-1)
-    lo = np.maximum((cu - supplies)[..., :, None], (ci - demands)[..., None, :])
-    hi = np.minimum(cu[..., :, None], ci[..., None, :])
-    return np.clip(hi - lo, 0.0, None)
+    return _overlaps(cu - supplies, cu, ci - demands, ci)
+
+
+def _sorted_intervals(factor: np.ndarray, amounts: np.ndarray) -> np.ndarray:
+    """Each entry's [start, end) along the cumulative amounts taken in
+    decreasing factor order (ties to the lowest index; entries with a zero
+    factor count as empty), in index order: (2, ...) starts, then ends.
+    The sorted order is applied by flat fancy indexing, which is cheaper
+    than take_along_axis and put_along_axis at these sizes."""
+    order = np.argsort(-factor, axis=-1, kind="stable")
+    n = factor.shape[-1]
+    at = (order.reshape(-1, n) + np.arange(0, order.size, n)[:, None]).ravel()
+    amt = np.where(factor.ravel()[at] > 0,
+                   np.broadcast_to(amounts, factor.shape).ravel()[at], 0.0).reshape(order.shape)
+    end = np.cumsum(amt, axis=-1)
+    bounds = np.empty((2, order.size))
+    bounds[0, at] = (end - amt).ravel()
+    bounds[1, at] = end.ravel()
+    return bounds.reshape(2, *order.shape)
 
 
 def _lmo_factored(alpha: np.ndarray, gamma: np.ndarray,
@@ -96,21 +131,13 @@ def _lmo_factored(alpha: np.ndarray, gamma: np.ndarray,
 
     Sorting rows by alpha and columns by gamma makes the profit matrix
     inverse-Monge, so the northwest-corner staircase is optimal.  Ties
-    break toward the lowest provider/application index.
+    break toward the lowest provider/application index.  The staircase is
+    built in index order, from each row's and column's interval along the
+    sorted cumulative supplies and demands.
     """
     if np.any(alpha < 0) or np.any(gamma < 0):
         raise ValueError("factored oracle needs nonnegative factors")
-    order_u = np.argsort(-alpha, axis=-1, kind="stable")
-    order_i = np.argsort(-gamma, axis=-1, kind="stable")
-    su = np.where(np.take_along_axis(alpha, order_u, -1) > 0,
-                  np.take_along_axis(supplies, order_u, -1), 0.0)
-    di = np.where(np.take_along_axis(gamma, order_i, -1) > 0,
-                  np.take_along_axis(demands, order_i, -1), 0.0)
-    sorted_x = _staircase(su, di)
-    # back to index order: provider u sits at row position rank_u[u]
-    rank_u = np.argsort(order_u, axis=-1)[..., :, None]
-    rank_i = np.argsort(order_i, axis=-1)[..., None, :]
-    return np.take_along_axis(np.take_along_axis(sorted_x, rank_u, -2), rank_i, -1)
+    return _overlaps(*_sorted_intervals(alpha, supplies), *_sorted_intervals(gamma, demands))
 
 
 @functools.cache
@@ -299,28 +326,25 @@ def _check_settings(restarts: int, gap_tol: float) -> None:
         raise ValueError(f"gap_tol must be finite and >= 0, got {gap_tol}")
 
 
-def _restart_rng(s: Scenario, tag: int, ident: int, restart: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence([s.seed or 0, tag, ident, restart])
-    )
-
-
 def _starts(s: Scenario, tag: int, ident: int, restarts: int, draw_shape,
             vertices) -> np.ndarray:
     """Start points, one per restart: restart 0 starts from zero (its first
     step lands on the linearized warm start); restart r > 0 draws, from its
-    own stream, a scale and then uniform factors of draw_shape, and starts
-    at the scaled vertex that vertices (batched over restarts) builds from
-    those factors."""
-    scales = np.empty(restarts - 1)
-    draws = np.empty((restarts - 1, *draw_shape))
-    for r in range(1, restarts):
-        rng = _restart_rng(s, tag, ident, r)
-        scales[r - 1] = rng.uniform()
-        draws[r - 1] = rng.uniform(size=draw_shape)
-    v = vertices(draws)
+    own PCG64 stream seeded by SeedSequence([seed, tag, ident, r]), a scale
+    and then uniform factors of draw_shape, and starts at the scaled vertex
+    that vertices (batched over restarts) builds from those factors.
+
+    Each stream fills one row in one call: its first double is the scale.
+    Generator.uniform() returns 0 + 1 * d for the stream's next double d, so
+    these are the doubles of default_rng(...).uniform() followed by
+    .uniform(size=draw_shape)."""
+    draws = np.empty((restarts - 1, 1 + int(np.prod(draw_shape))))
+    for r, row in enumerate(draws, start=1):
+        seq = np.random.SeedSequence([s.seed or 0, tag, ident, r])
+        np.random.Generator(np.random.PCG64(seq)).random(out=row)
+    v = vertices(draws[:, 1:].reshape(len(draws), *draw_shape))
     x0 = np.zeros((restarts, *v.shape[1:]))
-    x0[1:] = scales.reshape((-1,) + (1,) * (v.ndim - 1)) * v
+    x0[1:] = draws[:, :1].reshape((-1,) + (1,) * (v.ndim - 1)) * v
     return x0
 
 
@@ -463,9 +487,20 @@ def _random_staircases(prob: CoalitionProblem, draws: np.ndarray) -> np.ndarray:
 def _member_oracles(prob: CoalitionProblem):
     """Objective, gradient and LP-backed oracle in member coordinates
     (R, S, MS, K).  The objective and gradient take the whole batch; the
-    oracle solves one transport LP per restart and resource."""
+    oracle solves one transport LP per resource and distinct gradient
+    slice, and restarts whose slices are equal share its vertex."""
     def lmo(gs):
-        return np.stack([_pooled_lmo(prob, g, None) for g in gs])
+        if prob.size == 1:
+            return np.stack([_pooled_lmo(prob, g, None) for g in gs])
+        out = np.empty_like(gs)
+        for k in range(gs.shape[-1]):
+            vertex_of = {}
+            for r, g in enumerate(gs[..., k]):
+                key = g.tobytes()
+                if key not in vertex_of:
+                    vertex_of[key] = lmo_transport(g, prob.caps[:, k], prob.reqs[:, k])
+                out[r, ..., k] = vertex_of[key]
+        return out
 
     return prob.objective, prob.gradient, lmo
 

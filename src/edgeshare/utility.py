@@ -34,10 +34,12 @@ class AppTerms:
     def from_scenario(cls, s: Scenario, apps: np.ndarray | None = None) -> "AppTerms":
         own = s.owner if apps is None else s.owner[apps]
         req = s.requests if apps is None else s.requests[apps]
-        is_sig = np.array([s.utilities[o].kind == "sigmoid" for o in own])
-        mu = np.array([s.utilities[o].mu or 0.0 for o in own])
+        # per player, then per app; float mu so an integer mu from JSON
+        # forms the same products
+        is_sig = np.array([u.kind == "sigmoid" for u in s.utilities])
+        mu = np.array([u.mu or 0.0 for u in s.utilities], dtype=float)
         coeffs = s.coeff_matrix() if apps is None else s.coeff_matrix()[apps]
-        return cls(is_sig, mu, coeffs, req)
+        return cls(is_sig[own], mu[own], coeffs, req)
 
     def with_requests(self, requests: np.ndarray) -> "AppTerms":
         return AppTerms(self.is_sigmoid, self.mu, self.coeffs, requests)
@@ -91,16 +93,17 @@ class CoalitionProblem:
         if not members:
             raise ValueError("coalition has no members inside the scenario")
         mem = np.array(members)
-        apps = np.flatnonzero(np.isin(s.owner, mem))
+        size = len(members)
+        pos_of = np.full(s.n_players, -1)  # member position of each player
+        pos_of[mem] = np.arange(size)
+        apps = np.flatnonzero(pos_of[s.owner] >= 0)
         own = s.owner[apps]
-        ms, size = len(apps), len(members)
-        pos_of = {p: t for t, p in enumerate(members)}
-        owner_pos = np.array([pos_of[o] for o in own])
-        ord_pos = np.empty((ms, size), dtype=int)
+        owner_pos = pos_of[own]
+        ord_pos = np.empty((len(apps), size), dtype=int)
         ord_pos[:, 0] = owner_pos
-        others = np.tile(np.arange(size), (ms, 1))
-        keep = others != owner_pos[:, None]
-        ord_pos[:, 1:] = others[keep].reshape(ms, size - 1)
+        # the other positions ascending: j below the owner's, j + 1 from it on
+        rest = np.arange(size - 1)
+        ord_pos[:, 1:] = rest + (rest >= owner_pos[:, None])
         zseq = s.zeta[mem[ord_pos]]
         zseq[:, 0] = s.w[own]
         weights = np.concatenate([s.w[mem], s.zeta[mem]])

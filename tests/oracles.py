@@ -143,3 +143,23 @@ def feasibility_violations(x, caps, reqs, tol=1e-9):
     if col.max(initial=0.0) > tol:
         out.append(f"request exceeded by {col.max()}")
     return out
+
+
+def factored_staircase(alpha, gamma, supplies, demands):
+    """Northwest-corner maximizer for profits alpha_u * gamma_i, built the
+    long way: sort rows by decreasing alpha and columns by decreasing gamma
+    (stable, zero factors ship nothing), fill the (..., S, M) staircase in
+    sorted order, then move every row and column back to its index."""
+    order_u = np.argsort(-alpha, axis=-1, kind="stable")
+    order_i = np.argsort(-gamma, axis=-1, kind="stable")
+    su = np.where(np.take_along_axis(alpha, order_u, -1) > 0,
+                  np.take_along_axis(supplies, order_u, -1), 0.0)
+    di = np.where(np.take_along_axis(gamma, order_i, -1) > 0,
+                  np.take_along_axis(demands, order_i, -1), 0.0)
+    cu, ci = np.cumsum(su, axis=-1), np.cumsum(di, axis=-1)
+    lo = np.maximum((cu - su)[..., :, None], (ci - di)[..., None, :])
+    hi = np.minimum(cu[..., :, None], ci[..., None, :])
+    sorted_x = np.clip(hi - lo, 0.0, None)
+    rank_u = np.argsort(order_u, axis=-1)[..., :, None]
+    rank_i = np.argsort(order_i, axis=-1)[..., None, :]
+    return np.take_along_axis(np.take_along_axis(sorted_x, rank_u, -2), rank_i, -1)

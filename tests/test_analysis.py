@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from edgeshare import analysis
 from edgeshare.analysis import (
     compare_methods,
     core_verify,
@@ -150,6 +151,28 @@ def test_timing_fields_populated():
         assert len(stat.times_ms) == 3
         assert stat.median_ms > 0
     assert rep.speedup_pct is not None
+
+
+def test_pipelines_alternate_and_report_the_first_repetition(monkeypatch):
+    """Shapley and fast runs interleave, so host drift falls on both, and
+    the reported payoffs are those of the first repetition."""
+    calls = []
+
+    def recorded(name, fn):
+        def run(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(analysis, "build_characteristic_table",
+                        recorded("shapley", build_characteristic_table))
+    monkeypatch.setattr(analysis, "fast_core", recorded("fast", fast_core))
+    s = generate_scenario(2, 2, 2, utility="linear", seed=7)
+    rep = compare_methods(s, repetitions=3)
+    assert calls == ["shapley", "fast"] * 3
+    phi, _ = shapley_payoffs(s)
+    assert rep.stats["shapley"].payoffs == tuple(map(float, phi))
+    assert rep.stats["fast"].payoffs == tuple(map(float, fast_core(s).payoffs))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from edgeshare.solver import (
 )
 from edgeshare.utility import AppTerms, CoalitionProblem, coalition_objective
 
-from oracles import feasibility_violations, grid_best, sigmoid_term
+from oracles import factored_staircase, feasibility_violations, grid_best, sigmoid_term
 
 
 def linear_scenario(caps, reqs, owner, coeffs=None, w=None, zeta=None):
@@ -526,6 +526,79 @@ def test_invalid_gap_tol_is_rejected(gap_tol):
     with pytest.raises(ValueError, match="gap_tol"):
         solve_residual(s, 0, residual_caps=np.ones(2),
                        residual_reqs=s.requests, gap_tol=gap_tol)
+
+
+# ---------------------------------------------------------------------------
+# start points and the factored oracle
+
+
+def test_factored_oracle_matches_the_sorted_staircase_bytes():
+    """The index-order staircase equals, byte for byte, the staircase
+    filled in sorted order and moved back, on batched random factors with
+    ties and zeros."""
+    rng = np.random.default_rng(8)
+    for trial in range(200):
+        lead = tuple(rng.integers(1, 4, size=trial % 3))
+        s_count, m_count = rng.integers(1, 6), rng.integers(1, 9)
+        alpha = rng.choice([0.0, 0.5, 1.0], size=lead + (s_count,))
+        gamma = rng.choice([0.0, 0.25, 0.25, 1.0], size=lead + (m_count,))
+        if trial % 2:  # distinct factors on every other trial
+            alpha = alpha + rng.random(alpha.shape)
+            gamma = np.where(gamma > 0, rng.random(gamma.shape), 0.0)
+        supplies = rng.choice([0.0, 0.3, 1.0, 2.7], size=lead + (s_count,))
+        demands = rng.random(lead + (m_count,))
+        got = solver._lmo_factored(alpha, gamma, supplies, demands)
+        want = factored_staircase(alpha, gamma, supplies, demands)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), f"trial {trial}"
+
+
+def start_cases():
+    """(tag, ident, draw_shape) as the native, residual and coalition
+    solves of a 3-player scenario draw them."""
+    s = generate_scenario(3, 2, 4, utility="sigmoid", mu=3.0, seed=12)
+    prob = CoalitionProblem.build(s, Coalition(0b101))
+    yield s, solver._NATIVE_TAG, 1, s.requests[s.apps_of(1)].shape
+    yield s, solver._RESIDUAL_TAG, 2, s.requests.shape
+    yield s, solver._COALITION_TAG, 0b101, (s.n_resources, prob.size + len(prob.apps))
+
+
+def test_start_points_follow_the_per_restart_streams():
+    """Restart r > 0 starts at u * v(d), where u = rng.uniform() and
+    d = rng.uniform(size=draw_shape) come, in that order, from
+    default_rng(SeedSequence([seed, tag, ident, r])); restart 0 at zero."""
+    for s, tag, ident, shape in start_cases():
+        x0 = solver._starts(s, tag, ident, 6, shape, lambda d: 2.0 * d)
+        assert x0.shape == (6, *shape)
+        assert not x0[0].any()
+        for r in range(1, 6):
+            rng = np.random.default_rng(np.random.SeedSequence([s.seed, tag, ident, r]))
+            scale = rng.uniform()
+            want = scale * (2.0 * rng.uniform(size=shape))
+            assert x0[r].tobytes() == want.tobytes(), f"tag {tag:#x} restart {r}"
+        assert solver._starts(s, tag, ident, 1, shape, lambda d: 2.0 * d).shape == (1, *shape)
+
+
+def test_member_oracle_solves_one_lp_per_distinct_slice(monkeypatch):
+    """Restarts with equal gradient slices share one transport LP, and the
+    stacked vertices equal the per-restart solves."""
+    s = generate_scenario(3, 2, 3, utility="sigmoid", mu=3.0, seed=7, w=1.0, zeta=0.5)
+    prob = CoalitionProblem.build(s, Coalition(0b011))
+    rng = np.random.default_rng(7)
+    g0, g1 = rng.random((2, prob.size, *prob.reqs.shape))
+    gs = np.stack([g0, g1, g0, g0, g1])
+    gs[3, ..., 0] = g1[..., 0]  # restart 3 shares resource 0 with g1 only
+    want = np.stack([solver._pooled_lmo(prob, g, None) for g in gs])
+    calls = 0
+
+    def counted(profit, supplies, demands):
+        nonlocal calls
+        calls += 1
+        return lmo_transport(profit, supplies, demands)
+
+    monkeypatch.setattr(solver, "lmo_transport", counted)
+    got = solver._member_oracles(prob)[2](gs)
+    assert got.tobytes() == want.tobytes()
+    assert calls == 2 * s.n_resources < len(gs) * s.n_resources
 
 
 # ---------------------------------------------------------------------------

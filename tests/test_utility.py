@@ -8,8 +8,18 @@ import math
 import numpy as np
 import pytest
 
-from edgeshare.model import Allocation, Coalition, Scenario, UtilitySpec
+from edgeshare.model import (
+    Allocation,
+    Coalition,
+    Scenario,
+    UtilitySpec,
+    all_coalitions,
+    scenario_from_json,
+    scenario_to_json,
+)
 from edgeshare.utility import (
+    AppTerms,
+    CoalitionProblem,
     breakdown,
     coalition_objective,
     eval_own,
@@ -199,6 +209,76 @@ def test_breakdown_additive_over_disjoint_apps():
     tot = lambda x: sum(b.weighted_total for b in breakdown(s, Allocation(x)))
     base = tot(np.zeros((2, 2, 1)))
     assert tot(xa + xb) + base == pytest.approx(tot(xa) + tot(xb), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# problem setup
+
+
+def mixed_scenario_from_json():
+    """Four players, sigmoid and linear alternating, per-player weights; the
+    first player's mu is the JSON integer 2."""
+    rng = np.random.default_rng(21)
+    owner = np.repeat(np.arange(4), [2, 3, 1, 2])
+    s = Scenario(
+        n_players=4, n_resources=2,
+        capacities=rng.uniform(0.5, 2.0, (4, 2)),
+        requests=rng.uniform(0.2, 1.0, (8, 2)),
+        owner=owner,
+        utilities=(UtilitySpec("sigmoid", mu=2.0),
+                   UtilitySpec("linear", coeffs=rng.uniform(0.5, 1.5, (3, 2))),
+                   UtilitySpec("sigmoid", mu=0.75), UtilitySpec("linear")),
+        w=np.array([1.0, 2.0, 0.5, 1.5]), zeta=np.array([0.5, 1.0, 1.0, 0.25]),
+    )
+    text = scenario_to_json(s).replace('"mu": 2.0', '"mu": 2', 1)
+    loaded = scenario_from_json(text)
+    assert loaded.utilities[0].mu == 2 and isinstance(loaded.utilities[0].mu, int)
+    return loaded
+
+
+def per_app_terms(s, apps):
+    """AppTerms assembled application by application from the owners' specs."""
+    own = [int(s.owner[i]) for i in apps]
+    return AppTerms(np.array([s.utilities[o].kind == "sigmoid" for o in own]),
+                    np.array([s.utilities[o].mu or 0.0 for o in own]),
+                    s.coeff_matrix()[apps], s.requests[apps])
+
+
+def test_app_terms_match_the_per_app_construction():
+    s = mixed_scenario_from_json()
+    rng = np.random.default_rng(22)
+    for apps in (None, s.apps_of(0), np.array([0, 2, 5]), np.arange(8)):
+        terms = AppTerms.from_scenario(s, apps)
+        want = per_app_terms(s, np.arange(8) if apps is None else apps)
+        assert terms.is_sigmoid.dtype == bool and terms.mu.dtype == float
+        for name in ("is_sigmoid", "mu", "coeffs", "requests"):
+            assert np.array_equal(getattr(terms, name), getattr(want, name)), name
+        # an integer mu forms the same products as its float
+        t = rng.uniform(0.0, 1.2, (3, *want.requests.shape))
+        assert terms.value(t).tobytes() == want.value(t).tobytes()
+        assert terms.slope(t).tobytes() == want.slope(t).tobytes()
+
+
+def test_coalition_problem_matches_the_per_app_construction():
+    s = mixed_scenario_from_json()
+    for c in all_coalitions(4):
+        prob = CoalitionProblem.build(s, c)
+        members = c.members()
+        apps = [i for i in range(s.m_total) if s.owner[i] in members]
+        pos_of = {p: t for t, p in enumerate(members)}
+        ord_pos, zseq = [], []
+        for i in apps:
+            owner = int(s.owner[i])
+            row = [pos_of[owner]] + [t for t in range(len(members)) if t != pos_of[owner]]
+            ord_pos.append(row)
+            zseq.append([s.w[owner]] + [s.zeta[members[t]] for t in row[1:]])
+        assert prob.members == tuple(members)
+        assert np.array_equal(prob.apps, apps)
+        assert np.array_equal(prob.ord_pos, np.array(ord_pos).reshape(len(apps), -1))
+        assert np.array_equal(prob.zseq, np.array(zseq).reshape(len(apps), -1))
+        want = per_app_terms(s, np.array(apps))
+        for name in ("is_sigmoid", "mu", "coeffs", "requests"):
+            assert np.array_equal(getattr(prob.terms, name), getattr(want, name)), name
 
 
 # ---------------------------------------------------------------------------
