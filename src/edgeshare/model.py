@@ -84,7 +84,7 @@ class Scenario:
         object.__setattr__(self, "w", _frozen(self.w))
         object.__setattr__(self, "zeta", _frozen(self.zeta))
         object.__setattr__(self, "utilities", tuple(self.utilities))
-        problems = validate_scenario(self, collect_only=True)
+        problems = validate_scenario(self)
         if problems:
             raise ValueError("invalid scenario: " + "; ".join(problems))
 
@@ -122,9 +122,9 @@ class Scenario:
         ).hexdigest()[:16]
 
 
-def validate_scenario(s: Scenario, collect_only: bool = False) -> list[str]:
-    """Check every structural invariant; raise ValueError listing all
-    violations unless collect_only, in which case the list is returned."""
+def validate_scenario(s: Scenario) -> list[str]:
+    """Check every structural invariant and return the violations, empty
+    when there are none."""
     problems: list[str] = []
     n, k = s.n_players, s.n_resources
     if not (1 <= n <= MAX_PLAYERS):
@@ -164,8 +164,6 @@ def validate_scenario(s: Scenario, collect_only: bool = False) -> list[str]:
             problems.append(f"{name} must have shape ({n},)")
         elif not np.all(np.isfinite(arr)) or np.any(arr < 0):
             problems.append(f"{name} must be finite and >= 0")
-    if problems and not collect_only:
-        raise ValueError("invalid scenario: " + "; ".join(problems))
     return problems
 
 

@@ -3,11 +3,10 @@
 Every optimization here lives on a product of per-resource transportation
 polytopes: ship x_uik >= 0 from providers to applications subject to
 per-provider budgets and per-application request caps.  Linear objectives
-are solved exactly (greedy for single-provider and factorizable profit
-matrices, an LP otherwise); sigmoid objectives run a multi-start
-Frank-Wolfe conditional gradient.  All restarts of one solve advance
-together in one batched driver, and each leaves the batch when its own
-stopping test fires.
+are solved exactly, by one call of the linear oracle on their constant
+gradient; sigmoid objectives run a multi-start Frank-Wolfe conditional
+gradient.  All restarts of one solve advance together in one batched
+driver, and each leaves the batch when its own stopping test fires.
 
 Every sigmoid term is convex at receipts up to its request, and no
 feasible point exceeds a request, so receipt objectives are convex, and so
@@ -16,22 +15,24 @@ along the attribution order (CoalitionProblem.convex).  There each round
 takes the unit step to the oracle's vertex; only the other weightings
 (some zeta above an owner's w, say) search the step by golden section.
 
-Where the objective depends only on per-application receipts t_ik (one
-provider, or a coalition whose members share one weight w == zeta),
-Frank-Wolfe runs on (R, M, K) receipts: the receipts the members' budgets
-can deliver are exactly 0 <= t <= r with sum_i t_ik at most the pooled
-budget, so the linear oracle is one greedy fill of that budget.  A
-coalition's member allocation is then the northwest-corner staircase of
-the best receipts against member capacities.  Other weights run in member
-coordinates with the transportation machinery as oracle, one LP per
+One solve (_solve_receipts) serves every problem whose objective is one
+weight times the total satisfaction at per-application receipts t_ik: a
+native or residual provider, and a coalition whose credit weights are all
+equal (every singleton, and w == zeta shared by all members).  The
+receipts the budgets can deliver are exactly 0 <= t <= r with sum_i t_ik
+at most the pooled budget, so the linear oracle is one greedy fill of that
+budget.  A coalition's members then ship the receipts by the
+northwest-corner staircase against their capacities.  Other coalitions
+run in member coordinates with the transportation LP as oracle, one per
 resource and distinct gradient slice.
 
 Start points (_starts): restart 0 starts at zero; restart r > 0 seeds a
 PCG64 stream with SeedSequence([scenario seed, solve tag, player or mask,
 r]), draws a scale and uniform factors from it, and starts at the scaled
-vertex the factors pick: for native and residual solves the greedy fill
-of the factors as profits, for coalitions the staircase of random member
-and application factors (summed to receipts on the pooled path).  The
+vertex the factors pick.  Native and residual solves take the greedy fill
+of the factors as profits.  Every coalition draws member and application
+factors per resource; in member coordinates it starts at their staircase,
+on receipts at the greedy fill of the application factors alone.  The
 streams depend only on the scenario and the solve, so every solve is
 reproducible on its own.
 """
@@ -70,6 +71,16 @@ class SolveReport:
 # linear maximization oracles
 
 
+def _sort_index(key: np.ndarray) -> np.ndarray:
+    """Flat indices into key (..., n) that list each row along the last
+    axis in decreasing order (stable: ties to the lowest index).  Moving
+    values by flat fancy indexing is cheaper than take_along_axis and
+    put_along_axis at these sizes."""
+    order = np.argsort(-key, axis=-1, kind="stable")
+    n = key.shape[-1]
+    return (order.reshape(-1, n) + np.arange(0, order.size, n)[:, None]).ravel()
+
+
 def _greedy_fill(profits: np.ndarray, budget: np.ndarray, ubs: np.ndarray) -> np.ndarray:
     """Exact fractional-knapsack fill along the item axis -2 of profits
     (..., M, K): one budget per resource (last axis), per-item caps ubs
@@ -78,14 +89,14 @@ def _greedy_fill(profits: np.ndarray, budget: np.ndarray, ubs: np.ndarray) -> np
     Items are taken in decreasing profit order (ties to the lowest index),
     zero/negative-profit items are never shipped.
     """
-    order = np.argsort(-profits, axis=-2, kind="stable")
-    ub_o = np.take_along_axis(np.where(profits > 0, ubs, 0.0), order, axis=-2)
+    p = np.swapaxes(profits, -1, -2)  # (..., K, M): items last
+    at = _sort_index(p)
+    ub_o = np.where(p > 0, ubs.T, 0.0).ravel()[at].reshape(p.shape)
     prev = np.zeros_like(ub_o)
-    np.cumsum(ub_o[..., :-1, :], axis=-2, out=prev[..., 1:, :])
-    take = np.clip(np.expand_dims(budget, -2) - prev, 0.0, ub_o)
-    x = np.empty_like(take)
-    np.put_along_axis(x, order, take, axis=-2)
-    return x
+    np.cumsum(ub_o[..., :-1], axis=-1, out=prev[..., 1:])
+    x = np.empty(p.size)
+    x[at] = np.clip(np.expand_dims(budget, -1) - prev, 0.0, ub_o).ravel()
+    return np.swapaxes(x.reshape(p.shape), -1, -2)
 
 
 def _overlaps(start_u: np.ndarray, end_u: np.ndarray,
@@ -108,19 +119,15 @@ def _staircase(supplies: np.ndarray, demands: np.ndarray) -> np.ndarray:
 def _sorted_intervals(factor: np.ndarray, amounts: np.ndarray) -> np.ndarray:
     """Each entry's [start, end) along the cumulative amounts taken in
     decreasing factor order (ties to the lowest index; entries with a zero
-    factor count as empty), in index order: (2, ...) starts, then ends.
-    The sorted order is applied by flat fancy indexing, which is cheaper
-    than take_along_axis and put_along_axis at these sizes."""
-    order = np.argsort(-factor, axis=-1, kind="stable")
-    n = factor.shape[-1]
-    at = (order.reshape(-1, n) + np.arange(0, order.size, n)[:, None]).ravel()
+    factor count as empty), in index order: (2, ...) starts, then ends."""
+    at = _sort_index(factor)
     amt = np.where(factor.ravel()[at] > 0,
-                   np.broadcast_to(amounts, factor.shape).ravel()[at], 0.0).reshape(order.shape)
+                   np.broadcast_to(amounts, factor.shape).ravel()[at], 0.0).reshape(factor.shape)
     end = np.cumsum(amt, axis=-1)
-    bounds = np.empty((2, order.size))
+    bounds = np.empty((2, factor.size))
     bounds[0, at] = (end - amt).ravel()
     bounds[1, at] = end.ravel()
-    return bounds.reshape(2, *order.shape)
+    return bounds.reshape(2, *factor.shape)
 
 
 def _lmo_factored(alpha: np.ndarray, gamma: np.ndarray,
@@ -364,33 +371,35 @@ def _receipt_oracles(terms: AppTerms, budget: np.ndarray, weight: float):
     return objective, gradient, lmo
 
 
+def _solve_receipts(terms: AppTerms, budget: np.ndarray, weight: float, exact: bool,
+                    starts, gap_tol: float):
+    """Best receipts t (M, K) for weight * sum_ik g_ik(t_ik) over
+    0 <= t <= requests with sum_i t_ik <= budget_k: the problem of one
+    provider, and of a coalition whose credit weights all equal `weight`.
+    When `exact` (every term with a nonzero request is linear, so the
+    gradient is constant) one greedy fill of the gradient is optimal;
+    otherwise multistart Frank-Wolfe runs from starts(lmo), the start points
+    built with the receipt oracle.  Every term is convex at receipts up to
+    its request, which the oracle never exceeds, so rounds take unit steps.
+    Returns (t, value, (solver_kind, iterations, restarts_used, gap))."""
+    objective, gradient, lmo = _receipt_oracles(terms, budget, weight)
+    if exact:
+        t = lmo(gradient(np.zeros((1, *terms.requests.shape))))[0]
+        return t, objective(t[None])[0], ("exact_linear", 0, 0, 0.0)
+    x0 = starts(lmo)
+    t, value, iters, gap = _multistart(objective, gradient, lmo, x0, gap_tol, True)
+    return t, value, ("multistart_fw", iters, len(x0), gap)
+
+
+def _report(value, allocation: Allocation, how, t0: float) -> SolveReport:
+    kind, iters, used, gap = how
+    return SolveReport(value=float(value), allocation=allocation, solver_kind=kind,
+                       iterations=iters, restarts_used=used, gap=float(gap),
+                       wall_time=time.perf_counter() - t0)
+
+
 # ---------------------------------------------------------------------------
 # single-provider problems: one budget against per-application caps
-
-
-def _solve_provider(s: Scenario, n: int, tag: int, apps, terms: AppTerms,
-                    caps: np.ndarray, exact: bool, baseline: float,
-                    restarts: int, gap_tol: float, t0: float) -> SolveReport:
-    """Provider n ships from its budget `caps` to the applications `apps`,
-    whose terms (requests included) are `terms`; the value is their total
-    satisfaction less `baseline`.  When `exact` (every term with a nonzero
-    request is linear) the greedy fill is optimal; otherwise multistart
-    Frank-Wolfe runs on the receipts, which are the allocation itself."""
-    objective, gradient, lmo = _receipt_oracles(terms, caps, 1.0)
-    if exact:
-        x = lmo(terms.coeffs)
-        value, kind, iters, used, gap = objective(x[None])[0], "exact_linear", 0, 0, 0.0
-    else:
-        x0 = _starts(s, tag, n, restarts, terms.requests.shape, lmo)
-        # every term is convex at receipts up to its request, which the
-        # oracle never exceeds
-        x, value, iters, gap = _multistart(objective, gradient, lmo, x0, gap_tol, True)
-        kind, used = "multistart_fw", restarts
-    full = np.zeros((s.n_players, s.m_total, s.n_resources))
-    full[n, apps, :] = x
-    return SolveReport(value=float(value - baseline), allocation=Allocation(full),
-                       solver_kind=kind, iterations=iters, restarts_used=used,
-                       gap=float(gap), wall_time=time.perf_counter() - t0)
 
 
 def solve_native(
@@ -410,8 +419,12 @@ def solve_native(
     caps = s.capacities[n] if caps is None else np.asarray(caps, dtype=float)
     reqs = s.requests[apps] if reqs is None else np.asarray(reqs, dtype=float)
     terms = AppTerms.from_scenario(s, apps).with_requests(reqs)
-    return _solve_provider(s, n, _NATIVE_TAG, apps, terms, caps,
-                           s.utilities[n].kind == "linear", 0.0, restarts, gap_tol, t0)
+    starts = functools.partial(_starts, s, _NATIVE_TAG, n, restarts, reqs.shape)
+    t, value, how = _solve_receipts(terms, caps, 1.0, s.utilities[n].kind == "linear",
+                                    starts, gap_tol)
+    full = np.zeros((s.n_players, s.m_total, s.n_resources))
+    full[n, apps, :] = t
+    return _report(value, Allocation(full), how, t0)
 
 
 def solve_residual(
@@ -437,39 +450,16 @@ def solve_residual(
     baseline = float(terms.value(np.zeros_like(reqs)).sum())
     foreign_linear = all(
         s.utilities[j].kind == "linear" for j in range(s.n_players) if j != n)
-    return _solve_provider(s, n, _RESIDUAL_TAG, slice(None), terms,
-                           np.asarray(residual_caps, dtype=float), foreign_linear,
-                           baseline, restarts, gap_tol, t0)
+    starts = functools.partial(_starts, s, _RESIDUAL_TAG, n, restarts, reqs.shape)
+    t, value, how = _solve_receipts(terms, np.asarray(residual_caps, dtype=float), 1.0,
+                                    foreign_linear, starts, gap_tol)
+    full = np.zeros((s.n_players, s.m_total, s.n_resources))
+    full[n] = t
+    return _report(value - baseline, Allocation(full), how, t0)
 
 
 # ---------------------------------------------------------------------------
 # coalition problem: pooled capacities over pooled applications
-
-
-def _pooled_lmo(prob: CoalitionProblem, profit: np.ndarray, factors) -> np.ndarray:
-    """Per-resource transport vertex in the coalition's local coordinates
-    maximizing sum profit * x.  One member: the greedy fill.  factors =
-    (alpha, gamma) with profit[u, i, k] == alpha[u] * gamma[i, k]: the
-    staircase.  Otherwise the transportation LP."""
-    if prob.size == 1:
-        return _greedy_fill(profit[0], prob.caps[0], prob.reqs)[None]
-    if factors is not None:
-        alpha, gamma = factors
-        x = _lmo_factored(np.broadcast_to(alpha, prob.caps.T.shape), gamma.T,
-                          prob.caps.T, prob.reqs.T)
-        return x.transpose(1, 2, 0)
-    return np.stack([lmo_transport(profit[:, :, k], prob.caps[:, k], prob.reqs[:, k])
-                     for k in range(profit.shape[2])], axis=2)
-
-
-def _linear_profit(s: Scenario, prob: CoalitionProblem) -> np.ndarray:
-    """Per-unit credit of provider u supplying application i: w_u on native
-    pairs, zeta_u on foreign ones, times the linear coefficient."""
-    coeffs = s.coeff_matrix()[prob.apps]
-    mem = np.array(prob.members)
-    native = s.owner[prob.apps][None, :] == mem[:, None]
-    weight = np.where(native, s.w[mem][:, None], s.zeta[mem][:, None])
-    return weight[:, :, None] * coeffs[None, :, :]
 
 
 def _random_staircases(prob: CoalitionProblem, draws: np.ndarray) -> np.ndarray:
@@ -490,8 +480,6 @@ def _member_oracles(prob: CoalitionProblem):
     oracle solves one transport LP per resource and distinct gradient
     slice, and restarts whose slices are equal share its vertex."""
     def lmo(gs):
-        if prob.size == 1:
-            return np.stack([_pooled_lmo(prob, g, None) for g in gs])
         out = np.empty_like(gs)
         for k in range(gs.shape[-1]):
             vertex_of = {}
@@ -503,27 +491,6 @@ def _member_oracles(prob: CoalitionProblem):
         return out
 
     return prob.objective, prob.gradient, lmo
-
-
-def _coalition_fw(s: Scenario, coalition: Coalition, prob: CoalitionProblem,
-                  restarts: int):
-    """Frank-Wolfe oracles and start points for a coalition with a sigmoid
-    member: on pooled receipts when all members share one weight (the
-    starts are the receipts of the member-coordinate starts), otherwise in
-    member coordinates."""
-    receipts = prob.uniform_weight is not None
-    if receipts:
-        oracles = _receipt_oracles(prob.terms, prob.caps.sum(axis=0), prob.uniform_weight)
-    else:
-        oracles = _member_oracles(prob)
-
-    def vertices(draws):
-        x = _random_staircases(prob, draws)
-        return x.sum(axis=1) if receipts else x
-
-    x0 = _starts(s, _COALITION_TAG, coalition.mask, restarts,
-                 (s.n_resources, prob.size + len(prob.apps)), vertices)
-    return oracles, x0
 
 
 def solve_coalition(
@@ -538,21 +505,27 @@ def solve_coalition(
     _check_settings(restarts, gap_tol)
     t0 = time.perf_counter()
     prob = CoalitionProblem.build(s, coalition)
-    mem = np.array(prob.members)
-    if all(s.utilities[m].kind == "linear" for m in prob.members):
-        # with w == zeta for every member the profit factors as w_u * c_ik
-        factored = np.all(s.w[mem] == s.zeta[mem])
-        factors = (s.w[mem], s.coeff_matrix()[prob.apps]) if factored else None
-        x = _pooled_lmo(prob, _linear_profit(s, prob), factors)
-        value, kind, iters, used, gap = prob.objective(x), "exact_linear", 0, 0, 0.0
+    size = prob.size
+    linear = all(s.utilities[m].kind == "linear" for m in prob.members)
+    # every coalition draws member and application factors per resource,
+    # whichever path uses them, so its streams keep one layout
+    starts = functools.partial(_starts, s, _COALITION_TAG, coalition.mask, restarts,
+                               (s.n_resources, size + len(prob.apps)))
+    if prob.uniform_weight is not None:
+        # pooled starts: the greedy fill of the application factors
+        t, value, how = _solve_receipts(
+            prob.terms, prob.caps.sum(axis=0), prob.uniform_weight, linear,
+            lambda lmo: starts(lambda d: lmo(np.swapaxes(d[..., size:], -1, -2))), gap_tol)
+        # members ship the receipts in northwest-corner order; a lone
+        # member ships them as they are, unrounded
+        x = t[None] if size == 1 else _staircase(prob.caps.T, t.T).transpose(1, 2, 0)
+    elif linear:
+        # a linear objective's gradient is the constant per-unit credit
+        objective, gradient, lmo = _member_oracles(prob)
+        x = lmo(gradient(np.zeros((1, size, *prob.reqs.shape))))[0]
+        value, how = objective(x), ("exact_linear", 0, 0, 0.0)
     else:
-        oracles, x0 = _coalition_fw(s, coalition, prob, restarts)
-        x, value, iters, gap = _multistart(*oracles, x0, gap_tol, prob.convex)
-        if prob.uniform_weight is not None:
-            # x holds receipts: members ship them in northwest-corner order;
-            # a lone member ships them as they are, unrounded
-            x = x[None] if prob.size == 1 else _staircase(prob.caps.T, x.T).transpose(1, 2, 0)
-        kind, used = "multistart_fw", restarts
-    return SolveReport(value=float(value), allocation=prob.to_global(s, x),
-                       solver_kind=kind, iterations=iters, restarts_used=used,
-                       gap=float(gap), wall_time=time.perf_counter() - t0)
+        x0 = starts(functools.partial(_random_staircases, prob))
+        x, value, iters, gap = _multistart(*_member_oracles(prob), x0, gap_tol, prob.convex)
+        how = ("multistart_fw", iters, restarts, gap)
+    return _report(value, prob.to_global(s, x), how, t0)

@@ -85,7 +85,7 @@ class CoalitionProblem:
     terms: AppTerms
     ord_pos: np.ndarray  # (MS, S)
     zseq: np.ndarray  # (MS, S)
-    uniform_weight: float | None  # common w == zeta across members, if any
+    uniform_weight: float | None  # the one value of zseq, if all are equal
 
     @classmethod
     def build(cls, s: Scenario, coalition: Coalition) -> "CoalitionProblem":
@@ -106,8 +106,9 @@ class CoalitionProblem:
         ord_pos[:, 1:] = rest + (rest >= owner_pos[:, None])
         zseq = s.zeta[mem[ord_pos]]
         zseq[:, 0] = s.w[own]
-        weights = np.concatenate([s.w[mem], s.zeta[mem]])
-        uniform = float(weights[0]) if np.all(weights == weights[0]) else None
+        # w alone for one member; every w and zeta for more, since each
+        # member owns an application
+        uniform = float(zseq[0, 0]) if np.all(zseq == zseq[0, 0]) else None
         return cls(
             members=members,
             apps=apps,
@@ -157,9 +158,6 @@ class CoalitionProblem:
         numpy scalar for one allocation): w_j-weighted owner terms plus
         zeta-weighted sequential sharing credits."""
         lead = x_local.shape[:-3]
-        if self.uniform_weight is not None:
-            total = x_local.sum(axis=-3)
-            return self.uniform_weight * self.terms.value(total).reshape(lead + (-1,)).sum(axis=-1)
         weighted = self.zseq.T[:, :, None] * self.credits(x_local)
         # summed app-major, (MS, S, K): a slot-major sum rounds differently
         return np.swapaxes(weighted, -3, -2).reshape(lead + (-1,)).sum(axis=-1)

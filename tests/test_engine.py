@@ -3,6 +3,9 @@
 Cross-checked against closed-form coalition values (oracles.minform_value),
 permutation-enumeration Shapley, and a hand-traced two-phase split.
 """
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -82,6 +85,30 @@ def test_partial_table_on_request():
     table = build_characteristic_table(s, masks=[1, 2, 4])
     assert set(table.values) == {1, 2, 4}
     assert not table.is_complete
+
+
+BENCHMARK_FLOORS = Path(__file__).resolve().parents[1] / "perfbench" / "reference_values.json"
+
+
+@pytest.mark.parametrize("workload, players, apps, weights, seed", [
+    *[("weighted-sigmoid", 3, 5, (1.0, 0.5), seed) for seed in (0, 1, 2, 3, 92)],
+    *[("shapley-sigmoid", 4, 20, (1.0, 1.0), seed) for seed in range(4)],
+])
+def test_tables_hold_the_benchmark_floors(workload, players, apps, weights, seed):
+    """The benchmark records, per scenario, coalition values that later
+    solvers may exceed but not fall below.  Scenarios generated as it
+    generates them (3 resources, mu cycling through 1, 3, 10 with the
+    seed) keep every value within 1e-9 (relative) of its floor, so a drift
+    in the start streams shows here and not only in the benchmark."""
+    floors = json.loads(BENCHMARK_FLOORS.read_text())[workload][str(seed)]
+    s = generate_scenario(players, 3, apps, utility="sigmoid", mu=(1, 3, 10)[seed % 3],
+                          seed=seed, w=weights[0], zeta=weights[1])
+    table = build_characteristic_table(s)
+    got = [table.values[m] for m in sorted(table.values)]
+    assert len(got) == len(floors)
+    low = [(mask, g, f) for mask, (g, f) in enumerate(zip(got, floors), start=1)
+           if g < f - 1e-9 * max(1.0, abs(f))]
+    assert not low, f"(mask, value, floor) below the floor: {low}"
 
 
 # ---------------------------------------------------------------------------

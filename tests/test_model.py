@@ -42,7 +42,7 @@ def tiny_scenario(**overrides):
 
 
 def test_well_formed_scenario_has_no_violations():
-    assert validate_scenario(tiny_scenario(), collect_only=True) == []
+    assert validate_scenario(tiny_scenario()) == []
 
 
 def test_negative_request_rejected():
@@ -56,12 +56,12 @@ def test_player_count_mismatch_rejected():
         tiny_scenario(utilities=(UtilitySpec("linear"),))
 
 
-def test_collect_only_reports_instead_of_raising():
+def test_validation_reports_instead_of_raising():
     s = tiny_scenario()
     # sneak a bad array past the constructor to exercise the diagnostic path
     object.__setattr__(s, "requests", np.array([[-1.0, 1.0], [2.0, 0.5],
                                                 [3.0, 1.0], [1.0, 2.0]]))
-    problems = validate_scenario(s, collect_only=True)
+    problems = validate_scenario(s)
     assert any("requests" in p for p in problems)
 
 
@@ -111,7 +111,7 @@ def test_generation_single_everything():
 
 def test_generated_scenarios_validate():
     s = generate_scenario(3, 3, 20, utility="sigmoid", mu=10.0, seed=42)
-    assert validate_scenario(s, collect_only=True) == []
+    assert validate_scenario(s) == []
 
 
 def test_generation_ranges_hold_across_seeds():

@@ -5,6 +5,7 @@ with frozen optima, an exhaustive lattice oracle (oracles.grid_best), and
 integer brute force for the transport LMO.
 """
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -48,6 +49,21 @@ def linear_scenario(caps, reqs, owner, coeffs=None, w=None, zeta=None):
         w=np.ones(n) if w is None else np.asarray(w, dtype=float),
         zeta=np.ones(n) if zeta is None else np.asarray(zeta, dtype=float),
     )
+
+
+def coalition_fw(s, c, restarts):
+    """The oracles and start points a sigmoid coalition solve runs
+    Frank-Wolfe from: pooled receipts when every credit weight is equal,
+    with the greedy fill of the drawn application factors as start
+    vertices; member coordinates otherwise, from random staircases."""
+    prob = CoalitionProblem.build(s, c)
+    starts = functools.partial(solver._starts, s, solver._COALITION_TAG, c.mask, restarts,
+                               (s.n_resources, prob.size + len(prob.apps)))
+    if prob.uniform_weight is None:
+        return solver._member_oracles(prob), starts(
+            functools.partial(solver._random_staircases, prob))
+    oracles = solver._receipt_oracles(prob.terms, prob.caps.sum(axis=0), prob.uniform_weight)
+    return oracles, starts(lambda d: oracles[2](np.swapaxes(d[..., prob.size:], -1, -2)))
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +490,7 @@ def test_member_objective_and_gradient_batch_bit_for_bit(w, zeta):
     for c in (Coalition(0b011), Coalition(0b101), Coalition.grand(3)):
         prob = CoalitionProblem.build(s, c)
         assert prob.uniform_weight is None
-        _, x0 = solver._coalition_fw(s, c, prob, 8)
+        _, x0 = coalition_fw(s, c, 8)
         rng = np.random.default_rng(c.mask)
         xs = np.concatenate([x0, x0 * rng.uniform(0.0, 1.5, size=x0.shape)])
         f, g = prob.objective(xs), prob.gradient(xs)
@@ -495,7 +511,7 @@ def test_member_gradient_matches_central_differences(n, w, zeta):
     rng = np.random.default_rng(n)
     for c in all_coalitions(n):
         prob = CoalitionProblem.build(s, c)
-        assert prob.uniform_weight is None
+        assert (prob.uniform_weight is None) == (prob.size > 1)
         x = rng.uniform(0.0, 1.0, (prob.size, *prob.reqs.shape)) * prob.reqs
         steps = h * np.eye(x.size).reshape(-1, *x.shape)
         numeric = (prob.objective(x + steps) - prob.objective(x - steps)) / (2 * h)
@@ -578,6 +594,45 @@ def test_start_points_follow_the_per_restart_streams():
         assert solver._starts(s, tag, ident, 1, shape, lambda d: 2.0 * d).shape == (1, *shape)
 
 
+def test_coalition_solves_draw_the_coalition_streams(monkeypatch):
+    """Every coalition solve, on pooled receipts and in member coordinates,
+    draws its starts from tag 0xC3 and its mask in the (K, S + MS) layout
+    of member then application factors; a pooled start is the scaled
+    greedy fill of the drawn application factors against the pooled
+    budget."""
+    calls = []
+    starts = solver._starts
+
+    def recording(s, tag, ident, restarts, draw_shape, vertices):
+        x0 = starts(s, tag, ident, restarts, draw_shape, vertices)
+        calls.append((tag, ident, tuple(draw_shape), x0))
+        return x0
+
+    monkeypatch.setattr(solver, "_starts", recording)
+    paths = set()
+    for w, zeta in ((1.0, 1.0), (1.0, 0.5)):
+        s = generate_scenario(3, 2, 3, utility="sigmoid", mu=3.0, seed=9, w=w, zeta=zeta)
+        for c in all_coalitions(3):
+            calls.clear()
+            solve_coalition(s, c, restarts=5)
+            prob = CoalitionProblem.build(s, c)
+            [(tag, ident, shape, x0)] = calls
+            assert (tag, ident, shape) == \
+                (solver._COALITION_TAG, c.mask, (s.n_resources, prob.size + len(prob.apps)))
+            pooled = prob.uniform_weight is not None
+            paths.add(pooled)
+            if not pooled:
+                assert x0.shape == (5, prob.size, *prob.reqs.shape)
+                continue
+            for r in range(1, 5):
+                rng = np.random.default_rng(np.random.SeedSequence([s.seed, tag, c.mask, r]))
+                scale = rng.uniform()
+                gamma = rng.uniform(size=shape)[:, prob.size:]
+                want = scale * solver._greedy_fill(gamma.T, prob.caps.sum(axis=0), prob.reqs)
+                assert x0[r].tobytes() == want.tobytes(), f"{c.label()} restart {r}"
+    assert paths == {True, False}
+
+
 def test_member_oracle_solves_one_lp_per_distinct_slice(monkeypatch):
     """Restarts with equal gradient slices share one transport LP, and the
     stacked vertices equal the per-restart solves."""
@@ -587,7 +642,10 @@ def test_member_oracle_solves_one_lp_per_distinct_slice(monkeypatch):
     g0, g1 = rng.random((2, prob.size, *prob.reqs.shape))
     gs = np.stack([g0, g1, g0, g0, g1])
     gs[3, ..., 0] = g1[..., 0]  # restart 3 shares resource 0 with g1 only
-    want = np.stack([solver._pooled_lmo(prob, g, None) for g in gs])
+    want = np.stack([
+        np.stack([lmo_transport(g[..., k], prob.caps[:, k], prob.reqs[:, k])
+                  for k in range(s.n_resources)], axis=-1)
+        for g in gs])
     calls = 0
 
     def counted(profit, supplies, demands):
@@ -630,9 +688,7 @@ def test_batched_restarts_match_solo_runs():
         assert len(set(iters)) > 1  # runs leave the batch at different rounds
         for w, zeta in ((1.0, 1.0), (1.0, 0.5)):
             s = generate_scenario(3, 3, 3, utility="sigmoid", mu=10.0, seed=1, w=w, zeta=zeta)
-            c = Coalition(0b110)
-            prob = CoalitionProblem.build(s, c)
-            oracles, x0 = solver._coalition_fw(s, c, prob, 16)
+            oracles, x0 = coalition_fw(s, Coalition(0b110), 16)
             assert x0.ndim == (3 if w == zeta else 4)
             iters = assert_batch_matches_solo_runs(oracles, x0, convex)
             assert len(set(iters)) > 1
@@ -662,7 +718,7 @@ def convex_cases():
         for c in (Coalition(0b011), Coalition(0b110), Coalition.grand(3)):
             prob = CoalitionProblem.build(sw, c)
             assert prob.convex, f"{label} {c.label()}"
-            oracles, x0 = solver._coalition_fw(sw, c, prob, 8)
+            oracles, x0 = coalition_fw(sw, c, 8)
             yield f"{label} {c.label()}", oracles, x0
 
 
