@@ -117,9 +117,7 @@ class Scenario:
 
     def digest(self) -> str:
         """Stable content hash of the serialized form."""
-        return hashlib.sha256(
-            scenario_to_json(self).encode("utf-8")
-        ).hexdigest()[:16]
+        return text_digest(scenario_to_json(self))
 
 
 def validate_scenario(s: Scenario) -> list[str]:
@@ -164,6 +162,9 @@ def validate_scenario(s: Scenario) -> list[str]:
             problems.append(f"{name} must have shape ({n},)")
         elif not np.all(np.isfinite(arr)) or np.any(arr < 0):
             problems.append(f"{name} must be finite and >= 0")
+    if s.seed is not None and s.seed < 0:
+        # restart streams are seeded with it, and numpy takes no negative seed
+        problems.append(f"seed must be >= 0 or null, got {s.seed}")
     return problems
 
 
@@ -323,6 +324,8 @@ def generate_scenario(
         raise ValueError("sigmoid generation needs mu")
     if utility == "linear" and mu is not None:
         raise ValueError("linear generation takes no mu")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     req_blocks, caps = [], []
     for _ in range(n_players):
@@ -379,6 +382,11 @@ def scenario_to_json(s: Scenario) -> str:
         "seed": s.seed,
     }
     return json.dumps(doc, indent=2)
+
+
+def text_digest(text: str) -> str:
+    """Scenario digest of a serialized scenario: its sha256, 16 hex digits."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def _field(obj: dict, key: str, kind, what: str, where: str):
@@ -451,8 +459,11 @@ def scenario_from_json(text: str) -> Scenario:
     )
 
 
-def save_scenario(s: Scenario, path: str | Path) -> None:
-    Path(path).write_text(scenario_to_json(s), encoding="utf-8")
+def save_scenario(s: Scenario, path: str | Path) -> str:
+    """Write the scenario as JSON and return the text written."""
+    text = scenario_to_json(s)
+    Path(path).write_text(text, encoding="utf-8")
+    return text
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -6,7 +6,10 @@ per-provider budgets and per-application request caps.  Linear objectives
 are solved exactly, by one call of the linear oracle on their constant
 gradient; sigmoid objectives run a multi-start Frank-Wolfe conditional
 gradient.  All restarts of one solve advance together in one batched
-driver, and each leaves the batch when its own stopping test fires.
+driver, and each leaves the batch when its own stopping test fires.  The
+driver evaluates each point once: one sigmoid pass gives its value and
+its gradient, and a run carries the gradient of the point it moved to
+into its next round.  Line-search probes compute the value alone.
 
 Every sigmoid term is convex at receipts up to its request, and no
 feasible point exceeds a request, so receipt objectives are convex, and so
@@ -270,58 +273,64 @@ def _best_steps(value_at, n: int, coarse: int = 17, refine: int = 24):
     return best_g, best_v
 
 
-def _batched_frank_wolfe(objective, gradient, lmo, x0: np.ndarray, gap_tol: float,
+def _batched_frank_wolfe(evaluate, objective, lmo, x0: np.ndarray, gap_tol: float,
                          convex: bool):
     """Conditional gradient ascent from each start x0[r], all runs advancing
-    in lockstep along the leading axis.  objective maps a batch of points
-    to one value each; gradient and lmo map a batch to a batch.
+    in lockstep along the leading axis.  evaluate maps a batch of points to
+    their values, one each, and gradients, a batch; objective maps a batch
+    to values alone, bit for bit evaluate's; lmo maps a batch to a batch.
 
-    When the objective is convex on the feasible set its maximum along the
-    segment [x, s] sits at an end, so each round evaluates only the vertex
-    s and moves there if it is better (the successive linearization
-    algorithm); otherwise a coarse scan and golden-section search pick the
-    step.  Run r stops when its Frank-Wolfe gap <grad, s - x> drops below
+    Each run carries the gradient from the evaluation that moved it, so
+    every point is evaluated once.  When the objective is convex on the
+    feasible set its maximum along the segment [x, s] sits at an end, so
+    each round evaluates only the vertex s and moves there if it is better
+    (the successive linearization algorithm); otherwise a coarse scan and
+    golden-section search of objective pick the step and its value, and
+    the point it moves to is evaluated again for its gradient.  Run r
+    stops when its Frank-Wolfe gap <grad, s - x> drops below
     gap_tol * max(1, |f|), when its step cannot improve, or after MAX_ITER
     rounds; a stopped run leaves the batch, so every run follows the path
     it would follow alone.  Iterates stay feasible as convex combinations
     of vertices.  Returns per-run (x, f, iterations, gap).
     """
     x = x0.copy()
-    f = objective(x)
+    f, g = evaluate(x)
     iters = np.zeros(len(x), dtype=int)
     gap = np.full(len(x), np.inf)
     bcast = (-1,) + (1,) * (x.ndim - 1)  # one step per run against its point
     live = np.arange(len(x))
     for it in range(1, MAX_ITER + 1):
-        xl = x[live]
-        g = gradient(xl)
-        d = lmo(g) - xl
-        gl = (g * d).reshape(len(live), -1).sum(axis=1)
-        iters[live], gap[live] = it, gl
-        keep = gl > gap_tol * np.maximum(1.0, np.abs(f[live]))
+        xl, gl = x[live], g[live]
+        d = lmo(gl) - xl
+        fw_gap = (gl * d).reshape(len(live), -1).sum(axis=1)
+        iters[live], gap[live] = it, fw_gap
+        keep = fw_gap > gap_tol * np.maximum(1.0, np.abs(f[live]))
         live, xl, d = live[keep], xl[keep], d[keep]
         if not live.size:
             break
         if convex:
             x_new = xl + d  # as the line search's step 1 forms it; xl + (s - xl) may round off s
-            f_new = objective(x_new)
+            f_new, g_new = evaluate(x_new)
             move = f_new > f[live]
         else:
             step, f_new = _best_steps(lambda gam: objective(xl + gam.reshape(bcast) * d),
                                       len(live))
             move = (f_new > f[live]) & (step != 0.0)  # else line search cannot improve
-            x_new = xl + step.reshape(bcast) * d
         live = live[move]
-        x[live] = x_new[move]
-        f[live] = f_new[move]
         if not live.size:
             break
+        if convex:
+            x_new, g_new = x_new[move], g_new[move]
+        else:
+            x_new = xl[move] + step[move].reshape(bcast) * d[move]
+            g_new = evaluate(x_new)[1]
+        x[live], f[live], g[live] = x_new, f_new[move], g_new
     return x, f, iters, gap
 
 
-def _multistart(objective, gradient, lmo, x0: np.ndarray, gap_tol: float, convex: bool):
+def _multistart(evaluate, objective, lmo, x0: np.ndarray, gap_tol: float, convex: bool):
     """Best run of the batch (the first of equal values): (x, f, iterations, gap)."""
-    x, f, iters, gap = _batched_frank_wolfe(objective, gradient, lmo, x0, gap_tol, convex)
+    x, f, iters, gap = _batched_frank_wolfe(evaluate, objective, lmo, x0, gap_tol, convex)
     best = int(np.argmax(f))
     return x[best], float(f[best]), int(iters[best]), float(gap[best])
 
@@ -356,19 +365,21 @@ def _starts(s: Scenario, tag: int, ident: int, restarts: int, draw_shape,
 
 
 def _receipt_oracles(terms: AppTerms, budget: np.ndarray, weight: float):
-    """Objective, gradient and linear oracle on batched receipts t
-    (R, M, K): the value is weight * sum_ik g_ik(t_ik), and the reachable
-    receipts are 0 <= t <= requests with sum_i t_ik <= budget_k."""
+    """Evaluation (value and gradient), objective and linear oracle on
+    batched receipts t (R, M, K): the value is weight * sum_ik g_ik(t_ik),
+    and the reachable receipts are 0 <= t <= requests with
+    sum_i t_ik <= budget_k."""
+    def evaluate(t):
+        g, gp = terms.value_and_slope(t)
+        return weight * g.reshape(len(t), -1).sum(axis=1), weight * gp
+
     def objective(t):
         return weight * terms.value(t).reshape(len(t), -1).sum(axis=1)
-
-    def gradient(t):
-        return weight * terms.slope(t)
 
     def lmo(g):
         return _greedy_fill(g, budget, terms.requests)
 
-    return objective, gradient, lmo
+    return evaluate, objective, lmo
 
 
 def _solve_receipts(terms: AppTerms, budget: np.ndarray, weight: float, exact: bool,
@@ -382,12 +393,12 @@ def _solve_receipts(terms: AppTerms, budget: np.ndarray, weight: float, exact: b
     built with the receipt oracle.  Every term is convex at receipts up to
     its request, which the oracle never exceeds, so rounds take unit steps.
     Returns (t, value, (solver_kind, iterations, restarts_used, gap))."""
-    objective, gradient, lmo = _receipt_oracles(terms, budget, weight)
+    evaluate, objective, lmo = _receipt_oracles(terms, budget, weight)
     if exact:
-        t = lmo(gradient(np.zeros((1, *terms.requests.shape))))[0]
+        t = lmo(evaluate(np.zeros((1, *terms.requests.shape)))[1])[0]
         return t, objective(t[None])[0], ("exact_linear", 0, 0, 0.0)
     x0 = starts(lmo)
-    t, value, iters, gap = _multistart(objective, gradient, lmo, x0, gap_tol, True)
+    t, value, iters, gap = _multistart(evaluate, objective, lmo, x0, gap_tol, True)
     return t, value, ("multistart_fw", iters, len(x0), gap)
 
 
@@ -475,9 +486,9 @@ def _random_staircases(prob: CoalitionProblem, draws: np.ndarray) -> np.ndarray:
 
 
 def _member_oracles(prob: CoalitionProblem):
-    """Objective, gradient and LP-backed oracle in member coordinates
-    (R, S, MS, K).  The objective and gradient take the whole batch; the
-    oracle solves one transport LP per resource and distinct gradient
+    """Evaluation (value and gradient), objective and LP-backed oracle in
+    member coordinates (R, S, MS, K).  The first two take the whole batch;
+    the oracle solves one transport LP per resource and distinct gradient
     slice, and restarts whose slices are equal share its vertex."""
     def lmo(gs):
         out = np.empty_like(gs)
@@ -490,7 +501,7 @@ def _member_oracles(prob: CoalitionProblem):
                 out[r, ..., k] = vertex_of[key]
         return out
 
-    return prob.objective, prob.gradient, lmo
+    return prob.evaluate, prob.objective, lmo
 
 
 def solve_coalition(
@@ -521,8 +532,8 @@ def solve_coalition(
         x = t[None] if size == 1 else _staircase(prob.caps.T, t.T).transpose(1, 2, 0)
     elif linear:
         # a linear objective's gradient is the constant per-unit credit
-        objective, gradient, lmo = _member_oracles(prob)
-        x = lmo(gradient(np.zeros((1, size, *prob.reqs.shape))))[0]
+        evaluate, objective, lmo = _member_oracles(prob)
+        x = lmo(evaluate(np.zeros((1, size, *prob.reqs.shape)))[1])[0]
         value, how = objective(x), ("exact_linear", 0, 0, 0.0)
     else:
         x0 = starts(functools.partial(_random_staircases, prob))

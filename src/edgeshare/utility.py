@@ -12,6 +12,7 @@ coalition objective collapses to total satisfaction at total receipt.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,21 +50,27 @@ class AppTerms:
         """Every term is sigmoid: value and slope skip the linear branch."""
         return bool(self.is_sigmoid.all())
 
+    def _logistic(self, received: np.ndarray) -> np.ndarray:
+        return expit(self.mu[:, None] * (received - self.requests))
+
+    def _value(self, received: np.ndarray, p: np.ndarray) -> np.ndarray:
+        if self.all_sigmoid:
+            return p
+        return np.where(self.is_sigmoid[:, None], p, self.coeffs * received)
+
     def value(self, received: np.ndarray) -> np.ndarray:
         """g_ik at the given receipts; broadcasts over leading axes of a
         (..., M, K) receipt array."""
-        sig = expit(self.mu[:, None] * (received - self.requests))
-        if self.all_sigmoid:
-            return sig
-        return np.where(self.is_sigmoid[:, None], sig, self.coeffs * received)
+        return self._value(received, self._logistic(received))
 
-    def slope(self, received: np.ndarray) -> np.ndarray:
-        """dg_ik/dt at the given receipts, same broadcasting as value."""
-        p = expit(self.mu[:, None] * (received - self.requests))
-        sig = self.mu[:, None] * p * (1 - p)
-        if self.all_sigmoid:
-            return sig
-        return np.where(self.is_sigmoid[:, None], sig, self.coeffs)
+    def value_and_slope(self, received: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """value and the slopes dg_ik/dt at the given receipts, from one
+        logistic pass, same broadcasting as value."""
+        p = self._logistic(received)
+        slope = self.mu[:, None] * p * (1 - p)
+        if not self.all_sigmoid:
+            slope = np.where(self.is_sigmoid[:, None], slope, self.coeffs)
+        return self._value(received, p), slope
 
 
 @dataclass(frozen=True)
@@ -147,24 +154,27 @@ class CoalitionProblem:
         rows, cols = self._by_slot
         return np.cumsum(x_local[..., rows, cols, :], axis=-3)
 
+    @staticmethod
+    def _slot_credits(g: np.ndarray) -> np.ndarray:
+        """Each slot's term less the term before it, from the terms g at
+        the slots' cumulative receipts."""
+        return np.concatenate([g[..., :1, :, :], np.diff(g, axis=-3)], axis=-3)
+
     def credits(self, x_local: np.ndarray) -> np.ndarray:
         """Unweighted credit of each attribution slot, (..., S, MS, K): the
         term at the slot's cumulative receipt less the term before it."""
-        g = self.terms.value(self._sorted_cumulative(x_local))
-        return np.concatenate([g[..., :1, :, :], np.diff(g, axis=-3)], axis=-3)
+        return self._slot_credits(self.terms.value(self._sorted_cumulative(x_local)))
 
-    def objective(self, x_local: np.ndarray) -> np.ndarray:
-        """Weighted coalition objective, one value per leading index (a
-        numpy scalar for one allocation): w_j-weighted owner terms plus
-        zeta-weighted sequential sharing credits."""
-        lead = x_local.shape[:-3]
-        weighted = self.zseq.T[:, :, None] * self.credits(x_local)
+    def _weighted_sum(self, credits: np.ndarray) -> np.ndarray:
+        weighted = self.zseq.T[:, :, None] * credits
         # summed app-major, (MS, S, K): a slot-major sum rounds differently
+        lead = credits.shape[:-3]
         return np.swapaxes(weighted, -3, -2).reshape(lead + (-1,)).sum(axis=-1)
 
-    def gradient(self, x_local: np.ndarray) -> np.ndarray:
-        """Gradient of the sequential-credit objective, (..., S, MS, K)."""
-        gp = self.terms.slope(self._sorted_cumulative(x_local))  # (..., S, MS, K) by slot
+    def _gradient_of(self, gp: np.ndarray) -> np.ndarray:
+        """The gradient from the term slopes gp at the slots' cumulative
+        receipts: slot t of an app collects the weight steps of every slot
+        from t on."""
         grad_sorted = np.empty_like(gp)
         grad_sorted[..., -1, :, :] = self.zseq[:, -1, None] * gp[..., -1, :, :]
         for t in range(self.size - 2, -1, -1):
@@ -174,6 +184,18 @@ class CoalitionProblem:
         out = np.empty_like(grad_sorted)
         out[..., rows, cols, :] = grad_sorted
         return out
+
+    def objective(self, x_local: np.ndarray) -> np.ndarray:
+        """Weighted coalition objective, one value per leading index (a
+        numpy scalar for one allocation): w_j-weighted owner terms plus
+        zeta-weighted sequential sharing credits."""
+        return self._weighted_sum(self.credits(x_local))
+
+    def evaluate(self, x_local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """objective, bit for bit, and its gradient (..., S, MS, K), from
+        one cumulative sum and one logistic pass."""
+        g, gp = self.terms.value_and_slope(self._sorted_cumulative(x_local))
+        return self._weighted_sum(self._slot_credits(g)), self._gradient_of(gp)
 
     # -- embedding ----------------------------------------------------------
 
@@ -222,30 +244,42 @@ class UtilityBreakdown:
     weighted_total: float
 
 
-def breakdown(s: Scenario, alloc: Allocation) -> tuple[UtilityBreakdown, ...]:
+def breakdown(s: Scenario, alloc: Allocation | Sequence[Allocation]):
     """Split an allocation's value player by player.
 
     The weighted totals sum to the coalition objective at this allocation:
-    sum_n w_n*own_n + zeta_n*sum_j shared_n[j].
+    sum_n w_n*own_n + zeta_n*sum_j shared_n[j].  Given a sequence of
+    allocations instead of one, split them all in one pass over their
+    stack and return one such tuple per allocation.
     """
-    # with every player a member, local member positions are player indices
-    prob = CoalitionProblem.build(s, Coalition.grand(s.n_players))
-    credits = prob.credits(prob.from_global(alloc))  # (N, M, K) by slot
-    owners = s.owner[prob.apps]
-    apps = np.arange(len(owners))
-    results = []
-    for n in range(s.n_players):
-        own = float(credits[0, owners == n].sum())
-        slot_of_n = np.argmax(prob.ord_pos == n, axis=1)
-        per_app = credits[slot_of_n, apps].sum(axis=1)
-        shared = {
-            j: float(per_app[owners == j].sum())
-            for j in range(s.n_players)
-            if j != n
-        }
-        total = float(s.w[n] * own + s.zeta[n] * sum(shared.values()))
-        results.append(UtilityBreakdown(player=n, own=own, shared=shared, weighted_total=total))
-    return tuple(results)
+    if isinstance(alloc, Allocation):
+        return breakdown(s, [alloc])[0]
+    if not alloc:
+        return []
+    n_players = s.n_players
+    # with every player a member, local coordinates are global ones
+    prob = CoalitionProblem.build(s, Coalition.grand(n_players))
+    credits = prob.credits(np.stack([a.x for a in alloc]))  # (B, N, M, K) by slot
+    lead = len(credits)
+    owned = [s.owner == n for n in range(n_players)]
+    # per player n and app i: the credit of n's slot in i's order, (B, N, M)
+    slot = np.argmax(prob.ord_pos == np.arange(n_players)[:, None, None], axis=2)
+    per_app = credits[:, slot, np.arange(s.m_total), :].sum(axis=-1)
+    # every owner sum runs over a contiguous copy, in the order (and so
+    # with the rounding) of the sum over one allocation's owner block
+    own = np.stack([np.ascontiguousarray(credits[:, 0, mine]).reshape(lead, -1).sum(axis=1)
+                    for mine in owned], axis=1)  # (B, N)
+    shared = np.stack([np.ascontiguousarray(per_app[..., mine]).sum(axis=-1)
+                       for mine in owned], axis=-1)  # (B, N, N)
+    total = np.stack([s.w[n] * own[:, n]
+                      + s.zeta[n] * sum(shared[:, n, j] for j in range(n_players) if j != n)
+                      for n in range(n_players)], axis=1)
+    own, shared, total = own.tolist(), shared.tolist(), total.tolist()
+    return [tuple(UtilityBreakdown(player=n, own=own[b][n],
+                                   shared={j: v for j, v in enumerate(shared[b][n]) if j != n},
+                                   weighted_total=total[b][n])
+                  for n in range(n_players))
+            for b in range(lead)]
 
 
 def coalition_objective(s: Scenario, alloc: Allocation, coalition: Coalition) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import edgeshare
-from edgeshare import engine, model
+from edgeshare import cli, engine, model, utility
 from edgeshare.cli import main, read_payoffs_csv, write_payoffs_csv
 
 
@@ -53,6 +53,12 @@ def test_gen_sigmoid_needs_mu(tmp_path):
 def test_gen_linear_rejects_mu(tmp_path):
     assert main(["gen", "--utility", "linear", "--mu", "5",
                  "--out", str(tmp_path / "x.json")]) == 2
+
+
+def test_gen_negative_seed_is_a_usage_error(tmp_path, capsys):
+    assert main(["gen", "--seed", "-1", "--out", str(tmp_path / "x.json")]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_gen_bad_weights(tmp_path):
@@ -123,6 +129,35 @@ def test_run_fast_singleton_rows_credit_their_member(tmp_path):
         assert split == [float(row["value"]) if p == n else 0.0 for p in range(3)]
 
 
+def test_coalition_rows_attribute_each_block_of_masks_in_one_call(monkeypatch):
+    """Up to ATTRIBUTION_BLOCK masks share a breakdown call, and every row
+    splits its value as the breakdown of its allocation alone does."""
+    s = model.generate_scenario(5, 1, 1, utility="linear", seed=4)
+    table = engine.build_characteristic_table(s)
+    breakdown = utility.breakdown
+    calls = []
+
+    def counted(scenario, allocs):
+        calls.append(len(allocs))
+        return breakdown(scenario, allocs)
+
+    monkeypatch.setattr(utility, "breakdown", counted)
+    rows = cli.coalition_rows(s, table, [])
+    assert cli.ATTRIBUTION_BLOCK == 16 and calls == [16, 15]
+    assert [row[0] for row in rows] == list(range(1, 32))
+    assert [row[3] for row in rows] == [table.value(m) for m in range(1, 32)]
+    for row in rows:
+        coalition = model.Coalition(row[0])
+        want = [b.weighted_total if coalition.contains(b.player) else 0.0
+                for b in breakdown(s, table.reports[row[0]].allocation)]
+        assert row[4:] == want, coalition.label()
+    calls.clear()  # the fast route's singleton table has nothing to attribute
+    singles = engine.CharacteristicTable(
+        n_players=5, values={1 << n: 1.0 for n in range(5)}, reports={})
+    assert [row[4:] for row in cli.coalition_rows(s, singles, [])] == np.eye(5).tolist()
+    assert calls == []
+
+
 def test_run_zero_requests_gives_zero_values(tmp_path):
     s = model.generate_scenario(2, 2, 2, utility="linear", seed=0)
     s = dataclasses.replace(s, requests=np.zeros_like(s.requests))
@@ -156,6 +191,34 @@ def test_run_scenario_with_mistyped_field_is_a_usage_error(tmp_path, capsys, fie
         assert main([*argv, "--scenario", str(bad)]) == 2
         err = capsys.readouterr().err
         assert repr(field) in err and "Traceback" not in err
+
+
+def test_run_negative_seed_is_a_usage_error_before_solving(tmp_path, capsys):
+    doc = json.loads(gen(tmp_path, utility="sigmoid", mu="3").read_text(encoding="utf-8"))
+    doc["seed"] = -1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    for argv in (["run", "--out", str(tmp_path / "out")], ["verify"]):
+        assert main([*argv, "--scenario", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert "seed must be >= 0" in err and "Traceback" not in err
+        assert out == ""  # nothing was solved
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_beyond_32_bits_runs(tmp_path, capsys):
+    """A seed of 2^32 or more seeds every restart stream as numpy reads the
+    list [seed, tag, ident, r]: two words for the seed."""
+    path = gen(tmp_path, utility="sigmoid", mu="3", seed=str(2**32))
+    s = model.load_scenario(path)
+    assert s.seed == 2**32
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = read_csv(tmp_path / "out" / "coalition.csv")
+    grand = engine.solve_coalition(s, model.Coalition.grand(3))
+    assert float(rows[6]["value"]) == grand.value
+    assert grand.restarts_used == 16
 
 
 def test_restarts_below_one_is_a_usage_error(tmp_path, capsys):

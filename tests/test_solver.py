@@ -373,12 +373,20 @@ def test_linear_coalition_with_member_weights_matches_brute_force():
         assert rep.value == pytest.approx(want, abs=1e-9)
 
 
-def test_general_weights_use_lp_and_agree_with_uniform_at_one():
+def test_general_weights_use_lp_and_agree_with_uniform_at_one(monkeypatch):
+    calls = 0
+
+    def counted(profit, supplies, demands):
+        nonlocal calls
+        calls += 1
+        return lmo_transport(profit, supplies, demands)
+
+    monkeypatch.setattr(solver, "lmo_transport", counted)
     s1 = generate_scenario(2, 2, 2, utility="linear", seed=9)
     v1 = solve_coalition(s1, Coalition.grand(2)).value
+    assert calls == 0  # uniform weights: one greedy fill on pooled receipts
     # same scenario but w != zeta forces the general LP path; with
     # zeta == w == 1 both paths must coincide, so nudge and compare orders
-    assert v1 == pytest.approx(v1)
     s2 = Scenario(
         n_players=2, n_resources=2,
         capacities=s1.capacities, requests=s1.requests, owner=s1.owner,
@@ -386,6 +394,7 @@ def test_general_weights_use_lp_and_agree_with_uniform_at_one():
         seed=s1.seed,
     )
     v2 = solve_coalition(s2, Coalition.grand(2)).value
+    assert calls >= 1
     assert v2 == pytest.approx(v1, abs=1e-6)
 
 
@@ -493,17 +502,60 @@ def test_member_objective_and_gradient_batch_bit_for_bit(w, zeta):
         _, x0 = coalition_fw(s, c, 8)
         rng = np.random.default_rng(c.mask)
         xs = np.concatenate([x0, x0 * rng.uniform(0.0, 1.5, size=x0.shape)])
-        f, g = prob.objective(xs), prob.gradient(xs)
+        f, g = prob.evaluate(xs)
         assert f.shape == (len(xs),) and g.shape == xs.shape
         for r, x in enumerate(xs):
             assert f[r] == prob.objective(x), f"restart {r}"
-            assert np.array_equal(g[r], prob.gradient(x)), f"restart {r}"
+            assert np.array_equal(g[r], prob.evaluate(x)[1]), f"restart {r}"
+
+
+@pytest.mark.parametrize("w, zeta", [(1.0, 0.5), (0.5, 1.0), (2.0, 1.0)])
+def test_member_evaluate_is_objective_bit_for_bit(w, zeta):
+    """CoalitionProblem.evaluate, one logistic pass per point, returns
+    exactly objective's values, on a restart stack and on one allocation,
+    for every coalition of more than one member; the allocation alone gets
+    its row of the stack's gradient."""
+    s = generate_scenario(3, 3, 3, utility="sigmoid", mu=3.0, seed=2, w=w, zeta=zeta)
+    for c in (Coalition(0b011), Coalition(0b101), Coalition(0b110), Coalition.grand(3)):
+        prob = CoalitionProblem.build(s, c)
+        _, x0 = coalition_fw(s, c, 8)
+        rng = np.random.default_rng(c.mask)
+        xs = np.concatenate([x0, x0 * rng.uniform(0.0, 1.5, size=x0.shape)])
+        f, g = prob.evaluate(xs)
+        assert f.tobytes() == prob.objective(xs).tobytes(), c.label()
+        f1, g1 = prob.evaluate(xs[3])
+        assert f1 == prob.objective(xs[3]) and np.ndim(f1) == 0
+        assert g1.tobytes() == g[3].tobytes()
+
+
+def test_receipt_evaluate_is_objective_and_gradient_bit_for_bit():
+    """The receipt oracles' evaluate returns exactly objective's values and
+    weight times the term slopes, with all-sigmoid terms and with linear
+    terms mixed in; the terms' own value_and_slope gives their value."""
+    s = generate_scenario(3, 2, 4, utility="sigmoid", mu=3.0, seed=12)
+    mixed = dataclasses.replace(
+        s, utilities=(s.utilities[0], UtilitySpec("linear"), s.utilities[2]))
+    rng = np.random.default_rng(12)
+    for scen, apps in ((s, s.apps_of(1)), (s, None), (mixed, None)):
+        terms = AppTerms.from_scenario(scen, apps)
+        assert terms.all_sigmoid is (scen is s)
+        for weight in (1.0, 0.5):
+            evaluate, objective, lmo = solver._receipt_oracles(
+                terms, scen.capacities.sum(axis=0), weight)
+            t = rng.uniform(0.0, 1.2, (7, *terms.requests.shape)) * terms.requests
+            t[0] = 0.0
+            t[1] = lmo(rng.random(t[1:2].shape))[0]
+            f, g = evaluate(t)
+            assert f.tobytes() == objective(t).tobytes()
+            value, slope = terms.value_and_slope(t)
+            assert g.tobytes() == (weight * slope).tobytes()
+            assert value.tobytes() == terms.value(t).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("w, zeta", [(1.0, 0.5), (0.5, 1.0), (2.0, 1.0)])
 def test_member_gradient_matches_central_differences(n, w, zeta):
-    """CoalitionProblem.gradient is the gradient of objective: central
+    """CoalitionProblem.evaluate's gradient is that of objective: central
     differences (h = 1e-6) agree within 1e-6 at a random point, for every
     coalition."""
     h = 1e-6
@@ -515,7 +567,7 @@ def test_member_gradient_matches_central_differences(n, w, zeta):
         x = rng.uniform(0.0, 1.0, (prob.size, *prob.reqs.shape)) * prob.reqs
         steps = h * np.eye(x.size).reshape(-1, *x.shape)
         numeric = (prob.objective(x + steps) - prob.objective(x - steps)) / (2 * h)
-        err = np.abs(prob.gradient(x).ravel() - numeric).max()
+        err = np.abs(prob.evaluate(x)[1].ravel() - numeric).max()
         assert err < 1e-6, f"coalition {c.label()}: {err}"
 
 
@@ -692,6 +744,28 @@ def test_batched_restarts_match_solo_runs():
             assert x0.ndim == (3 if w == zeta else 4)
             iters = assert_batch_matches_solo_runs(oracles, x0, convex)
             assert len(set(iters)) > 1
+
+
+@pytest.mark.parametrize("convex", [True, False])
+def test_run_that_cannot_improve_stops_where_it_is(convex):
+    """A run whose step finds no better point stops at its point, and when
+    every live run stops so in one round the driver returns without
+    evaluating an empty batch.  The stub's gradient points at the vertex
+    while its objective falls along every segment toward it."""
+    def objective(x):
+        return -x.reshape(len(x), -1).sum(axis=1)
+
+    def evaluate(x):
+        return objective(x), np.ones_like(x)
+
+    x0 = np.zeros((3, 2, 2))
+    x0[1] = 0.25
+    x, f, iters, gap = solver._batched_frank_wolfe(
+        evaluate, objective, np.ones_like, x0, solver.DEFAULT_GAP_TOL, convex)
+    assert np.array_equal(x, x0)
+    assert f.tolist() == [0.0, -1.0, 0.0]
+    assert iters.tolist() == [1, 1, 1]
+    assert gap.tolist() == [4.0, 3.0, 4.0]
 
 
 def convex_cases():

@@ -211,6 +211,47 @@ def test_breakdown_additive_over_disjoint_apps():
     assert tot(xa + xb) + base == pytest.approx(tot(xa) + tot(xb), abs=1e-12)
 
 
+def per_player_split(s, alloc):
+    """(own, shared, weighted_total) per player, summed one player and one
+    owner block at a time over one allocation's slot credits."""
+    prob = CoalitionProblem.build(s, Coalition.grand(s.n_players))
+    credits = prob.credits(prob.from_global(alloc))
+    owners = s.owner[prob.apps]
+    apps = np.arange(len(owners))
+    out = []
+    for n in range(s.n_players):
+        own = float(credits[0, owners == n].sum())
+        slot_of_n = np.argmax(prob.ord_pos == n, axis=1)
+        per_app = credits[slot_of_n, apps].sum(axis=1)
+        shared = {j: float(per_app[owners == j].sum()) for j in range(s.n_players) if j != n}
+        out.append((own, shared, float(s.w[n] * own + s.zeta[n] * sum(shared.values()))))
+    return out
+
+
+@pytest.mark.parametrize("utility, w, zeta", [
+    ("sigmoid", 1.0, 1.0), ("sigmoid", 1.0, 0.5), ("sigmoid", 0.5, 1.0), ("linear", 1.0, 1.0)])
+def test_breakdown_of_a_stack_is_each_breakdown_bit_for_bit(utility, w, zeta):
+    """Attributing every coalition's solved allocation in one call gives,
+    bit for bit, the split of each allocation alone and the per-player
+    sums over its owner blocks."""
+    from edgeshare.engine import build_characteristic_table
+    from edgeshare.model import generate_scenario
+
+    mu = 3.0 if utility == "sigmoid" else None
+    s = generate_scenario(3, 2, 12, utility=utility, mu=mu, seed=8, w=w, zeta=zeta)
+    table = build_characteristic_table(s, restarts=4)
+    masks = sorted(table.reports)
+    allocs = [table.reports[m].allocation for m in masks]
+    stacked = breakdown(s, allocs)
+    assert len(stacked) == len(masks) == 7
+    for mask, alloc, split in zip(masks, allocs, stacked):
+        assert split == breakdown(s, alloc), f"mask {mask}"
+        for b, (own, shared, total) in zip(split, per_player_split(s, alloc)):
+            assert (b.own, b.shared, b.weighted_total) == (own, shared, total), \
+                f"mask {mask} player {b.player}"
+    assert breakdown(s, []) == []
+
+
 # ---------------------------------------------------------------------------
 # problem setup
 
@@ -256,7 +297,7 @@ def test_app_terms_match_the_per_app_construction():
         # an integer mu forms the same products as its float
         t = rng.uniform(0.0, 1.2, (3, *want.requests.shape))
         assert terms.value(t).tobytes() == want.value(t).tobytes()
-        assert terms.slope(t).tobytes() == want.slope(t).tobytes()
+        assert terms.value_and_slope(t)[1].tobytes() == want.value_and_slope(t)[1].tobytes()
 
 
 def test_coalition_problem_matches_the_per_app_construction():
