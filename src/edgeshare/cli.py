@@ -107,11 +107,29 @@ def write_payoffs_csv(path: Path, entries: list[tuple[str, np.ndarray, np.ndarra
 
 
 def read_payoffs_csv(path: Path) -> dict[str, np.ndarray]:
-    """Re-read a payoffs CSV into method -> payoff vector (player order)."""
+    """Re-read a payoffs CSV into method -> payoff vector (player order).
+    A missing method, player or payoff column, a row whose player is not
+    an integer or whose payoff is not a number, and a NaN or infinite
+    payoff are ValueErrors that name the column, row, or method and player."""
     by_method: dict[str, dict[int, float]] = {}
     with path.open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            by_method.setdefault(row["method"], {})[int(row["player"])] = float(row["payoff"])
+        reader = csv.DictReader(fh, restval="")  # a short row reads as blanks
+        if reader.fieldnames is not None:
+            missing = [c for c in ("method", "player", "payoff") if c not in reader.fieldnames]
+            if missing:
+                raise ValueError(f"{path} has no {', '.join(missing)} column")
+        for row in reader:
+            method = row["method"]
+            try:
+                player, payoff = int(row["player"]), float(row["payoff"])
+            except ValueError:
+                raise ValueError(f"{path} line {reader.line_num}: expected an integer player "
+                                 f"and a number payoff, got {row['player']!r} and "
+                                 f"{row['payoff']!r}") from None
+            if not np.isfinite(payoff):
+                raise ValueError(f"payoff of player {player} for {method!r} in {path} "
+                                 f"is {row['payoff']}, not a finite number")
+            by_method.setdefault(method, {})[player] = payoff
     out = {}
     for method, entries in by_method.items():
         if sorted(entries) != list(range(1, len(entries) + 1)):
@@ -324,6 +342,8 @@ def cmd_verify(args, parser) -> int:
 
 def cmd_bench(args, parser) -> int:
     apps_list = [int(a) for a in args.apps.split(",") if a]
+    if not apps_list:
+        parser.error("bench needs at least one --apps value")
     mu_list = ([float(m) for m in args.mu.split(",") if m]
                if args.utility == "sigmoid" else [None])
     if args.utility == "sigmoid" and not mu_list:

@@ -46,7 +46,7 @@ class UtilitySpec:
             raise ValueError(f"unknown utility kind {self.kind!r}")
         if self.kind == "sigmoid":
             if self.mu is None or not np.isfinite(self.mu) or self.mu <= 0:
-                raise ValueError("sigmoid utility needs mu > 0")
+                raise ValueError(f"sigmoid utility needs mu finite and > 0, got {self.mu}")
             if self.coeffs is not None:
                 raise ValueError("sigmoid utility takes no coefficients")
         else:

@@ -9,17 +9,29 @@ then each foreign supplier in ascending player index earns the lift its
 contribution adds on top of everything already allocated.  Zero supply
 therefore earns exactly zero sharing income, and with uniform weights the
 coalition objective collapses to total satisfaction at total receipt.
+
+scipy.special, which supplies the logistic, is imported at the first
+sigmoid evaluation rather than with this module: it costs more start-up
+time than numpy itself, and scenario generation, usage errors and
+all-linear terms never evaluate a logistic.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.special import expit
 
 from .model import Allocation, Coalition, Scenario
+
+
+@cache
+def _expit():
+    """scipy's logistic, imported on first use."""
+    from scipy.special import expit
+
+    return expit
 
 
 @dataclass(frozen=True)
@@ -50,8 +62,13 @@ class AppTerms:
         """Every term is sigmoid: value and slope skip the linear branch."""
         return bool(self.is_sigmoid.all())
 
+    @cached_property
+    def all_linear(self) -> bool:
+        """No term is sigmoid: value and slope skip the logistic pass."""
+        return not self.is_sigmoid.any()
+
     def _logistic(self, received: np.ndarray) -> np.ndarray:
-        return expit(self.mu[:, None] * (received - self.requests))
+        return _expit()(self.mu[:, None] * (received - self.requests))
 
     def _value(self, received: np.ndarray, p: np.ndarray) -> np.ndarray:
         if self.all_sigmoid:
@@ -61,11 +78,16 @@ class AppTerms:
     def value(self, received: np.ndarray) -> np.ndarray:
         """g_ik at the given receipts; broadcasts over leading axes of a
         (..., M, K) receipt array."""
+        if self.all_linear:
+            return self.coeffs * received
         return self._value(received, self._logistic(received))
 
     def value_and_slope(self, received: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """value and the slopes dg_ik/dt at the given receipts, from one
         logistic pass, same broadcasting as value."""
+        if self.all_linear:
+            g = self.coeffs * received
+            return g, np.broadcast_to(self.coeffs, g.shape)
         p = self._logistic(received)
         slope = self.mu[:, None] * p * (1 - p)
         if not self.all_sigmoid:

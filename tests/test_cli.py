@@ -46,8 +46,14 @@ def test_gen_rejects_zero_players(tmp_path, capsys):
     assert main(["gen", "--players", "0", "--out", str(tmp_path / "x.json")]) == 2
 
 
-def test_gen_sigmoid_needs_mu(tmp_path):
+def test_gen_sigmoid_needs_mu(tmp_path, capsys):
     assert main(["gen", "--utility", "sigmoid", "--out", str(tmp_path / "x.json")]) == 2
+    for mu in ("inf", "nan", "0"):
+        assert main(["gen", "--utility", "sigmoid", "--mu", mu,
+                     "--out", str(tmp_path / "x.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"sigmoid utility needs mu finite and > 0, got {float(mu)}" in err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_gen_linear_rejects_mu(tmp_path):
@@ -178,6 +184,15 @@ def test_run_malformed_scenario(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     assert main(["run", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
+
+
+def test_run_scenario_with_infinite_mu_is_a_usage_error(tmp_path, capsys):
+    doc = json.loads(gen(tmp_path, utility="sigmoid", mu="3").read_text(encoding="utf-8"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc).replace('"mu": 3.0', '"mu": Infinity'), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert "sigmoid utility needs mu finite and > 0, got inf" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, value", [("n", "2"), ("players", None)])
@@ -338,6 +353,47 @@ def test_verify_rejects_payoffs_of_the_wrong_length(tmp_path, capsys, monkeypatc
     assert "'shapley'" in err and "2 rows" in err and "N = 3" in err
 
 
+@pytest.mark.parametrize("payoff", ["nan", "inf", "-inf"])
+def test_verify_rejects_non_finite_payoffs(tmp_path, capsys, payoff):
+    # a NaN or infinite payoff used to be read and reported as a core FAIL
+    scenario = gen(tmp_path, players=2)
+    bad = tmp_path / "payoffs.csv"
+    bad.write_text("method,player,payoff,standalone,gain\n"
+                   f"fast,1,1.0,0.0,1.0\nfast,2,{payoff},0.0,1.0\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", "--scenario", str(scenario), "--payoffs", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert f"payoff of player 2 for 'fast' in {bad} is {payoff}" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("row", ["fast,2", "fast,two,1.0", "fast,2,"])
+def test_verify_names_a_malformed_payoffs_row(tmp_path, capsys, row):
+    # a short row used to end in a TypeError traceback
+    scenario = gen(tmp_path, players=2)
+    bad = tmp_path / "payoffs.csv"
+    bad.write_text(f"method,player,payoff\nfast,1,1.0\n{row}\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", "--scenario", str(scenario), "--payoffs", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad} line 3: expected an integer player and a number payoff" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("column", ["method", "player", "payoff"])
+def test_verify_names_a_missing_payoffs_column(tmp_path, capsys, column):
+    scenario = gen(tmp_path, players=2)
+    header = [c for c in ("method", "player", "payoff") if c != column]
+    rows = [{"method": "fast", "player": str(p), "payoff": "1.0"} for p in (1, 2)]
+    bad = tmp_path / "payoffs.csv"
+    bad.write_text("".join(",".join(line) + "\n" for line in
+                           [header, *([r[c] for c in header] for r in rows)]),
+                   encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", "--scenario", str(scenario), "--payoffs", str(bad)]) == 2
+    assert f"{bad} has no {column} column" in capsys.readouterr().err
+
+
 def test_verify_missing_payoffs_file(tmp_path):
     scenario = gen(tmp_path, players=2)
     assert main(["verify", "--scenario", str(scenario),
@@ -374,6 +430,15 @@ def test_bench_values_independent_of_repetitions(tmp_path):
         outs.append([r for r in read_csv(out / "plotdata.csv")
                      if r["metric"] != "median_ms"])
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("apps", ["", ","])
+def test_bench_without_apps_is_a_usage_error(tmp_path, capsys, apps):
+    # an empty --apps list used to exit 0 and write header-only CSVs
+    assert main(["bench", "--players", "2", "--apps", apps, "--utility", "linear",
+                 "--out", str(tmp_path / "bench")]) == 2
+    assert "at least one --apps value" in capsys.readouterr().err
+    assert not (tmp_path / "bench").exists()
 
 
 def test_bench_fast_only(tmp_path):
@@ -426,6 +491,57 @@ def test_console_script_installed(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(lib)})
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "s.json").exists()
+
+
+# Run in a fresh interpreter: prints, after each step, the scipy modules
+# loaded so far.  argv: a work directory.
+STARTUP_PROBE = """
+import contextlib, io, json, sys
+from pathlib import Path
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+work = Path(sys.argv[1])
+loaded = {}
+import edgeshare
+loaded["import edgeshare"] = scipy_modules()
+from edgeshare.cli import main
+loaded["import edgeshare.cli"] = scipy_modules()
+linear, sigmoid = str(work / "linear.json"), str(work / "sigmoid.json")
+small = ["--players", "3", "--apps", "2", "--resources", "2"]
+steps = [
+    ("gen", ["gen", *small, "--out", linear], 0),
+    ("--help", ["--help"], 0),
+    ("run --restarts 0", ["run", "--scenario", linear, "--restarts", "0"], 2),
+    ("linear run", ["run", "--scenario", linear, "--out", str(work / "linear")], 0),
+    ("sigmoid gen", ["gen", *small, "--utility", "sigmoid", "--mu", "3", "--out", sigmoid], 0),
+    ("sigmoid run", ["run", "--scenario", sigmoid, "--out", str(work / "sigmoid")], 0),
+]
+for name, argv, code in steps:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == code, name
+    loaded[name] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_startup_loads_numpy_only(tmp_path):
+    """Importing the package, `gen`, `--help`, a usage error and an
+    all-linear `run --method both` at weights 1:1 load no scipy module:
+    scipy.special loads at the first sigmoid evaluation, scipy.optimize at
+    the first transport LP.  The steps run in order in one fresh
+    interpreter."""
+    src = Path(edgeshare.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(tmp_path)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    sigmoid = loaded.pop("sigmoid run")
+    assert loaded == {step: [] for step in loaded} and len(loaded) == 7
+    # a sigmoid run at 1:1 evaluates the logistic but solves no LP
+    assert "scipy.special" in sigmoid and "scipy.optimize" not in sigmoid
 
 
 def test_public_names_resolve():

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from edgeshare import utility
 from edgeshare.model import (
     Allocation,
     Coalition,
@@ -298,6 +299,29 @@ def test_app_terms_match_the_per_app_construction():
         t = rng.uniform(0.0, 1.2, (3, *want.requests.shape))
         assert terms.value(t).tobytes() == want.value(t).tobytes()
         assert terms.value_and_slope(t)[1].tobytes() == want.value_and_slope(t)[1].tobytes()
+
+
+def test_all_linear_terms_match_the_mixed_rows_without_a_logistic(monkeypatch):
+    """Terms with no sigmoid skip the logistic pass, and their values and
+    slopes are, bit for bit and shape for shape, the linear rows of a mixed
+    evaluation."""
+    s = mixed_scenario_from_json()
+    t = np.random.default_rng(23).uniform(0.0, 1.2, (3, 8, 2))
+    every = AppTerms.from_scenario(s)
+    mixed = every.value_and_slope(t)
+    linear_apps = np.flatnonzero(~every.is_sigmoid)
+    terms = AppTerms.from_scenario(s, linear_apps)
+    assert terms.all_linear and not every.all_linear
+
+    def no_logistic():
+        raise AssertionError("an all-linear evaluation ran the logistic")
+
+    monkeypatch.setattr(utility, "_expit", no_logistic)
+    t_lin = t[:, linear_apps]
+    got = (terms.value(t_lin), *terms.value_and_slope(t_lin))
+    for have, want in zip(got, (mixed[0], *mixed)):
+        assert have.shape == t_lin.shape
+        assert have.tobytes() == want[:, linear_apps].tobytes()
 
 
 def test_coalition_problem_matches_the_per_app_construction():
