@@ -190,7 +190,7 @@ def _parse_weights(text: str, parser: argparse.ArgumentParser) -> tuple[float, f
 
 
 def _count(text: str) -> int:
-    """--restarts, --repetitions: a whole number, at least 1."""
+    """--restarts, --repetitions, a bench --apps item: a whole number, at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -211,6 +211,27 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _steepness(text: str) -> float:
+    """A sigmoid mu: a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+def _items(text: str, option: str, parse, parser: argparse.ArgumentParser) -> list:
+    """The values of a comma list such as bench --apps, each parsed and
+    checked by parse; a bad item is a usage error that names option and
+    item."""
+    try:
+        return [parse(item) for item in text.split(",") if item]
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"argument {option}: {exc}")
+
+
 def cmd_gen(args, parser) -> int:
     if args.utility == "sigmoid" and args.mu is None:
         parser.error("--utility sigmoid requires --mu")
@@ -223,7 +244,8 @@ def cmd_gen(args, parser) -> int:
         seed=args.seed, w=w, zeta=zeta)
     out = Path(args.out)
     digest = model.text_digest(model.save_scenario(s, out))
-    print(f"wrote {out} (n={s.n_players} k={s.n_resources} m={s.m_per_player}) digest={digest}")
+    print(f"wrote {out} (n={s.n_players} k={s.n_resources} m={_m_field(s.m_per_player)}) "
+          f"digest={digest}")
     return 0
 
 
@@ -341,10 +363,10 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_bench(args, parser) -> int:
-    apps_list = [int(a) for a in args.apps.split(",") if a]
+    apps_list = _items(args.apps, "--apps", _count, parser)
     if not apps_list:
         parser.error("bench needs at least one --apps value")
-    mu_list = ([float(m) for m in args.mu.split(",") if m]
+    mu_list = (_items(args.mu, "--mu", _steepness, parser)
                if args.utility == "sigmoid" else [None])
     if args.utility == "sigmoid" and not mu_list:
         parser.error("sigmoid bench needs at least one --mu value")

@@ -29,15 +29,20 @@ northwest-corner staircase against their capacities.  Other coalitions
 run in member coordinates with the transportation LP as oracle, one per
 resource and distinct gradient slice.
 
-Start points (_starts): restart 0 starts at zero; restart r > 0 seeds a
-PCG64 stream with SeedSequence([scenario seed, solve tag, player or mask,
-r]), draws a scale and uniform factors from it, and starts at the scaled
-vertex the factors pick.  Native and residual solves take the greedy fill
-of the factors as profits.  Every coalition draws member and application
-factors per resource; in member coordinates it starts at their staircase,
-on receipts at the greedy fill of the application factors alone.  The
-streams depend only on the scenario and the solve, so every solve is
-reproducible on its own.
+Start points (_starts): restart 0 starts at zero; restart r > 0 draws a
+scale and uniform factors from the PCG64 stream that SeedSequence([scenario
+seed, solve tag, player or mask, r]) seeds, and starts at the scaled vertex
+the factors pick.  Native and residual solves take the greedy fill of the
+factors as profits.  Every coalition draws member and application factors
+per resource; in member coordinates it starts at their staircase, on
+receipts at the greedy fill of the application factors alone.  The streams
+depend only on the scenario and the solve, so every solve is reproducible
+on its own.  They are the streams default_rng(SeedSequence([...])) gives,
+but no SeedSequence or PCG64 is built per restart: one vectorized pass of
+SeedSequence's hash seeds a block of 64 players or masks at once
+(_seed_block, which keeps the last four blocks, 64 * (R - 1) * 32 bytes
+each: 30 KiB at R = 16 restarts), and one reused PCG64 is set to each
+stream by PCG64's own seeding rule (_generator).
 """
 from __future__ import annotations
 
@@ -342,22 +347,121 @@ def _check_settings(restarts: int, gap_tol: float) -> None:
         raise ValueError(f"gap_tol must be finite and >= 0, got {gap_tol}")
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64
+# seeding step (pcg64.h), for deriving the restart streams a block at a time
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_SEED_BLOCK = 64  # players or masks seeded by one hash pass
+
+
+def _hash_rounds(init: int, mult: int, n: int):
+    """The xor and multiply constants, as (n, 1) uint32 columns, of n
+    successive rounds of SeedSequence's hash: each round multiplies the
+    running constant by mult between its xor and its multiply."""
+    c = [init]
+    for _ in range(n):
+        c.append(c[-1] * mult & _MASK32)
+    c = np.array(c, dtype=np.uint32)[:, None]
+    return c[:-1], c[1:]
+
+
+def _hash(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    v = (v ^ xor) * mul
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    v = x * _MIX_L - y * _MIX_R
+    return v ^ (v >> 16)
+
+
+@functools.lru_cache(maxsize=4)
+def _seed_block(seed: int, tag: int, block: int, restarts: int) -> np.ndarray:
+    """SeedSequence([seed, tag, ident, r]).generate_state(4, np.uint64) for
+    every ident of the block (64 * block up to 64 * block + 63) and every r
+    in 1 .. restarts - 1: a read-only (64, restarts - 1, 4) uint64 array,
+    computed in one vectorized pass over the lanes (ident, r).
+
+    The entropy words are numpy's: the seed's little-endian 32-bit words
+    (one word for 0), then tag, ident and r, one word each.  The first four
+    fill the pool, every pool word is mixed into every other, and any
+    further word is mixed into all four.  For a given source word the three
+    or four destination updates are independent, so each runs as one
+    operation on a stack of rows.  The state's 32-bit words pair up little
+    end first, as generate_state's '<u4' to '<u8' view does."""
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    words.append(tag)
+    entropy = np.empty((len(words) + 2, _SEED_BLOCK * (restarts - 1)), dtype=np.uint32)
+    entropy[:-2] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[-2] = np.repeat(np.arange(block * _SEED_BLOCK, (block + 1) * _SEED_BLOCK,
+                                      dtype=np.uint32), restarts - 1)
+    entropy[-1] = np.tile(np.arange(1, restarts, dtype=np.uint32), _SEED_BLOCK)
+    xor, mul = _hash_rounds(_INIT_A, _MULT_A, 4 + 4 * 3 + 4 * (len(entropy) - 4))
+    pool = _hash(entropy[:4], xor[:4], mul[:4])
+    k = 4
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hash(pool[src], xor[k:k + 3], mul[k:k + 3]))
+        k += 3
+    for word in entropy[4:]:
+        pool = _mix(pool, _hash(word, xor[k:k + 4], mul[k:k + 4]))
+        k += 4
+    state = _hash(np.concatenate([pool, pool]), *_hash_rounds(_INIT_B, _MULT_B, 8))
+    state = state.astype(np.uint64)
+    out = (state[0::2] | state[1::2] << 32).T.reshape(_SEED_BLOCK, restarts - 1, 4)
+    out.flags.writeable = False
+    return out
+
+
+@functools.cache
+def _generator():
+    """The one PCG64 and its Generator that every restart stream is drawn
+    from, built at the first draw (importing numpy.random costs about
+    8 ms).  _starts sets its state per restart, so, like the HiGHS
+    instance, it serves one solve at a time."""
+    bits = np.random.PCG64(0)
+    return bits, np.random.Generator(bits)
+
+
 def _starts(s: Scenario, tag: int, ident: int, restarts: int, draw_shape,
             vertices) -> np.ndarray:
     """Start points, one per restart: restart 0 starts from zero (its first
-    step lands on the linearized warm start); restart r > 0 draws, from its
-    own PCG64 stream seeded by SeedSequence([seed, tag, ident, r]), a scale
-    and then uniform factors of draw_shape, and starts at the scaled vertex
+    step lands on the linearized warm start); restart r > 0 draws, from the
+    stream of default_rng(SeedSequence([seed, tag, ident, r])), a scale and
+    then uniform factors of draw_shape, and starts at the scaled vertex
     that vertices (batched over restarts) builds from those factors.
 
+    The streams are unchanged, but no SeedSequence or PCG64 is built per
+    restart: the seed words come from ident's block of _seed_block, which
+    keeps the last four blocks (64 * (restarts - 1) * 32 bytes each, 30 KiB
+    at 16 restarts), and the one PCG64 of _generator is set to each stream
+    by PCG64's seeding rule, inc = 2 * initseq + 1 and
+    state = (initstate + inc) * MULT + inc mod 2^128, with no buffered
+    32-bit half (has_uint32, uinteger), as a new PCG64 starts.  A single
+    restart draws nothing.
+
     Each stream fills one row in one call: its first double is the scale.
-    Generator.uniform() returns 0 + 1 * d for the stream's next double d, so
-    these are the doubles of default_rng(...).uniform() followed by
+    Generator.uniform() returns 0 + 1 * d for the stream's next double d,
+    so these are the doubles of default_rng(...).uniform() followed by
     .uniform(size=draw_shape)."""
     draws = np.empty((restarts - 1, 1 + int(np.prod(draw_shape))))
-    for r, row in enumerate(draws, start=1):
-        seq = np.random.SeedSequence([s.seed or 0, tag, ident, r])
-        np.random.Generator(np.random.PCG64(seq)).random(out=row)
+    if restarts > 1:
+        assert 0 <= ident < 1 << 32, "ident must be one SeedSequence word"
+        block, lane = divmod(ident, _SEED_BLOCK)
+        bits, gen = _generator()
+        seeds = _seed_block(s.seed or 0, tag, block, restarts)[lane].tolist()
+        for row, (state_hi, state_lo, seq_hi, seq_lo) in zip(draws, seeds):
+            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+            state = (((state_hi << 64 | state_lo) + inc) * _PCG_MULT + inc) & _MASK128
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            gen.random(out=row)
     v = vertices(draws[:, 1:].reshape(len(draws), *draw_shape))
     x0 = np.zeros((restarts, *v.shape[1:]))
     x0[1:] = draws[:, :1].reshape((-1,) + (1,) * (v.ndim - 1)) * v

@@ -128,6 +128,19 @@ def grid_best(caps, reqs, term_batch, step=0.01):
     return best_v, best_x
 
 
+def restart_draws(seed, tag, ident, restarts, width) -> np.ndarray:
+    """The doubles the start points of one solve draw, one row of width
+    per restart r = 1 .. restarts - 1, each from its own generator:
+    default_rng(SeedSequence([seed, tag, ident, r])), a None seed read as
+    0.  This is the per-restart construction the solver's block seeding
+    must reproduce bit for bit."""
+    draws = np.empty((restarts - 1, width))
+    for r, row in enumerate(draws, start=1):
+        rng = np.random.default_rng(np.random.SeedSequence([seed or 0, tag, ident, r]))
+        row[:] = rng.random(width)
+    return draws
+
+
 def feasibility_violations(x, caps, reqs, tol=1e-9):
     """Raw-numpy feasibility audit of an (U, I, K) allocation."""
     x = np.asarray(x, dtype=float)

@@ -42,6 +42,14 @@ def test_gen_is_deterministic(tmp_path, capsys):
     assert "digest=" in capsys.readouterr().out
 
 
+def test_gen_summary_prints_the_m_per_player_field(tmp_path, capsys):
+    """The summary names m as the CSVs' m_per_player column does, one count
+    when every player has it, not the per-player tuple."""
+    path = gen(tmp_path, players=4, apps=20)
+    out = capsys.readouterr().out
+    assert out.startswith(f"wrote {path} (n=4 k=2 m=20) digest=")
+
+
 def test_gen_rejects_zero_players(tmp_path, capsys):
     assert main(["gen", "--players", "0", "--out", str(tmp_path / "x.json")]) == 2
 
@@ -441,6 +449,29 @@ def test_bench_without_apps_is_a_usage_error(tmp_path, capsys, apps):
     assert not (tmp_path / "bench").exists()
 
 
+@pytest.mark.parametrize("option, values, message", [
+    ("--apps", "x", "argument --apps: expected an integer, got 'x'"),
+    ("--apps", "2,-1", "argument --apps: must be at least 1, got -1"),
+    ("--apps", "2,0", "argument --apps: must be at least 1, got 0"),
+    ("--mu", "x", "argument --mu: expected a number, got 'x'"),
+    ("--mu", "3,0", "argument --mu: must be finite and > 0, got 0"),
+    ("--mu", "3,inf", "argument --mu: must be finite and > 0, got inf"),
+    ("--mu", "nan", "argument --mu: must be finite and > 0, got nan"),
+])
+def test_bench_bad_grid_item_is_a_usage_error_before_solving(tmp_path, capsys, option,
+                                                              values, message):
+    # --apps 2,-1 used to time and print the m = 2 grid point, then exit 2
+    # with no CSV written
+    argv = {"--apps": "2", "--mu": "3", option: values}
+    assert main(["bench", "--players", "2", "--resources", "1", "--repetitions", "1",
+                 "--apps", argv["--apps"], "--mu", argv["--mu"],
+                 "--out", str(tmp_path / "bench")]) == 2
+    out, err = capsys.readouterr()
+    assert message in err and "Traceback" not in err
+    assert out == ""
+    assert not (tmp_path / "bench").exists()
+
+
 def test_bench_fast_only(tmp_path):
     out = tmp_path / "bench"
     assert main(["bench", "--players", "2", "--apps", "2", "--resources", "1",
@@ -499,21 +530,22 @@ STARTUP_PROBE = """
 import contextlib, io, json, sys
 from pathlib import Path
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def lazy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                  or m == "numpy.random" or m.startswith("numpy.random."))
 
 work = Path(sys.argv[1])
 loaded = {}
 import edgeshare
-loaded["import edgeshare"] = scipy_modules()
+loaded["import edgeshare"] = lazy_modules()
 from edgeshare.cli import main
-loaded["import edgeshare.cli"] = scipy_modules()
+loaded["import edgeshare.cli"] = lazy_modules()
 linear, sigmoid = str(work / "linear.json"), str(work / "sigmoid.json")
 small = ["--players", "3", "--apps", "2", "--resources", "2"]
 steps = [
-    ("gen", ["gen", *small, "--out", linear], 0),
     ("--help", ["--help"], 0),
     ("run --restarts 0", ["run", "--scenario", linear, "--restarts", "0"], 2),
+    ("gen", ["gen", *small, "--out", linear], 0),
     ("linear run", ["run", "--scenario", linear, "--out", str(work / "linear")], 0),
     ("sigmoid gen", ["gen", *small, "--utility", "sigmoid", "--mu", "3", "--out", sigmoid], 0),
     ("sigmoid run", ["run", "--scenario", sigmoid, "--out", str(work / "sigmoid")], 0),
@@ -521,25 +553,30 @@ steps = [
 for name, argv, code in steps:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) == code, name
-    loaded[name] = scipy_modules()
+    loaded[name] = lazy_modules()
 print(json.dumps(loaded))
 """
 
 
 def test_startup_loads_numpy_only(tmp_path):
-    """Importing the package, `gen`, `--help`, a usage error and an
-    all-linear `run --method both` at weights 1:1 load no scipy module:
-    scipy.special loads at the first sigmoid evaluation, scipy.optimize at
-    the first transport LP.  The steps run in order in one fresh
-    interpreter."""
+    """Importing the package, `--help` and a usage error load neither scipy
+    nor numpy.random; `gen` and an all-linear `run --method both` at
+    weights 1:1 load no scipy module.  numpy.random loads at the scenario
+    draw or the first restart stream, scipy.special at the first sigmoid
+    evaluation, scipy.optimize at the first transport LP.  The steps run in
+    order in one fresh interpreter."""
     src = Path(edgeshare.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(tmp_path)],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
+    assert len(loaded) == 8
+    for step in ("import edgeshare", "import edgeshare.cli", "--help", "run --restarts 0"):
+        assert loaded.pop(step) == [], step
     sigmoid = loaded.pop("sigmoid run")
-    assert loaded == {step: [] for step in loaded} and len(loaded) == 7
+    for step, modules in loaded.items():
+        assert not [m for m in modules if m.startswith("scipy")], step
     # a sigmoid run at 1:1 evaluates the logistic but solves no LP
     assert "scipy.special" in sigmoid and "scipy.optimize" not in sigmoid
 

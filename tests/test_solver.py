@@ -31,7 +31,13 @@ from edgeshare.solver import (
 )
 from edgeshare.utility import AppTerms, CoalitionProblem, coalition_objective
 
-from oracles import factored_staircase, feasibility_violations, grid_best, sigmoid_term
+from oracles import (
+    factored_staircase,
+    feasibility_violations,
+    grid_best,
+    restart_draws,
+    sigmoid_term,
+)
 
 
 def linear_scenario(caps, reqs, owner, coeffs=None, w=None, zeta=None):
@@ -631,19 +637,81 @@ def start_cases():
 
 
 def test_start_points_follow_the_per_restart_streams():
-    """Restart r > 0 starts at u * v(d), where u = rng.uniform() and
-    d = rng.uniform(size=draw_shape) come, in that order, from
-    default_rng(SeedSequence([seed, tag, ident, r])); restart 0 at zero."""
+    """Restart r > 0 starts at u * v(d), where u and then d (draw_shape
+    doubles) come from restart r's row of oracles.restart_draws; restart 0
+    at zero."""
     for s, tag, ident, shape in start_cases():
         x0 = solver._starts(s, tag, ident, 6, shape, lambda d: 2.0 * d)
         assert x0.shape == (6, *shape)
         assert not x0[0].any()
-        for r in range(1, 6):
-            rng = np.random.default_rng(np.random.SeedSequence([s.seed, tag, ident, r]))
-            scale = rng.uniform()
-            want = scale * (2.0 * rng.uniform(size=shape))
+        draws = restart_draws(s.seed, tag, ident, 6, 1 + int(np.prod(shape)))
+        for r, row in enumerate(draws, start=1):
+            want = row[0] * (2.0 * row[1:].reshape(shape))
             assert x0[r].tobytes() == want.tobytes(), f"tag {tag:#x} restart {r}"
         assert solver._starts(s, tag, ident, 1, shape, lambda d: 2.0 * d).shape == (1, *shape)
+
+
+def test_start_streams_match_the_reference_bit_for_bit():
+    """Seeds of one, two and three 32-bit words and None, idents at the
+    edges of the 64-ident seeding blocks, and restart counts that draw
+    nothing, one row, or more rows than a block of 16: every scale and
+    factor is restart_draws' double.  A single restart seeds nothing."""
+    base = generate_scenario(2, 2, 2, utility="sigmoid", mu=3.0, seed=0)
+    shape = (2, 3)
+    tags = itertools.cycle((solver._NATIVE_TAG, solver._RESIDUAL_TAG, solver._COALITION_TAG))
+    for seed, ident, restarts in itertools.product(
+            (0, 7, 2**32 - 1, 2**32, 2**64 + 5, None), (0, 63, 64, 65, 2**24 - 1),
+            (1, 2, 16, 33)):
+        s, tag = dataclasses.replace(base, seed=seed), next(tags)
+        seen = []
+        before = solver._seed_block.cache_info()
+        x0 = solver._starts(s, tag, ident, restarts, shape,
+                            lambda d: seen.append(d.copy()) or np.ones_like(d))
+        case = f"seed {seed} tag {tag:#x} ident {ident} restarts {restarts}"
+        if restarts == 1:
+            assert x0.tobytes() == np.zeros((1, *shape)).tobytes(), case
+            assert solver._seed_block.cache_info() == before, case
+            continue
+        want = restart_draws(seed, tag, ident, restarts, 1 + int(np.prod(shape)))
+        assert x0[1:, 0, 0].tobytes() == want[:, 0].tobytes(), case
+        assert seen[0].reshape(restarts - 1, -1).tobytes() == want[:, 1:].tobytes(), case
+
+
+def test_solves_repeat_bit_for_bit_around_other_solves_and_draws():
+    """The restart streams share one generator and a memo of seed blocks:
+    every native, residual and coalition solve (pooled and in member
+    coordinates) gives the same value and allocation from a cold memo, and
+    again after solves of other seeds and restart counts, after draws from
+    the caller's own generator, and after a 32-bit draw from the shared
+    one, which leaves half a word buffered."""
+    def solves(seed, restarts):
+        s = generate_scenario(3, 2, 3, utility="sigmoid", mu=3.0, seed=seed)
+        sw = dataclasses.replace(s, zeta=np.full(3, 0.5))
+        reqs = s.requests.copy()
+        return {
+            "native": lambda: solve_native(s, 1, restarts=restarts),
+            "residual": lambda: solve_residual(s, 2, 0.5 * s.capacities[2], reqs,
+                                               restarts=restarts),
+            "pooled": lambda: solve_coalition(s, Coalition(0b101), restarts=restarts),
+            "members": lambda: solve_coalition(sw, Coalition(0b011), restarts=restarts),
+        }
+
+    cases = {"A": solves(3, 16), "B": solves(2**32 + 3, 16), "C": solves(3, 5)}
+
+    def run(name):
+        return {kind: (rep.value, rep.allocation.x.tobytes())
+                for kind, rep in ((kind, solve()) for kind, solve in cases[name].items())}
+
+    cold = {}
+    for name in cases:
+        solver._seed_block.cache_clear()
+        cold[name] = run(name)
+    assert cold["A"] != cold["B"]
+    rng = np.random.default_rng(1)
+    for name in ("A", "B", "C", "A", "C", "B", "A"):
+        rng.random(3)
+        solver._generator()[1].integers(2**32, dtype=np.uint32)
+        assert run(name) == cold[name], name
 
 
 def test_coalition_solves_draw_the_coalition_streams(monkeypatch):
@@ -676,11 +744,10 @@ def test_coalition_solves_draw_the_coalition_streams(monkeypatch):
             if not pooled:
                 assert x0.shape == (5, prob.size, *prob.reqs.shape)
                 continue
-            for r in range(1, 5):
-                rng = np.random.default_rng(np.random.SeedSequence([s.seed, tag, c.mask, r]))
-                scale = rng.uniform()
-                gamma = rng.uniform(size=shape)[:, prob.size:]
-                want = scale * solver._greedy_fill(gamma.T, prob.caps.sum(axis=0), prob.reqs)
+            draws = restart_draws(s.seed, tag, c.mask, 5, 1 + int(np.prod(shape)))
+            for r, row in enumerate(draws, start=1):
+                gamma = row[1:].reshape(shape)[:, prob.size:]
+                want = row[0] * solver._greedy_fill(gamma.T, prob.caps.sum(axis=0), prob.reqs)
                 assert x0[r].tobytes() == want.tobytes(), f"{c.label()} restart {r}"
     assert paths == {True, False}
 
