@@ -29,6 +29,15 @@ northwest-corner staircase against their capacities.  Other coalitions
 run in member coordinates with the transportation LP as oracle, one per
 resource and distinct gradient slice.
 
+Where such an objective is convex, each run's Frank-Wolfe gap is also
+bounded without an LP, by LP duality (_transport_gap_bound): u-v prices
+of the transportation problem at the run's point.  From round 2 on, a run
+whose bound, plus a rounding allowance, is below its gap tolerance stops
+before its LPs are solved.  The bound is at least the gap of any vertex
+the LP could return, so the gap test would stop that run in that round
+too: points, values and round counts are those of the LP path, and the
+reported gap is the certified bound.
+
 Start points (_starts): restart 0 starts at zero; restart r > 0 draws a
 scale and uniform factors from the PCG64 stream that SeedSequence([scenario
 seed, solve tag, player or mask, r]) seeds, and starts at the scaled vertex
@@ -71,6 +80,9 @@ class SolveReport:
     solver_kind: str  # "exact_linear" | "multistart_fw"
     iterations: int
     restarts_used: int
+    # the best run's Frank-Wolfe gap when it stopped: <grad, s - x> at the
+    # oracle's vertex s, or, for a run stopped on its LP duality bound
+    # (convex member-coordinate solves), that bound; 0 for exact solves
     gap: float
     wall_time: float
 
@@ -210,10 +222,15 @@ def _lmo_highs(profit: np.ndarray, supplies: np.ndarray, demands: np.ndarray) ->
     x = np.maximum(np.array(h.getSolution().col_value).reshape(u_count, i_count), 0.0)
     x[profit <= 0] = 0.0
     # strict feasibility despite LP tolerance dust: shrink rows then columns
+    # (only when some sum exceeds its bound; the other factors are exactly 1)
     row = x.sum(axis=1)
-    np.multiply(x, np.where(row > supplies, supplies / np.maximum(row, 1e-300), 1.0)[:, None], out=x)
+    if (row > supplies).any():
+        np.multiply(x, np.where(row > supplies, supplies / np.maximum(row, 1e-300), 1.0)[:, None],
+                    out=x)
     col = x.sum(axis=0)
-    np.multiply(x, np.where(col > demands, demands / np.maximum(col, 1e-300), 1.0)[None, :], out=x)
+    if (col > demands).any():
+        np.multiply(x, np.where(col > demands, demands / np.maximum(col, 1e-300), 1.0)[None, :],
+                    out=x)
     return x
 
 
@@ -230,15 +247,68 @@ def lmo_transport(profit: np.ndarray, supplies: np.ndarray, demands: np.ndarray)
     demands = np.asarray(demands, dtype=float)
     if profit.shape != (supplies.size, demands.size):
         raise ValueError("profit shape must be (len(supplies), len(demands))")
-    if not np.all(np.isfinite(profit)):
+    if not np.isfinite(profit).all():
         raise ValueError("profits must be finite")
-    if np.any(supplies < 0) or np.any(demands < 0):
+    if not ((supplies >= 0).all() and (demands >= 0).all()):  # NaN fails too
         raise ValueError("supplies and demands must be >= 0")
     if supplies.size == 1:
         return _greedy_fill(profit.T, supplies, demands[:, None]).T
     if demands.size == 1:
         return _greedy_fill(profit, demands, supplies[:, None])
     return _lmo_highs(profit, supplies, demands)
+
+
+def _transport_gap_bound(profit: np.ndarray, point: np.ndarray, supplies: np.ndarray,
+                        demands: np.ndarray):
+    """Upper bounds on max{<profit, s>} - <profit, point> over the
+    transportation polytopes of lmo_transport, with no LP solved: one per
+    leading index of profit and point (..., S, M, K), summed over the
+    resources K, against supplies (S, K) and demands (M, K).  Returns the
+    bounds and, per bound, a rounding allowance: a bound plus its
+    allowance is at least the gap, in floating point, that the difference
+    of any vertex lmo_transport returns and the point has.
+
+    By LP duality any prices alpha >= 0 on the supply rows, with
+    beta_i = max(0, max_u(profit_ui - alpha_u)) on the demand rows, give
+    max <profit, s> <= supplies . alpha + demands . beta.  The prices are
+    the u-v prices of the transportation problem at the point: a row or
+    column with slack is priced 0, and over every positive cell of the
+    point alpha_u + beta_i = profit_ui, solved by alternate sweeps from
+    those anchors (rows never reached stay at 0; rows of zero supply are
+    priced at their largest profit, so they bind no column).  At a point
+    that is an optimal, non-degenerate vertex for profit these are the
+    optimal duals and the bound is 0 up to rounding.
+
+    The allowance is a generous multiple of unit roundoff times every
+    magnitude either side sums: the bound's terms, |profit| . point, the
+    vertex side (at most max|profit| times the total supply) and the
+    rounding of beta (at most max alpha times the total supply).  So a
+    bound plus its allowance is never negative, and a zero tolerance
+    certifies nothing."""
+    p, y = np.moveaxis(profit, -1, -3), np.moveaxis(point, -1, -3)  # (..., K, S, M)
+    a, b = supplies.T, demands.T  # (K, S), (K, M)
+    pos = y > 0
+    rows, cols = y.sum(axis=-1), y.sum(axis=-2)
+    known_a, known_b = rows < a * (1 - 1e-9), cols < b * (1 - 1e-9)
+    alpha, beta = np.zeros(rows.shape), np.zeros(cols.shape)
+    for _ in range(a.shape[-1] + 1):  # each pair of sweeps reaches one more row
+        cand = np.where(pos & known_a[..., :, None], p - alpha[..., :, None], -np.inf).max(axis=-2)
+        new = ~known_b & (cand > -np.inf)
+        beta, known_b = np.where(new, cand, beta), known_b | new
+        cand = np.where(pos & known_b[..., None, :], p - beta[..., None, :], -np.inf).max(axis=-1)
+        new = ~known_a & (cand > -np.inf)
+        if not new.any():
+            break
+        alpha, known_a = np.where(new, cand, alpha), known_a | new
+    alpha = np.where(a > 0, np.maximum(alpha, 0.0), np.maximum(p.max(axis=-1), 0.0))
+    beta = np.maximum((p - alpha[..., :, None]).max(axis=-2), 0.0)
+    priced = (a * alpha).sum(axis=-1) + (b * beta).sum(axis=-1)
+    at_point = (p * y).sum(axis=(-2, -1))
+    reach = (np.abs(p).max(axis=(-2, -1)) + alpha.max(axis=-1)) * a.sum(axis=-1)
+    scale = priced + (np.abs(p) * y).sum(axis=(-2, -1)) + reach
+    terms = int(np.prod(p.shape[-3:])) + a.size + b.size
+    allowance = 4.0 * (terms + 8) * np.finfo(float).eps * scale.sum(axis=-1)
+    return (priced - at_point).sum(axis=-1), allowance
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +348,15 @@ def _best_steps(value_at, n: int, coarse: int = 17, refine: int = 24):
     return best_g, best_v
 
 
-def _batched_frank_wolfe(evaluate, objective, lmo, x0: np.ndarray, gap_tol: float,
+def _batched_frank_wolfe(evaluate, objective, lmo, bound, x0: np.ndarray, gap_tol: float,
                          convex: bool):
     """Conditional gradient ascent from each start x0[r], all runs advancing
     in lockstep along the leading axis.  evaluate maps a batch of points to
     their values, one each, and gradients, a batch; objective maps a batch
     to values alone, bit for bit evaluate's; lmo maps a batch to a batch.
+    bound is None or maps a batch of gradients and points to certified
+    upper bounds on their Frank-Wolfe gaps and rounding allowances, one
+    each (_transport_gap_bound).
 
     Each run carries the gradient from the evaluation that moved it, so
     every point is evaluated once.  When the objective is convex on the
@@ -297,6 +370,13 @@ def _batched_frank_wolfe(evaluate, objective, lmo, x0: np.ndarray, gap_tol: floa
     rounds; a stopped run leaves the batch, so every run follows the path
     it would follow alone.  Iterates stay feasible as convex combinations
     of vertices.  Returns per-run (x, f, iterations, gap).
+
+    With a bound, from round 2 on a run whose bound plus allowance is
+    strictly below its tolerance stops before the oracle is called, and
+    its gap is the bound: the bound is at least the gap any vertex of the
+    oracle gives, so the gap test would stop it in that round anyway, at
+    the same point, value and round count.  Other runs go on as without
+    a bound.  A zero gap_tol certifies no run.
     """
     x = x0.copy()
     f, g = evaluate(x)
@@ -306,6 +386,13 @@ def _batched_frank_wolfe(evaluate, objective, lmo, x0: np.ndarray, gap_tol: floa
     live = np.arange(len(x))
     for it in range(1, MAX_ITER + 1):
         xl, gl = x[live], g[live]
+        if bound is not None and it > 1:
+            certified, allowance = bound(gl, xl)
+            done = certified + allowance < gap_tol * np.maximum(1.0, np.abs(f[live]))
+            iters[live[done]], gap[live[done]] = it, certified[done]
+            live, xl, gl = live[~done], xl[~done], gl[~done]
+            if not live.size:
+                break
         d = lmo(gl) - xl
         fw_gap = (gl * d).reshape(len(live), -1).sum(axis=1)
         iters[live], gap[live] = it, fw_gap
@@ -333,9 +420,11 @@ def _batched_frank_wolfe(evaluate, objective, lmo, x0: np.ndarray, gap_tol: floa
     return x, f, iters, gap
 
 
-def _multistart(evaluate, objective, lmo, x0: np.ndarray, gap_tol: float, convex: bool):
+def _multistart(evaluate, objective, lmo, bound, x0: np.ndarray, gap_tol: float,
+                convex: bool):
     """Best run of the batch (the first of equal values): (x, f, iterations, gap)."""
-    x, f, iters, gap = _batched_frank_wolfe(evaluate, objective, lmo, x0, gap_tol, convex)
+    x, f, iters, gap = _batched_frank_wolfe(evaluate, objective, lmo, bound, x0, gap_tol,
+                                            convex)
     best = int(np.argmax(f))
     return x[best], float(f[best]), int(iters[best]), float(gap[best])
 
@@ -469,10 +558,10 @@ def _starts(s: Scenario, tag: int, ident: int, restarts: int, draw_shape,
 
 
 def _receipt_oracles(terms: AppTerms, budget: np.ndarray, weight: float):
-    """Evaluation (value and gradient), objective and linear oracle on
-    batched receipts t (R, M, K): the value is weight * sum_ik g_ik(t_ik),
-    and the reachable receipts are 0 <= t <= requests with
-    sum_i t_ik <= budget_k."""
+    """Evaluation (value and gradient), objective, linear oracle and gap
+    bound (none) on batched receipts t (R, M, K): the value is
+    weight * sum_ik g_ik(t_ik), and the reachable receipts are
+    0 <= t <= requests with sum_i t_ik <= budget_k."""
     def evaluate(t):
         g, gp = terms.value_and_slope(t)
         return weight * g.reshape(len(t), -1).sum(axis=1), weight * gp
@@ -483,7 +572,7 @@ def _receipt_oracles(terms: AppTerms, budget: np.ndarray, weight: float):
     def lmo(g):
         return _greedy_fill(g, budget, terms.requests)
 
-    return evaluate, objective, lmo
+    return evaluate, objective, lmo, None
 
 
 def _solve_receipts(terms: AppTerms, budget: np.ndarray, weight: float, exact: bool,
@@ -497,12 +586,13 @@ def _solve_receipts(terms: AppTerms, budget: np.ndarray, weight: float, exact: b
     built with the receipt oracle.  Every term is convex at receipts up to
     its request, which the oracle never exceeds, so rounds take unit steps.
     Returns (t, value, (solver_kind, iterations, restarts_used, gap))."""
-    evaluate, objective, lmo = _receipt_oracles(terms, budget, weight)
+    oracles = _receipt_oracles(terms, budget, weight)
+    evaluate, objective, lmo, _ = oracles
     if exact:
         t = lmo(evaluate(np.zeros((1, *terms.requests.shape)))[1])[0]
         return t, objective(t[None])[0], ("exact_linear", 0, 0, 0.0)
     x0 = starts(lmo)
-    t, value, iters, gap = _multistart(evaluate, objective, lmo, x0, gap_tol, True)
+    t, value, iters, gap = _multistart(*oracles, x0, gap_tol, True)
     return t, value, ("multistart_fw", iters, len(x0), gap)
 
 
@@ -590,10 +680,14 @@ def _random_staircases(prob: CoalitionProblem, draws: np.ndarray) -> np.ndarray:
 
 
 def _member_oracles(prob: CoalitionProblem):
-    """Evaluation (value and gradient), objective and LP-backed oracle in
-    member coordinates (R, S, MS, K).  The first two take the whole batch;
-    the oracle solves one transport LP per resource and distinct gradient
-    slice, and restarts whose slices are equal share its vertex."""
+    """Evaluation (value and gradient), objective, LP-backed oracle and gap
+    bound in member coordinates (R, S, MS, K).  The first two take the
+    whole batch; the oracle solves one transport LP per resource and
+    distinct gradient slice, and restarts whose slices are equal share its
+    vertex.  The bound (_transport_gap_bound) is given for convex
+    objectives only: there each run sits at the oracle's last vertex, whose
+    u-v prices are near-optimal duals, while a line-search step ends inside
+    the polytope, where the bound seldom certifies.  It is None otherwise."""
     def lmo(gs):
         out = np.empty_like(gs)
         for k in range(gs.shape[-1]):
@@ -605,7 +699,8 @@ def _member_oracles(prob: CoalitionProblem):
                 out[r, ..., k] = vertex_of[key]
         return out
 
-    return prob.evaluate, prob.objective, lmo
+    bound = functools.partial(_transport_gap_bound, supplies=prob.caps, demands=prob.reqs)
+    return prob.evaluate, prob.objective, lmo, bound if prob.convex else None
 
 
 def solve_coalition(
@@ -636,7 +731,7 @@ def solve_coalition(
         x = t[None] if size == 1 else _staircase(prob.caps.T, t.T).transpose(1, 2, 0)
     elif linear:
         # a linear objective's gradient is the constant per-unit credit
-        evaluate, objective, lmo = _member_oracles(prob)
+        evaluate, objective, lmo, _ = _member_oracles(prob)
         x = lmo(evaluate(np.zeros((1, size, *prob.reqs.shape)))[1])[0]
         value, how = objective(x), ("exact_linear", 0, 0, 0.0)
     else:

@@ -128,6 +128,23 @@ def grid_best(caps, reqs, term_batch, step=0.01):
     return best_v, best_x
 
 
+def brute_force_transport(profit, supplies, demands) -> float:
+    """Integer-data exhaustive optimum of max sum profit_ui * x_ui over
+    x >= 0 with row sums <= supplies and column sums <= demands (the
+    constraint matrix is totally unimodular, so an integral optimum
+    exists): every integral x with x_ui <= min(supplies_u, demands_i),
+    enumerated as one array, so keep the product of those ranges small."""
+    profit = np.asarray(profit, dtype=float)
+    supplies = np.asarray(supplies, dtype=float)
+    demands = np.asarray(demands, dtype=float)
+    u_n, i_n = profit.shape
+    top = np.minimum.outer(supplies, demands).astype(int).ravel()
+    x = np.indices(tuple(top + 1)).reshape(top.size, -1).T.astype(float).reshape(-1, u_n, i_n)
+    ok = ((x.sum(axis=2) <= supplies + 1e-9).all(axis=1)
+          & (x.sum(axis=1) <= demands + 1e-9).all(axis=1))
+    return max(0.0, float((x[ok] * profit).sum(axis=(1, 2)).max()))
+
+
 def restart_draws(seed, tag, ident, restarts, width) -> np.ndarray:
     """The doubles the start points of one solve draw, one row of width
     per restart r = 1 .. restarts - 1, each from its own generator:

@@ -32,6 +32,7 @@ from edgeshare.solver import (
 from edgeshare.utility import AppTerms, CoalitionProblem, coalition_objective
 
 from oracles import (
+    brute_force_transport,
     factored_staircase,
     feasibility_violations,
     grid_best,
@@ -97,23 +98,6 @@ def test_lmo_single_supplier_tie_breaks_low_index():
     # equal profits: budget goes to the lowest application index first
     x = lmo_transport(np.array([[1.0, 1.0, 1.0]]), np.array([1.5]), np.ones(3))
     assert np.allclose(x, [[1.0, 0.5, 0.0]])
-
-
-def brute_force_transport(profit, supplies, demands):
-    """Integer-data exhaustive optimum (constraint matrix is totally
-    unimodular, so an integral optimum exists)."""
-    u_n, i_n = profit.shape
-    ranges = [range(int(min(supplies[u], demands[i])) + 1)
-              for u in range(u_n) for i in range(i_n)]
-    best = 0.0
-    for combo in itertools.product(*ranges):
-        x = np.array(combo, dtype=float).reshape(u_n, i_n)
-        if np.any(x.sum(axis=1) > supplies + 1e-9):
-            continue
-        if np.any(x.sum(axis=0) > demands + 1e-9):
-            continue
-        best = max(best, float((profit * x).sum()))
-    return best
 
 
 def test_lmo_matches_integer_brute_force():
@@ -182,6 +166,91 @@ def test_lmo_returns_the_linprog_vertex():
 def test_lmo_rejects_bad_shapes():
     with pytest.raises(ValueError):
         lmo_transport(np.ones((2, 2)), np.ones(3), np.ones(2))
+
+
+@pytest.mark.parametrize("where", ["supplies", "demands"])
+@pytest.mark.parametrize("bad", [np.nan, -1.0])
+def test_lmo_rejects_nan_or_negative_bounds(where, bad):
+    # a NaN passes a `< 0` test; it must be refused as a negative bound is,
+    # before the LP solver sees it
+    bounds = {"supplies": np.ones(2), "demands": np.ones(3)}
+    bounds[where][1] = bad
+    with pytest.raises(ValueError, match="supplies and demands must be >= 0"):
+        lmo_transport(np.ones((2, 3)), bounds["supplies"], bounds["demands"])
+
+
+# ---------------------------------------------------------------------------
+# LP duality bound on the Frank-Wolfe gap
+
+
+def gap_bound(profit, point, supplies, demands):
+    """_transport_gap_bound of one (S, M) slice: (bound, allowance)."""
+    b, a = solver._transport_gap_bound(profit[None, ..., None], point[None, ..., None],
+                                       supplies[:, None], demands[:, None])
+    return float(b[0]), float(a[0])
+
+
+def random_feasible_point(rng, supplies, demands):
+    """A random point of the transportation polytope: nonnegative entries
+    scaled down until every row and column sum fits."""
+    y = rng.uniform(size=(supplies.size, demands.size)) * (rng.uniform(size=(supplies.size,
+                                                                             demands.size)) < 0.6)
+    y *= np.minimum(1.0, supplies / np.maximum(y.sum(axis=1), 1e-300))[:, None]
+    y *= np.minimum(1.0, demands / np.maximum(y.sum(axis=0), 1e-300))[None, :]
+    return y * rng.uniform()
+
+
+def test_gap_bound_is_never_below_the_exact_gap():
+    """Soundness on small integer-bounded instances (tied rows, zero
+    supplies or demands, nonpositive profits): at random feasible points
+    and at the oracle's vertices, the bound plus its allowance is at least
+    the exhaustive optimum less the point's value, and the bound alone
+    falls short of it by rounding at most."""
+    rng = np.random.default_rng(13)
+    cases = 0
+    while cases < 120:
+        u_n, i_n = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        supplies = rng.integers(0, 4, size=u_n).astype(float)
+        demands = rng.integers(0, 3, size=i_n).astype(float)
+        if np.prod(np.minimum.outer(supplies, demands) + 1) > 60_000:
+            continue  # keep the exhaustive search small
+        profit = rng.uniform(0.1, 3.0, size=(u_n, i_n))
+        case = cases % 4
+        if case == 1 and u_n > 1:
+            profit[1:] = profit[1]  # tied rows, as a common-zeta gradient
+        elif case == 2:
+            profit[rng.uniform(size=profit.shape) < 0.4] *= -1.0
+            profit[rng.uniform(size=profit.shape) < 0.2] = 0.0
+        elif case == 3:
+            supplies[rng.integers(u_n)] = 0.0
+            demands[rng.uniform(size=i_n) < 0.3] = 0.0
+        best = brute_force_transport(profit, supplies, demands)
+        points = [random_feasible_point(rng, supplies, demands), np.zeros_like(profit),
+                  lmo_transport(profit, supplies, demands),
+                  lmo_transport(rng.uniform(-1.0, 3.0, size=profit.shape), supplies, demands)]
+        for y in points:
+            want = best - float((profit * y).sum())
+            bound, allowance = gap_bound(profit, y, supplies, demands)
+            assert allowance >= 0.0
+            assert bound + allowance >= want, (u_n, i_n, case)
+            assert bound >= want - 1e-12, (u_n, i_n, case)
+        cases += 1
+
+
+def test_gap_bound_vanishes_at_a_non_degenerate_lp_vertex():
+    """With generic real data the oracle's vertex for the same profits is
+    a non-degenerate optimum, whose u-v prices are the optimal duals."""
+    rng = np.random.default_rng(29)
+    for u_n in (2, 3, 4):
+        for i_n in (2, 5, 8):
+            for _ in range(5):
+                profit = rng.uniform(0.1, 2.0, size=(u_n, i_n))
+                supplies = rng.uniform(1.0, 12.0, size=u_n)
+                demands = rng.uniform(1.0, 6.0, size=i_n)
+                y = lmo_transport(profit, supplies, demands)
+                bound, allowance = gap_bound(profit, y, supplies, demands)
+                assert abs(bound) <= 1e-12, (u_n, i_n)
+                assert 0.0 < allowance < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +615,9 @@ def test_receipt_evaluate_is_objective_and_gradient_bit_for_bit():
         terms = AppTerms.from_scenario(scen, apps)
         assert terms.all_sigmoid is (scen is s)
         for weight in (1.0, 0.5):
-            evaluate, objective, lmo = solver._receipt_oracles(
+            evaluate, objective, lmo, bound = solver._receipt_oracles(
                 terms, scen.capacities.sum(axis=0), weight)
+            assert bound is None
             t = rng.uniform(0.0, 1.2, (7, *terms.requests.shape)) * terms.requests
             t[0] = 0.0
             t[1] = lmo(rng.random(t[1:2].shape))[0]
@@ -828,7 +898,7 @@ def test_run_that_cannot_improve_stops_where_it_is(convex):
     x0 = np.zeros((3, 2, 2))
     x0[1] = 0.25
     x, f, iters, gap = solver._batched_frank_wolfe(
-        evaluate, objective, np.ones_like, x0, solver.DEFAULT_GAP_TOL, convex)
+        evaluate, objective, np.ones_like, None, x0, solver.DEFAULT_GAP_TOL, convex)
     assert np.array_equal(x, x0)
     assert f.tolist() == [0.0, -1.0, 0.0]
     assert iters.tolist() == [1, 1, 1]
@@ -915,3 +985,102 @@ def test_non_convex_solve_searches_the_step(monkeypatch):
     assert rep.value == pytest.approx(coalition_objective(s, rep.allocation, c),
                                       rel=1e-12, abs=1e-12)
     assert any(0.0 < step < 1.0 for step in steps)
+
+
+def member_fw_cases(seeds):
+    """(label, oracles, x0) of every member-coordinate coalition of the
+    3 x 5, w:zeta = 1:0.5 sigmoid scenarios of the given seeds, with the
+    solver's own restarts."""
+    for seed in seeds:
+        s = generate_scenario(3, 3, 5, utility="sigmoid", mu=(1.0, 3.0, 10.0)[seed % 3],
+                              seed=seed, w=1.0, zeta=0.5)
+        for c in all_coalitions(3):
+            if CoalitionProblem.build(s, c).uniform_weight is None:
+                yield f"seed {seed} {c.label()}", *coalition_fw(s, c, solver.DEFAULT_RESTARTS)
+
+
+def count_lps(monkeypatch):
+    """Route solver.lmo_transport through a counter; returns the count."""
+    calls = [0]
+
+    def counted(profit, supplies, demands):
+        calls[0] += 1
+        return lmo_transport(profit, supplies, demands)
+
+    monkeypatch.setattr(solver, "lmo_transport", counted)
+    return calls
+
+
+def test_certified_runs_end_where_the_gap_test_ends_them(monkeypatch):
+    """On convex member-coordinate solves the LP duality bound stops runs
+    in the round the gap test would, at the same point, value and round
+    count, bit for bit, so the best restart is the same; it only skips
+    LPs, and a certified gap is at least the vertex's gap."""
+    calls = count_lps(monkeypatch)
+    with_bound = without = cases = 0
+    for label, oracles, x0 in member_fw_cases(range(6)):
+        evaluate, objective, lmo, bound = oracles
+        assert bound is not None, label
+        before = calls[0]
+        got = solver._batched_frank_wolfe(*oracles, x0, solver.DEFAULT_GAP_TOL, True)
+        with_bound += calls[0] - before
+        before = calls[0]
+        want = solver._batched_frank_wolfe(evaluate, objective, lmo, None, x0,
+                                           solver.DEFAULT_GAP_TOL, True)
+        without += calls[0] - before
+        for k in range(3):  # x, f, iterations
+            assert got[k].tobytes() == want[k].tobytes(), label
+        assert np.all(got[3] >= want[3] - 1e-12), label
+        cases += 1
+    assert cases == 24
+    assert with_bound < 0.75 * without
+
+
+def test_zero_gap_tolerance_certifies_nothing(monkeypatch):
+    """With gap_tol = 0 no bound plus allowance is below the tolerance, so
+    every run calls the oracle every round, as without the bound."""
+    calls = count_lps(monkeypatch)
+    for label, oracles, x0 in itertools.islice(member_fw_cases([0, 1]), 3):
+        before = calls[0]
+        got = solver._batched_frank_wolfe(*oracles, x0, 0.0, True)
+        counted = calls[0] - before
+        before = calls[0]
+        want = solver._batched_frank_wolfe(*oracles[:3], None, x0, 0.0, True)
+        assert counted == calls[0] - before, label
+        for k in range(4):
+            assert got[k].tobytes() == want[k].tobytes(), label
+
+
+@pytest.mark.parametrize("gap_tol, lmo_calls", [(0.0, [2, 2]), (1e-6, [2])])
+def test_a_bound_must_fall_strictly_below_the_tolerance(gap_tol, lmo_calls):
+    """A zero bound with a zero allowance certifies a positive tolerance
+    but not a zero one; either way the runs end as the gap test ends
+    them.  The stub moves every run to the vertex in round 1, where the
+    bound first applies and its gap is 0."""
+    calls = []
+
+    def lmo(g):
+        calls.append(len(g))
+        return np.ones_like(g)
+
+    def objective(x):
+        return x.reshape(len(x), -1).sum(axis=1)
+
+    def evaluate(x):
+        return objective(x), np.ones_like(x)
+
+    def bound(g, x):
+        return np.zeros(len(g)), np.zeros(len(g))
+
+    x, f, iters, gap = solver._batched_frank_wolfe(
+        evaluate, objective, lmo, bound, np.zeros((2, 3)), gap_tol, True)
+    assert calls == lmo_calls
+    assert np.array_equal(x, np.ones((2, 3)))
+    assert (f.tolist(), iters.tolist(), gap.tolist()) == ([3.0, 3.0], [2, 2], [0.0, 0.0])
+
+
+def test_only_convex_member_solves_get_a_bound():
+    for w, zeta in ((1.0, 0.5), (0.5, 1.0)):
+        s = generate_scenario(3, 3, 3, utility="sigmoid", mu=3.0, seed=2, w=w, zeta=zeta)
+        prob = CoalitionProblem.build(s, Coalition.grand(3))
+        assert (solver._member_oracles(prob)[3] is not None) is prob.convex is (w > zeta)
