@@ -49,7 +49,6 @@ from .utility import (
     breakdown,
     coalition_objective,
     eval_own,
-    eval_shared,
 )
 
 __version__ = "0.1.0"
@@ -75,7 +74,6 @@ __all__ = [
     "compare_methods",
     "core_verify",
     "eval_own",
-    "eval_shared",
     "fast_core",
     "generate_scenario",
     "lmo_transport",

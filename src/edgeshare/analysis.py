@@ -1,9 +1,10 @@
 """Verification and comparison of payoff pipelines.
 
 Everything here checks claims by explicit inequality sweeps against a
-characteristic table: core membership (no coalition can do better alone),
-superadditivity of the value function, and the wall-time/solve-count
-comparison between the Shapley and fast pipelines.
+characteristic table: core membership (no coalition can do better alone,
+one array comparison over every mask), superadditivity of the value
+function (every disjoint pair), and the wall-time/solve-count comparison
+between the Shapley and fast pipelines.
 """
 from __future__ import annotations
 
@@ -14,22 +15,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import (
+    TABLE_PLAYER_LIMIT,
     CharacteristicTable,
-    FastCoreResult,
-    build_characteristic_table,
     fast_core,
-    shapley_from_table,
+    shapley_payoffs,
 )
 from .model import Coalition, Scenario
 from .solver import DEFAULT_GAP_TOL, DEFAULT_RESTARTS
 
 DEFAULT_CORE_TOL = 1e-6
-SHAPLEY_PLAYER_LIMIT = 12  # beyond this the 2^N table is not built by default
 
 
 @dataclass(frozen=True)
 class CoreReport:
-    """Result of checking one payoff vector against a complete table.
+    """Result of checking one payoff vector against a characteristic table.
 
     deficits maps each violated coalition mask to v(S) minus the members'
     total payoff (always positive when present).  A payoff vector is in the
@@ -74,22 +73,18 @@ def core_verify(
     n = table.n_players
     if payoffs.shape != (n,):
         raise ValueError(f"payoffs must have shape ({n},)")
-    if not table.is_complete:
-        raise ValueError("core verification needs a complete table")
+    # member_sum[mask] = member_sum[mask without its lowest bit p] + payoffs[p]:
+    # the masks whose lowest bit is p start at 1 << p, every 2 << p
     member_sum = np.zeros(1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        member_sum[mask] = member_sum[mask ^ low] + payoffs[low.bit_length() - 1]
-    deficits = {}
-    for mask in range(1, 1 << n):
-        short = table.value(mask) - member_sum[mask]
-        if short > tol:
-            deficits[mask] = float(short)
+    for p in reversed(range(n)):
+        member_sum[1 << p::2 << p] = member_sum[::2 << p] + payoffs[p]
+    short = table.values - member_sum[1:]
+    deficits = {int(i) + 1: float(short[i]) for i in np.flatnonzero(short > tol)}
     return CoreReport(
         tolerance=tol,
         payoffs=tuple(float(p) for p in payoffs),
         total=float(payoffs.sum()),
-        grand_value=table.value(table.grand_mask),
+        grand_value=float(table.values[-1]),
         deficits=deficits,
     )
 
@@ -117,9 +112,8 @@ def superadditivity_audit(
 ) -> SuperadditivityReport:
     """Exhaustively check merging gains over every unordered pair of
     disjoint nonempty coalitions in the table."""
-    if not table.is_complete:
-        raise ValueError("superadditivity audit needs a complete table")
-    grand = table.grand_mask
+    v = [0.0, *table.values.tolist()]  # v[mask]; list indexing beats array indexing here
+    grand = len(v) - 1
     checked = 0
     violations = []
     for m1 in range(1, grand + 1):
@@ -128,7 +122,7 @@ def superadditivity_audit(
         while m2:
             if m2 < m1:
                 checked += 1
-                gap = table.value(m1) + table.value(m2) - table.value(m1 | m2)
+                gap = v[m1] + v[m2] - v[m1 | m2]
                 if gap > tol:
                     violations.append((m2, m1, float(gap)))
             m2 = (m2 - 1) & comp
@@ -191,18 +185,16 @@ def compare_methods(
     Each repetition runs each full pipeline once, Shapley then fast, so a
     drift in host speed falls on both alike; the reported numbers come from
     the first repetition, the median from all of them.  Shapley is skipped
-    automatically above SHAPLEY_PLAYER_LIMIT players unless forced.
+    automatically above TABLE_PLAYER_LIMIT players; forced there, it is a
+    ValueError before any solve.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     if include_shapley is None:
-        include_shapley = s.n_players <= SHAPLEY_PLAYER_LIMIT
+        include_shapley = s.n_players <= TABLE_PLAYER_LIMIT
 
-    def run_shapley():
-        table = build_characteristic_table(s, restarts=restarts, gap_tol=gap_tol)
-        return shapley_from_table(table), table
-
-    pipelines = {"shapley": run_shapley} if include_shapley else {}
+    pipelines = ({"shapley": lambda: shapley_payoffs(s, restarts=restarts, gap_tol=gap_tol)}
+                 if include_shapley else {})
     pipelines["fast"] = lambda: fast_core(s, restarts=restarts, gap_tol=gap_tol)
     first, times = {}, {name: [] for name in pipelines}
     for _ in range(repetitions):
@@ -221,7 +213,7 @@ def compare_methods(
             method="shapley", payoffs=tuple(map(float, phi)),
             total=float(phi.sum()), solves=len(table.reports),
             times_ms=tuple(times["shapley"]))
-        grand_value = table.value(table.grand_mask)
+        grand_value = float(table.values[-1])
         standalone = tuple(map(float, table.singleton_values()))
 
     fast_result = first["fast"]

@@ -56,45 +56,43 @@ def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
 # CSV emission
 
 
-def coalition_rows(s: model.Scenario, table: engine.CharacteristicTable | None,
-                   payoff_rows: list[tuple[str, np.ndarray]]) -> list[list]:
-    """Value rows (one per solved coalition, ascending mask) followed by one
-    grand-coalition payoff row per method.  The solved allocations of each
+def coalition_rows(s: model.Scenario, table: engine.CharacteristicTable) -> list[list]:
+    """One value row per coalition, ascending mask, its value split over
+    the members as its allocation credits them.  The allocations of each
     ATTRIBUTION_BLOCK masks are attributed in one breakdown call."""
     from .utility import breakdown
 
     rows: list[list] = []
-    masks = sorted(table.values) if table is not None else []
-    for lo in range(0, len(masks), ATTRIBUTION_BLOCK):
-        block = masks[lo:lo + ATTRIBUTION_BLOCK]
-        solved = [m for m in block if m in table.reports]
-        split = (dict(zip(solved, breakdown(s, [table.reports[m].allocation for m in solved])))
-                 if solved else {})
-        for mask in block:
+    for lo in range(1, 1 << s.n_players, ATTRIBUTION_BLOCK):
+        block = range(lo, min(lo + ATTRIBUTION_BLOCK, 1 << s.n_players))
+        split = breakdown(s, [table.reports[m].allocation for m in block])
+        for mask, players in zip(block, split):
             coalition = model.Coalition(mask)
-            per_player = [0.0] * s.n_players
-            if mask in split:
-                for b in split[mask]:
-                    if coalition.contains(b.player):
-                        per_player[b.player] = b.weighted_total
-            elif coalition.size == 1:
-                # a singleton solved without an allocation (the fast route's
-                # phase one) earns its whole value
-                per_player[coalition.members()[0]] = table.value(mask)
+            per_player = [b.weighted_total if coalition.contains(b.player) else 0.0
+                          for b in players]
             rows.append([mask, coalition.size, coalition.label(),
                          table.value(mask), *per_player])
-    grand = model.Coalition.grand(s.n_players)
-    for method, payoffs in payoff_rows:
-        rows.append([grand.mask, grand.size, f"{grand.label()} {method}",
-                     float(np.sum(payoffs)), *[float(p) for p in payoffs]])
     return rows
 
 
-def write_coalition_csv(path: Path, s: model.Scenario,
-                        table: engine.CharacteristicTable | None,
+def singleton_rows(values: np.ndarray) -> list[list]:
+    """One value row per singleton coalition, each value credited wholly to
+    its member (the fast route solves no coalition but these)."""
+    n = len(values)
+    return [[1 << p, 1, model.Coalition(1 << p).label(), float(v),
+             *[float(v) if q == p else 0.0 for q in range(n)]]
+            for p, v in enumerate(values)]
+
+
+def write_coalition_csv(path: Path, s: model.Scenario, value_rows: list[list],
                         payoff_rows: list[tuple[str, np.ndarray]]) -> None:
+    """value_rows, then one grand-coalition payoff row per method."""
+    grand = model.Coalition.grand(s.n_players)
+    rows = value_rows + [[grand.mask, grand.size, f"{grand.label()} {method}",
+                          float(np.sum(payoffs)), *[float(p) for p in payoffs]]
+                         for method, payoffs in payoff_rows]
     header = ["mask", "size", "members", "value", *_player_columns(s.n_players)]
-    _write_rows(path, header, coalition_rows(s, table, payoff_rows))
+    _write_rows(path, header, rows)
 
 
 def write_payoffs_csv(path: Path, entries: list[tuple[str, np.ndarray, np.ndarray]]) -> None:
@@ -257,8 +255,6 @@ def cmd_run(args, parser) -> int:
     from time import perf_counter
 
     s = _load(args)
-    if args.method in ("shapley", "both") and s.n_players > model.MAX_PLAYERS:
-        parser.error(f"coalition enumeration caps at {model.MAX_PLAYERS} players; use --method fast")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     mu = s.utilities[0].mu if s.utilities[0].kind == "sigmoid" else ""
@@ -293,11 +289,9 @@ def cmd_run(args, parser) -> int:
     if phi is not None:
         payoff_rows.append(("shapley", phi))
         payoff_entries.append(("shapley", phi, standalone))
-    if table is None:
-        # no enumeration: report the singleton values the fast route solved
-        singles = {1 << n: float(v) for n, v in enumerate(s.w * fast_result.phase1)}
-        table = engine.CharacteristicTable(n_players=s.n_players, values=singles, reports={})
-    write_coalition_csv(outdir / "coalition.csv", s, table, payoff_rows)
+    value_rows = (coalition_rows(s, table) if table is not None
+                  else singleton_rows(standalone))
+    write_coalition_csv(outdir / "coalition.csv", s, value_rows, payoff_rows)
     write_payoffs_csv(outdir / "payoffs.csv", payoff_entries)
     _write_rows(outdir / "comparison.csv", COMPARISON_HEADER, comparison_rows)
     print(f"wrote {outdir / 'coalition.csv'}, {outdir / 'payoffs.csv'} "
@@ -307,9 +301,6 @@ def cmd_run(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     s = _load(args)
-    if s.n_players > model.MAX_PLAYERS:
-        parser.error("core verification needs the full table; "
-                     f"caps at {model.MAX_PLAYERS} players")
     tol = args.tol
     vectors: dict[str, np.ndarray] = {}
     if args.payoffs:

@@ -2,9 +2,11 @@
 
 Two payoff pipelines share the same subproblem solvers.  The Shapley route
 solves one pooled allocation problem per nonempty coalition (2^N - 1
-solves) and averages marginal contributions; the fast route performs one
-native solve and one residual-sharing solve per player (2N solves), paying
-each provider what its own capacity earns.
+solves, up to TABLE_PLAYER_LIMIT players), keeps the values as one array
+indexed by mask, and averages marginal contributions with one array sweep
+per player; the fast route performs one native solve and one
+residual-sharing solve per player (2N solves), paying each provider what
+its own capacity earns.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Allocation, Coalition, Scenario, all_coalitions
+from .model import Allocation, Scenario, all_coalitions
 from .solver import (
     DEFAULT_GAP_TOL,
     DEFAULT_RESTARTS,
@@ -24,51 +26,60 @@ from .solver import (
 )
 
 
+# The table stores 2^N - 1 values and keeps every coalition's allocation in
+# its reports, so time and memory double per player.  With 3 linear apps
+# per player on 2 cores, run --method both takes 6.6 s and 299 MB of peak
+# RSS at N = 14, and 14 s and 628 MB at N = 15.
+TABLE_PLAYER_LIMIT = 14
+
+
 @dataclass(frozen=True)
 class CharacteristicTable:
-    """Coalition values (and the solves that produced them) keyed by mask."""
+    """The value of every nonempty coalition and the solves behind them.
 
-    n_players: int
-    values: dict[int, float]
+    values[mask - 1] is v(S) for masks 1 ... 2^N - 1, a read-only float
+    array; N is read off its length.  reports maps each mask to its solve.
+    """
+
+    values: np.ndarray
     reports: dict[int, SolveReport]
 
-    def value(self, coalition: Coalition | int) -> float:
-        mask = coalition.mask if isinstance(coalition, Coalition) else coalition
-        if mask == 0:
-            return 0.0  # empty coalition earns nothing by definition
-        return self.values[mask]
+    def __post_init__(self):
+        values = np.array(self.values, dtype=float)
+        if values.ndim != 1 or values.size < 1 or (values.size + 1) & values.size:
+            raise ValueError("a characteristic table holds 2^N - 1 values, one per "
+                             f"nonempty coalition; got shape {values.shape}")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @property
-    def grand_mask(self) -> int:
-        return (1 << self.n_players) - 1
+    def n_players(self) -> int:
+        return self.values.size.bit_length()
 
-    @property
-    def is_complete(self) -> bool:
-        return all(m in self.values for m in range(1, 1 << self.n_players))
+    def value(self, mask: int) -> float:
+        """v(S) of the coalition with this mask; the empty one earns 0."""
+        return float(self.values[mask - 1]) if mask else 0.0
 
     def singleton_values(self) -> np.ndarray:
-        return np.array([self.value(1 << n) for n in range(self.n_players)])
+        return self.values[(1 << np.arange(self.n_players)) - 1]
 
 
 def build_characteristic_table(
     s: Scenario,
-    masks=None,
     restarts: int = DEFAULT_RESTARTS,
     gap_tol: float = DEFAULT_GAP_TOL,
 ) -> CharacteristicTable:
-    """Solve the pooled problem for each requested coalition (default: all
-    2^N - 1), serially in ascending mask order."""
-    mask_list = sorted(
-        c.mask if isinstance(c, Coalition) else int(c)
-        for c in (masks if masks is not None else all_coalitions(s.n_players))
-    )
-    reports = {m: solve_coalition(s, Coalition(m), restarts=restarts, gap_tol=gap_tol)
-               for m in mask_list}
-    return CharacteristicTable(
-        n_players=s.n_players,
-        values={m: r.value for m, r in reports.items()},
-        reports=reports,
-    )
+    """Solve the pooled problem of all 2^N - 1 coalitions, serially in
+    ascending mask order.  Above TABLE_PLAYER_LIMIT players nothing is
+    solved: that is a ValueError."""
+    if s.n_players > TABLE_PLAYER_LIMIT:
+        raise ValueError(
+            f"the exact characteristic table is limited to {TABLE_PLAYER_LIMIT} players "
+            f"(2^N - 1 coalition solves), and this scenario has N = {s.n_players}; "
+            "run --method fast splits it without a table")
+    reports = {c.mask: solve_coalition(s, c, restarts=restarts, gap_tol=gap_tol)
+               for c in all_coalitions(s.n_players)}
+    return CharacteristicTable(values=[r.value for r in reports.values()], reports=reports)
 
 
 # ---------------------------------------------------------------------------
@@ -76,23 +87,23 @@ def build_characteristic_table(
 
 
 def shapley_from_table(table: CharacteristicTable) -> np.ndarray:
-    """Shapley payoff of each player from a complete characteristic table:
-    the factorial-weighted average of marginal contributions over all
-    coalitions not containing the player."""
+    """Shapley payoff of each player: the factorial-weighted average of its
+    marginal contributions over all coalitions not containing it.  Each
+    player's sum runs in ascending mask order, one term after another."""
     n = table.n_players
-    if not table.is_complete:
-        raise ValueError("Shapley payoffs need a complete characteristic table")
     fact = [math.factorial(i) for i in range(n + 1)]
-    denom = fact[n]
-    weights = [fact[size] * fact[n - size - 1] / denom for size in range(n)]
+    weights = np.array([fact[size] * fact[n - size - 1] / fact[n] for size in range(n)])
+    size = np.array([mask.bit_count() for mask in range(1 << n)])
+    v = np.concatenate(([0.0], table.values))
     phi = np.zeros(n)
     for player in range(n):
-        bit = 1 << player
-        for mask in range(1 << n):
-            if mask & bit:
-                continue
-            gain = table.value(mask | bit) - table.value(mask)
-            phi[player] += weights[mask.bit_count()] * gain
+        # rows hold the masks without player's bit ([:, 0]) and with it
+        # ([:, 1]); raveled, both run in ascending mask order
+        pairs = v.reshape(-1, 2, 1 << player)
+        terms = (weights[size.reshape(pairs.shape)[:, 0]] * (pairs[:, 1] - pairs[:, 0])).ravel()
+        # cumsum adds in sequence, as np.sum does not; the 0.0 + keeps the
+        # sign of an all-zero sum what a running total from 0.0 gives
+        phi[player] = 0.0 + np.cumsum(terms)[-1]
     return phi
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -211,12 +211,6 @@ class Coalition:
     def contains(self, player: int) -> bool:
         return bool(self.mask >> player & 1)
 
-    def union(self, other: "Coalition") -> "Coalition":
-        return Coalition(self.mask | other.mask)
-
-    def is_disjoint(self, other: "Coalition") -> bool:
-        return self.mask & other.mask == 0
-
     def label(self) -> str:
         return "{" + ",".join(str(p + 1) for p in self.members()) + "}"
 
@@ -251,10 +245,6 @@ class Allocation:
     def total_received(self) -> np.ndarray:
         """Per-application receipt summed over providers, shape (M, K)."""
         return self.x.sum(axis=0)
-
-    def used_capacity(self) -> np.ndarray:
-        """Per-provider spend summed over applications, shape (N, K)."""
-        return self.x.sum(axis=1)
 
 
 def audit_allocation(

@@ -240,7 +240,8 @@ def lmo_transport(profit: np.ndarray, supplies: np.ndarray, demands: np.ndarray)
 
     Single-row/column instances use the exact greedy fill; the general case
     is an LP solved by scipy's bundled HiGHS (dual simplex) on one reused
-    instance.
+    instance.  Mismatched shapes, a profit that is not finite and a supply
+    or demand that is negative, NaN or infinite are ValueErrors.
     """
     profit = np.asarray(profit, dtype=float)
     supplies = np.asarray(supplies, dtype=float)
@@ -249,8 +250,9 @@ def lmo_transport(profit: np.ndarray, supplies: np.ndarray, demands: np.ndarray)
         raise ValueError("profit shape must be (len(supplies), len(demands))")
     if not np.isfinite(profit).all():
         raise ValueError("profits must be finite")
-    if not ((supplies >= 0).all() and (demands >= 0).all()):  # NaN fails too
-        raise ValueError("supplies and demands must be >= 0")
+    bounds = np.concatenate([supplies, demands])
+    if not (0 <= bounds.min() and bounds.max() < np.inf):  # a NaN fails too
+        raise ValueError("supplies and demands must be >= 0 and finite")
     if supplies.size == 1:
         return _greedy_fill(profit.T, supplies, demands[:, None]).T
     if demands.size == 1:

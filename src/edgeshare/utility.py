@@ -242,14 +242,6 @@ def eval_own(s: Scenario, alloc: Allocation, n: int) -> float:
     return float(AppTerms.from_scenario(s, apps).value(total).sum())
 
 
-def eval_shared(s: Scenario, alloc: Allocation, n: int) -> dict[int, float]:
-    """Sharing income of supplier n, split by the application owner it
-    serves: the satisfaction lift of n's contribution on top of what was
-    already allocated (native supply first, lower player indices next).
-    All-zero foreign supply maps to all-zero income."""
-    return breakdown(s, alloc)[n].shared
-
-
 @dataclass(frozen=True)
 class UtilityBreakdown:
     """Per-player income split for one allocation.
@@ -257,7 +249,10 @@ class UtilityBreakdown:
     own is what the player retains on its native applications after foreign
     suppliers' credits are carved out (it equals eval_own when nobody tops
     the player's applications up); shared maps each other player j to the
-    income earned by serving j's applications.
+    income earned by serving j's applications: the satisfaction lift of the
+    player's contribution on top of what was already allocated (native
+    supply first, lower player indices next), all zero when it supplies
+    nothing.
     """
 
     player: int

@@ -7,6 +7,7 @@ a hand-traced two-phase split) so a library bug cannot certify itself.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -51,6 +52,32 @@ def shapley_by_permutations(n: int, value_of) -> np.ndarray:
             phi[p] += cur - prev
             prev = cur
     return phi / len(perms)
+
+
+def shapley_by_loop(n: int, value_of) -> np.ndarray:
+    """The subset-sum Shapley formula as a plain loop over masks: for each
+    player, a running total from 0.0 of weight(|S|) * (v(S + p) - v(S))
+    over the masks S without p, ascending.  value_of takes a mask."""
+    fact = [math.factorial(i) for i in range(n + 1)]
+    weights = [fact[size] * fact[n - size - 1] / fact[n] for size in range(n)]
+    phi = np.zeros(n)
+    for player in range(n):
+        bit = 1 << player
+        for mask in range(1 << n):
+            if not mask & bit:
+                phi[player] += weights[mask.bit_count()] * (value_of(mask | bit) - value_of(mask))
+    return phi
+
+
+def member_sums_by_loop(payoffs) -> np.ndarray:
+    """Total payoff of each coalition's members, indexed by mask: each
+    mask's sum is that of the mask without its lowest member, plus that
+    member's payoff."""
+    sums = np.zeros(1 << len(payoffs))
+    for mask in range(1, len(sums)):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + payoffs[low.bit_length() - 1]
+    return sums
 
 
 def two_phase_split(caps, own_demand, w, zeta):

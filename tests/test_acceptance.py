@@ -80,11 +80,9 @@ def sigmoid_cases():
 
 def test_criterion_01_shapley_regression(capsys):
     """The reference three-provider worths reproduce the reference split."""
+    # worths by mask 1 ... 7: {1},{2},{1,2},{3},{1,3},{2,3},{1,2,3}
     table = CharacteristicTable(
-        n_players=3,
-        values={0b001: 36.0, 0b010: 4.37, 0b100: 4.31,
-                0b011: 44.545, 0b101: 44.623, 0b110: 17.37, 0b111: 62.06},
-        reports={})
+        values=[36.0, 4.37, 44.545, 4.31, 44.623, 17.37, 62.06], reports={})
     t0 = time.perf_counter()
     phi = shapley_from_table(table)
     elapsed = time.perf_counter() - t0

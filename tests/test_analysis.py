@@ -9,21 +9,19 @@ from edgeshare.analysis import (
     superadditivity_audit,
     verify_scenario,
 )
-from edgeshare.engine import CharacteristicTable, build_characteristic_table, fast_core, shapley_payoffs
+from edgeshare.engine import (
+    TABLE_PLAYER_LIMIT,
+    CharacteristicTable,
+    fast_core,
+    shapley_payoffs,
+)
 from edgeshare.model import Coalition, generate_scenario
+from edgeshare.solver import solve_coalition
 
 # fixed three-provider reference game used as a regression instance:
-# worths of {1},{2},{3},{1,2},{1,3},{2,3},{1,2,3}
-REFERENCE_VALUES = {
-    0b001: 36.0,
-    0b010: 4.37,
-    0b100: 4.31,
-    0b011: 44.545,
-    0b101: 44.623,
-    0b110: 17.37,
-    0b111: 62.06,
-}
-REFERENCE_TABLE = CharacteristicTable(n_players=3, values=REFERENCE_VALUES, reports={})
+# worths by mask 1 ... 7: {1},{2},{1,2},{3},{1,3},{2,3},{1,2,3}
+REFERENCE_VALUES = [36.0, 4.37, 44.545, 4.31, 44.623, 17.37, 62.06]
+REFERENCE_TABLE = CharacteristicTable(values=REFERENCE_VALUES, reports={})
 
 
 # ---------------------------------------------------------------------------
@@ -46,18 +44,20 @@ def test_greedy_grab_violates_individual_rationality():
 
 
 def test_single_player_core():
-    table = CharacteristicTable(n_players=1, values={1: 7.5}, reports={})
+    table = CharacteristicTable(values=[7.5], reports={})
     assert core_verify(np.array([7.5]), table, tol=1e-9).in_core
 
 
 def test_core_requires_complete_table():
-    partial = CharacteristicTable(n_players=2, values={1: 1.0}, reports={})
-    with pytest.raises(ValueError, match="complete"):
-        core_verify(np.array([1.0, 0.0]), partial, tol=1e-6)
+    # a table short of any coalition cannot be built, so never checked
+    with pytest.raises(ValueError, match="2\\^N - 1 values"):
+        CharacteristicTable(values=[1.0, 0.0], reports={})
+    with pytest.raises(ValueError, match="shape"):
+        core_verify(np.array([1.0, 0.0]), CharacteristicTable(values=[1.0], reports={}))
 
 
 def test_deficit_magnitude_reported():
-    table = CharacteristicTable(n_players=2, values={1: 1.0, 2: 1.0, 3: 4.0}, reports={})
+    table = CharacteristicTable(values=[1.0, 1.0, 4.0], reports={})
     report = core_verify(np.array([3.5, 0.5]), table, tol=1e-6)
     ((coal, deficit),) = report.violated_coalitions()
     assert coal.mask == 0b10
@@ -82,8 +82,7 @@ def test_reference_values_are_superadditive():
 
 
 def test_injected_violation_is_flagged():
-    table = CharacteristicTable(
-        n_players=2, values={1: 3.0, 2: 2.0, 3: 4.0}, reports={})
+    table = CharacteristicTable(values=[3.0, 2.0, 4.0], reports={})
     report = superadditivity_audit(table, tol=1e-9)
     assert not report.ok
     ((m1, m2, gap),) = report.violations
@@ -93,7 +92,7 @@ def test_injected_violation_is_flagged():
 
 
 def test_single_player_vacuously_superadditive():
-    table = CharacteristicTable(n_players=1, values={1: 2.0}, reports={})
+    table = CharacteristicTable(values=[2.0], reports={})
     report = superadditivity_audit(table, tol=1e-9)
     assert report.ok and report.pairs_checked == 0
 
@@ -123,7 +122,7 @@ def test_repetitions_below_one_are_rejected():
 
 
 def test_shapley_skipped_above_player_limit():
-    s = generate_scenario(13, 1, 1, utility="linear", seed=2)
+    s = generate_scenario(TABLE_PLAYER_LIMIT + 1, 1, 1, utility="linear", seed=2)
     rep = compare_methods(s, repetitions=1)
     assert "shapley" not in rep.stats and "fast" in rep.stats
     assert rep.speedup_pct is None
@@ -139,8 +138,7 @@ def test_totals_agree_for_exact_solves():
 def test_standalone_values_match_singletons():
     s = generate_scenario(3, 2, 2, utility="linear", seed=4)
     rep = compare_methods(s, repetitions=1)
-    table = build_characteristic_table(s, masks=[1, 2, 4])
-    want = [table.value(1 << n) for n in range(3)]
+    want = [solve_coalition(s, Coalition(1 << n)).value for n in range(3)]
     assert np.allclose(rep.standalone, want, atol=1e-9)
 
 
@@ -164,8 +162,7 @@ def test_pipelines_alternate_and_report_the_first_repetition(monkeypatch):
             return fn(*args, **kwargs)
         return run
 
-    monkeypatch.setattr(analysis, "build_characteristic_table",
-                        recorded("shapley", build_characteristic_table))
+    monkeypatch.setattr(analysis, "shapley_payoffs", recorded("shapley", shapley_payoffs))
     monkeypatch.setattr(analysis, "fast_core", recorded("fast", fast_core))
     s = generate_scenario(2, 2, 2, utility="linear", seed=7)
     rep = compare_methods(s, repetitions=3)

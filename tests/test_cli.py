@@ -156,7 +156,7 @@ def test_coalition_rows_attribute_each_block_of_masks_in_one_call(monkeypatch):
         return breakdown(scenario, allocs)
 
     monkeypatch.setattr(utility, "breakdown", counted)
-    rows = cli.coalition_rows(s, table, [])
+    rows = cli.coalition_rows(s, table)
     assert cli.ATTRIBUTION_BLOCK == 16 and calls == [16, 15]
     assert [row[0] for row in rows] == list(range(1, 32))
     assert [row[3] for row in rows] == [table.value(m) for m in range(1, 32)]
@@ -165,11 +165,31 @@ def test_coalition_rows_attribute_each_block_of_masks_in_one_call(monkeypatch):
         want = [b.weighted_total if coalition.contains(b.player) else 0.0
                 for b in breakdown(s, table.reports[row[0]].allocation)]
         assert row[4:] == want, coalition.label()
-    calls.clear()  # the fast route's singleton table has nothing to attribute
-    singles = engine.CharacteristicTable(
-        n_players=5, values={1 << n: 1.0 for n in range(5)}, reports={})
-    assert [row[4:] for row in cli.coalition_rows(s, singles, [])] == np.eye(5).tolist()
+    calls.clear()  # the fast route's singleton rows need no attribution
+    singles = cli.singleton_rows(np.ones(5))
+    assert [row[0] for row in singles] == [1, 2, 4, 8, 16]
+    assert [row[4:] for row in singles] == np.eye(5).tolist()
     assert calls == []
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--method", "shapley"], ["run", "--method", "both"], ["verify"]])
+def test_table_above_the_player_limit_exits_2_before_any_solve(tmp_path, capsys, solve_calls,
+                                                                command):
+    scenario = gen(tmp_path, players=engine.TABLE_PLAYER_LIMIT + 1, apps=1, resources=1)
+    capsys.readouterr()
+    assert main([*command, "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"limited to {engine.TABLE_PLAYER_LIMIT} players" in err and "--method fast" in err
+    assert solve_calls == {}
+
+
+def test_bench_forced_shapley_above_the_player_limit_exits_2(tmp_path, capsys, solve_calls):
+    assert main(["bench", "--players", str(engine.TABLE_PLAYER_LIMIT + 1), "--apps", "1",
+                 "--utility", "linear", "--method", "shapley", "--repetitions", "1",
+                 "--out", str(tmp_path)]) == 2
+    assert "--method fast" in capsys.readouterr().err
+    assert solve_calls == {}
 
 
 def test_run_zero_requests_gives_zero_values(tmp_path):

@@ -9,7 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from edgeshare import engine
+from edgeshare.analysis import core_verify
 from edgeshare.engine import (
+    TABLE_PLAYER_LIMIT,
     CharacteristicTable,
     build_characteristic_table,
     fast_core,
@@ -23,9 +26,16 @@ from edgeshare.model import (
     audit_allocation,
     generate_scenario,
 )
+from edgeshare.solver import solve_coalition
 from edgeshare.utility import coalition_objective
 
-from oracles import minform_value, shapley_by_permutations, two_phase_split
+from oracles import (
+    member_sums_by_loop,
+    minform_value,
+    shapley_by_loop,
+    shapley_by_permutations,
+    two_phase_split,
+)
 
 
 def own_demand(s):
@@ -48,14 +58,20 @@ def unit_linear(caps, reqs, owner):
 
 
 def test_empty_coalition_is_zero():
-    table = CharacteristicTable(n_players=2, values={1: 1.0, 2: 1.0, 3: 3.0}, reports={})
+    table = CharacteristicTable(values=[1.0, 1.0, 3.0], reports={})
     assert table.value(0) == 0.0
 
 
-def test_table_completeness_flag():
-    full = CharacteristicTable(n_players=2, values={1: 1.0, 2: 1.0, 3: 3.0}, reports={})
-    partial = CharacteristicTable(n_players=2, values={1: 1.0}, reports={})
-    assert full.is_complete and not partial.is_complete
+def test_table_holds_one_value_per_nonempty_coalition():
+    table = CharacteristicTable(values=[1.0, 2.0, 3.0], reports={})
+    assert table.n_players == 2
+    assert [table.value(m) for m in range(4)] == [0.0, 1.0, 2.0, 3.0]
+    assert table.singleton_values().tolist() == [1.0, 2.0]
+    with pytest.raises(ValueError):
+        table.values[0] = 5.0  # read-only
+    for partial in ([], [1.0, 2.0], [1.0] * 4, [[1.0, 2.0, 3.0]]):
+        with pytest.raises(ValueError, match="2\\^N - 1 values"):
+            CharacteristicTable(values=partial, reports={})
 
 
 def test_table_matches_closed_form_minimum():
@@ -80,11 +96,26 @@ def test_value_monotone_under_superset():
                 assert table.value(sup) >= table.value(mask) - 1e-9
 
 
-def test_partial_table_on_request():
-    s = generate_scenario(3, 2, 2, utility="linear", seed=4)
-    table = build_characteristic_table(s, masks=[1, 2, 4])
-    assert set(table.values) == {1, 2, 4}
-    assert not table.is_complete
+def test_table_player_limit_runs_at_the_limit_and_solves_nothing_above(monkeypatch):
+    """The limit itself builds its table; one player more is refused before
+    the first solve.  Solves are counted, not run."""
+    calls = []
+    report = solve_coalition(generate_scenario(1, 1, 1, utility="linear", seed=0), Coalition(1))
+
+    def counted(s, coalition, **kwargs):
+        calls.append(coalition.mask)
+        return report
+
+    monkeypatch.setattr(engine, "solve_coalition", counted)
+    at = generate_scenario(TABLE_PLAYER_LIMIT, 1, 1, utility="linear", seed=0)
+    table = build_characteristic_table(at)
+    assert calls == list(range(1, 1 << TABLE_PLAYER_LIMIT))
+    assert table.n_players == TABLE_PLAYER_LIMIT
+    calls.clear()
+    above = generate_scenario(TABLE_PLAYER_LIMIT + 1, 1, 1, utility="linear", seed=0)
+    with pytest.raises(ValueError, match=f"limited to {TABLE_PLAYER_LIMIT} players.*--method fast"):
+        build_characteristic_table(above)
+    assert calls == []
 
 
 BENCHMARK_FLOORS = Path(__file__).resolve().parents[1] / "perfbench" / "reference_values.json"
@@ -104,7 +135,7 @@ def test_tables_hold_the_benchmark_floors(workload, players, apps, weights, seed
     s = generate_scenario(players, 3, apps, utility="sigmoid", mu=(1, 3, 10)[seed % 3],
                           seed=seed, w=weights[0], zeta=weights[1])
     table = build_characteristic_table(s)
-    got = [table.values[m] for m in sorted(table.values)]
+    got = table.values.tolist()
     assert len(got) == len(floors)
     low = [(mask, g, f) for mask, (g, f) in enumerate(zip(got, floors), start=1)
            if g < f - 1e-9 * max(1.0, abs(f))]
@@ -121,19 +152,41 @@ def test_single_player_keeps_own_value():
 
 
 def test_symmetric_two_player_split():
-    table = CharacteristicTable(n_players=2, values={1: 1.2, 2: 1.2, 3: 5.0}, reports={})
+    table = CharacteristicTable(values=[1.2, 1.2, 5.0], reports={})
     assert np.allclose(shapley_from_table(table), [2.5, 2.5])
 
 
 def test_shapley_from_table_matches_permutation_enumeration():
     rng = np.random.default_rng(7)
     for n in (2, 3, 4):
-        values = {mask: float(rng.uniform(0, 10)) for mask in range(1, 1 << n)}
-        table = CharacteristicTable(n_players=n, values=values, reports={})
+        values = rng.uniform(0, 10, (1 << n) - 1)
+        table = CharacteristicTable(values=values, reports={})
         phi = shapley_from_table(table)
-        want = shapley_by_permutations(
-            n, lambda ms: values[sum(1 << p for p in ms)] if ms else 0.0)
+        want = shapley_by_permutations(n, lambda ms: table.value(sum(1 << p for p in ms)))
         assert np.allclose(phi, want, atol=1e-12)
+
+
+def test_array_sweeps_equal_the_mask_loops_bit_for_bit():
+    """Shapley payoffs and core member sums, computed with array sweeps,
+    equal the plain mask loops they replace exactly: each sum adds the
+    same terms in the same order.  Tables mix magnitudes, signs and exact
+    zeros so that a change of summation order would show."""
+    rng = np.random.default_rng(2024)
+    for trial in range(400):
+        n = 1 + trial % 10
+        values = rng.uniform(-1, 1, (1 << n) - 1) * 10.0 ** rng.integers(-8, 9, (1 << n) - 1)
+        values[rng.random(values.size) < 0.1] = 0.0
+        table = CharacteristicTable(values=values, reports={})
+        got = shapley_from_table(table)
+        assert got.tobytes() == shapley_by_loop(n, table.value).tobytes(), (trial, n)
+        payoffs = rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-8, 9, n)
+        sums = member_sums_by_loop(payoffs)
+        report = core_verify(payoffs, table, tol=0.0)
+        want = {m: values[m - 1] - sums[m] for m in range(1, 1 << n)
+                if values[m - 1] - sums[m] > 0.0}
+        assert report.deficits == want, (trial, n)
+    zeros = CharacteristicTable(values=[-0.0, 0.0, -0.0], reports={})
+    assert shapley_from_table(zeros).tobytes() == shapley_by_loop(2, zeros.value).tobytes()
 
 
 def test_shapley_pipeline_matches_permutation_oracle():
@@ -165,7 +218,7 @@ def test_shapley_solve_count_is_exponential(solve_calls):
 def test_shapley_efficiency():
     s = generate_scenario(4, 2, 2, utility="linear", seed=10)
     phi, table = shapley_payoffs(s)
-    assert phi.sum() == pytest.approx(table.value(table.grand_mask), abs=1e-9)
+    assert phi.sum() == pytest.approx(table.values[-1], abs=1e-9)
 
 
 def test_dummy_player_gets_nothing():
@@ -196,8 +249,8 @@ def test_fast_core_without_leftovers_degenerates_to_singletons():
     s = unit_linear(caps=[[3.0], [5.0]], reqs=[[3.0], [5.0]], owner=[0, 1])
     res = fast_core(s)
     assert np.allclose(res.phase2, 0.0)
-    table = build_characteristic_table(s, masks=[1, 2])
-    assert np.allclose(res.payoffs, [table.value(1), table.value(2)])
+    singles = [solve_coalition(s, Coalition(m)).value for m in (1, 2)]
+    assert np.allclose(res.payoffs, singles)
 
 
 def test_fast_core_matches_hand_trace_across_seeds():
@@ -214,7 +267,7 @@ def test_fast_core_group_rational_linear():
     for seed in range(10):
         s = generate_scenario(4, 3, 3, utility="linear", seed=seed)
         res = fast_core(s)
-        grand = build_characteristic_table(s, masks=[s.grand_mask]).value(s.grand_mask)
+        grand = solve_coalition(s, Coalition(s.grand_mask)).value
         assert res.payoffs.sum() == pytest.approx(grand, abs=1e-9)
 
 
@@ -222,9 +275,8 @@ def test_fast_core_individually_rational():
     for seed in range(6):
         s = generate_scenario(3, 2, 2, utility="linear", seed=seed)
         res = fast_core(s)
-        singles = build_characteristic_table(s, masks=[1, 2, 4])
         for n in range(3):
-            assert res.payoffs[n] >= singles.value(1 << n) - 1e-9
+            assert res.payoffs[n] >= solve_coalition(s, Coalition(1 << n)).value - 1e-9
 
 
 def test_fast_core_solve_count_is_linear(solve_calls):

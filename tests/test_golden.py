@@ -1,11 +1,13 @@
-"""Golden outputs: `gen → run --method both` writes these CSVs byte for byte.
+"""Golden outputs: `gen → run` and `gen → verify` write these CSVs byte for
+byte.
 
-The hashes were recorded before the solver evaluated each Frank-Wolfe point
-once and before attribution was batched over masks; both changes keep
-every value, so the files must not move.  A change that moves a value on
-purpose updates a hash here and says why in CHANGES.md.  The hashes hold
-for the pinned numpy and scipy (numpy 2.4, scipy 1.17); another libm or
-another HiGHS may round differently.
+The run --method both hashes were recorded before the solver evaluated
+each Frank-Wolfe point once and before attribution was batched over masks;
+the verify and fast-run hashes before the characteristic table became one
+array.  Those changes keep every value, so the files must not move.  A
+change that moves a value on purpose updates a hash here and says why in
+CHANGES.md.  The hashes hold for the pinned numpy and scipy (numpy 2.4,
+scipy 1.17); another libm or another HiGHS may round differently.
 """
 import hashlib
 
@@ -27,9 +29,25 @@ GOLDEN = [
      "20c2a9956306e2638776486a291d3e6a9c0940ace82fadccd2e0430c331e3e2a"),
 ]
 
+IDS = ["3x5-sigmoid-1:1", "3x5-sigmoid-1:0.5", "4x3-linear"]
+# per scenario above: verify --out's verify.csv (every scenario has a
+# violation, so deficits are pinned too) and run --method fast's
+# coalition.csv (singleton rows from the native solves)
+GOLDEN_VERIFY_FAST = [
+    ("f95bd3631bd2a780773699e9b57b076662adfc49cf1358aac3abdb6a0c1f8760",
+     "6a105b5c61f8c1843d9225ac7410690f8c6782a1cd8a09fe16282d7101f9519c"),
+    ("936161118eb20dd34d60ebf83467a33f6e5713e7a61d153417905b1045692528",
+     "cdb6734c3bd781b42bbddbf5166dcd2278a6b1846cdc8d7efcfd20dc98684868"),
+    ("ed75d5813104131ead46ae685dcf7e5a37b65c087df799269401137e37d3819d",
+     "8507f5e55ab8b4460428d3b67c1252531052d28d9f643bab9f9fdba4614ecf5f"),
+]
 
-@pytest.mark.parametrize("gen_args, coalition_sha, payoffs_sha", GOLDEN,
-                         ids=["3x5-sigmoid-1:1", "3x5-sigmoid-1:0.5", "4x3-linear"])
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("gen_args, coalition_sha, payoffs_sha", GOLDEN, ids=IDS)
 def test_run_outputs_are_byte_identical_to_the_recorded_ones(
         tmp_path, gen_args, coalition_sha, payoffs_sha):
     scenario = tmp_path / "s.json"
@@ -37,5 +55,17 @@ def test_run_outputs_are_byte_identical_to_the_recorded_ones(
     assert main(["run", "--scenario", str(scenario), "--method", "both",
                  "--out", str(tmp_path)]) == 0
     for name, want in (("coalition.csv", coalition_sha), ("payoffs.csv", payoffs_sha)):
-        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        assert got == want, name
+        assert sha256(tmp_path / name) == want, name
+
+
+@pytest.mark.parametrize("gen_args, verify_sha, fast_coalition_sha",
+                         [(g[0], *h) for g, h in zip(GOLDEN, GOLDEN_VERIFY_FAST)], ids=IDS)
+def test_verify_and_fast_run_outputs_are_byte_identical_to_the_recorded_ones(
+        tmp_path, gen_args, verify_sha, fast_coalition_sha):
+    scenario = tmp_path / "s.json"
+    assert main(["gen", *gen_args, "--out", str(scenario)]) == 0
+    assert main(["verify", "--scenario", str(scenario), "--out", str(tmp_path / "v")]) == 1
+    assert sha256(tmp_path / "v" / "verify.csv") == verify_sha
+    assert main(["run", "--scenario", str(scenario), "--method", "fast",
+                 "--out", str(tmp_path / "fast")]) == 0
+    assert sha256(tmp_path / "fast" / "coalition.csv") == fast_coalition_sha

@@ -179,6 +179,16 @@ def test_lmo_rejects_nan_or_negative_bounds(where, bad):
         lmo_transport(np.ones((2, 3)), bounds["supplies"], bounds["demands"])
 
 
+def test_lmo_rejects_infinite_bounds():
+    # an infinite supply meeting an infinite demand on a positive profit
+    # made the LP unbounded, and HiGHS's failure surfaced as a RuntimeError
+    inf = float("inf")
+    with pytest.raises(ValueError, match="supplies and demands must be >= 0 and finite"):
+        lmo_transport(np.ones((2, 3)), [inf, inf], [inf, 1, 1])
+    with pytest.raises(ValueError, match="finite"):
+        lmo_transport(np.ones((1, 3)), [1.0], [inf, 1, 1])  # the greedy path too
+
+
 # ---------------------------------------------------------------------------
 # LP duality bound on the Frank-Wolfe gap
 

@@ -24,7 +24,6 @@ from edgeshare.utility import (
     breakdown,
     coalition_objective,
     eval_own,
-    eval_shared,
 )
 
 
@@ -88,15 +87,15 @@ def test_eval_own_uses_total_receipt_across_suppliers():
 
 
 # ---------------------------------------------------------------------------
-# eval_shared
+# shared income (breakdown's shared split)
 
 
 def test_no_foreign_supply_means_zero_income():
     s = three_player_chain()
     x = np.zeros((3, 3, 1))
     x[0, 0, 0] = 0.5  # only native supply
-    assert eval_shared(s, Allocation(x), 1) == {0: 0.0, 2: 0.0}
-    assert eval_shared(s, Allocation(x), 2) == {0: 0.0, 1: 0.0}
+    assert breakdown(s, Allocation(x))[1].shared == {0: 0.0, 2: 0.0}
+    assert breakdown(s, Allocation(x))[2].shared == {0: 0.0, 1: 0.0}
 
 
 def test_linear_income_equals_amount_supplied():
@@ -110,7 +109,7 @@ def test_linear_income_equals_amount_supplied():
     )
     x = np.zeros((2, 2, 1))
     x[1, 0, 0] = 2.0  # player 2 gives 2 units to player 1's app
-    assert eval_shared(s, Allocation(x), 1) == {0: 2.0}
+    assert breakdown(s, Allocation(x))[1].shared == {0: 2.0}
 
 
 def test_linear_income_sums_over_served_apps():
@@ -125,7 +124,7 @@ def test_linear_income_sums_over_served_apps():
     x = np.zeros((2, 3, 1))
     x[1, 0, 0] = 1.0
     x[1, 1, 0] = 1.0
-    assert eval_shared(s, Allocation(x), 1) == {0: 2.0}
+    assert breakdown(s, Allocation(x))[1].shared == {0: 2.0}
 
 
 def test_sigmoid_credits_follow_supply_order():
@@ -138,8 +137,8 @@ def test_sigmoid_credits_follow_supply_order():
     a = Allocation(x)
     lift1 = sig(mu * (0.8 - r)) - sig(mu * (0.5 - r))
     lift2 = sig(mu * (1.0 - r)) - sig(mu * (0.8 - r))
-    assert eval_shared(s, a, 1)[0] == pytest.approx(lift1, abs=1e-12)
-    assert eval_shared(s, a, 2)[0] == pytest.approx(lift2, abs=1e-12)
+    assert breakdown(s, a)[1].shared[0] == pytest.approx(lift1, abs=1e-12)
+    assert breakdown(s, a)[2].shared[0] == pytest.approx(lift2, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +174,7 @@ def test_breakdown_matches_direct_sums():
     bs = breakdown(s, Allocation(x))
     # owner keeps the value of its own supply (baseline included)
     assert bs[0].own == pytest.approx(sig(mu * (0.5 - r)), abs=1e-12)
-    assert bs[1].shared[0] == pytest.approx(eval_shared(s, Allocation(x), 1)[0])
+    assert bs[1].shared[0] == pytest.approx(sig(mu * (0.8 - r)) - sig(mu * (0.5 - r)), abs=1e-12)
     # retained own + both lifts reassemble the total satisfaction
     reassembled = bs[0].own + bs[1].shared[0] + bs[2].shared[0]
     assert reassembled == pytest.approx(eval_own(s, Allocation(x), 0), abs=1e-12)
@@ -368,8 +367,8 @@ def test_shared_income_monotone_in_own_supply():
         x = rng.uniform(0, 0.3, size=(3, 3, 1))
         shrunk = x.copy()
         shrunk[1] *= rng.uniform(0, 1)
-        hi = eval_shared(s, Allocation(x), 1)
-        lo = eval_shared(s, Allocation(shrunk), 1)
+        hi = breakdown(s, Allocation(x))[1].shared
+        lo = breakdown(s, Allocation(shrunk))[1].shared
         for j in hi:
             assert lo[j] <= hi[j] + 1e-12
 
