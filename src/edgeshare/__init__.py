@@ -13,7 +13,6 @@ from .analysis import (
     compare_methods,
     core_verify,
     superadditivity_audit,
-    verify_scenario,
 )
 from .engine import (
     CharacteristicTable,
@@ -48,7 +47,6 @@ from .utility import (
     UtilityBreakdown,
     breakdown,
     coalition_objective,
-    eval_own,
 )
 
 __version__ = "0.1.0"
@@ -73,7 +71,6 @@ __all__ = [
     "coalition_objective",
     "compare_methods",
     "core_verify",
-    "eval_own",
     "fast_core",
     "generate_scenario",
     "lmo_transport",
@@ -88,6 +85,5 @@ __all__ = [
     "solve_residual",
     "superadditivity_audit",
     "validate_scenario",
-    "verify_scenario",
     "__version__",
 ]

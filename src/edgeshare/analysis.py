@@ -2,9 +2,10 @@
 
 Everything here checks claims by explicit inequality sweeps against a
 characteristic table: core membership (no coalition can do better alone,
-one array comparison over every mask), superadditivity of the value
-function (every disjoint pair), and the wall-time/solve-count comparison
-between the Shapley and fast pipelines.
+one array comparison over every mask) and superadditivity of the value
+function (every disjoint pair).  compare_methods is the one driver that
+runs and times the Shapley and fast pipelines: `run` calls it once with
+one repetition, `bench` once per grid point.
 """
 from __future__ import annotations
 
@@ -14,12 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (
-    TABLE_PLAYER_LIMIT,
-    CharacteristicTable,
-    fast_core,
-    shapley_payoffs,
-)
+from . import engine
+from .engine import CharacteristicTable
 from .model import Coalition, Scenario
 from .solver import DEFAULT_GAP_TOL, DEFAULT_RESTARTS
 
@@ -52,10 +49,6 @@ class CoreReport:
     @property
     def in_core(self) -> bool:
         return self.is_group_rational and not self.deficits
-
-    @property
-    def worst_deficit(self) -> float:
-        return max(self.deficits.values(), default=0.0)
 
     def violated_coalitions(self) -> list[tuple[Coalition, float]]:
         return [(Coalition(m), d) for m, d in sorted(self.deficits.items())]
@@ -100,10 +93,6 @@ class SuperadditivityReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    @property
-    def worst_gap(self) -> float:
-        return max((g for *_, g in self.violations), default=0.0)
 
 
 def superadditivity_audit(
@@ -160,8 +149,8 @@ class ComparisonReport:
     utility_kind: str
     mu: float | None
     standalone: tuple[float, ...]  # v({n}) per player
-    stats: dict[str, MethodStats]
-    grand_value: float | None  # exact only when the table was built
+    stats: dict[str, MethodStats]  # in the order the pipelines ran
+    table: CharacteristicTable | None  # the first Shapley run's, if Shapley ran
 
     @property
     def speedup_pct(self) -> float | None:
@@ -175,54 +164,52 @@ class ComparisonReport:
 
 def compare_methods(
     s: Scenario,
+    methods: tuple[str, ...] = ("shapley", "fast"),
     repetitions: int = 5,
     restarts: int = DEFAULT_RESTARTS,
     gap_tol: float = DEFAULT_GAP_TOL,
-    include_shapley: bool | None = None,
 ) -> ComparisonReport:
-    """Time both pipelines on one scenario with the monotonic wall clock.
+    """Run and time the named pipelines on one scenario with the monotonic
+    wall clock.
 
-    Each repetition runs each full pipeline once, Shapley then fast, so a
-    drift in host speed falls on both alike; the reported numbers come from
-    the first repetition, the median from all of them.  Shapley is skipped
-    automatically above TABLE_PLAYER_LIMIT players; forced there, it is a
-    ValueError before any solve.
+    Each repetition runs each pipeline once, in the order of methods, so a
+    drift in host speed falls on all alike; payoffs, solve counts and the
+    table come from the first repetition, the median from all of them.
+    standalone is v({n}) off the table when Shapley ran, else w_n times n's
+    native optimum, which is the same problem.  Shapley above
+    TABLE_PLAYER_LIMIT players raises the table's ValueError before its
+    first solve.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    if include_shapley is None:
-        include_shapley = s.n_players <= TABLE_PLAYER_LIMIT
+    if sorted(methods) not in (["fast"], ["shapley"], ["fast", "shapley"]):
+        raise ValueError(f"methods must name 'shapley', 'fast' or both once, got {methods}")
 
-    pipelines = ({"shapley": lambda: shapley_payoffs(s, restarts=restarts, gap_tol=gap_tol)}
-                 if include_shapley else {})
-    pipelines["fast"] = lambda: fast_core(s, restarts=restarts, gap_tol=gap_tol)
-    first, times = {}, {name: [] for name in pipelines}
+    # engine's functions are looked up at each call, where tracers patch them
+    def shapley():
+        phi, table = engine.shapley_payoffs(s, restarts=restarts, gap_tol=gap_tol)
+        return phi, len(table.reports), table
+
+    def fast():
+        result = engine.fast_core(s, restarts=restarts, gap_tol=gap_tol)
+        return result.payoffs, result.solves, result.phase1
+
+    pipelines = {"shapley": shapley, "fast": fast}
+    first, times = {}, {name: [] for name in methods}
     for _ in range(repetitions):
-        for name, fn in pipelines.items():
+        for name in methods:
             t0 = time.perf_counter()
-            out = fn()
+            out = pipelines[name]()
             times[name].append((time.perf_counter() - t0) * 1e3)
             first.setdefault(name, out)
 
-    stats: dict[str, MethodStats] = {}
-    grand_value = None
-    standalone = None
-    if include_shapley:
-        phi, table = first["shapley"]
-        stats["shapley"] = MethodStats(
-            method="shapley", payoffs=tuple(map(float, phi)),
-            total=float(phi.sum()), solves=len(table.reports),
-            times_ms=tuple(times["shapley"]))
-        grand_value = float(table.values[-1])
-        standalone = tuple(map(float, table.singleton_values()))
-
-    fast_result = first["fast"]
-    stats["fast"] = MethodStats(
-        method="fast", payoffs=tuple(map(float, fast_result.payoffs)),
-        total=float(fast_result.payoffs.sum()), solves=fast_result.solves,
-        times_ms=tuple(times["fast"]))
-    if standalone is None:
-        standalone = tuple(float(v) for v in s.w * fast_result.phase1)
+    stats = {name: MethodStats(method=name, payoffs=tuple(map(float, payoffs)),
+                               total=float(payoffs.sum()), solves=solves,
+                               times_ms=tuple(times[name]))
+             for name, (payoffs, solves, _) in first.items()}
+    table = first["shapley"][2] if "shapley" in first else None
+    standalone = (table.singleton_values() if table is not None
+                  else s.w * first["fast"][2])
 
     kinds = {u.kind for u in s.utilities}
     mus = {u.mu for u in s.utilities if u.kind == "sigmoid"}
@@ -232,21 +219,7 @@ def compare_methods(
         n_resources=s.n_resources,
         utility_kind=kinds.pop() if len(kinds) == 1 else "mixed",
         mu=mus.pop() if len(mus) == 1 else None,
-        standalone=standalone,
+        standalone=tuple(map(float, standalone)),
         stats=stats,
-        grand_value=grand_value,
+        table=table,
     )
-
-
-def verify_scenario(
-    s: Scenario,
-    table: CharacteristicTable,
-    payoff_vectors: dict[str, np.ndarray],
-    tol: float = DEFAULT_CORE_TOL,
-) -> tuple[dict[str, CoreReport], SuperadditivityReport]:
-    """Bundle the standard verification sweep: one core check per payoff
-    vector plus a superadditivity audit of the table itself."""
-    core_reports = {
-        name: core_verify(vec, table, tol=tol) for name, vec in payoff_vectors.items()
-    }
-    return core_reports, superadditivity_audit(table, tol=tol)

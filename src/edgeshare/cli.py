@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -252,48 +253,24 @@ def _load(args) -> model.Scenario:
 
 
 def cmd_run(args, parser) -> int:
-    from time import perf_counter
-
     s = _load(args)
+    methods = ("shapley", "fast") if args.method == "both" else (args.method,)
+    if "shapley" in methods:
+        engine.check_table_limit(s.n_players)  # before --out is made
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    mu = s.utilities[0].mu if s.utilities[0].kind == "sigmoid" else ""
-    m_field = _m_field(s.m_per_player)
-    table = None
-    phi = None
-    fast_result = None
-    comparison_rows = []
-    if args.method in ("shapley", "both"):
-        t0 = perf_counter()
-        phi, table = engine.shapley_payoffs(s, restarts=args.restarts, gap_tol=args.tol)
-        elapsed = (perf_counter() - t0) * 1e3
-        solves = len(table.reports)
-        comparison_rows.append([s.n_players, m_field, s.n_resources, mu,
-                                "shapley", solves, elapsed])
-        print(f"shapley: total={phi.sum():.6g} solves={solves}")
-    if args.method in ("fast", "both"):
-        t0 = perf_counter()
-        fast_result = engine.fast_core(s, restarts=args.restarts, gap_tol=args.tol)
-        elapsed = (perf_counter() - t0) * 1e3
-        comparison_rows.append([s.n_players, m_field, s.n_resources, mu,
-                                "fast", fast_result.solves, elapsed])
-        print(f"fast: total={fast_result.payoffs.sum():.6g} solves={fast_result.solves}")
+    rep = analysis.compare_methods(s, methods, repetitions=1, restarts=args.restarts,
+                                   gap_tol=args.tol)
+    for method, stat in rep.stats.items():
+        print(f"{method}: total={stat.total:.6g} solves={stat.solves}")
     # payoff rows in the fixed presentation order: fast split, then Shapley
-    payoff_rows: list[tuple[str, np.ndarray]] = []
-    payoff_entries = []
-    standalone = (table.singleton_values() if table is not None
-                  else s.w * fast_result.phase1)
-    if fast_result is not None:
-        payoff_rows.append(("fast", fast_result.payoffs))
-        payoff_entries.append(("fast", fast_result.payoffs, standalone))
-    if phi is not None:
-        payoff_rows.append(("shapley", phi))
-        payoff_entries.append(("shapley", phi, standalone))
-    value_rows = (coalition_rows(s, table) if table is not None
-                  else singleton_rows(standalone))
-    write_coalition_csv(outdir / "coalition.csv", s, value_rows, payoff_rows)
-    write_payoffs_csv(outdir / "payoffs.csv", payoff_entries)
-    _write_rows(outdir / "comparison.csv", COMPARISON_HEADER, comparison_rows)
+    payoffs = [(m, rep.stats[m].payoffs) for m in ("fast", "shapley") if m in rep.stats]
+    value_rows = (coalition_rows(s, rep.table) if rep.table is not None
+                  else singleton_rows(rep.standalone))
+    write_coalition_csv(outdir / "coalition.csv", s, value_rows, payoffs)
+    write_payoffs_csv(outdir / "payoffs.csv", [(m, p, rep.standalone) for m, p in payoffs])
+    _write_rows(outdir / "comparison.csv", COMPARISON_HEADER,
+                [comparison_row(rep, m) for m in rep.stats])
     print(f"wrote {outdir / 'coalition.csv'}, {outdir / 'payoffs.csv'} "
           f"and {outdir / 'comparison.csv'}")
     return 0
@@ -319,7 +296,9 @@ def cmd_verify(args, parser) -> int:
         if args.method in ("fast", "both"):
             vectors["fast"] = engine.fast_core(
                 s, restarts=args.restarts, gap_tol=args.tol_gap).payoffs
-    core_reports, sa_report = analysis.verify_scenario(s, table, vectors, tol=tol)
+    core_reports = {method: analysis.core_verify(v, table, tol=tol)
+                    for method, v in vectors.items()}
+    sa_report = analysis.superadditivity_audit(table, tol=tol)
 
     rows, ok = [], True
     for method, report in sorted(core_reports.items()):
@@ -362,6 +341,11 @@ def cmd_bench(args, parser) -> int:
     if args.utility == "sigmoid" and not mu_list:
         parser.error("sigmoid bench needs at least one --mu value")
     w, zeta = _parse_weights(args.weights, parser)
+    # --method shapley times the fast split alongside; both leaves Shapley
+    # out above the table limit
+    methods = {"fast": ("fast",), "shapley": ("shapley", "fast"),
+               "both": (("shapley", "fast") if args.players <= engine.TABLE_PLAYER_LIMIT
+                        else ("fast",))}[args.method]
     reports = []
     for m_apps in apps_list:
         for mu in mu_list:
@@ -369,11 +353,12 @@ def cmd_bench(args, parser) -> int:
                 n_players=args.players, n_resources=args.resources,
                 m_per_player=m_apps, utility=args.utility, mu=mu,
                 seed=args.seed, w=w, zeta=zeta)
-            include = {"both": None, "fast": False, "shapley": True}[args.method]
             rep = analysis.compare_methods(
-                s, repetitions=args.repetitions, restarts=args.restarts,
-                gap_tol=args.tol, include_shapley=include)
-            reports.append(rep)
+                s, methods, repetitions=args.repetitions, restarts=args.restarts,
+                gap_tol=args.tol)
+            # the rows read no table, and one at the table limit holds
+            # hundreds of MB of allocations
+            reports.append(dataclasses.replace(rep, table=None))
             for method in sorted(rep.stats):
                 stat = rep.stats[method]
                 print(f"n={rep.n_players} m={m_apps} mu={mu} {method}: "

@@ -64,6 +64,16 @@ class CharacteristicTable:
         return self.values[(1 << np.arange(self.n_players)) - 1]
 
 
+def check_table_limit(n_players: int) -> None:
+    """The ValueError of a table above TABLE_PLAYER_LIMIT players, raised
+    before anything is solved or written."""
+    if n_players > TABLE_PLAYER_LIMIT:
+        raise ValueError(
+            f"the exact characteristic table is limited to {TABLE_PLAYER_LIMIT} players "
+            f"(2^N - 1 coalition solves), and this scenario has N = {n_players}; "
+            "run --method fast splits it without a table")
+
+
 def build_characteristic_table(
     s: Scenario,
     restarts: int = DEFAULT_RESTARTS,
@@ -72,11 +82,7 @@ def build_characteristic_table(
     """Solve the pooled problem of all 2^N - 1 coalitions, serially in
     ascending mask order.  Above TABLE_PLAYER_LIMIT players nothing is
     solved: that is a ValueError."""
-    if s.n_players > TABLE_PLAYER_LIMIT:
-        raise ValueError(
-            f"the exact characteristic table is limited to {TABLE_PLAYER_LIMIT} players "
-            f"(2^N - 1 coalition solves), and this scenario has N = {s.n_players}; "
-            "run --method fast splits it without a table")
+    check_table_limit(s.n_players)
     reports = {c.mask: solve_coalition(s, c, restarts=restarts, gap_tol=gap_tol)
                for c in all_coalitions(s.n_players)}
     return CharacteristicTable(values=[r.value for r in reports.values()], reports=reports)

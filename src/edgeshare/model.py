@@ -102,10 +102,6 @@ class Scenario:
         """Indices of player n's native applications."""
         return np.flatnonzero(self.owner == n)
 
-    @property
-    def grand_mask(self) -> int:
-        return (1 << self.n_players) - 1
-
     def coeff_matrix(self) -> np.ndarray:
         """Linear coefficients stacked to (M, K); ones by default, zeros
         are meaningless for sigmoid rows (never read there)."""
@@ -237,14 +233,6 @@ class Allocation:
             raise ValueError("allocation must be (providers, apps, resources)")
         if np.any(self.x < 0):
             raise ValueError("allocation entries must be >= 0")
-
-    @classmethod
-    def zeros(cls, s: Scenario) -> "Allocation":
-        return cls(np.zeros((s.n_players, s.m_total, s.n_resources)))
-
-    def total_received(self) -> np.ndarray:
-        """Per-application receipt summed over providers, shape (M, K)."""
-        return self.x.sum(axis=0)
 
 
 def audit_allocation(

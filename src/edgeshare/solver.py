@@ -612,23 +612,18 @@ def _report(value, allocation: Allocation, how, t0: float) -> SolveReport:
 def solve_native(
     s: Scenario,
     n: int,
-    caps: np.ndarray | None = None,
-    reqs: np.ndarray | None = None,
     restarts: int = DEFAULT_RESTARTS,
     gap_tol: float = DEFAULT_GAP_TOL,
 ) -> SolveReport:
-    """Maximize player n's own utility over its native applications given a
-    capacity budget (defaults: the scenario's full capacities/requests).
-    Returns the unweighted optimum."""
+    """Maximize player n's own utility over its native applications from its
+    own capacity.  Returns the unweighted optimum."""
     _check_settings(restarts, gap_tol)
     t0 = time.perf_counter()
     apps = s.apps_of(n)
-    caps = s.capacities[n] if caps is None else np.asarray(caps, dtype=float)
-    reqs = s.requests[apps] if reqs is None else np.asarray(reqs, dtype=float)
-    terms = AppTerms.from_scenario(s, apps).with_requests(reqs)
-    starts = functools.partial(_starts, s, _NATIVE_TAG, n, restarts, reqs.shape)
-    t, value, how = _solve_receipts(terms, caps, 1.0, s.utilities[n].kind == "linear",
-                                    starts, gap_tol)
+    terms = AppTerms.from_scenario(s, apps)
+    starts = functools.partial(_starts, s, _NATIVE_TAG, n, restarts, terms.requests.shape)
+    t, value, how = _solve_receipts(terms, s.capacities[n], 1.0,
+                                    s.utilities[n].kind == "linear", starts, gap_tol)
     full = np.zeros((s.n_players, s.m_total, s.n_resources))
     full[n, apps, :] = t
     return _report(value, Allocation(full), how, t0)

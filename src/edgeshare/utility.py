@@ -234,23 +234,15 @@ class CoalitionProblem:
 # reporting-level evaluation on concrete allocations
 
 
-def eval_own(s: Scenario, alloc: Allocation, n: int) -> float:
-    """Utility player n's own applications enjoy at their total receipt,
-    foreign top-ups included."""
-    apps = s.apps_of(n)
-    total = alloc.total_received()[apps]
-    return float(AppTerms.from_scenario(s, apps).value(total).sum())
-
-
 @dataclass(frozen=True)
 class UtilityBreakdown:
     """Per-player income split for one allocation.
 
     own is what the player retains on its native applications after foreign
-    suppliers' credits are carved out (it equals eval_own when nobody tops
-    the player's applications up); shared maps each other player j to the
-    income earned by serving j's applications: the satisfaction lift of the
-    player's contribution on top of what was already allocated (native
+    suppliers' credits are carved out (with nobody topping them up, their
+    utility at the player's own supply); shared maps each other player j to
+    the income earned by serving j's applications: the satisfaction lift of
+    the player's contribution on top of what was already allocated (native
     supply first, lower player indices next), all zero when it supplies
     nothing.
     """

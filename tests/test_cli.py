@@ -143,6 +143,21 @@ def test_run_fast_singleton_rows_credit_their_member(tmp_path):
         assert split == [float(row["value"]) if p == n else 0.0 for p in range(3)]
 
 
+@pytest.mark.parametrize("specs, mu", [
+    ((model.UtilitySpec("linear"), model.UtilitySpec("sigmoid", mu=3.0)), "3.0"),
+    ((model.UtilitySpec("sigmoid", mu=2.0), model.UtilitySpec("sigmoid", mu=3.0)), ""),
+], ids=["one-sigmoid-mu", "two-mus"])
+def test_run_comparison_mu_is_the_one_sigmoid_mu(tmp_path, specs, mu):
+    # the rule bench's rows follow too
+    s = model.Scenario(n_players=2, n_resources=1, capacities=np.array([[1.0], [2.0]]),
+                       requests=np.array([[1.5], [1.0]]), owner=np.array([0, 1]),
+                       utilities=specs, w=np.ones(2), zeta=np.ones(2))
+    model.save_scenario(s, tmp_path / "s.json")
+    assert main(["run", "--scenario", str(tmp_path / "s.json"),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert [r["mu"] for r in read_csv(tmp_path / "out" / "comparison.csv")] == [mu, mu]
+
+
 def test_coalition_rows_attribute_each_block_of_masks_in_one_call(monkeypatch):
     """Up to ATTRIBUTION_BLOCK masks share a breakdown call, and every row
     splits its value as the breakdown of its allocation alone does."""
@@ -182,6 +197,7 @@ def test_table_above_the_player_limit_exits_2_before_any_solve(tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"limited to {engine.TABLE_PLAYER_LIMIT} players" in err and "--method fast" in err
     assert solve_calls == {}
+    assert not (tmp_path / "o").exists()
 
 
 def test_bench_forced_shapley_above_the_player_limit_exits_2(tmp_path, capsys, solve_calls):
@@ -498,6 +514,21 @@ def test_bench_fast_only(tmp_path):
                  "--utility", "linear", "--method", "fast", "--repetitions", "1",
                  "--out", str(out)]) == 0
     assert {r["method"] for r in read_csv(out / "comparison.csv")} == {"fast"}
+
+
+@pytest.mark.parametrize("method, players, timed", [
+    ("both", engine.TABLE_PLAYER_LIMIT + 1, ["fast"]),  # no table above the limit
+    ("shapley", 2, ["fast", "shapley"]),  # the fast split is timed alongside
+], ids=["both-above-the-limit", "shapley"])
+def test_bench_method_chooses_the_timed_pipelines(tmp_path, capsys, method, players, timed):
+    out = tmp_path / "bench"
+    assert main(["bench", "--players", str(players), "--apps", "1", "--resources", "1",
+                 "--utility", "linear", "--method", method, "--repetitions", "1",
+                 "--out", str(out)]) == 0
+    assert [r["method"] for r in read_csv(out / "comparison.csv")] == timed
+    plot_methods = {r["method"] for r in read_csv(out / "plotdata.csv")}
+    assert plot_methods == {"standalone", *timed}
+    assert ("speedup=" in capsys.readouterr().out) == (len(timed) == 2)
 
 
 # ---------------------------------------------------------------------------

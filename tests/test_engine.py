@@ -267,7 +267,7 @@ def test_fast_core_group_rational_linear():
     for seed in range(10):
         s = generate_scenario(4, 3, 3, utility="linear", seed=seed)
         res = fast_core(s)
-        grand = solve_coalition(s, Coalition(s.grand_mask)).value
+        grand = solve_coalition(s, Coalition.grand(s.n_players)).value
         assert res.payoffs.sum() == pytest.approx(grand, abs=1e-9)
 
 

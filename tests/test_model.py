@@ -205,9 +205,9 @@ def test_player_cap_enforced():
 
 def test_allocation_shapes_and_sums():
     s = tiny_scenario()
-    a = Allocation.zeros(s)
+    a = Allocation(np.zeros((2, 4, 2)))
     assert a.x.shape == (2, 4, 2)
-    assert a.total_received().shape == (4, 2)
+    assert a.x.sum(axis=0).shape == (4, 2)  # per-application receipt
     assert a.x.sum(axis=1).shape == (2, 2)  # per-provider spend
 
 

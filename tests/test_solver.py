@@ -317,12 +317,6 @@ def test_native_sigmoid_matches_grid_oracle():
     assert rep.value == pytest.approx(want, rel=1e-2, abs=1e-2)
 
 
-def test_native_respects_residual_arguments():
-    s = linear_scenario(caps=[[5.0]], reqs=[[4.0]], owner=[0])
-    rep = solve_native(s, 0, caps=np.array([1.5]), reqs=np.array([[2.0]]))
-    assert rep.value == pytest.approx(1.5)
-
-
 # ---------------------------------------------------------------------------
 # solve_residual
 

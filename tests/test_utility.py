@@ -23,8 +23,9 @@ from edgeshare.utility import (
     CoalitionProblem,
     breakdown,
     coalition_objective,
-    eval_own,
 )
+
+from oracles import eval_own
 
 
 def sig(z):
@@ -57,33 +58,45 @@ def three_player_chain(mu=2.0, r=0.9):
 
 
 # ---------------------------------------------------------------------------
-# eval_own
+# eval_own, the reference utility in oracles.py
 
 
 def test_sigmoid_at_exact_request_is_half_per_term():
     s = one_player(mu=0.7, k=3)
     x = np.zeros((1, 1, 3))
     x[0, 0, :] = 1.0  # exactly the request
-    assert eval_own(s, Allocation(x), 0) == 1.5  # three exact halves
+    assert eval_own(s, x, 0) == 1.5  # three exact halves
 
 
 def test_zero_allocation_linear_is_zero():
     s = one_player(k=2)
-    assert eval_own(s, Allocation.zeros(s), 0) == 0.0
+    assert eval_own(s, np.zeros((1, 1, 2)), 0) == 0.0
 
 
 def test_sigmoid_point_value():
     s = one_player(mu=10.0, k=1)
     x = np.zeros((1, 1, 1))
     x[0, 0, 0] = 1.1  # request is 1.0, so the argument is mu * 0.1 = 1
-    assert eval_own(s, Allocation(x), 0) == pytest.approx(sig(1.0), abs=1e-12)
+    assert eval_own(s, x, 0) == pytest.approx(sig(1.0), abs=1e-12)
 
 
 def test_eval_own_uses_total_receipt_across_suppliers():
     s = three_player_chain(mu=2.0, r=0.9)
     x = np.zeros((3, 3, 1))
     x[0, 0, 0], x[1, 0, 0], x[2, 0, 0] = 0.5, 0.3, 0.2
-    assert eval_own(s, Allocation(x), 0) == pytest.approx(sig(2.0 * (1.0 - 0.9)), abs=1e-12)
+    assert eval_own(s, x, 0) == pytest.approx(sig(2.0 * (1.0 - 0.9)), abs=1e-12)
+
+
+def test_own_income_without_top_ups_matches_the_eval_own_reference():
+    """When every player supplies only its own applications, breakdown's
+    own income is the reference utility at that receipt."""
+    s = mixed_scenario_from_json()
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        x = np.zeros((s.n_players, s.m_total, s.n_resources))
+        x[s.owner, np.arange(s.m_total)] = rng.uniform(0.0, 1.2, (s.m_total, s.n_resources))
+        for b in breakdown(s, Allocation(x)):
+            assert b.own == pytest.approx(eval_own(s, x, b.player), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +160,7 @@ def test_sigmoid_credits_follow_supply_order():
 
 def test_breakdown_zero_allocation_linear():
     s = one_player(k=2)
-    (b,) = breakdown(s, Allocation.zeros(s))
+    (b,) = breakdown(s, Allocation(np.zeros((1, 1, 2))))
     assert b.own == 0.0 and b.weighted_total == 0.0 and b.shared == {}
 
 
@@ -163,7 +176,7 @@ def test_breakdown_single_player_weighted():
     x = np.zeros((1, 1, 1))
     x[0, 0, 0] = 2.0
     (b,) = breakdown(s, Allocation(x))
-    assert b.weighted_total == pytest.approx(2.5 * eval_own(s, Allocation(x), 0))
+    assert b.weighted_total == pytest.approx(2.5 * eval_own(s, x, 0))
 
 
 def test_breakdown_matches_direct_sums():
@@ -177,7 +190,7 @@ def test_breakdown_matches_direct_sums():
     assert bs[1].shared[0] == pytest.approx(sig(mu * (0.8 - r)) - sig(mu * (0.5 - r)), abs=1e-12)
     # retained own + both lifts reassemble the total satisfaction
     reassembled = bs[0].own + bs[1].shared[0] + bs[2].shared[0]
-    assert reassembled == pytest.approx(eval_own(s, Allocation(x), 0), abs=1e-12)
+    assert reassembled == pytest.approx(eval_own(s, x, 0), abs=1e-12)
 
 
 def test_breakdown_totals_equal_objective_at_allocation():
@@ -355,7 +368,7 @@ def test_eval_own_monotone_in_receipt():
     for _ in range(300):
         b = rng.uniform(0, 0.4, size=(3, 3, 1))
         a = b * rng.uniform(0, 1, size=b.shape)  # elementwise below b
-        assert eval_own(s, Allocation(a), 0) <= eval_own(s, Allocation(b), 0) + 1e-12
+        assert eval_own(s, a, 0) <= eval_own(s, b, 0) + 1e-12
 
 
 def test_shared_income_monotone_in_own_supply():
@@ -378,7 +391,7 @@ def test_sigmoid_bounds():
     s = one_player(mu=4.0, k=3)
     for _ in range(100):
         x = rng.uniform(0, 5.0 / 3, size=(1, 1, 3))
-        v = eval_own(s, Allocation(x), 0)
+        v = eval_own(s, x, 0)
         assert 0.0 < v < 3.0  # one app, three resources
 
 
