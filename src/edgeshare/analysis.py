@@ -3,7 +3,9 @@
 Everything here checks claims by explicit inequality sweeps against a
 characteristic table: core membership (no coalition can do better alone,
 one array comparison over every mask) and superadditivity of the value
-function (every disjoint pair).  compare_methods is the one driver that
+function (every disjoint pair).  audit_table checks a table read back
+from disk, whose values no solve here produced: every coalition's
+allocation must be feasible for it and must earn its value.  compare_methods is the one driver that
 runs and times the Shapley and fast pipelines: `run` calls it once with
 one repetition, `bench` once per grid point.
 """
@@ -17,10 +19,15 @@ import numpy as np
 
 from . import engine
 from .engine import CharacteristicTable
-from .model import Coalition, Scenario
+from .model import Coalition, Scenario, audit_allocation
 from .solver import DEFAULT_GAP_TOL, DEFAULT_RESTARTS
+from .utility import coalition_objective
 
 DEFAULT_CORE_TOL = 1e-6
+# A stored value is the solver's, computed from the receipts; the objective
+# at the allocation shipping them differs by rounding alone (up to 3.7e-13
+# on uniform-weight rows), relative to max(1, |v(S)|).
+TABLE_VALUE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -120,6 +127,45 @@ def superadditivity_audit(
         pairs_checked=checked,
         violations=tuple(violations),
     )
+
+
+@dataclass(frozen=True)
+class TableAudit:
+    """Every coalition of a table re-checked against its own allocation.
+
+    problems lists (mask, what is wrong) in ascending mask order: a
+    constraint the allocation breaks, or an objective at the allocation
+    that does not reproduce v(S).  worst_value_gap is the largest
+    |objective - v(S)| / max(1, |v(S)|) over the masks.
+    """
+
+    masks_checked: int
+    worst_value_gap: float
+    problems: tuple[tuple[int, str], ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.problems
+
+
+def audit_table(s: Scenario, table: CharacteristicTable,
+                rtol: float = TABLE_VALUE_RTOL) -> TableAudit:
+    """Check each coalition's stored allocation with model.audit_allocation
+    (feasible, and confined to the coalition's members and applications)
+    and its value with utility.coalition_objective, one mask at a time."""
+    problems, worst = [], 0.0
+    for mask, report in sorted(table.reports.items()):
+        coalition = Coalition(mask)
+        problems += [(mask, p) for p in audit_allocation(s, report.allocation, coalition)]
+        value = table.value(mask)
+        objective = coalition_objective(s, report.allocation, coalition)
+        gap = abs(objective - value) / max(1.0, abs(value))
+        worst = max(worst, gap)  # a NaN gap leaves worst as it is
+        if not gap <= rtol:  # a NaN gap fails
+            problems.append((mask, f"objective {objective!r} at its allocation "
+                                   f"is not its value {value!r}"))
+    return TableAudit(masks_checked=len(table.reports), worst_value_gap=worst,
+                      problems=tuple(problems))
 
 
 # ---------------------------------------------------------------------------

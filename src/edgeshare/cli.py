@@ -6,9 +6,15 @@ Subcommands:
   verify  check core membership and superadditivity, exit 1 on violation
   bench   time the Shapley and fast pipelines across settings
 
-Exit codes: 0 success/verified, 1 verification failure, 2 usage error,
-3 I/O error.  All value output is deterministic for a given scenario and
-seed; only *_ms timing columns vary between runs.
+When Shapley ran, `run` also saves its characteristic table as
+table.npz beside payoffs.csv.  `verify --payoffs P` reads the table.npz
+beside P when its key (format version, scenario digest, restarts, solver
+gap) matches, audits it and solves no coalition; otherwise it solves the
+table again, and it says on stdout which it did.
+
+Exit codes: 0 success/verified, 1 verification failure, 2 usage error or
+unreadable table.npz, 3 I/O error.  All value output is deterministic for
+a given scenario and seed; only *_ms timing columns vary between runs.
 """
 from __future__ import annotations
 
@@ -17,6 +23,7 @@ import csv
 import dataclasses
 import json
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +36,14 @@ COMPARISON_HEADER = ["n", "m_per_player", "k", "mu", "method", "solves", "median
 # peak RSS by 23 MB at 256 masks a call and by 3.5 MB at 16, in about the
 # same time.
 ATTRIBUTION_BLOCK = 16
+TABLE_FILE = "table.npz"
+TABLE_FORMAT_VERSION = 1
+# table.npz holds the key, then one entry per coalition in ascending mask
+# order (dtype kind of each array), then every coalition's allocation in
+# local coordinates (|S|, M_S, K), raveled and concatenated in mask order
+TABLE_KEY = ("version", "digest", "restarts", "gap_tol")
+TABLE_COLUMNS = {"values": "f", "kind": "U", "iterations": "i", "restarts_used": "i",
+                 "gap": "f", "wall_time": "f"}
 
 
 def _fmt(x) -> str:
@@ -176,6 +191,83 @@ def write_verify_csv(path: Path, rows: list[list]) -> None:
     _write_rows(path, ["check", "method", "subject", "status", "detail"], rows)
 
 
+def _local_selectors(s: model.Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Per nonempty coalition, ascending mask, the boolean rows that pick
+    its local coordinates out of an (N, M, K) allocation: its members
+    (2^N - 1, N) and their applications (2^N - 1, M)."""
+    masks = np.arange(1, 1 << s.n_players)
+    members = (masks[:, None] >> np.arange(s.n_players)) & 1 == 1
+    return members, members[:, s.owner]
+
+
+def write_table_npz(path: Path, s: model.Scenario, table: engine.CharacteristicTable,
+                    restarts: int, gap_tol: float) -> None:
+    """Save the table with its key: what `verify --payoffs` needs to use it
+    in place of solving every coalition again."""
+    reports = [table.reports[mask] for mask in range(1, 1 << s.n_players)]
+    alloc = np.concatenate([r.allocation.x[np.ix_(rows, cols)].ravel()
+                            for r, rows, cols in zip(reports, *_local_selectors(s))])
+    np.savez(path, version=TABLE_FORMAT_VERSION, digest=s.digest(), restarts=restarts,
+             gap_tol=gap_tol, values=table.values, alloc=alloc,
+             kind=[r.solver_kind for r in reports],
+             iterations=[r.iterations for r in reports],
+             restarts_used=[r.restarts_used for r in reports],
+             gap=[r.gap for r in reports], wall_time=[r.wall_time for r in reports])
+
+
+def _table_from_arrays(s: model.Scenario, arrays: dict) -> engine.CharacteristicTable:
+    """The table whose columns and allocations these arrays hold, after
+    checking their shapes, dtypes and finiteness against the scenario."""
+    members, apps = _local_selectors(s)
+    counts = np.stack([members.sum(axis=1), apps.sum(axis=1)], axis=1)  # |S|, M_S
+    want = {name: (len(members),) for name in TABLE_COLUMNS}
+    want["alloc"] = (int(counts.prod(axis=1).sum()) * s.n_resources,)
+    for name, shape in want.items():
+        got = arrays[name]
+        if got.shape != shape or got.dtype.kind != TABLE_COLUMNS.get(name, "f"):
+            raise ValueError(f"{name!r} is {got.dtype} of shape {got.shape}, expected "
+                             f"{TABLE_COLUMNS.get(name, 'f')!r} of shape {shape}")
+        if got.dtype.kind == "f" and not np.all(np.isfinite(got)):
+            raise ValueError(f"{name!r} holds a NaN or infinite entry")
+    ends = np.cumsum(counts.prod(axis=1) * s.n_resources)
+    blocks = np.split(arrays["alloc"], ends[:-1])
+    columns = [arrays[name].tolist() for name in TABLE_COLUMNS]
+    reports = {}
+    for mask, (rows, cols, (size, m_s), block, row) in enumerate(
+            zip(members, apps, counts, blocks, zip(*columns)), start=1):
+        x = np.zeros((s.n_players, s.m_total, s.n_resources))
+        x[np.ix_(rows, cols)] = block.reshape(size, m_s, s.n_resources)
+        value, kind, iterations, used, gap, wall_time = row
+        reports[mask] = solver.SolveReport(
+            value=value, allocation=model.Allocation(x), solver_kind=kind,
+            iterations=iterations, restarts_used=used, gap=gap, wall_time=wall_time)
+    return engine.CharacteristicTable(values=arrays["values"], reports=reports)
+
+
+def read_table_npz(path: Path, s: model.Scenario, restarts: int,
+                   gap_tol: float) -> tuple[engine.CharacteristicTable | None, str]:
+    """The table saved at path and "", or None and how its key differs from
+    this scenario and these settings.  A file that does not hold a table of
+    this layout is a ValueError that names it."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            saved = {name: npz[name] for name in TABLE_KEY}
+            for name, value in saved.items():
+                if value.shape != ():
+                    raise ValueError(f"{name!r} has shape {value.shape}, expected ()")
+                saved[name] = value.item()
+            want = {"version": TABLE_FORMAT_VERSION, "digest": s.digest(),
+                    "restarts": restarts, "gap_tol": gap_tol}
+            differ = [f"{name} {saved[name]!r}, not {want[name]!r}"
+                      for name in TABLE_KEY if saved[name] != want[name]]
+            if differ:
+                return None, ", ".join(differ)
+            arrays = {name: npz[name] for name in ("alloc", *TABLE_COLUMNS)}
+        return _table_from_arrays(s, arrays), ""
+    except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
+        raise ValueError(f"{path} holds no readable coalition table: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -271,9 +363,39 @@ def cmd_run(args, parser) -> int:
     write_payoffs_csv(outdir / "payoffs.csv", [(m, p, rep.standalone) for m, p in payoffs])
     _write_rows(outdir / "comparison.csv", COMPARISON_HEADER,
                 [comparison_row(rep, m) for m in rep.stats])
-    print(f"wrote {outdir / 'coalition.csv'}, {outdir / 'payoffs.csv'} "
-          f"and {outdir / 'comparison.csv'}")
+    written = [outdir / name for name in ("coalition.csv", "payoffs.csv", "comparison.csv")]
+    if rep.table is not None:
+        write_table_npz(outdir / TABLE_FILE, s, rep.table, args.restarts, args.tol)
+        written.append(outdir / TABLE_FILE)
+    print(f"wrote {', '.join(map(str, written[:-1]))} and {written[-1]}")
     return 0
+
+
+def _saved_table(s: model.Scenario, path: Path,
+                 args) -> tuple[engine.CharacteristicTable | None, list[list], bool]:
+    """The audited table `run` saved at path, its verify rows and whether
+    the audit passed; None, no rows and True when there is no such file or
+    its key does not match.  Says on stdout which it was."""
+    n_masks = (1 << s.n_players) - 1
+    if not path.exists():
+        print(f"table: no {path}; solving all {n_masks} coalitions")
+        return None, [], True
+    table, differ = read_table_npz(path, s, args.restarts, args.tol_gap)
+    if table is None:
+        print(f"table: {path} was saved for {differ}; solving all {n_masks} coalitions")
+        return None, [], True
+    audit = analysis.audit_table(s, table)
+    if audit.ok:
+        print(f"table: read {path}, solved no coalition; PASS ({n_masks} allocations "
+              f"feasible, values reproduced within {audit.worst_value_gap:.3g})")
+        return table, [["table", "", f"{n_masks} coalitions", "pass",
+                        audit.worst_value_gap]], True
+    rows = []
+    for mask, problem in audit.problems:
+        label = model.Coalition(mask).label()
+        print(f"table: FAIL coalition {label}: {problem}")
+        rows.append(["table", "", label, "fail", problem])
+    return table, rows, False
 
 
 def cmd_verify(args, parser) -> int:
@@ -288,8 +410,13 @@ def cmd_verify(args, parser) -> int:
             if len(v) != s.n_players:
                 parser.error(f"payoffs for {method!r} in {args.payoffs} have {len(v)} "
                              f"rows, but the scenario has N = {s.n_players} players")
-    table = engine.build_characteristic_table(
-        s, restarts=args.restarts, gap_tol=args.tol_gap)
+    table, rows, ok = None, [], True
+    if args.payoffs:
+        engine.check_table_limit(s.n_players)  # before a table is read
+        table, rows, ok = _saved_table(s, Path(args.payoffs).with_name(TABLE_FILE), args)
+    if table is None:
+        table = engine.build_characteristic_table(
+            s, restarts=args.restarts, gap_tol=args.tol_gap)
     if not args.payoffs:
         if args.method in ("shapley", "both"):
             vectors["shapley"] = engine.shapley_from_table(table)
@@ -300,7 +427,6 @@ def cmd_verify(args, parser) -> int:
                     for method, v in vectors.items()}
     sa_report = analysis.superadditivity_audit(table, tol=tol)
 
-    rows, ok = [], True
     for method, report in sorted(core_reports.items()):
         if report.in_core:
             print(f"core[{method}]: PASS (total={report.total:.6g})")
@@ -404,7 +530,10 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="check core membership and superadditivity")
     ver.add_argument("--scenario", required=True)
     ver.add_argument("--payoffs", default=None,
-                     help="payoffs.csv to verify instead of recomputing")
+                     help="payoffs.csv to verify instead of recomputing; the "
+                          "table.npz that run saved beside it stands in for the "
+                          "coalition solves when it matches the scenario, "
+                          "--restarts and --tol-gap")
     ver.add_argument("--method", choices=("shapley", "fast", "both"), default="both")
     ver.add_argument("--restarts", type=_count, default=solver.DEFAULT_RESTARTS)
     ver.add_argument("--tol", type=_tolerance, default=analysis.DEFAULT_CORE_TOL,

@@ -115,6 +115,7 @@ def test_run_both_emits_all_csvs(tmp_path):
     comparison = read_csv(out / "comparison.csv")
     assert [r["method"] for r in comparison] == ["shapley", "fast"]
     assert [int(r["solves"]) for r in comparison] == [7, 6]
+    assert (out / "table.npz").is_file()
 
 
 def test_run_fast_skips_enumeration(tmp_path):
@@ -128,6 +129,7 @@ def test_run_fast_skips_enumeration(tmp_path):
     assert rows[10]["mask"] == str(2**10 - 1)
     (comp,) = read_csv(out / "comparison.csv")
     assert comp["method"] == "fast" and int(comp["solves"]) == 20
+    assert not (out / "table.npz").exists()  # the fast route builds no table
 
 
 def test_run_fast_singleton_rows_credit_their_member(tmp_path):
@@ -197,6 +199,25 @@ def test_table_above_the_player_limit_exits_2_before_any_solve(tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"limited to {engine.TABLE_PLAYER_LIMIT} players" in err and "--method fast" in err
     assert solve_calls == {}
+    assert not (tmp_path / "o").exists()
+
+
+def test_max_players_is_the_scenario_limit(tmp_path, capsys):
+    # gen draws no scenario above MAX_PLAYERS, so the 25th player is
+    # written into the JSON by hand
+    scenario = gen(tmp_path, players=model.MAX_PLAYERS, apps=1, resources=1)
+    assert main(["run", "--scenario", str(scenario), "--method", "fast",
+                 "--out", str(tmp_path / "fast")]) == 0
+    doc = json.loads(scenario.read_text(encoding="utf-8"))
+    doc["players"].append(doc["players"][-1])
+    doc["n"] = model.MAX_PLAYERS + 1
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    for command in (["run", "--method", "fast", "--out", str(tmp_path / "o")], ["verify"]):
+        assert main([*command, "--scenario", str(scenario)]) == 2
+        err = capsys.readouterr().err
+        assert f"n_players must be in [1, {model.MAX_PLAYERS}], got 25" in err, command
+        assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
@@ -442,6 +463,198 @@ def test_verify_missing_payoffs_file(tmp_path):
     scenario = gen(tmp_path, players=2)
     assert main(["verify", "--scenario", str(scenario),
                  "--payoffs", str(tmp_path / "nope.csv")]) == 3
+
+
+# ---------------------------------------------------------------------------
+# table.npz: run saves the table, verify --payoffs audits it
+
+
+def run_both(tmp_path: Path, *gen_args) -> tuple[Path, Path]:
+    """gen with these arguments, then run --method both; the scenario and
+    the output directory."""
+    scenario, out = tmp_path / "s.json", tmp_path / "out"
+    assert main(["gen", *gen_args, "--out", str(scenario)]) == 0
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    return scenario, out
+
+
+def verify_rows(scenario: Path, payoffs: Path, out: Path, *extra) -> tuple[int, list[dict]]:
+    code = main(["verify", "--scenario", str(scenario), "--payoffs", str(payoffs),
+                 "--out", str(out), *extra])
+    return code, read_csv(out / "verify.csv")
+
+
+def without_table(out: Path, tmp_path: Path) -> Path:
+    """A copy of out's payoffs.csv with no table.npz beside it."""
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    (bare / "payoffs.csv").write_bytes((out / "payoffs.csv").read_bytes())
+    return bare / "payoffs.csv"
+
+
+SIGMOID_WEIGHTED = ["--players", "3", "--apps", "5", "--utility", "sigmoid", "--mu", "3",
+                    "--weights", "1:0.5"]
+
+
+@pytest.mark.parametrize("gen_args", [
+    [*SIGMOID_WEIGHTED, "--seed", "2"],
+    ["--players", "3", "--apps", "3", "--utility", "linear", "--weights", "2:1"],
+    ["--players", "4", "--apps", "3", "--utility", "linear"],
+], ids=["sigmoid-1:0.5", "linear-2:1", "linear-1:1"])
+def test_saved_table_reads_back_as_the_table_run_built(tmp_path, monkeypatch, gen_args):
+    built = []
+
+    def keep(path, s, table, restarts, gap_tol):
+        built.append(table)
+        return write_table(path, s, table, restarts, gap_tol)
+
+    write_table = cli.write_table_npz
+    monkeypatch.setattr(cli, "write_table_npz", keep)
+    scenario, out = run_both(tmp_path, *gen_args)
+    (table,) = built
+    back, differ = cli.read_table_npz(out / "table.npz", model.load_scenario(scenario),
+                                      16, 1e-6)
+    assert differ == ""
+    assert back.values.tobytes() == table.values.tobytes()
+    assert sorted(back.reports) == sorted(table.reports) == list(range(1, len(table.values) + 1))
+    for mask, want in table.reports.items():
+        got = back.reports[mask]
+        assert np.array_equal(got.allocation.x, want.allocation.x), mask
+        assert dataclasses.replace(got, allocation=None) == dataclasses.replace(
+            want, allocation=None), mask
+
+
+def test_verify_with_the_saved_table_solves_no_coalition(tmp_path, capsys, monkeypatch):
+    scenario, out = run_both(tmp_path, *SIGMOID_WEIGHTED, "--seed", "0")
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("verify solved a coalition")
+
+    monkeypatch.setattr(engine, "build_characteristic_table", no_solve)
+    monkeypatch.setattr(engine, "solve_coalition", no_solve)
+    capsys.readouterr()
+    code, rows = verify_rows(scenario, out / "payoffs.csv", tmp_path / "v")
+    assert code in (0, 1)
+    assert f"table: read {out / 'table.npz'}, solved no coalition; PASS" in capsys.readouterr().out
+    assert [r["status"] for r in rows if r["check"] == "table"] == ["pass"]
+    assert float(rows[0]["detail"]) <= 1e-9
+
+
+@pytest.mark.parametrize("gen_args", [
+    [*SIGMOID_WEIGHTED, "--seed", str(seed)] for seed in (0, 2, 5)] + [
+    ["--players", "4", "--apps", "20", "--utility", "sigmoid", "--mu", "3", "--seed", "0"],
+], ids=["3x5-1:0.5-seed0", "3x5-1:0.5-seed2", "3x5-1:0.5-seed5", "4x20-1:1-seed0"])
+def test_verify_verdicts_are_the_same_with_and_without_the_table(tmp_path, capsys, gen_args):
+    scenario, out = run_both(tmp_path, *gen_args)
+    code, rows = verify_rows(scenario, out / "payoffs.csv", tmp_path / "with")
+    capsys.readouterr()
+    bare_code, bare_rows = verify_rows(scenario, without_table(out, tmp_path),
+                                       tmp_path / "without")
+    assert "table: no " in capsys.readouterr().out
+    assert code == bare_code
+    assert [r["check"] for r in rows[:1]] == ["table"]
+    assert rows[1:] == bare_rows
+
+
+def _change_value(out: Path, monkeypatch) -> None:
+    arrays = dict(np.load(out / "table.npz"))
+    arrays["values"][2] += 0.5  # coalition {1,2}
+    np.savez(out / "table.npz", **arrays)
+
+
+def _over_capacity(out: Path, monkeypatch) -> None:
+    # coalition {1}'s block comes first: player 1 alone, its 5 apps, 3 resources
+    arrays = dict(np.load(out / "table.npz"))
+    arrays["alloc"][:15] *= 10.0
+    np.savez(out / "table.npz", **arrays)
+
+
+def _ship_to_non_member(out: Path, monkeypatch) -> None:
+    # local coordinates cannot hold a shipment outside the coalition, so
+    # the table is altered as it is read, before the audit
+    read = cli.read_table_npz
+
+    def shipped(*args):
+        table, differ = read(*args)
+        x = table.reports[1].allocation.x.copy()
+        x[0, 5, 0] = 0.5  # player 1 serves player 2's first app
+        report = dataclasses.replace(table.reports[1], allocation=model.Allocation(x))
+        return engine.CharacteristicTable(table.values, {**table.reports, 1: report}), differ
+
+    monkeypatch.setattr(cli, "read_table_npz", shipped)
+
+
+@pytest.mark.parametrize("tamper, subject, problem", [
+    (_change_value, "{1,2}", "is not its value"),
+    (_over_capacity, "{1}", "provider 0 exceeds capacity"),
+    (_ship_to_non_member, "{1}", "application outside the coalition receives resources"),
+], ids=["value", "capacity", "non-member-app"])
+def test_verify_fails_a_tampered_table(tmp_path, capsys, monkeypatch, tamper, subject, problem):
+    scenario, out = run_both(tmp_path, *SIGMOID_WEIGHTED, "--seed", "2")
+    tamper(out, monkeypatch)
+    capsys.readouterr()
+    code, rows = verify_rows(scenario, out / "payoffs.csv", tmp_path / "v")
+    assert code == 1
+    assert f"table: FAIL coalition {subject}: " in capsys.readouterr().out
+    failed = [(r["subject"], r["detail"]) for r in rows
+              if r["check"] == "table" and r["status"] == "fail"]
+    assert any(s == subject and problem in d for s, d in failed), failed
+
+
+def _edit_scenario(scenario: Path) -> list[str]:
+    s = model.load_scenario(scenario)
+    model.save_scenario(dataclasses.replace(s, capacities=s.capacities * 1.5), scenario)
+    return []
+
+
+@pytest.mark.parametrize("change, differ", [
+    (lambda scenario: ["--tol-gap", "1e9"], "gap_tol 1e-06, not 1000000000.0"),
+    (lambda scenario: ["--restarts", "4"], "restarts 16, not 4"),
+    (_edit_scenario, "digest '"),
+], ids=["tol-gap", "restarts", "edited-scenario"])
+def test_verify_solves_again_when_the_table_key_differs(tmp_path, capsys, change, differ):
+    scenario, out = run_both(tmp_path, *SIGMOID_WEIGHTED, "--seed", "2")
+    extra = change(scenario)
+    capsys.readouterr()
+    code, rows = verify_rows(scenario, out / "payoffs.csv", tmp_path / "v", *extra)
+    said = capsys.readouterr().out
+    assert f"table: {out / 'table.npz'} was saved for {differ}" in said
+    assert "solving all 7 coalitions" in said
+    bare_code, bare_rows = verify_rows(scenario, without_table(out, tmp_path),
+                                       tmp_path / "bare-v", *extra)
+    assert (code, rows) == (bare_code, bare_rows)
+
+
+def _truncate(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[:len(path.read_bytes()) // 2])
+
+
+def _drop_gaps(path: Path) -> None:
+    arrays = dict(np.load(path))
+    del arrays["gap"]
+    np.savez(path, **arrays)
+
+
+def _short_values(path: Path) -> None:
+    arrays = dict(np.load(path))
+    arrays["values"] = arrays["values"][:-1]
+    np.savez(path, **arrays)
+
+
+@pytest.mark.parametrize("spoil, says", [
+    (_truncate, "File is not a zip file"),
+    (_drop_gaps, "gap is not a file"),
+    (_short_values, "'values' is float64 of shape (6,), expected 'f' of shape (7,)"),
+], ids=["truncated", "missing-array", "wrong-shape"])
+def test_verify_rejects_an_unreadable_table(tmp_path, capsys, spoil, says):
+    scenario, out = run_both(tmp_path, "--players", "3", "--apps", "2", "--resources", "2")
+    spoil(out / "table.npz")
+    capsys.readouterr()
+    assert main(["verify", "--scenario", str(scenario), "--payoffs",
+                 str(out / "payoffs.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"{out / 'table.npz'} holds no readable coalition table" in err
+    assert says in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

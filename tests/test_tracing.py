@@ -3,7 +3,9 @@
 perfbench/layers.py times a layer by replacing the module attribute its
 caller looks up.  A layer called through a name bound at import time
 escapes the wrapper and reads as zero, so each span the tracer names must
-show up on a real gen -> run -> verify --payoffs pipeline.
+show up on a real gen -> run -> verify --payoffs pipeline.  On that
+pipeline verify reads the table run saved, so each coalition is solved
+once.
 """
 import importlib.util
 from pathlib import Path
@@ -39,3 +41,4 @@ def test_tracer_records_every_span_it_names(tmp_path, capsys):
         tracer.uninstall()
     recorded = {span[0] for span in tracer.spans}
     assert sorted({name for _, _, name, _ in layers.TARGETS} - recorded) == []
+    assert [span[0] for span in tracer.spans].count("solver.coalition") == 2**3 - 1
