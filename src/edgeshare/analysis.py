@@ -4,10 +4,11 @@ Everything here checks claims by explicit inequality sweeps against a
 characteristic table: core membership (no coalition can do better alone,
 one array comparison over every mask) and superadditivity of the value
 function (every disjoint pair).  audit_table checks a table read back
-from disk, whose values no solve here produced: every coalition's
-allocation must be feasible for it and must earn its value.  compare_methods is the one driver that
-runs and times the Shapley and fast pipelines: `run` calls it once with
-one repetition, `bench` once per grid point.
+from disk, which no solve in this process produced: every coalition's
+allocation must be feasible for it and must earn its value.
+compare_methods is the one driver that runs and times the Shapley and
+fast pipelines: `run` calls it once with one repetition, `bench` once
+per grid point.
 """
 from __future__ import annotations
 

@@ -38,9 +38,10 @@ COMPARISON_HEADER = ["n", "m_per_player", "k", "mu", "method", "solves", "median
 ATTRIBUTION_BLOCK = 16
 TABLE_FILE = "table.npz"
 TABLE_FORMAT_VERSION = 1
-# table.npz holds the key, then one entry per coalition in ascending mask
-# order (dtype kind of each array), then every coalition's allocation in
-# local coordinates (|S|, M_S, K), raveled and concatenated in mask order
+# table.npz holds the 0-d key arrays, one array per solve field with an
+# entry per coalition in ascending mask order (here with its dtype kind),
+# and "alloc": every coalition's allocation in local coordinates
+# (|S|, M_S, K), raveled and concatenated in ascending mask order
 TABLE_KEY = ("version", "digest", "restarts", "gap_tol")
 TABLE_COLUMNS = {"values": "f", "kind": "U", "iterations": "i", "restarts_used": "i",
                  "gap": "f", "wall_time": "f"}
@@ -191,57 +192,76 @@ def write_verify_csv(path: Path, rows: list[list]) -> None:
     _write_rows(path, ["check", "method", "subject", "status", "detail"], rows)
 
 
-def _local_selectors(s: model.Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """Per nonempty coalition, ascending mask, the boolean rows that pick
-    its local coordinates out of an (N, M, K) allocation: its members
-    (2^N - 1, N) and their applications (2^N - 1, M)."""
+def _local_entries(s: model.Scenario):
+    """The length of "alloc", sum |S| * M_S * K over the nonempty
+    coalitions, and an iterator over their (N, M) booleans in ascending
+    mask order: whether player n is a member and application i a member's.
+    An (N, M, K) allocation indexed by a coalition's booleans gives its
+    local coordinates (|S|, M_S, K), raveled to (|S| * M_S, K)."""
     masks = np.arange(1, 1 << s.n_players)
     members = (masks[:, None] >> np.arange(s.n_players)) & 1 == 1
-    return members, members[:, s.owner]
+    size = members.sum(axis=1) @ (members @ np.array(s.m_per_player)) * s.n_resources
+    return int(size), (row[:, None] & row[s.owner] for row in members)
 
 
 def write_table_npz(path: Path, s: model.Scenario, table: engine.CharacteristicTable,
                     restarts: int, gap_tol: float) -> None:
     """Save the table with its key: what `verify --payoffs` needs to use it
-    in place of solving every coalition again."""
+    in place of solving every coalition again.  Each array is one .npy
+    entry of the zip, as np.savez writes it, but "alloc" is written one
+    coalition at a time, so no second copy of the allocations is held."""
     reports = [table.reports[mask] for mask in range(1, 1 << s.n_players)]
-    alloc = np.concatenate([r.allocation.x[np.ix_(rows, cols)].ravel()
-                            for r, rows, cols in zip(reports, *_local_selectors(s))])
-    np.savez(path, version=TABLE_FORMAT_VERSION, digest=s.digest(), restarts=restarts,
-             gap_tol=gap_tol, values=table.values, alloc=alloc,
-             kind=[r.solver_kind for r in reports],
-             iterations=[r.iterations for r in reports],
-             restarts_used=[r.restarts_used for r in reports],
-             gap=[r.gap for r in reports], wall_time=[r.wall_time for r in reports])
+    size, entries = _local_entries(s)
+    arrays = {"version": TABLE_FORMAT_VERSION, "digest": s.digest(), "restarts": restarts,
+              "gap_tol": gap_tol, "values": table.values,
+              "kind": [r.solver_kind for r in reports],
+              "iterations": [r.iterations for r in reports],
+              "restarts_used": [r.restarts_used for r in reports],
+              "gap": [r.gap for r in reports], "wall_time": [r.wall_time for r in reports]}
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, value in arrays.items():
+            with zf.open(f"{name}.npy", "w") as fh:
+                np.lib.format.write_array(fh, np.asarray(value), allow_pickle=False)
+        with zf.open("alloc.npy", "w", force_zip64=True) as fh:
+            np.lib.format.write_array_header_1_0(fh, {
+                "descr": "<f8", "fortran_order": False, "shape": (size,)})
+            for r, entry in zip(reports, entries):
+                fh.write(r.allocation.x[entry].tobytes())
 
 
-def _table_from_arrays(s: model.Scenario, arrays: dict) -> engine.CharacteristicTable:
-    """The table whose columns and allocations these arrays hold, after
-    checking their shapes, dtypes and finiteness against the scenario."""
-    members, apps = _local_selectors(s)
-    counts = np.stack([members.sum(axis=1), apps.sum(axis=1)], axis=1)  # |S|, M_S
-    want = {name: (len(members),) for name in TABLE_COLUMNS}
-    want["alloc"] = (int(counts.prod(axis=1).sum()) * s.n_resources,)
-    for name, shape in want.items():
-        got = arrays[name]
-        if got.shape != shape or got.dtype.kind != TABLE_COLUMNS.get(name, "f"):
+def _table_from_npz(s: model.Scenario, npz) -> engine.CharacteristicTable:
+    """The table whose solve fields and allocations table.npz holds, after
+    checking their shapes, dtypes and finiteness against the scenario.
+    "alloc" is read one coalition at a time into its own (N, M, K) array,
+    as the solves made them: a process that freed a table reuses its
+    memory for these, and no second copy of the allocations is held."""
+    size, entries = _local_entries(s)
+    shape = ((1 << s.n_players) - 1,)
+    columns = {name: npz[name] for name in TABLE_COLUMNS}
+    for name, got in columns.items():
+        if got.shape != shape or got.dtype.kind != TABLE_COLUMNS[name]:
             raise ValueError(f"{name!r} is {got.dtype} of shape {got.shape}, expected "
-                             f"{TABLE_COLUMNS.get(name, 'f')!r} of shape {shape}")
+                             f"dtype kind {TABLE_COLUMNS[name]!r} and shape {shape}")
         if got.dtype.kind == "f" and not np.all(np.isfinite(got)):
             raise ValueError(f"{name!r} holds a NaN or infinite entry")
-    ends = np.cumsum(counts.prod(axis=1) * s.n_resources)
-    blocks = np.split(arrays["alloc"], ends[:-1])
-    columns = [arrays[name].tolist() for name in TABLE_COLUMNS]
+    k = s.n_resources
     reports = {}
-    for mask, (rows, cols, (size, m_s), block, row) in enumerate(
-            zip(members, apps, counts, blocks, zip(*columns)), start=1):
-        x = np.zeros((s.n_players, s.m_total, s.n_resources))
-        x[np.ix_(rows, cols)] = block.reshape(size, m_s, s.n_resources)
-        value, kind, iterations, used, gap, wall_time = row
-        reports[mask] = solver.SolveReport(
-            value=value, allocation=model.Allocation(x), solver_kind=kind,
-            iterations=iterations, restarts_used=used, gap=gap, wall_time=wall_time)
-    return engine.CharacteristicTable(values=arrays["values"], reports=reports)
+    with npz.zip.open("alloc.npy") as fh:
+        if (np.lib.format.read_magic(fh) != (1, 0)
+                or np.lib.format.read_array_header_1_0(fh) != ((size,), False, np.dtype("<f8"))):
+            raise ValueError(f"'alloc' is not {size} float64 values")
+        rows = zip(*(columns[name].tolist() for name in TABLE_COLUMNS))
+        for mask, (entry, row) in enumerate(zip(entries, rows), start=1):
+            block = np.frombuffer(fh.read(int(entry.sum()) * k * 8), dtype="<f8")
+            if not np.all(np.isfinite(block)):
+                raise ValueError("'alloc' holds a NaN or infinite entry")
+            x = np.zeros((*entry.shape, k))
+            x[entry] = block.reshape(-1, k)
+            value, kind, iterations, used, gap, wall_time = row
+            reports[mask] = solver.SolveReport(
+                value=value, allocation=model.Allocation(x), solver_kind=kind,
+                iterations=iterations, restarts_used=used, gap=gap, wall_time=wall_time)
+    return engine.CharacteristicTable(values=columns["values"], reports=reports)
 
 
 def read_table_npz(path: Path, s: model.Scenario, restarts: int,
@@ -262,8 +282,7 @@ def read_table_npz(path: Path, s: model.Scenario, restarts: int,
                       for name in TABLE_KEY if saved[name] != want[name]]
             if differ:
                 return None, ", ".join(differ)
-            arrays = {name: npz[name] for name in ("alloc", *TABLE_COLUMNS)}
-        return _table_from_arrays(s, arrays), ""
+            return _table_from_npz(s, npz), ""
     except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
         raise ValueError(f"{path} holds no readable coalition table: {exc}") from None
 
@@ -386,8 +405,9 @@ def _saved_table(s: model.Scenario, path: Path,
         return None, [], True
     audit = analysis.audit_table(s, table)
     if audit.ok:
-        print(f"table: read {path}, solved no coalition; PASS ({n_masks} allocations "
-              f"feasible, values reproduced within {audit.worst_value_gap:.3g})")
+        print(f"table: read {path}, solved no coalition; PASS ({audit.masks_checked} "
+              f"allocations feasible, values reproduced within "
+              f"{audit.worst_value_gap:.3g})")
         return table, [["table", "", f"{n_masks} coalitions", "pass",
                         audit.worst_value_gap]], True
     rows = []

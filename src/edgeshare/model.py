@@ -263,11 +263,10 @@ def audit_allocation(
         i, k = np.unravel_index(np.argmax(over_req), over_req.shape)
         problems.append(f"application {i} oversupplied on resource {k} by {over_req[i, k]:g}")
     if coalition is not None:
-        outside_p = [n for n in range(s.n_players) if not coalition.contains(n)]
-        if outside_p and np.any(np.abs(x[outside_p]) > tol):
+        outside = (coalition.mask >> np.arange(s.n_players)) & 1 == 0
+        if np.any(np.abs(x[outside]) > tol):
             problems.append("provider outside the coalition supplies resources")
-        app_out = ~np.isin(s.owner, coalition.members())
-        if np.any(app_out) and np.any(np.abs(x[:, app_out, :]) > tol):
+        if np.any(np.abs(x[:, outside[s.owner]]) > tol):
             problems.append("application outside the coalition receives resources")
     return problems
 

@@ -644,7 +644,7 @@ def _short_values(path: Path) -> None:
 @pytest.mark.parametrize("spoil, says", [
     (_truncate, "File is not a zip file"),
     (_drop_gaps, "gap is not a file"),
-    (_short_values, "'values' is float64 of shape (6,), expected 'f' of shape (7,)"),
+    (_short_values, "'values' is float64 of shape (6,), expected dtype kind 'f' and shape (7,)"),
 ], ids=["truncated", "missing-array", "wrong-shape"])
 def test_verify_rejects_an_unreadable_table(tmp_path, capsys, spoil, says):
     scenario, out = run_both(tmp_path, "--players", "3", "--apps", "2", "--resources", "2")
