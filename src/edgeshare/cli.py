@@ -408,7 +408,7 @@ def _saved_table(s: model.Scenario, path: Path,
         print(f"table: read {path}, solved no coalition; PASS ({audit.masks_checked} "
               f"allocations feasible, values reproduced within "
               f"{audit.worst_value_gap:.3g})")
-        return table, [["table", "", f"{n_masks} coalitions", "pass",
+        return table, [["table", "", f"{audit.masks_checked} coalitions", "pass",
                         audit.worst_value_gap]], True
     rows = []
     for mask, problem in audit.problems:
@@ -422,6 +422,7 @@ def cmd_verify(args, parser) -> int:
     s = _load(args)
     tol = args.tol
     vectors: dict[str, np.ndarray] = {}
+    table, rows, ok = None, [], True
     if args.payoffs:
         vectors = read_payoffs_csv(Path(args.payoffs))
         if not vectors:
@@ -430,8 +431,6 @@ def cmd_verify(args, parser) -> int:
             if len(v) != s.n_players:
                 parser.error(f"payoffs for {method!r} in {args.payoffs} have {len(v)} "
                              f"rows, but the scenario has N = {s.n_players} players")
-    table, rows, ok = None, [], True
-    if args.payoffs:
         engine.check_table_limit(s.n_players)  # before a table is read
         table, rows, ok = _saved_table(s, Path(args.payoffs).with_name(TABLE_FILE), args)
     if table is None:

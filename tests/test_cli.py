@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import edgeshare
-from edgeshare import cli, engine, model, utility
+from edgeshare import cli, engine, model, solver, utility
 from edgeshare.cli import main, read_payoffs_csv, write_payoffs_csv
 
 
@@ -513,7 +513,7 @@ def test_saved_table_reads_back_as_the_table_run_built(tmp_path, monkeypatch, ge
     scenario, out = run_both(tmp_path, *gen_args)
     (table,) = built
     back, differ = cli.read_table_npz(out / "table.npz", model.load_scenario(scenario),
-                                      16, 1e-6)
+                                      solver.DEFAULT_RESTARTS, solver.DEFAULT_GAP_TOL)
     assert differ == ""
     assert back.values.tobytes() == table.values.tobytes()
     assert sorted(back.reports) == sorted(table.reports) == list(range(1, len(table.values) + 1))
