@@ -149,11 +149,11 @@ class TableAudit:
         return not self.problems
 
 
-def audit_table(s: Scenario, table: CharacteristicTable,
-                rtol: float = TABLE_VALUE_RTOL) -> TableAudit:
+def audit_table(s: Scenario, table: CharacteristicTable) -> TableAudit:
     """Check each coalition's stored allocation with model.audit_allocation
     (feasible, and confined to the coalition's members and applications)
-    and its value with utility.coalition_objective, one mask at a time."""
+    and its value with utility.coalition_objective to TABLE_VALUE_RTOL,
+    one mask at a time."""
     problems, worst = [], 0.0
     for mask, report in sorted(table.reports.items()):
         coalition = Coalition(mask)
@@ -162,7 +162,7 @@ def audit_table(s: Scenario, table: CharacteristicTable,
         objective = coalition_objective(s, report.allocation, coalition)
         gap = abs(objective - value) / max(1.0, abs(value))
         worst = max(worst, gap)  # a NaN gap leaves worst as it is
-        if not gap <= rtol:  # a NaN gap fails
+        if not gap <= TABLE_VALUE_RTOL:  # a NaN gap fails
             problems.append((mask, f"objective {objective!r} at its allocation "
                                    f"is not its value {value!r}"))
     return TableAudit(masks_checked=len(table.reports), worst_value_gap=worst,

@@ -28,10 +28,9 @@ from .solver import (
 
 # The table stores 2^N - 1 values and keeps every coalition's allocation in
 # its reports, so time and memory double per player.  With 3 linear apps
-# per player on 2 cores, run --method both takes about 6 s and 354 MB of
-# peak RSS at N = 14, with 0.25 s of it and the 63 MB alloc array spent
-# saving table.npz; at N = 15, before that file existed, it took 14 s and
-# 628 MB.
+# per player on 2 cores, run --method both takes about 6 s and 297 MB of
+# peak RSS at N = 14, 0.25 s of it saving table.npz; at N = 15, before
+# run saved the table, it took 14 s and 628 MB.
 TABLE_PLAYER_LIMIT = 14
 
 
