@@ -626,7 +626,8 @@ def test_verify_solves_again_when_the_table_key_differs(tmp_path, capsys, change
 
 
 def _truncate(path: Path) -> None:
-    path.write_bytes(path.read_bytes()[:len(path.read_bytes()) // 2])
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
 
 
 def _drop_gaps(path: Path) -> None:
@@ -641,11 +642,21 @@ def _short_values(path: Path) -> None:
     np.savez(path, **arrays)
 
 
+def _alloc_entry(value):
+    def spoil(path: Path) -> None:
+        arrays = dict(np.load(path))
+        arrays["alloc"][-1] = value
+        np.savez(path, **arrays)
+    return spoil
+
+
 @pytest.mark.parametrize("spoil, says", [
     (_truncate, "File is not a zip file"),
     (_drop_gaps, "gap is not a file"),
     (_short_values, "'values' is float64 of shape (6,), expected dtype kind 'f' and shape (7,)"),
-], ids=["truncated", "missing-array", "wrong-shape"])
+    (_alloc_entry(np.nan), "'alloc' holds a NaN or infinite entry"),
+    (_alloc_entry(-1.0), "allocation entries must be >= 0"),
+], ids=["truncated", "missing-array", "wrong-shape", "nan-allocation", "negative-allocation"])
 def test_verify_rejects_an_unreadable_table(tmp_path, capsys, spoil, says):
     scenario, out = run_both(tmp_path, "--players", "3", "--apps", "2", "--resources", "2")
     spoil(out / "table.npz")
