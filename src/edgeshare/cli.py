@@ -124,8 +124,9 @@ def write_payoffs_csv(path: Path, entries: list[tuple[str, np.ndarray, np.ndarra
 def read_payoffs_csv(path: Path) -> dict[str, np.ndarray]:
     """Re-read a payoffs CSV into method -> payoff vector (player order).
     A missing method, player or payoff column, a row whose player is not
-    an integer or whose payoff is not a number, and a NaN or infinite
-    payoff are ValueErrors that name the column, row, or method and player."""
+    an integer or whose payoff is not a number, a second row for one
+    method and player, and a NaN or infinite payoff are ValueErrors that
+    name the column, row, or method and player."""
     by_method: dict[str, dict[int, float]] = {}
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh, restval="")  # a short row reads as blanks
@@ -144,7 +145,11 @@ def read_payoffs_csv(path: Path) -> dict[str, np.ndarray]:
             if not np.isfinite(payoff):
                 raise ValueError(f"payoff of player {player} for {method!r} in {path} "
                                  f"is {row['payoff']}, not a finite number")
-            by_method.setdefault(method, {})[player] = payoff
+            entries = by_method.setdefault(method, {})
+            if player in entries:
+                raise ValueError(f"{path} line {reader.line_num}: a second payoff row for "
+                                 f"player {player} of {method!r}")
+            entries[player] = payoff
     out = {}
     for method, entries in by_method.items():
         if sorted(entries) != list(range(1, len(entries) + 1)):

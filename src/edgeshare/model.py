@@ -246,7 +246,8 @@ def audit_allocation(
     Verifies nonnegativity, per-provider capacity, per-application request
     caps, and (when a coalition is given) that providers outside it supply
     nothing and applications outside it receive nothing.  Returns the list
-    of violated constraints, empty when feasible within tol.
+    of violated constraints, empty when feasible within tol; providers,
+    applications and resources are numbered from 1, as coalitions are.
     """
     x = alloc.x
     problems = []
@@ -257,11 +258,13 @@ def audit_allocation(
     over_cap = x.sum(axis=1) - s.capacities
     if np.any(over_cap > tol):
         n, k = np.unravel_index(np.argmax(over_cap), over_cap.shape)
-        problems.append(f"provider {n} exceeds capacity of resource {k} by {over_cap[n, k]:g}")
+        problems.append(f"provider {n + 1} exceeds capacity of resource {k + 1} "
+                        f"by {over_cap[n, k]:g}")
     over_req = x.sum(axis=0) - s.requests
     if np.any(over_req > tol):
         i, k = np.unravel_index(np.argmax(over_req), over_req.shape)
-        problems.append(f"application {i} oversupplied on resource {k} by {over_req[i, k]:g}")
+        problems.append(f"application {i + 1} oversupplied on resource {k + 1} "
+                        f"by {over_req[i, k]:g}")
     if coalition is not None:
         outside = (coalition.mask >> np.arange(s.n_players)) & 1 == 0
         if np.any(np.abs(x[outside]) > tol):

@@ -445,6 +445,19 @@ def test_verify_names_a_malformed_payoffs_row(tmp_path, capsys, row):
     assert "Traceback" not in err
 
 
+def test_verify_rejects_a_repeated_payoffs_row(tmp_path, capsys):
+    # the second row for one method and player used to replace the first
+    scenario = gen(tmp_path, players=2)
+    bad = tmp_path / "payoffs.csv"
+    bad.write_text("method,player,payoff\nfast,1,1.0\nfast,2,1.0\nfast,1,999.0\n",
+                   encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", "--scenario", str(scenario), "--payoffs", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert f"{bad} line 4: a second payoff row for player 1 of 'fast'" in err
+    assert out == "" and "Traceback" not in err
+
+
 @pytest.mark.parametrize("column", ["method", "player", "payoff"])
 def test_verify_names_a_missing_payoffs_column(tmp_path, capsys, column):
     scenario = gen(tmp_path, players=2)
@@ -586,7 +599,7 @@ def _ship_to_non_member(out: Path, monkeypatch) -> None:
 
 @pytest.mark.parametrize("tamper, subject, problem", [
     (_change_value, "{1,2}", "is not its value"),
-    (_over_capacity, "{1}", "provider 0 exceeds capacity"),
+    (_over_capacity, "{1}", "provider 1 exceeds capacity of resource 3"),
     (_ship_to_non_member, "{1}", "application outside the coalition receives resources"),
 ], ids=["value", "capacity", "non-member-app"])
 def test_verify_fails_a_tampered_table(tmp_path, capsys, monkeypatch, tamper, subject, problem):
@@ -816,6 +829,7 @@ loaded["import edgeshare"] = lazy_modules()
 from edgeshare.cli import main
 loaded["import edgeshare.cli"] = lazy_modules()
 linear, sigmoid = str(work / "linear.json"), str(work / "sigmoid.json")
+weighted = str(work / "weighted.json")
 small = ["--players", "3", "--apps", "2", "--resources", "2"]
 steps = [
     ("--help", ["--help"], 0),
@@ -824,6 +838,11 @@ steps = [
     ("linear run", ["run", "--scenario", linear, "--out", str(work / "linear")], 0),
     ("sigmoid gen", ["gen", *small, "--utility", "sigmoid", "--mu", "3", "--out", sigmoid], 0),
     ("sigmoid run", ["run", "--scenario", sigmoid, "--out", str(work / "sigmoid")], 0),
+    ("sigmoid verify", ["verify", "--scenario", sigmoid,
+                        "--payoffs", str(work / "sigmoid" / "payoffs.csv")], 0),
+    ("weighted gen", ["gen", *small, "--utility", "sigmoid", "--mu", "3",
+                      "--weights", "1:0.5", "--out", weighted], 0),
+    ("weighted run", ["run", "--scenario", weighted, "--out", str(work / "weighted")], 0),
 ]
 for name, argv, code in steps:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -835,25 +854,27 @@ print(json.dumps(loaded))
 
 def test_startup_loads_numpy_only(tmp_path):
     """Importing the package, `--help` and a usage error load neither scipy
-    nor numpy.random; `gen` and an all-linear `run --method both` at
-    weights 1:1 load no scipy module.  numpy.random loads at the scenario
-    draw or the first restart stream, scipy.special at the first sigmoid
-    evaluation, scipy.optimize at the first transport LP.  The steps run in
-    order in one fresh interpreter."""
+    nor numpy.random; `gen`, a linear and a sigmoid `run --method both` at
+    weights 1:1 and `verify --payoffs` on the sigmoid run load no scipy
+    module.  numpy.random loads at the scenario draw or the first restart
+    stream, scipy.optimize at the first transport LP, which the sigmoid
+    run at 1:0.5 solves.  The steps run in order in one fresh
+    interpreter."""
     src = Path(edgeshare.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(tmp_path)],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
-    assert len(loaded) == 8
+    assert len(loaded) == 11
     for step in ("import edgeshare", "import edgeshare.cli", "--help", "run --restarts 0"):
         assert loaded.pop(step) == [], step
-    sigmoid = loaded.pop("sigmoid run")
+    weighted = loaded.pop("weighted run")
+    # every step before it, the sigmoid run and verify at 1:1 included,
+    # evaluates the logistic in numpy and solves no LP
     for step, modules in loaded.items():
         assert not [m for m in modules if m.startswith("scipy")], step
-    # a sigmoid run at 1:1 evaluates the logistic but solves no LP
-    assert "scipy.special" in sigmoid and "scipy.optimize" not in sigmoid
+    assert "scipy.optimize" in weighted
 
 
 def test_public_names_resolve():

@@ -7,7 +7,11 @@ the verify and fast-run hashes before the characteristic table became one
 array.  Those changes keep every value, so the files must not move.  A
 change that moves a value on purpose updates a hash here and says why in
 CHANGES.md.  The hashes hold for the pinned numpy and scipy (numpy 2.4,
-scipy 1.17); another libm or another HiGHS may round differently.
+scipy 1.17).  The sigmoid values go through numpy's exp, whose kernel
+numpy picks by the CPU's SIMD level (they hold with its AVX-512 kernel),
+so another CPU may round a logistic differently, as may another HiGHS.
+Moving the logistic from scipy's expit (libm's exp) to numpy's exp left
+all six hashes unchanged.
 """
 import hashlib
 

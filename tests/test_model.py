@@ -228,9 +228,10 @@ def test_audit_flags_capacity_and_request_breaches():
     s = tiny_scenario()
     x = np.zeros((2, 4, 2))
     x[0, :, 0] = 2.0  # row sum 8 > capacity 4 and oversupplies apps
-    problems = audit_allocation(s, Allocation(x))
-    assert any("capacity" in p for p in problems)
-    assert any("oversupplied" in p for p in problems)
+    # numbered from 1, as verify labels coalitions
+    assert audit_allocation(s, Allocation(x)) == [
+        "provider 1 exceeds capacity of resource 1 by 4",
+        "application 1 oversupplied on resource 1 by 1"]
 
 
 def test_audit_flags_out_of_coalition_support():

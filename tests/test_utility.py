@@ -4,17 +4,18 @@ The sigmoid numbers are recomputed in-test with math.exp; sequential
 credits are checked against the closed form g(cum_t) - g(cum_{t-1}).
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from edgeshare import utility
 from edgeshare.model import (
     Allocation,
     Coalition,
     Scenario,
     UtilitySpec,
     all_coalitions,
+    generate_scenario,
     scenario_from_json,
     scenario_to_json,
 )
@@ -25,7 +26,7 @@ from edgeshare.utility import (
     coalition_objective,
 )
 
-from oracles import eval_own
+from oracles import eval_own, sigmoid_term
 
 
 def sig(z):
@@ -248,7 +249,6 @@ def test_breakdown_of_a_stack_is_each_breakdown_bit_for_bit(utility, w, zeta):
     bit for bit, the split of each allocation alone and the per-player
     sums over its owner blocks."""
     from edgeshare.engine import build_characteristic_table
-    from edgeshare.model import generate_scenario
 
     mu = 3.0 if utility == "sigmoid" else None
     s = generate_scenario(3, 2, 12, utility=utility, mu=mu, seed=8, w=w, zeta=zeta)
@@ -325,15 +325,41 @@ def test_all_linear_terms_match_the_mixed_rows_without_a_logistic(monkeypatch):
     terms = AppTerms.from_scenario(s, linear_apps)
     assert terms.all_linear and not every.all_linear
 
-    def no_logistic():
+    def no_logistic(self, received):
         raise AssertionError("an all-linear evaluation ran the logistic")
 
-    monkeypatch.setattr(utility, "_expit", no_logistic)
+    monkeypatch.setattr(AppTerms, "_logistic", no_logistic)
     t_lin = t[:, linear_apps]
     got = (terms.value(t_lin), *terms.value_and_slope(t_lin))
     for have, want in zip(got, (mixed[0], *mixed)):
         assert have.shape == t_lin.shape
         assert have.tobytes() == want[:, linear_apps].tobytes()
+
+
+@pytest.mark.parametrize("mu", [0.5, 3.0, 10.0])
+def test_logistic_matches_the_oracle_bit_for_bit(mu):
+    """Values are the oracle's 1/(1+e^{-mu(t-r)}) and slopes mu*p*(1-p)
+    from it, bit for bit, on random receipts up to each request."""
+    s = generate_scenario(3, 2, 4, utility="sigmoid", mu=mu, seed=31)
+    terms = AppTerms.from_scenario(s)
+    t = np.random.default_rng(31).uniform(0.0, 1.0, (64, *s.requests.shape)) * s.requests
+    with np.errstate(over="ignore"):
+        p = sigmoid_term(t, mu, s.requests)
+    g, slope = terms.value_and_slope(t)
+    assert g.tobytes() == terms.value(t).tobytes() == p.tobytes()
+    assert slope.tobytes() == (mu * p * (1 - p)).tobytes()
+
+
+def test_an_overflowing_logistic_is_exactly_zero_without_a_warning():
+    s = generate_scenario(3, 2, 4, utility="sigmoid", mu=1000.0, seed=31)
+    assert (1000.0 * s.requests).min() > 745  # exp(mu*r) overflows at t = 0
+    terms = AppTerms.from_scenario(s)
+    t = np.zeros((2, *s.requests.shape))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = (terms.value(t), *terms.value_and_slope(t))
+    for have in got:
+        assert have.tobytes() == t.tobytes()  # +0.0 throughout
 
 
 def test_coalition_problem_matches_the_per_app_construction():
