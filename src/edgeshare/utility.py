@@ -16,8 +16,8 @@ and scipy loads only with the first transport LP (`solver._highs`).
 Importing scipy.special for its expit cost about 19 MB resident and 0.2-0.3 s
 per process (2 cores), against about 20 ms for the 23 solves of a 4x20
 `run --method both`.  numpy's exp rounds differently from libm's on some
-arguments (1 ulp on 1.9 % of 4 M sampled ones, AVX-512 kernel), so
-values may move by rounding alone.
+arguments (the logistic moved by 1-4 ulp on 1.9 % of 4 M uniform ones,
+AVX-512 kernel), so values may move by rounding alone.
 """
 from __future__ import annotations
 
