@@ -150,8 +150,8 @@ class TableAudit:
 
 
 def audit_table(s: Scenario, table: CharacteristicTable) -> TableAudit:
-    """Check each coalition's stored allocation with model.audit_allocation
-    (feasible, and confined to the coalition's members and applications)
+    """Check each coalition's stored allocation, in its own coordinates,
+    with model.audit_allocation (shaped for the coalition, and feasible)
     and its value with utility.coalition_objective to TABLE_VALUE_RTOL,
     one mask at a time."""
     problems, worst = [], 0.0

@@ -22,6 +22,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 import zipfile
 from pathlib import Path
@@ -40,8 +41,9 @@ TABLE_FILE = "table.npz"
 TABLE_FORMAT_VERSION = 1
 # table.npz holds the 0-d key arrays, one array per solve field with an
 # entry per coalition in ascending mask order (here with its dtype kind),
-# and "alloc": every coalition's allocation in local coordinates
-# (|S|, M_S, K), raveled and concatenated in ascending mask order
+# and "alloc": every coalition's allocation as the table holds it, in its
+# own coordinates (|S|, M_S, K) of Scenario.local_axes, raveled and
+# concatenated in ascending mask order
 TABLE_KEY = ("version", "digest", "restarts", "gap_tol")
 TABLE_COLUMNS = {"values": "f", "kind": "U", "iterations": "i", "restarts_used": "i",
                  "gap": "f", "wall_time": "f"}
@@ -82,7 +84,12 @@ def coalition_rows(s: model.Scenario, table: engine.CharacteristicTable) -> list
     rows: list[list] = []
     for lo in range(1, 1 << s.n_players, ATTRIBUTION_BLOCK):
         block = range(lo, min(lo + ATTRIBUTION_BLOCK, 1 << s.n_players))
-        split = breakdown(s, [table.reports[m].allocation for m in block])
+        # each local allocation placed in its own (N, M, K) slice of one stack
+        stack = np.zeros((len(block), s.n_players, s.m_total, s.n_resources))
+        for b, mask in enumerate(block):
+            members, apps = s.local_axes(mask)
+            stack[b, members[:, None], apps] = table.reports[mask].allocation.x
+        split = breakdown(s, [model.Allocation(x) for x in stack])
         for mask, players in zip(block, split):
             coalition = model.Coalition(mask)
             per_player = [b.weighted_total if coalition.contains(b.player) else 0.0
@@ -197,18 +204,6 @@ def write_verify_csv(path: Path, rows: list[list]) -> None:
     _write_rows(path, ["check", "method", "subject", "status", "detail"], rows)
 
 
-def _local_entries(s: model.Scenario):
-    """The length of "alloc", sum |S| * M_S * K over the nonempty
-    coalitions, and an iterator over their (N, M) booleans in ascending
-    mask order: whether player n is a member and application i a member's.
-    An (N, M, K) allocation indexed by a coalition's booleans gives its
-    local coordinates (|S|, M_S, K), raveled to (|S| * M_S, K)."""
-    masks = np.arange(1, 1 << s.n_players)
-    members = (masks[:, None] >> np.arange(s.n_players)) & 1 == 1
-    size = members.sum(axis=1) @ (members @ np.array(s.m_per_player)) * s.n_resources
-    return int(size), (row[:, None] & row[s.owner] for row in members)
-
-
 def write_table_npz(path: Path, s: model.Scenario, table: engine.CharacteristicTable,
                     restarts: int, gap_tol: float) -> None:
     """Save the table with its key: what `verify --payoffs` needs to use it
@@ -216,7 +211,7 @@ def write_table_npz(path: Path, s: model.Scenario, table: engine.CharacteristicT
     entry of the zip, as np.savez writes it, but "alloc" is written one
     coalition at a time, so no second copy of the allocations is held."""
     reports = [table.reports[mask] for mask in range(1, 1 << s.n_players)]
-    size, entries = _local_entries(s)
+    size = sum(r.allocation.x.size for r in reports)
     arrays = {"version": TABLE_FORMAT_VERSION, "digest": s.digest(), "restarts": restarts,
               "gap_tol": gap_tol, "values": table.values,
               "kind": [r.solver_kind for r in reports],
@@ -230,17 +225,19 @@ def write_table_npz(path: Path, s: model.Scenario, table: engine.CharacteristicT
         with zf.open("alloc.npy", "w", force_zip64=True) as fh:
             np.lib.format.write_array_header_1_0(fh, {
                 "descr": "<f8", "fortran_order": False, "shape": (size,)})
-            for r, entry in zip(reports, entries):
-                fh.write(r.allocation.x[entry].tobytes())
+            for r in reports:
+                fh.write(r.allocation.x.tobytes())
 
 
 def _table_from_npz(s: model.Scenario, npz) -> engine.CharacteristicTable:
     """The table whose solve fields and allocations table.npz holds, after
     checking their shapes, dtypes and finiteness against the scenario.
-    "alloc" is read one coalition at a time into its own (N, M, K) array,
-    as the solves made them: a process that freed a table reuses its
-    memory for these, and no second copy of the allocations is held."""
-    size, entries = _local_entries(s)
+    "alloc" is read one coalition at a time into an array of its own, in
+    its layout as the solves made it: a process that freed a table reuses
+    its memory for these, and no second copy of the allocations is held."""
+    blocks = [(members.size, apps.size, s.n_resources)
+              for members, apps in map(s.local_axes, range(1, 1 << s.n_players))]
+    size = sum(math.prod(block) for block in blocks)
     shape = ((1 << s.n_players) - 1,)
     columns = {name: npz[name] for name in TABLE_COLUMNS}
     for name, got in columns.items():
@@ -249,19 +246,16 @@ def _table_from_npz(s: model.Scenario, npz) -> engine.CharacteristicTable:
                              f"dtype kind {TABLE_COLUMNS[name]!r} and shape {shape}")
         if got.dtype.kind == "f" and not np.all(np.isfinite(got)):
             raise ValueError(f"{name!r} holds a NaN or infinite entry")
-    k = s.n_resources
     reports = {}
     with npz.zip.open("alloc.npy") as fh:
         if (np.lib.format.read_magic(fh) != (1, 0)
                 or np.lib.format.read_array_header_1_0(fh) != ((size,), False, np.dtype("<f8"))):
             raise ValueError(f"'alloc' is not {size} float64 values")
         rows = zip(*(columns[name].tolist() for name in TABLE_COLUMNS))
-        for mask, (entry, row) in enumerate(zip(entries, rows), start=1):
-            block = np.frombuffer(fh.read(int(entry.sum()) * k * 8), dtype="<f8")
-            if not np.all(np.isfinite(block)):
+        for mask, (block, row) in enumerate(zip(blocks, rows), start=1):
+            x = np.frombuffer(fh.read(math.prod(block) * 8), dtype="<f8").reshape(block)
+            if not np.all(np.isfinite(x)):
                 raise ValueError("'alloc' holds a NaN or infinite entry")
-            x = np.zeros((*entry.shape, k))
-            x[entry] = block.reshape(-1, k)
             value, kind, iterations, used, gap, wall_time = row
             reports[mask] = solver.SolveReport(
                 value=value, allocation=model.Allocation(x), solver_kind=kind,
@@ -275,7 +269,8 @@ def read_table_npz(path: Path, s: model.Scenario, restarts: int,
     this scenario and these settings.  A file that does not hold a table of
     this layout is a ValueError that names it."""
     try:
-        with np.load(path, allow_pickle=False) as npz:
+        # np.load given a path leaks its handle when the zip is unreadable
+        with path.open("rb") as fh, np.load(fh, allow_pickle=False) as npz:
             saved = {name: npz[name] for name in TABLE_KEY}
             for name, value in saved.items():
                 if value.shape != ():

@@ -26,11 +26,12 @@ from .solver import (
 )
 
 
-# The table stores 2^N - 1 values and keeps every coalition's allocation in
-# its reports, so time and memory double per player.  With 3 linear apps
-# per player on 2 cores, run --method both takes about 6 s and 297 MB of
-# peak RSS at N = 14, 0.25 s of it saving table.npz; at N = 15, before
-# run saved the table, it took 14 s and 628 MB.
+# The table stores 2^N - 1 values and keeps every coalition's allocation,
+# (|S|, M_S, K) in its own coordinates, in its reports, so time and memory
+# double per player.  With 3 linear apps per player on 2 cores, run
+# --method both takes about 4.5 s and 136 MB of peak RSS at N = 14, 0.1 s of
+# it saving table.npz.  The limit dates from (N, M, K) allocations, when
+# N = 14 took 297 MB and N = 15 14 s and 628 MB.
 TABLE_PLAYER_LIMIT = 14
 
 
@@ -144,7 +145,6 @@ class FastCoreResult:
     allocation: Allocation
     phase1: np.ndarray  # native optima, unweighted
     phase2: np.ndarray  # residual sharing income, unweighted
-    order: tuple[int, ...]
 
     @property
     def solves(self) -> int:
@@ -155,21 +155,16 @@ def fast_core(
     s: Scenario,
     restarts: int = DEFAULT_RESTARTS,
     gap_tol: float = DEFAULT_GAP_TOL,
-    order: tuple[int, ...] | None = None,
 ) -> FastCoreResult:
     """Two-phase allocation in 2N solves.
 
     Phase 1: every player serves its own applications from its own
-    capacity.  Phase 2: players take turns (ascending index unless an
-    explicit order is given) selling leftover capacity against the
-    shrinking pool of foreign residual requests; each sale is income for
-    the seller and tops up the buyer's applications.
+    capacity.  Phase 2: players take turns in ascending index, selling
+    leftover capacity against the shrinking pool of foreign residual
+    requests; each sale is income for the seller and tops up the buyer's
+    applications.
     """
     n, m, k = s.n_players, s.m_total, s.n_resources
-    if order is None:
-        order = tuple(range(n))
-    elif sorted(order) != list(range(n)):
-        raise ValueError("order must be a permutation of all players")
 
     native_reports = [solve_native(s, p, restarts=restarts, gap_tol=gap_tol)
                       for p in range(n)]
@@ -181,7 +176,7 @@ def fast_core(
     residual_caps = np.clip(s.capacities - x_total.sum(axis=1), 0.0, None)
 
     phase2 = np.zeros(n)
-    for p in order:
+    for p in range(n):
         report = solve_residual(s, p, residual_caps[p], residual_reqs,
                                 restarts=restarts, gap_tol=gap_tol)
         phase2[p] = report.value
@@ -196,5 +191,4 @@ def fast_core(
         allocation=Allocation(x_total),
         phase1=phase1,
         phase2=phase2,
-        order=tuple(order),
     )

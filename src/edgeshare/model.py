@@ -102,6 +102,13 @@ class Scenario:
         """Indices of player n's native applications."""
         return np.flatnonzero(self.owner == n)
 
+    def local_axes(self, mask: int) -> tuple[np.ndarray, np.ndarray]:
+        """A coalition's own coordinates: its members (mask's bits below
+        n_players) and their applications, ascending; row t of its
+        (|S|, M_S, K) allocation is members[t], column i apps[i]."""
+        member = (mask >> np.arange(self.n_players)) & 1 == 1
+        return np.flatnonzero(member), np.flatnonzero(member[self.owner])
+
     def coeff_matrix(self) -> np.ndarray:
         """Linear coefficients stacked to (M, K); ones by default, zeros
         are meaningless for sigmoid rows (never read there)."""
@@ -243,34 +250,34 @@ def audit_allocation(
 ) -> list[str]:
     """Independent feasibility check by direct constraint arithmetic.
 
-    Verifies nonnegativity, per-provider capacity, per-application request
-    caps, and (when a coalition is given) that providers outside it supply
-    nothing and applications outside it receive nothing.  Returns the list
-    of violated constraints, empty when feasible within tol; providers,
-    applications and resources are numbered from 1, as coalitions are.
+    The allocation is (N, M, K), or a coalition's own coordinates
+    (Scenario.local_axes) when one is given: those hold nothing by or for a
+    non-member.  Verifies shape, nonnegativity, per-provider capacity and
+    per-application request caps.  Returns the violated constraints, empty
+    when feasible within tol; providers, applications and resources are
+    numbered globally from 1, as coalitions are.
     """
     x = alloc.x
+    if coalition is None:
+        providers, apps = np.arange(s.n_players), np.arange(s.m_total)
+    else:
+        providers, apps = s.local_axes(coalition.mask)
+    want = (len(providers), len(apps), s.n_resources)
+    if x.shape != want:
+        return [f"allocation shape {x.shape} is not {want}"]
     problems = []
-    if x.shape != (s.n_players, s.m_total, s.n_resources):
-        return [f"allocation shape {x.shape} does not match scenario"]
     if np.any(x < -tol):
         problems.append(f"negative entries as low as {x.min():g}")
-    over_cap = x.sum(axis=1) - s.capacities
+    over_cap = x.sum(axis=1) - s.capacities[providers]
     if np.any(over_cap > tol):
         n, k = np.unravel_index(np.argmax(over_cap), over_cap.shape)
-        problems.append(f"provider {n + 1} exceeds capacity of resource {k + 1} "
+        problems.append(f"provider {providers[n] + 1} exceeds capacity of resource {k + 1} "
                         f"by {over_cap[n, k]:g}")
-    over_req = x.sum(axis=0) - s.requests
+    over_req = x.sum(axis=0) - s.requests[apps]
     if np.any(over_req > tol):
         i, k = np.unravel_index(np.argmax(over_req), over_req.shape)
-        problems.append(f"application {i + 1} oversupplied on resource {k + 1} "
+        problems.append(f"application {apps[i] + 1} oversupplied on resource {k + 1} "
                         f"by {over_req[i, k]:g}")
-    if coalition is not None:
-        outside = (coalition.mask >> np.arange(s.n_players)) & 1 == 0
-        if np.any(np.abs(x[outside]) > tol):
-            problems.append("provider outside the coalition supplies resources")
-        if np.any(np.abs(x[:, outside[s.owner]]) > tol):
-            problems.append("application outside the coalition receives resources")
     return problems
 
 

@@ -73,7 +73,9 @@ _NATIVE_TAG, _RESIDUAL_TAG, _COALITION_TAG = 0xA1, 0xB2, 0xC3
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one subproblem solve."""
+    """Outcome of one subproblem solve.  A coalition solve's allocation is
+    local, (|S|, M_S, K) by Scenario.local_axes; native and residual
+    solves keep (N, M, K), since fast_core assembles the global split."""
 
     value: float
     allocation: Allocation
@@ -708,7 +710,8 @@ def solve_coalition(
 ) -> SolveReport:
     """Maximize the coalition's weighted objective: members pool capacity
     over the union of their applications (per-provider budgets and
-    per-application caps still bind)."""
+    per-application caps still bind).  The allocation is local
+    (Scenario.local_axes), a copy that pins no restart batch."""
     _check_settings(restarts, gap_tol)
     t0 = time.perf_counter()
     prob = CoalitionProblem.build(s, coalition)
@@ -735,4 +738,4 @@ def solve_coalition(
         x0 = starts(functools.partial(_random_staircases, prob))
         x, value, iters, gap = _multistart(*_member_oracles(prob), x0, gap_tol, prob.convex)
         how = ("multistart_fw", iters, restarts, gap)
-    return _report(value, prob.to_global(s, x), how, t0)
+    return _report(value, Allocation(x.copy()), how, t0)

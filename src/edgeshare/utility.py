@@ -101,8 +101,10 @@ class AppTerms:
 class CoalitionProblem:
     """Precomputed machinery for one coalition's allocation problem.
 
-    Local coordinates: row t of a local allocation (S, MS, K) belongs to
-    members[t]; column i to apps[i].  ord_pos holds, per app, the member
+    Local coordinates, the layout of Scenario.local_axes: row t of a local
+    allocation (S, MS, K) belongs to members[t], column i to apps[i].  The
+    coalition's solve returns its allocation, and the characteristic
+    table stores it, in this layout.  ord_pos holds, per app, the member
     positions in attribution order (owner first, then ascending index);
     zseq the matching credit weights (w for the owner slot, zeta after).
     Objective, credits and gradient broadcast over leading axes of a
@@ -120,16 +122,12 @@ class CoalitionProblem:
 
     @classmethod
     def build(cls, s: Scenario, coalition: Coalition) -> "CoalitionProblem":
-        members = tuple(p for p in coalition.members() if p < s.n_players)
-        if not members:
+        mem, apps = s.local_axes(coalition.mask)
+        if not mem.size:
             raise ValueError("coalition has no members inside the scenario")
-        mem = np.array(members)
-        size = len(members)
-        pos_of = np.full(s.n_players, -1)  # member position of each player
-        pos_of[mem] = np.arange(size)
-        apps = np.flatnonzero(pos_of[s.owner] >= 0)
+        size = mem.size
         own = s.owner[apps]
-        owner_pos = pos_of[own]
+        owner_pos = np.searchsorted(mem, own)  # member position of each app's owner
         ord_pos = np.empty((len(apps), size), dtype=int)
         ord_pos[:, 0] = owner_pos
         # the other positions ascending: j below the owner's, j + 1 from it on
@@ -141,7 +139,7 @@ class CoalitionProblem:
         # member owns an application
         uniform = float(zseq[0, 0]) if np.all(zseq == zseq[0, 0]) else None
         return cls(
-            members=members,
+            members=tuple(mem.tolist()),
             apps=apps,
             caps=s.capacities[mem],
             reqs=s.requests[apps],
@@ -221,16 +219,6 @@ class CoalitionProblem:
         g, gp = self.terms.value_and_slope(self._sorted_cumulative(x_local))
         return self._weighted_sum(self._slot_credits(g)), self._gradient_of(gp)
 
-    # -- embedding ----------------------------------------------------------
-
-    def to_global(self, s: Scenario, x_local: np.ndarray) -> Allocation:
-        x = np.zeros((s.n_players, s.m_total, s.n_resources))
-        x[np.ix_(list(self.members), self.apps, range(s.n_resources))] = x_local
-        return Allocation(x)
-
-    def from_global(self, alloc: Allocation) -> np.ndarray:
-        return alloc.x[np.ix_(list(self.members), self.apps)]
-
 
 # ---------------------------------------------------------------------------
 # reporting-level evaluation on concrete allocations
@@ -295,6 +283,10 @@ def breakdown(s: Scenario, alloc: Allocation | Sequence[Allocation]):
 
 def coalition_objective(s: Scenario, alloc: Allocation, coalition: Coalition) -> float:
     """The characteristic-function objective evaluated at a concrete
-    allocation (no optimization)."""
+    allocation (no optimization), in the coalition's own coordinates
+    (Scenario.local_axes); for the grand coalition those are (N, M, K)."""
     prob = CoalitionProblem.build(s, coalition)
-    return float(prob.objective(prob.from_global(alloc)))
+    want = (prob.size, len(prob.apps), s.n_resources)
+    if alloc.x.shape != want:
+        raise ValueError(f"allocation shape {alloc.x.shape} is not {want}")
+    return float(prob.objective(alloc.x))

@@ -217,6 +217,18 @@ def feasibility_violations(x, caps, reqs, tol=1e-9):
     return out
 
 
+def embed(s, mask, x_local):
+    """A coalition's (|S|, M_S, K) allocation placed in an (N, M, K) array
+    of zeros: row t is the t-th member in ascending index, column i the
+    i-th of the members' applications in ascending index.  s is read for
+    its n_players, n_resources and owner fields only."""
+    members = [p for p in range(s.n_players) if mask >> p & 1]
+    apps = [i for i, p in enumerate(s.owner) if mask >> int(p) & 1]
+    x = np.zeros((s.n_players, len(s.owner), s.n_resources))
+    x[np.ix_(members, apps)] = x_local
+    return x
+
+
 def factored_staircase(alpha, gamma, supplies, demands):
     """Northwest-corner maximizer for profits alpha_u * gamma_i, built the
     long way: sort rows by decreasing alpha and columns by decreasing gamma

@@ -234,12 +234,27 @@ def test_audit_flags_capacity_and_request_breaches():
         "application 1 oversupplied on resource 1 by 1"]
 
 
-def test_audit_flags_out_of_coalition_support():
+def test_audit_of_a_coalition_reads_its_own_coordinates():
     s = tiny_scenario()
-    x = np.zeros((2, 4, 2))
-    x[1, 3, 0] = 0.5  # player 2 active although coalition is {1}
-    problems = audit_allocation(s, Allocation(x), Coalition(0b01))
-    assert problems and any("outside" in p for p in problems)
+    x = np.zeros((1, 2, 2))  # coalition {2}: player 2 by its apps 3 and 4
+    x[0, :, 1] = 2.0  # row sum 4 > capacity 3 and oversupplies app 3
+    # numbered globally: the member is provider 2, its apps are 3 and 4
+    assert audit_allocation(s, Allocation(x), Coalition(0b10)) == [
+        "provider 2 exceeds capacity of resource 2 by 1",
+        "application 3 oversupplied on resource 2 by 1"]
+    # a global (N, M, K) array is no allocation of {2}
+    assert audit_allocation(s, Allocation(np.zeros((2, 4, 2))), Coalition(0b10)) == [
+        "allocation shape (2, 4, 2) is not (1, 2, 2)"]
+    assert audit_allocation(s, Allocation(np.zeros((2, 4, 2))), Coalition.grand(2)) == []
+
+
+def test_local_axes_are_members_and_their_apps_ascending():
+    s = tiny_scenario()
+    for mask, members, apps in ((0b01, [0], [0, 1]), (0b10, [1], [2, 3]),
+                                (0b11, [0, 1], [0, 1, 2, 3]), (0b111, [0, 1], [0, 1, 2, 3]),
+                                (0, [], [])):
+        got = s.local_axes(mask)
+        assert [a.tolist() for a in got] == [members, apps], mask
 
 
 def test_apps_of_and_m_per_player():

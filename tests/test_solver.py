@@ -33,6 +33,7 @@ from edgeshare.utility import AppTerms, CoalitionProblem, coalition_objective
 
 from oracles import (
     brute_force_transport,
+    embed,
     factored_staircase,
     feasibility_violations,
     grid_best,
@@ -554,7 +555,7 @@ def test_solutions_feasible_across_random_instances():
         for c in (Coalition(0b011), Coalition(0b101), Coalition.grand(3)):
             rep = solve_coalition(s, c, restarts=4)
             assert audit_allocation(s, rep.allocation, c) == []
-            x = rep.allocation.x
+            x = embed(s, c.mask, rep.allocation.x)
             assert not feasibility_violations(x, s.capacities, s.requests)
 
 

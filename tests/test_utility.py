@@ -26,7 +26,7 @@ from edgeshare.utility import (
     coalition_objective,
 )
 
-from oracles import eval_own, sigmoid_term
+from oracles import embed, eval_own, sigmoid_term
 
 
 def sig(z):
@@ -229,7 +229,7 @@ def per_player_split(s, alloc):
     """(own, shared, weighted_total) per player, summed one player and one
     owner block at a time over one allocation's slot credits."""
     prob = CoalitionProblem.build(s, Coalition.grand(s.n_players))
-    credits = prob.credits(prob.from_global(alloc))
+    credits = prob.credits(alloc.x)  # the grand coalition's coordinates are global
     owners = s.owner[prob.apps]
     apps = np.arange(len(owners))
     out = []
@@ -254,7 +254,7 @@ def test_breakdown_of_a_stack_is_each_breakdown_bit_for_bit(utility, w, zeta):
     s = generate_scenario(3, 2, 12, utility=utility, mu=mu, seed=8, w=w, zeta=zeta)
     table = build_characteristic_table(s, restarts=4)
     masks = sorted(table.reports)
-    allocs = [table.reports[m].allocation for m in masks]
+    allocs = [Allocation(embed(s, m, table.reports[m].allocation.x)) for m in masks]
     stacked = breakdown(s, allocs)
     assert len(stacked) == len(masks) == 7
     for mask, alloc, split in zip(masks, allocs, stacked):
@@ -430,6 +430,9 @@ def test_objective_of_subcoalition_counts_members_only():
         utilities=(UtilitySpec("linear"), UtilitySpec("linear")),
         w=np.ones(2), zeta=np.ones(2),
     )
-    x = np.zeros((2, 2, 1))
-    x[0, 0, 0] = 1.0
+    x = np.zeros((1, 1, 1))
+    x[0, 0, 0] = 1.0  # player 1 serves its own application
     assert coalition_objective(s, Allocation(x), Coalition(0b01)) == pytest.approx(1.0)
+    # player 2 and its application are no coordinates of {1}
+    with pytest.raises(ValueError, match=r"allocation shape \(2, 2, 1\) is not \(1, 1, 1\)"):
+        coalition_objective(s, Allocation(embed(s, 0b01, x)), Coalition(0b01))
