@@ -46,7 +46,6 @@ from .solver import (
 from .utility import (
     UtilityBreakdown,
     breakdown,
-    coalition_objective,
 )
 
 __version__ = "0.1.0"
@@ -68,7 +67,6 @@ __all__ = [
     "audit_allocation",
     "breakdown",
     "build_characteristic_table",
-    "coalition_objective",
     "compare_methods",
     "core_verify",
     "fast_core",

@@ -10,7 +10,9 @@ When Shapley ran, `run` also saves its characteristic table as
 table.npz beside payoffs.csv.  `verify --payoffs P` reads the table.npz
 beside P when its key (format version, scenario digest, restarts, solver
 gap) matches, audits it and solves no coalition; otherwise it solves the
-table again, and it says on stdout which it did.
+table again, and it says on stdout which it did.  coalition.csv and that
+audit take each coalition's split over its members from one pass,
+analysis.member_shares.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 usage error or
 unreadable table.npz, 3 I/O error.  All value output is deterministic for
@@ -32,11 +34,6 @@ import numpy as np
 from . import analysis, engine, model, solver
 
 COMPARISON_HEADER = ["n", "m_per_player", "k", "mu", "method", "solves", "median_ms"]
-# Masks attributed per breakdown call: every mask up to N = 4 in one call,
-# and a bounded stack beyond.  At N = 12 (linear, 3 apps) the rows raised
-# peak RSS by 23 MB at 256 masks a call and by 3.5 MB at 16, in about the
-# same time.
-ATTRIBUTION_BLOCK = 16
 TABLE_FILE = "table.npz"
 TABLE_FORMAT_VERSION = 1
 # table.npz holds the 0-d key arrays, one array per solve field with an
@@ -77,25 +74,14 @@ def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
 
 def coalition_rows(s: model.Scenario, table: engine.CharacteristicTable) -> list[list]:
     """One value row per coalition, ascending mask, its value split over
-    the members as its allocation credits them.  The allocations of each
-    ATTRIBUTION_BLOCK masks are attributed in one breakdown call."""
-    from .utility import breakdown
-
+    the members as its allocation credits them (analysis.member_shares)."""
     rows: list[list] = []
-    for lo in range(1, 1 << s.n_players, ATTRIBUTION_BLOCK):
-        block = range(lo, min(lo + ATTRIBUTION_BLOCK, 1 << s.n_players))
-        # each local allocation placed in its own (N, M, K) slice of one stack
-        stack = np.zeros((len(block), s.n_players, s.m_total, s.n_resources))
-        for b, mask in enumerate(block):
-            members, apps = s.local_axes(mask)
-            stack[b, members[:, None], apps] = table.reports[mask].allocation.x
-        split = breakdown(s, [model.Allocation(x) for x in stack])
-        for mask, players in zip(block, split):
+    for masks, shares in analysis.member_shares(s, table):
+        for mask, split in zip(masks.tolist(), shares.tolist()):
             coalition = model.Coalition(mask)
-            per_player = [b.weighted_total if coalition.contains(b.player) else 0.0
-                          for b in players]
-            rows.append([mask, coalition.size, coalition.label(),
-                         table.value(mask), *per_player])
+            # the literal 0.0, so no row holds a float object per non-member
+            rows.append([mask, coalition.size, coalition.label(), table.value(mask),
+                         *[v if coalition.contains(p) else 0.0 for p, v in enumerate(split)]])
     return rows
 
 

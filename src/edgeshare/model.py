@@ -23,8 +23,9 @@ CAPACITY_SPREAD = 0.5  # capacities drawn from [(1-s)*demand, (1+s)*demand]
 SCENARIO_FORMAT_VERSION = 1
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(np.asarray(a, dtype=float))
+def _frozen(a: np.ndarray, dtype=float) -> np.ndarray:
+    """A read-only C-contiguous copy: the caller's array stays its own."""
+    out = np.array(a, dtype=dtype, order="C")
     out.flags.writeable = False
     return out
 
@@ -78,9 +79,7 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "capacities", _frozen(self.capacities))
         object.__setattr__(self, "requests", _frozen(self.requests))
-        owner = np.ascontiguousarray(np.asarray(self.owner, dtype=int))
-        owner.flags.writeable = False
-        object.__setattr__(self, "owner", owner)
+        object.__setattr__(self, "owner", _frozen(self.owner, dtype=int))
         object.__setattr__(self, "w", _frozen(self.w))
         object.__setattr__(self, "zeta", _frozen(self.zeta))
         object.__setattr__(self, "utilities", tuple(self.utilities))
@@ -252,10 +251,11 @@ def audit_allocation(
 
     The allocation is (N, M, K), or a coalition's own coordinates
     (Scenario.local_axes) when one is given: those hold nothing by or for a
-    non-member.  Verifies shape, nonnegativity, per-provider capacity and
-    per-application request caps.  Returns the violated constraints, empty
-    when feasible within tol; providers, applications and resources are
-    numbered globally from 1, as coalitions are.
+    non-member.  Verifies shape, per-provider capacity and per-application
+    request caps (Allocation refuses a negative entry).  Returns the
+    violated constraints, empty when feasible within tol; providers,
+    applications and resources are numbered globally from 1, as coalitions
+    are.
     """
     x = alloc.x
     if coalition is None:
@@ -266,8 +266,6 @@ def audit_allocation(
     if x.shape != want:
         return [f"allocation shape {x.shape} is not {want}"]
     problems = []
-    if np.any(x < -tol):
-        problems.append(f"negative entries as low as {x.min():g}")
     over_cap = x.sum(axis=1) - s.capacities[providers]
     if np.any(over_cap > tol):
         n, k = np.unravel_index(np.argmax(over_cap), over_cap.shape)

@@ -738,4 +738,4 @@ def solve_coalition(
         x0 = starts(functools.partial(_random_staircases, prob))
         x, value, iters, gap = _multistart(*_member_oracles(prob), x0, gap_tol, prob.convex)
         how = ("multistart_fw", iters, restarts, gap)
-    return _report(value, Allocation(x.copy()), how, t0)
+    return _report(value, Allocation(x), how, t0)

@@ -21,13 +21,12 @@ AVX-512 kernel), so values may move by rounding alone.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .model import Allocation, Coalition, Scenario
+from .model import Coalition, Scenario
 
 
 @dataclass(frozen=True)
@@ -226,67 +225,50 @@ class CoalitionProblem:
 
 @dataclass(frozen=True)
 class UtilityBreakdown:
-    """Per-player income split for one allocation.
+    """Per-player income split of a stack of allocations (..., N, M, K).
 
-    own is what the player retains on its native applications after foreign
-    suppliers' credits are carved out (with nobody topping them up, their
-    utility at the player's own supply); shared maps each other player j to
-    the income earned by serving j's applications: the satisfaction lift of
-    the player's contribution on top of what was already allocated (native
-    supply first, lower player indices next), all zero when it supplies
-    nothing.
+    own (..., N) is what each player retains on its native applications
+    after foreign suppliers' credits are carved out (with nobody topping
+    them up, their utility at the player's own supply); shared (..., N, N)
+    holds in [..., n, j] the income n earns by serving j's applications:
+    the satisfaction lift of n's contribution on top of what was already
+    allocated (native supply first, lower player indices next), zero when
+    n supplies nothing and on the diagonal.  weighted_total (..., N) is
+    w_n*own_n + zeta_n*sum_j shared_n[j].
     """
 
-    player: int
-    own: float
-    shared: dict[int, float]
-    weighted_total: float
+    own: np.ndarray
+    shared: np.ndarray
+    weighted_total: np.ndarray
 
 
-def breakdown(s: Scenario, alloc: Allocation | Sequence[Allocation]):
-    """Split an allocation's value player by player.
+def breakdown(s: Scenario, x: np.ndarray) -> UtilityBreakdown:
+    """Split each allocation of a stack (..., N, M, K) player by player.
 
-    The weighted totals sum to the coalition objective at this allocation:
-    sum_n w_n*own_n + zeta_n*sum_j shared_n[j].  Given a sequence of
-    allocations instead of one, split them all in one pass over their
-    stack and return one such tuple per allocation.
+    The weighted totals of one allocation sum to the grand coalition's
+    objective at it.  An array whose last three axes are not (N, M, K) is
+    a ValueError.
     """
-    if isinstance(alloc, Allocation):
-        return breakdown(s, [alloc])[0]
-    if not alloc:
-        return []
     n_players = s.n_players
+    want = (n_players, s.m_total, s.n_resources)
+    if x.shape[-3:] != want:
+        raise ValueError(f"allocation shape {x.shape} does not end in {want}")
     # with every player a member, local coordinates are global ones
     prob = CoalitionProblem.build(s, Coalition.grand(n_players))
-    credits = prob.credits(np.stack([a.x for a in alloc]))  # (B, N, M, K) by slot
-    lead = len(credits)
+    credits = prob.credits(x)  # (..., N, M, K) by slot
+    lead = credits.shape[:-3]
     owned = [s.owner == n for n in range(n_players)]
-    # per player n and app i: the credit of n's slot in i's order, (B, N, M)
+    # per player n and app i: the credit of n's slot in i's order, (..., N, M)
     slot = np.argmax(prob.ord_pos == np.arange(n_players)[:, None, None], axis=2)
-    per_app = credits[:, slot, np.arange(s.m_total), :].sum(axis=-1)
+    per_app = credits[..., slot, np.arange(s.m_total), :].sum(axis=-1)
     # every owner sum runs over a contiguous copy, in the order (and so
     # with the rounding) of the sum over one allocation's owner block
-    own = np.stack([np.ascontiguousarray(credits[:, 0, mine]).reshape(lead, -1).sum(axis=1)
-                    for mine in owned], axis=1)  # (B, N)
+    own = np.stack([np.ascontiguousarray(credits[..., 0, mine, :]).reshape(lead + (-1,))
+                    .sum(axis=-1) for mine in owned], axis=-1)
     shared = np.stack([np.ascontiguousarray(per_app[..., mine]).sum(axis=-1)
-                       for mine in owned], axis=-1)  # (B, N, N)
-    total = np.stack([s.w[n] * own[:, n]
-                      + s.zeta[n] * sum(shared[:, n, j] for j in range(n_players) if j != n)
-                      for n in range(n_players)], axis=1)
-    own, shared, total = own.tolist(), shared.tolist(), total.tolist()
-    return [tuple(UtilityBreakdown(player=n, own=own[b][n],
-                                   shared={j: v for j, v in enumerate(shared[b][n]) if j != n},
-                                   weighted_total=total[b][n])
-                  for n in range(n_players))
-            for b in range(lead)]
-
-
-def coalition_objective(s: Scenario, alloc: Allocation, coalition: Coalition) -> float:
-    """The characteristic-function objective evaluated at a concrete
-    allocation (no optimization), in the coalition's own coordinates
-    (Scenario.local_axes); for the grand coalition those are (N, M, K)."""
-    prob = CoalitionProblem.build(s, coalition)
-    want = (prob.size, len(prob.apps), s.n_resources)
-    if alloc.x.shape != want:
-        raise ValueError(f"allocation shape {alloc.x.shape} is not {want}")
-    return float(prob.objective(alloc.x))
+                       for mine in owned], axis=-1)
+    diagonal = np.arange(n_players)
+    shared[..., diagonal, diagonal] = 0.0
+    # summed over j in sequence, as np.sum does not
+    total = s.w * own + s.zeta * np.cumsum(shared, axis=-1)[..., -1]
+    return UtilityBreakdown(own=own, shared=shared, weighted_total=total)

@@ -19,7 +19,7 @@ from edgeshare.engine import (
     fast_core,
     shapley_from_table,
 )
-from edgeshare.model import Allocation, Coalition, Scenario, UtilitySpec, generate_scenario
+from edgeshare.model import Coalition, Scenario, UtilitySpec, generate_scenario
 from edgeshare.solver import solve_coalition, solve_native
 from edgeshare.utility import breakdown
 
@@ -289,7 +289,7 @@ def test_criterion_10_utility_unit_checks(capsys):
             w=np.ones(1), zeta=np.ones(1))
         x = np.array([[[r]]])
         assert eval_own(s, x, 0) == 0.5  # exactly, per entry
-        assert breakdown(s, Allocation(x))[0].own == 0.5  # and in the library
+        assert breakdown(s, x).own[0] == 0.5  # and in the library
 
     s = generate_scenario(2, 2, 2, utility="sigmoid", mu=3.0, seed=42)
     full = np.stack([s.requests * 0.5] * 2)  # receipts == requests

@@ -3,8 +3,20 @@ import numpy as np
 import pytest
 
 from edgeshare import engine
-from edgeshare.analysis import compare_methods, core_verify, superadditivity_audit
-from edgeshare.engine import CharacteristicTable, fast_core, shapley_payoffs
+from edgeshare.analysis import (
+    ATTRIBUTION_BLOCK,
+    TABLE_VALUE_RTOL,
+    compare_methods,
+    core_verify,
+    member_shares,
+    superadditivity_audit,
+)
+from edgeshare.engine import (
+    CharacteristicTable,
+    build_characteristic_table,
+    fast_core,
+    shapley_payoffs,
+)
 from edgeshare.model import Coalition, generate_scenario
 from edgeshare.solver import solve_coalition
 
@@ -83,6 +95,33 @@ def test_single_player_vacuously_superadditive():
     table = CharacteristicTable(values=[2.0], reports={})
     report = superadditivity_audit(table, tol=1e-9)
     assert report.ok and report.pairs_checked == 0
+
+
+# ---------------------------------------------------------------------------
+# member_shares
+
+
+@pytest.mark.parametrize("utility, w, zeta", [
+    ("sigmoid", 1.0, 1.0), ("sigmoid", 1.0, 0.5), ("sigmoid", 0.5, 1.0), ("linear", 1.0, 1.0)],
+    ids=["sigmoid-1:1", "sigmoid-1:0.5", "sigmoid-0.5:1", "linear"])
+def test_member_shares_split_each_value_over_its_members(utility, w, zeta):
+    """Blocks of at most ATTRIBUTION_BLOCK masks cover every coalition in
+    ascending order; a non-member's share is exactly 0.0 (a sigmoid
+    non-member's own baseline is not), and the members' shares add up to
+    the coalition's value."""
+    mu = 3.0 if utility == "sigmoid" else None
+    s = generate_scenario(5, 2, 1, utility=utility, mu=mu, seed=9, w=w, zeta=zeta)
+    table = build_characteristic_table(s, restarts=4)
+    blocks = list(member_shares(s, table))
+    assert all(0 < len(masks) <= ATTRIBUTION_BLOCK for masks, _ in blocks)
+    assert np.concatenate([masks for masks, _ in blocks]).tolist() == list(range(1, 32))
+    for masks, shares in blocks:
+        assert shares.shape == (len(masks), 5)
+        for mask, split in zip(masks.tolist(), shares):
+            member = (mask >> np.arange(5)) & 1 == 1
+            assert split[~member].tobytes() == np.zeros((~member).sum()).tobytes(), mask
+            value = table.value(mask)
+            assert abs(split[member].sum() - value) <= TABLE_VALUE_RTOL * max(1.0, abs(value))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import edgeshare
-from edgeshare import cli, engine, model, solver, utility
+from edgeshare import analysis, cli, engine, model, solver, utility
 from edgeshare.cli import main, read_payoffs_csv, write_payoffs_csv
 
 from oracles import embed
@@ -170,20 +170,20 @@ def test_coalition_rows_attribute_each_block_of_masks_in_one_call(monkeypatch):
     breakdown = utility.breakdown
     calls = []
 
-    def counted(scenario, allocs):
-        calls.append(len(allocs))
-        return breakdown(scenario, allocs)
+    def counted(scenario, x):
+        calls.append(len(x))
+        return breakdown(scenario, x)
 
     monkeypatch.setattr(utility, "breakdown", counted)
     rows = cli.coalition_rows(s, table)
-    assert cli.ATTRIBUTION_BLOCK == 16 and calls == [16, 15]
+    assert analysis.ATTRIBUTION_BLOCK == 16 and calls == [16, 15]
     assert [row[0] for row in rows] == list(range(1, 32))
     assert [row[3] for row in rows] == [table.value(m) for m in range(1, 32)]
     for row in rows:
         coalition = model.Coalition(row[0])
         x = embed(s, row[0], table.reports[row[0]].allocation.x)
-        want = [b.weighted_total if coalition.contains(b.player) else 0.0
-                for b in breakdown(s, model.Allocation(x))]
+        totals = breakdown(s, x).weighted_total
+        want = [totals[p] if coalition.contains(p) else 0.0 for p in range(5)]
         assert row[4:] == want, coalition.label()
     calls.clear()  # the fast route's singleton rows need no attribution
     singles = cli.singleton_rows(np.ones(5))

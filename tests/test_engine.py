@@ -27,7 +27,7 @@ from edgeshare.model import (
     generate_scenario,
 )
 from edgeshare.solver import solve_coalition
-from edgeshare.utility import coalition_objective
+from edgeshare.utility import CoalitionProblem
 
 from oracles import (
     member_sums_by_loop,
@@ -305,7 +305,7 @@ def test_fast_core_allocation_feasible_and_value_consistent():
     res = fast_core(s)
     assert audit_allocation(s, res.allocation) == []
     # the combined two-phase allocation realizes exactly the paid total
-    obj = coalition_objective(s, res.allocation, Coalition.grand(3))
+    obj = CoalitionProblem.build(s, Coalition.grand(3)).objective(res.allocation.x)
     assert res.payoffs.sum() == pytest.approx(obj, abs=1e-9)
 
 

@@ -211,6 +211,23 @@ def test_allocation_shapes_and_sums():
     assert a.x.sum(axis=1).shape == (2, 2)  # per-provider spend
 
 
+def test_constructors_keep_a_read_only_copy_of_the_callers_arrays():
+    """Scenario, UtilitySpec and Allocation store arrays of their own: the
+    caller's array is not the stored one and stays writeable."""
+    given = {name: np.array(value) for name, value in (
+        ("capacities", [[4.0, 2.0], [1.0, 3.0]]), ("requests", np.ones((4, 2))),
+        ("owner", [0, 0, 1, 1]), ("w", [1.0, 1.0]), ("zeta", [1.0, 0.5]))}
+    coeffs, x = np.ones((2, 2)), np.zeros((2, 4, 2))
+    spec = UtilitySpec("linear", coeffs=coeffs)
+    s = tiny_scenario(**given, utilities=(spec, UtilitySpec("linear")))
+    stored = [(getattr(s, name), given[name]) for name in given]
+    stored += [(spec.coeffs, coeffs), (Allocation(x).x, x)]
+    for kept, theirs in stored:
+        assert kept is not theirs and not np.shares_memory(kept, theirs)
+        assert theirs.flags.writeable and not kept.flags.writeable
+        assert np.array_equal(kept, theirs)
+
+
 def test_allocation_rejects_negative():
     with pytest.raises(ValueError):
         Allocation(-np.ones((1, 1, 1)))

@@ -29,7 +29,7 @@ from edgeshare.solver import (
     solve_native,
     solve_residual,
 )
-from edgeshare.utility import AppTerms, CoalitionProblem, coalition_objective
+from edgeshare.utility import AppTerms, CoalitionProblem
 
 from oracles import (
     brute_force_transport,
@@ -530,7 +530,7 @@ def test_solver_reports_are_consistent():
     assert audit_allocation(s, rep.allocation, c) == []
     # reported value equals the objective recomputed at the allocation
     assert rep.value == pytest.approx(
-        coalition_objective(s, rep.allocation, c), abs=1e-9)
+        CoalitionProblem.build(s, c).objective(rep.allocation.x), abs=1e-9)
     assert rep.solver_kind == "multistart_fw"
     assert rep.restarts_used == 4
     assert rep.gap >= 0.0 or rep.iterations > 0
@@ -544,7 +544,8 @@ def test_solver_reports_are_consistent():
                 rep = solve_coalition(s, c, restarts=4)
                 assert audit_allocation(s, rep.allocation, c) == []
                 assert rep.value == pytest.approx(
-                    coalition_objective(s, rep.allocation, c), rel=1e-12, abs=1e-12)
+                    CoalitionProblem.build(s, c).objective(rep.allocation.x),
+                    rel=1e-12, abs=1e-12)
 
 
 def test_solutions_feasible_across_random_instances():
@@ -987,7 +988,7 @@ def test_non_convex_solve_searches_the_step(monkeypatch):
     c = Coalition.grand(2)
     rep = solve_coalition(s, c, restarts=4)
     assert audit_allocation(s, rep.allocation, c) == []
-    assert rep.value == pytest.approx(coalition_objective(s, rep.allocation, c),
+    assert rep.value == pytest.approx(CoalitionProblem.build(s, c).objective(rep.allocation.x),
                                       rel=1e-12, abs=1e-12)
     assert any(0.0 < step < 1.0 for step in steps)
 

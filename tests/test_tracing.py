@@ -34,6 +34,7 @@ def test_tracer_records_every_span_it_names(tmp_path, capsys):
                          "--mu", "3", "--weights", "1:0.5", "--out", str(scenario)]) == 0
         assert cli.main(["run", "--scenario", str(scenario), "--method", "both",
                          "--out", str(out)]) == 0
+        before_verify = len(tracer.spans)
         # verify exits 1 when a payoff vector is outside the core
         assert cli.main(["verify", "--scenario", str(scenario),
                          "--payoffs", str(out / "payoffs.csv")]) in (0, 1)
@@ -41,4 +42,6 @@ def test_tracer_records_every_span_it_names(tmp_path, capsys):
         tracer.uninstall()
     recorded = {span[0] for span in tracer.spans}
     assert sorted({name for _, _, name, _ in layers.TARGETS} - recorded) == []
+    # the saved table's audit attributes its allocations through the traced name
+    assert "utility.breakdown" in {span[0] for span in tracer.spans[before_verify:]}
     assert [span[0] for span in tracer.spans].count("solver.coalition") == 2**3 - 1

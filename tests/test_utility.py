@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from edgeshare.model import (
-    Allocation,
     Coalition,
     Scenario,
     UtilitySpec,
@@ -23,7 +22,6 @@ from edgeshare.utility import (
     AppTerms,
     CoalitionProblem,
     breakdown,
-    coalition_objective,
 )
 
 from oracles import embed, eval_own, sigmoid_term
@@ -96,8 +94,9 @@ def test_own_income_without_top_ups_matches_the_eval_own_reference():
     for _ in range(20):
         x = np.zeros((s.n_players, s.m_total, s.n_resources))
         x[s.owner, np.arange(s.m_total)] = rng.uniform(0.0, 1.2, (s.m_total, s.n_resources))
-        for b in breakdown(s, Allocation(x)):
-            assert b.own == pytest.approx(eval_own(s, x, b.player), abs=1e-12)
+        own = breakdown(s, x).own
+        for n in range(s.n_players):
+            assert own[n] == pytest.approx(eval_own(s, x, n), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +107,7 @@ def test_no_foreign_supply_means_zero_income():
     s = three_player_chain()
     x = np.zeros((3, 3, 1))
     x[0, 0, 0] = 0.5  # only native supply
-    assert breakdown(s, Allocation(x))[1].shared == {0: 0.0, 2: 0.0}
-    assert breakdown(s, Allocation(x))[2].shared == {0: 0.0, 1: 0.0}
+    assert breakdown(s, x).shared.tolist() == np.zeros((3, 3)).tolist()
 
 
 def test_linear_income_equals_amount_supplied():
@@ -123,7 +121,7 @@ def test_linear_income_equals_amount_supplied():
     )
     x = np.zeros((2, 2, 1))
     x[1, 0, 0] = 2.0  # player 2 gives 2 units to player 1's app
-    assert breakdown(s, Allocation(x))[1].shared == {0: 2.0}
+    assert breakdown(s, x).shared[1].tolist() == [2.0, 0.0]
 
 
 def test_linear_income_sums_over_served_apps():
@@ -138,7 +136,7 @@ def test_linear_income_sums_over_served_apps():
     x = np.zeros((2, 3, 1))
     x[1, 0, 0] = 1.0
     x[1, 1, 0] = 1.0
-    assert breakdown(s, Allocation(x))[1].shared == {0: 2.0}
+    assert breakdown(s, x).shared[1].tolist() == [2.0, 0.0]
 
 
 def test_sigmoid_credits_follow_supply_order():
@@ -148,11 +146,10 @@ def test_sigmoid_credits_follow_supply_order():
     s = three_player_chain(mu=mu, r=r)
     x = np.zeros((3, 3, 1))
     x[0, 0, 0], x[1, 0, 0], x[2, 0, 0] = 0.5, 0.3, 0.2
-    a = Allocation(x)
     lift1 = sig(mu * (0.8 - r)) - sig(mu * (0.5 - r))
     lift2 = sig(mu * (1.0 - r)) - sig(mu * (0.8 - r))
-    assert breakdown(s, a)[1].shared[0] == pytest.approx(lift1, abs=1e-12)
-    assert breakdown(s, a)[2].shared[0] == pytest.approx(lift2, abs=1e-12)
+    assert breakdown(s, x).shared[1, 0] == pytest.approx(lift1, abs=1e-12)
+    assert breakdown(s, x).shared[2, 0] == pytest.approx(lift2, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +158,9 @@ def test_sigmoid_credits_follow_supply_order():
 
 def test_breakdown_zero_allocation_linear():
     s = one_player(k=2)
-    (b,) = breakdown(s, Allocation(np.zeros((1, 1, 2))))
-    assert b.own == 0.0 and b.weighted_total == 0.0 and b.shared == {}
+    b = breakdown(s, np.zeros((1, 1, 2)))
+    assert b.own.tolist() == [0.0] and b.weighted_total.tolist() == [0.0]
+    assert b.shared.tolist() == [[0.0]]  # the diagonal: no one to serve
 
 
 def test_breakdown_single_player_weighted():
@@ -176,8 +174,9 @@ def test_breakdown_single_player_weighted():
     )
     x = np.zeros((1, 1, 1))
     x[0, 0, 0] = 2.0
-    (b,) = breakdown(s, Allocation(x))
-    assert b.weighted_total == pytest.approx(2.5 * eval_own(s, x, 0))
+    b = breakdown(s, x)
+    assert b.weighted_total.shape == (1,)
+    assert b.weighted_total[0] == pytest.approx(2.5 * eval_own(s, x, 0))
 
 
 def test_breakdown_matches_direct_sums():
@@ -185,12 +184,12 @@ def test_breakdown_matches_direct_sums():
     s = three_player_chain(mu=mu, r=r)
     x = np.zeros((3, 3, 1))
     x[0, 0, 0], x[1, 0, 0], x[2, 0, 0] = 0.5, 0.3, 0.2
-    bs = breakdown(s, Allocation(x))
+    bs = breakdown(s, x)
     # owner keeps the value of its own supply (baseline included)
-    assert bs[0].own == pytest.approx(sig(mu * (0.5 - r)), abs=1e-12)
-    assert bs[1].shared[0] == pytest.approx(sig(mu * (0.8 - r)) - sig(mu * (0.5 - r)), abs=1e-12)
+    assert bs.own[0] == pytest.approx(sig(mu * (0.5 - r)), abs=1e-12)
+    assert bs.shared[1, 0] == pytest.approx(sig(mu * (0.8 - r)) - sig(mu * (0.5 - r)), abs=1e-12)
     # retained own + both lifts reassemble the total satisfaction
-    reassembled = bs[0].own + bs[1].shared[0] + bs[2].shared[0]
+    reassembled = bs.own[0] + bs.shared[1, 0] + bs.shared[2, 0]
     assert reassembled == pytest.approx(eval_own(s, x, 0), abs=1e-12)
 
 
@@ -200,9 +199,8 @@ def test_breakdown_totals_equal_objective_at_allocation():
     for _ in range(20):
         x = rng.uniform(0, 1, size=(3, 3, 1))
         x *= np.minimum(1.0, s.capacities[:, None, :] / np.maximum(x.sum(axis=1, keepdims=True), 1e-12))
-        a = Allocation(x)
-        total = sum(b.weighted_total for b in breakdown(s, a))
-        obj = coalition_objective(s, a, Coalition.grand(3))
+        total = sum(breakdown(s, x).weighted_total)
+        obj = CoalitionProblem.build(s, Coalition.grand(3)).objective(x)
         assert total == pytest.approx(obj, abs=1e-9)
 
 
@@ -220,16 +218,17 @@ def test_breakdown_additive_over_disjoint_apps():
     )
     xa = np.zeros((2, 2, 1)); xa[0, 0, 0] = 0.7              # app 1 only
     xb = np.zeros((2, 2, 1)); xb[0, 1, 0] = 0.9              # app 2 only
-    tot = lambda x: sum(b.weighted_total for b in breakdown(s, Allocation(x)))
+    tot = lambda x: sum(breakdown(s, x).weighted_total)
     base = tot(np.zeros((2, 2, 1)))
     assert tot(xa + xb) + base == pytest.approx(tot(xa) + tot(xb), abs=1e-12)
 
 
-def per_player_split(s, alloc):
+def per_player_split(s, x):
     """(own, shared, weighted_total) per player, summed one player and one
-    owner block at a time over one allocation's slot credits."""
+    owner block at a time over one allocation's slot credits; shared maps
+    each other player j to the income from serving j's applications."""
     prob = CoalitionProblem.build(s, Coalition.grand(s.n_players))
-    credits = prob.credits(alloc.x)  # the grand coalition's coordinates are global
+    credits = prob.credits(x)  # the grand coalition's coordinates are global
     owners = s.owner[prob.apps]
     apps = np.arange(len(owners))
     out = []
@@ -254,15 +253,23 @@ def test_breakdown_of_a_stack_is_each_breakdown_bit_for_bit(utility, w, zeta):
     s = generate_scenario(3, 2, 12, utility=utility, mu=mu, seed=8, w=w, zeta=zeta)
     table = build_characteristic_table(s, restarts=4)
     masks = sorted(table.reports)
-    allocs = [Allocation(embed(s, m, table.reports[m].allocation.x)) for m in masks]
-    stacked = breakdown(s, allocs)
-    assert len(stacked) == len(masks) == 7
-    for mask, alloc, split in zip(masks, allocs, stacked):
-        assert split == breakdown(s, alloc), f"mask {mask}"
-        for b, (own, shared, total) in zip(split, per_player_split(s, alloc)):
-            assert (b.own, b.shared, b.weighted_total) == (own, shared, total), \
-                f"mask {mask} player {b.player}"
-    assert breakdown(s, []) == []
+    stack = np.stack([embed(s, m, table.reports[m].allocation.x) for m in masks])
+    stacked = breakdown(s, stack)
+    assert len(masks) == 7
+    for name in ("own", "shared", "weighted_total"):
+        assert getattr(stacked, name).shape == (7, *getattr(breakdown(s, stack[0]), name).shape)
+    for b, (mask, x) in enumerate(zip(masks, stack)):
+        alone = breakdown(s, x)
+        for name in ("own", "shared", "weighted_total"):
+            assert np.array_equal(getattr(stacked, name)[b], getattr(alone, name)), \
+                f"mask {mask} {name}"
+        for n, (own, shared, total) in enumerate(per_player_split(s, x)):
+            got = stacked.shared[b, n]
+            assert (stacked.own[b, n], stacked.weighted_total[b, n]) == (own, total), \
+                f"mask {mask} player {n}"
+            assert {j: got[j] for j in range(s.n_players) if j != n} == shared, \
+                f"mask {mask} player {n}"
+            assert got[n] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +413,9 @@ def test_shared_income_monotone_in_own_supply():
         x = rng.uniform(0, 0.3, size=(3, 3, 1))
         shrunk = x.copy()
         shrunk[1] *= rng.uniform(0, 1)
-        hi = breakdown(s, Allocation(x))[1].shared
-        lo = breakdown(s, Allocation(shrunk))[1].shared
-        for j in hi:
+        hi = breakdown(s, x).shared[1]
+        lo = breakdown(s, shrunk).shared[1]
+        for j in (0, 2):
             assert lo[j] <= hi[j] + 1e-12
 
 
@@ -432,7 +439,12 @@ def test_objective_of_subcoalition_counts_members_only():
     )
     x = np.zeros((1, 1, 1))
     x[0, 0, 0] = 1.0  # player 1 serves its own application
-    assert coalition_objective(s, Allocation(x), Coalition(0b01)) == pytest.approx(1.0)
-    # player 2 and its application are no coordinates of {1}
-    with pytest.raises(ValueError, match=r"allocation shape \(2, 2, 1\) is not \(1, 1, 1\)"):
-        coalition_objective(s, Allocation(embed(s, 0b01, x)), Coalition(0b01))
+    assert CoalitionProblem.build(s, Coalition(0b01)).objective(x) == pytest.approx(1.0)
+    # breakdown reads (N, M, K) allocations; the same supply in them splits
+    # over both players, and {1}'s local array, or any other trailing
+    # shape, is refused rather than misread by the credits' fancy indexing
+    assert breakdown(s, embed(s, 0b01, x)).weighted_total.tolist() == [1.0, 0.0]
+    for shape in ((1, 1, 1), (3, 1, 1, 1), (2, 2), (2, 2, 2), (2, 2, 1, 3)):
+        with pytest.raises(ValueError, match=rf"allocation shape \({shape[0]}, .* "
+                                             r"does not end in \(2, 2, 1\)"):
+            breakdown(s, np.zeros(shape))
