@@ -56,6 +56,10 @@ stream by PCG64's own seeding rule (_generator).
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import time
 from dataclasses import dataclass
 
@@ -169,13 +173,51 @@ def _lmo_factored(alpha: np.ndarray, gamma: np.ndarray,
     return _overlaps(*_sorted_intervals(alpha, supplies), *_sorted_intervals(gamma, demands))
 
 
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _load_highs_core():
+    """scipy's bundled HiGHS binding, loaded straight from its extension
+    file in scipy's package directory.  Importing it by name would first
+    run the scipy.optimize package __init__: about 550 more modules
+    (sparse, linalg, special, ...), 0.5 s and 40 MB resident on a 2-core
+    host, for one extension that needs only numpy and top-level scipy
+    (24 modules, 13 ms, 4 MB).  A binding already in sys.modules
+    (scipy.optimize imported first) is reused, not loaded a second time,
+    and a later scipy.optimize import finds this one there under its full
+    name: either way one module and one set of pybind11 types serve both."""
+    core = sys.modules.get(_HIGHS_CORE)
+    if core is not None:
+        return core
+    import scipy
+
+    dirs = [os.path.join(p, "optimize", "_highspy") for p in scipy.__path__]
+    loader = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    for d in dirs:
+        spec = importlib.machinery.FileFinder(d, loader).find_spec(_HIGHS_CORE)
+        if spec is not None:
+            break
+    else:
+        raise ImportError(f"scipy {scipy.__version__} has no HiGHS binding {_HIGHS_CORE} "
+                          f"in {os.pathsep.join(dirs)}", name=_HIGHS_CORE)
+    core = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS_CORE] = core
+    try:
+        spec.loader.exec_module(core)
+    except BaseException:
+        sys.modules.pop(_HIGHS_CORE, None)
+        raise
+    return core
+
+
 @functools.cache
 def _highs():
-    """scipy's bundled HiGHS binding and the one solver instance every
-    transport LP runs on, with the options linprog(method="highs") passes:
-    presolve on, dual simplex, no output, no debug checks."""
-    from scipy.optimize._highspy import _core
-
+    """scipy's bundled HiGHS binding (_load_highs_core) and the one solver
+    instance every transport LP runs on, with the options
+    linprog(method="highs") passes: presolve on, dual simplex, no output,
+    no debug checks.  The first call loads the binding, so a process's
+    first LP solve times that load too."""
+    _core = _load_highs_core()
     h = _core._Highs()
     opts = _core.HighsOptions()
     opts.presolve = "on"

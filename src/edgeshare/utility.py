@@ -12,7 +12,8 @@ coalition objective collapses to total satisfaction at total receipt.
 
 The logistic is evaluated in numpy, in place, so evaluating terms loads
 no scipy module: a uniform-weight sigmoid `run` or `verify` loads none,
-and scipy loads only with the first transport LP (`solver._highs`).
+and the first transport LP loads top-level scipy and its HiGHS extension
+alone (`solver._highs`).
 Importing scipy.special for its expit cost about 19 MB resident and 0.2-0.3 s
 per process (2 cores), against about 20 ms for the 23 solves of a 4x20
 `run --method both`.  numpy's exp rounds differently from libm's on some

@@ -848,8 +848,10 @@ def test_startup_loads_numpy_only(tmp_path):
     nor numpy.random; `gen`, a linear and a sigmoid `run --method both` at
     weights 1:1 and `verify --payoffs` on the sigmoid run load no scipy
     module.  numpy.random loads at the scenario draw or the first restart
-    stream, scipy.optimize at the first transport LP, which the sigmoid
-    run at 1:0.5 solves.  The steps run in order in one fresh
+    stream, scipy's HiGHS binding at the first transport LP, which the
+    sigmoid run at 1:0.5 solves: the extension alone, without the
+    scipy.optimize package or the scipy.special, scipy.sparse and
+    scipy.linalg its __init__ brings.  The steps run in order in one fresh
     interpreter."""
     src = Path(edgeshare.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(tmp_path)],
@@ -865,7 +867,14 @@ def test_startup_loads_numpy_only(tmp_path):
     # evaluates the logistic in numpy and solves no LP
     for step, modules in loaded.items():
         assert not [m for m in modules if m.startswith("scipy")], step
-    assert "scipy.optimize" in weighted
+    core = "scipy.optimize._highspy._core"
+    assert core in weighted
+    # the extension and the submodules its pybind11 init registers, but no
+    # scipy.optimize or scipy.optimize._highspy package __init__
+    optimize = [m for m in weighted if m.startswith("scipy.optimize")]
+    assert all(m == core or m.startswith(core + ".") for m in optimize), optimize
+    assert not [m for m in weighted
+                if m.startswith(("scipy.special", "scipy.sparse", "scipy.linalg"))], weighted
 
 
 def test_public_names_resolve():

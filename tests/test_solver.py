@@ -6,7 +6,13 @@ integer brute force for the transport LMO.
 """
 import dataclasses
 import functools
+import importlib.machinery
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,6 +168,109 @@ def test_lmo_returns_the_linprog_vertex():
                 assert np.array_equal(got, want), (u_n, i_n, case)
                 cases += 1
     assert cases == 72
+
+
+def run_fresh(probe, *args):
+    """Run probe in a fresh interpreter that imports the package from this
+    checkout and this directory's modules; returns its JSON output."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(Path(solver.__file__).resolve().parents[1]), str(here)])
+    proc = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+IMPORT_ORDER_PROBE = """
+import importlib.machinery, json, sys
+import numpy as np
+from edgeshare import solver
+
+if sys.argv[1] == "scipy.optimize first":
+    from scipy.optimize import linprog
+rng = np.random.default_rng(5)
+profit = rng.uniform(0.1, 2.0, size=(3, 5))
+profit[1:] = profit[1]
+supplies, demands = rng.uniform(0.0, 12.0, size=3), rng.uniform(0.0, 6.0, size=5)
+created, create = [], importlib.machinery.ExtensionFileLoader.create_module
+def spy(loader, spec):
+    if spec.name.startswith("scipy.optimize"):
+        created.append(spec.name)
+    return create(loader, spec)
+importlib.machinery.ExtensionFileLoader.create_module = spy
+got = solver.lmo_transport(profit, supplies, demands)
+importlib.machinery.ExtensionFileLoader.create_module = create
+loaded = sorted(m for m in sys.modules if m.startswith("scipy.optimize"))
+from scipy.optimize import linprog
+from test_solver import linprog_transport
+print(json.dumps({
+    "scipy.optimize extensions the LP loaded": created,
+    "scipy.optimize modules after the LP": loaded,
+    "linprog vertex": bool(np.array_equal(got, linprog_transport(profit, supplies, demands))),
+    # the module scipy's own HiGHS wrapper imported, too
+    "one binding": (sys.modules["scipy.optimize._highspy._core"] is solver._highs()[0]
+                    is sys.modules["scipy.optimize._highspy._highs_wrapper"]._h),
+}))
+"""
+
+
+@pytest.mark.parametrize("order", ["solver first", "scipy.optimize first"])
+def test_binding_is_shared_with_scipy_optimize_in_either_import_order(order):
+    """The suite imports scipy.optimize at collection, so only a fresh
+    interpreter loads the binding straight from its file.  The first LP
+    loads that one extension and no scipy.optimize package, or, after
+    scipy.optimize, reuses its binding and loads nothing.  Either way one
+    module serves the solver and scipy's own wrapper, and linprog,
+    imported after the direct load, still returns lmo_transport's vertex
+    on a tied-rows LP."""
+    core = "scipy.optimize._highspy._core"
+    out = run_fresh(IMPORT_ORDER_PROBE, order)
+    assert out["linprog vertex"] and out["one binding"]
+    if order == "solver first":
+        assert out["scipy.optimize extensions the LP loaded"] == [core]
+        after = out["scipy.optimize modules after the LP"]
+        assert core in after and all(m == core or m.startswith(core + ".") for m in after)
+    else:
+        assert out["scipy.optimize extensions the LP loaded"] == []
+
+
+MISSING_BINDING_PROBE = """
+import importlib.machinery, json, sys
+import scipy
+from edgeshare import solver
+
+if sys.argv[2] == "init fails":
+    def fail(loader, module):
+        raise ImportError("init failed")
+    importlib.machinery.ExtensionFileLoader.exec_module = fail
+else:
+    scipy.__path__ = [sys.argv[1]]
+try:
+    solver._highs()
+except ImportError as e:
+    print(json.dumps({"error": str(e), "version": scipy.__version__,
+                      "left": sorted(m for m in sys.modules if m.startswith("scipy.optimize"))}))
+"""
+
+
+@pytest.mark.parametrize("binding", ["absent", "unloadable", "init fails"])
+def test_missing_binding_is_an_import_error_naming_where_it_looked(tmp_path, binding):
+    """A binding that is not where the loader looks, that is no extension,
+    or whose module initialization fails: an ImportError naming scipy's
+    version and the directory (absent), the file (unloadable) or the
+    failure, and no sys.modules entry left behind."""
+    where = tmp_path / "optimize" / "_highspy"
+    where.mkdir(parents=True)
+    if binding == "unloadable":
+        (where / f"_core{importlib.machinery.EXTENSION_SUFFIXES[0]}").write_bytes(b"")
+    out = run_fresh(MISSING_BINDING_PROBE, str(tmp_path), binding)
+    if binding == "init fails":
+        assert out["error"] == "init failed"
+    else:
+        assert str(where) in out["error"]
+    if binding == "absent":
+        assert f"scipy {out['version']} " in out["error"]
+    assert out["left"] == []
 
 
 def test_lmo_rejects_bad_shapes():
