@@ -15,7 +15,7 @@ Every sigmoid term is convex at receipts up to its request, and no
 feasible point exceeds a request, so receipt objectives are convex, and so
 are member-coordinate objectives whose credit weights do not increase
 along the attribution order (CoalitionProblem.convex).  There each round
-takes the unit step to the oracle's vertex; only the other weightings
+takes the unit step to the oracle's point; only the other weightings
 (some zeta above an owner's w, say) search the step by golden section.
 
 One solve (_solve_receipts) serves every problem whose objective is one
@@ -26,17 +26,15 @@ receipts the budgets can deliver are exactly 0 <= t <= r with sum_i t_ik
 at most the pooled budget, so the linear oracle is one greedy fill of that
 budget.  A coalition's members then ship the receipts by the
 northwest-corner staircase against their capacities.  Other coalitions
-run in member coordinates with the transportation LP as oracle, one per
-resource and distinct gradient slice.
-
-Where such an objective is convex, each run's Frank-Wolfe gap is also
-bounded without an LP, by LP duality (_transport_gap_bound): u-v prices
-of the transportation problem at the run's point.  From round 2 on, a run
-whose bound, plus a rounding allowance, is below its gap tolerance stops
-before its LPs are solved.  The bound is at least the gap of any vertex
-the LP could return, so the gap test would stop that run in that round
-too: points, values and round counts are those of the LP path, and the
-reported gap is the certified bound.
+run in member coordinates.  Where the members share one zeta and every
+owner's w is at least it (CoalitionProblem.own_foreign: every generated
+scenario with w >= zeta), the gradient holds, per application and
+resource, one value on the foreign cells and no less on the owner's, so
+the linear problem is one over own and total receipts with one pooled
+row, which _lmo_own_foreign solves exactly, with no LP, for every restart
+and resource at once.  Otherwise (w below zeta, or one zeta per player,
+which only a hand-written scenario holds) the oracle is the
+transportation LP, one per resource and distinct gradient slice.
 
 Start points (_starts): restart 0 starts at zero; restart r > 0 draws a
 scale and uniform factors from the PCG64 stream that SeedSequence([scenario
@@ -87,8 +85,7 @@ class SolveReport:
     iterations: int
     restarts_used: int
     # the best run's Frank-Wolfe gap when it stopped: <grad, s - x> at the
-    # oracle's vertex s, or, for a run stopped on its LP duality bound
-    # (convex member-coordinate solves), that bound; 0 for exact solves
+    # oracle's point s; 0 for exact solves
     gap: float
     wall_time: float
 
@@ -304,57 +301,118 @@ def lmo_transport(profit: np.ndarray, supplies: np.ndarray, demands: np.ndarray)
     return _lmo_highs(profit, supplies, demands)
 
 
-def _transport_gap_bound(profit: np.ndarray, point: np.ndarray, supplies: np.ndarray,
-                        demands: np.ndarray):
-    """Upper bounds on max{<profit, s>} - <profit, point> over the
-    transportation polytopes of lmo_transport, with no LP solved: one per
-    leading index of profit and point (..., S, M, K), summed over the
-    resources K, against supplies (S, K) and demands (M, K).  Returns the
-    bounds and, per bound, a rounding allowance: a bound plus its
-    allowance is at least the gap, in floating point, that the difference
-    of any vertex lmo_transport returns and the point has.
+def _own_fill(profit: np.ndarray, later: np.ndarray, amounts: np.ndarray,
+              budget: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Each owner's fractional-knapsack fill of its own applications:
+    batched rows of items (B, M), item i taking up to amounts_i from the
+    budget (B, S) of its owner, owner_i.  Within an owner items are taken
+    in decreasing profit, then with `later` False before True, then by
+    lowest index; the fill ignores the sign of a profit."""
+    rows, m = profit.shape
+    at = (np.lexsort((later, -profit), axis=-1) + np.arange(0, rows * m, m)[:, None]).ravel()
+    amt, whose = amounts.ravel()[at], owner[at % m]
+    # the amounts each item's owner took before it: a running sum per
+    # owner, which adds exact zeros for the other owners' items
+    run = np.zeros((rows * m, budget.shape[1]))
+    item = np.arange(rows * m)
+    run[item, whose] = amt
+    before = np.zeros_like(run)
+    np.cumsum(run.reshape(rows, m, -1)[:, :-1], axis=1,
+              out=before.reshape(rows, m, -1)[:, 1:])
+    room = budget[item // m, whose] - before[item, whose]
+    fill = np.empty(rows * m)
+    fill[at] = np.clip(room, 0.0, amt)
+    return fill.reshape(rows, m)
 
-    By LP duality any prices alpha >= 0 on the supply rows, with
-    beta_i = max(0, max_u(profit_ui - alpha_u)) on the demand rows, give
-    max <profit, s> <= supplies . alpha + demands . beta.  The prices are
-    the u-v prices of the transportation problem at the point: a row or
-    column with slack is priced 0, and over every positive cell of the
-    point alpha_u + beta_i = profit_ui, solved by alternate sweeps from
-    those anchors (rows never reached stay at 0; rows of zero supply are
-    priced at their largest profit, so they bind no column).  At a point
-    that is an optimal, non-degenerate vertex for profit these are the
-    optimal duals and the bound is 0 up to rounding.
 
-    The allowance is a generous multiple of unit roundoff times every
-    magnitude either side sums: the bound's terms, |profit| . point, the
-    vertex side (at most max|profit| times the total supply) and the
-    rounding of beta (at most max alpha times the total supply).  So a
-    bound plus its allowance is never negative, and a zero tolerance
-    certifies nothing."""
-    p, y = np.moveaxis(profit, -1, -3), np.moveaxis(point, -1, -3)  # (..., K, S, M)
-    a, b = supplies.T, demands.T  # (K, S), (K, M)
-    pos = y > 0
-    rows, cols = y.sum(axis=-1), y.sum(axis=-2)
-    known_a, known_b = rows < a * (1 - 1e-9), cols < b * (1 - 1e-9)
-    alpha, beta = np.zeros(rows.shape), np.zeros(cols.shape)
-    for _ in range(a.shape[-1] + 1):  # each pair of sweeps reaches one more row
-        cand = np.where(pos & known_a[..., :, None], p - alpha[..., :, None], -np.inf).max(axis=-2)
-        new = ~known_b & (cand > -np.inf)
-        beta, known_b = np.where(new, cand, beta), known_b | new
-        cand = np.where(pos & known_b[..., None, :], p - beta[..., None, :], -np.inf).max(axis=-1)
-        new = ~known_a & (cand > -np.inf)
-        if not new.any():
-            break
-        alpha, known_a = np.where(new, cand, alpha), known_a | new
-    alpha = np.where(a > 0, np.maximum(alpha, 0.0), np.maximum(p.max(axis=-1), 0.0))
-    beta = np.maximum((p - alpha[..., :, None]).max(axis=-2), 0.0)
-    priced = (a * alpha).sum(axis=-1) + (b * beta).sum(axis=-1)
-    at_point = (p * y).sum(axis=(-2, -1))
-    reach = (np.abs(p).max(axis=(-2, -1)) + alpha.max(axis=-1)) * a.sum(axis=-1)
-    scale = priced + (np.abs(p) * y).sum(axis=(-2, -1)) + reach
-    terms = int(np.prod(p.shape[-3:])) + a.size + b.size
-    allowance = 4.0 * (terms + 8) * np.finfo(float).eps * scale.sum(axis=-1)
-    return (priced - at_point).sum(axis=-1), allowance
+def _trim(x: np.ndarray, bound: np.ndarray, axis: int) -> None:
+    """Lower, in place, the largest entry along axis of every sum that
+    exceeds its bound by the excess, until no sum does: the rounding dust
+    of a construction whose exact sums fit."""
+    while True:
+        over = x.sum(axis=axis, keepdims=True) - bound
+        if not (over > 0).any():
+            return
+        at = np.argmax(x, axis=axis, keepdims=True)
+        top = np.take_along_axis(x, at, axis)
+        lower = np.clip(np.minimum(top - over, np.nextafter(top, 0.0)), 0.0, None)
+        np.put_along_axis(x, at, np.where(over > 0, lower, top), axis)
+
+
+def _lmo_own_foreign(prob: CoalitionProblem, gs: np.ndarray) -> np.ndarray:
+    """Exact linear oracle in member coordinates, with no LP, for a
+    gradient batch (R, S, MS, K) of a coalition with prob.own_foreign: per
+    app and resource, one value b on every foreign cell and a = b + d,
+    d >= 0, on the owner's.  Each resource of each restart is then
+    max b.t + d.o over 0 <= o <= t <= requests, each member's own supply o
+    within its capacity and sum t within the pooled capacity C; any such
+    split ships once every member with foreign receipts has no capacity
+    left (Hall's condition without the own cells), as the split below has.
+
+    The pooled row is priced: at price p each owner fills its own supply
+    by the profits min(d, a - p)+, and every request whose b beats p is
+    filled.  Receipts only fall as p rises, and change only at p = 0, b_i,
+    a_i or a_j - d_i for two applications of one owner, so a bisection
+    over those sorted breakpoints finds the least p whose receipts just
+    above it fit in C.  Where p > 0 the receipts just below it overfill C,
+    and the mix of the two that fills C exactly is optimal.  Of receipts t
+    each owner supplies its own applications first, by decreasing d and
+    then lowest index; the rest, where b > 0, is foreign, shipped from the
+    members' leftover capacity by the northwest-corner staircase, lowest
+    index first.  Sums that rounding pushes past a bound are trimmed
+    (_trim).  Every restart and resource is solved at once."""
+    r_count, size, m, k = gs.shape
+    cols, owner = np.arange(m), prob.ord_pos[:, 0]
+    # restart-major, then resource: rows (R * K, MS)
+    a, b = (gs[:, prob.ord_pos[:, slot], cols, :].transpose(0, 2, 1).reshape(-1, m)
+            for slot in (0, 1))
+    rows = len(a)
+    reqs = np.broadcast_to(prob.reqs.T, (r_count, k, m)).reshape(rows, m)
+    caps = np.broadcast_to(prob.caps.T, (r_count, k, size)).reshape(rows, size)
+    pooled = caps.sum(axis=1)
+
+    def receipts(price, above):
+        """Receipts (B, J, MS) at J prices per row (B, J), each just above
+        it (above) or just below.  Where b beats the price the request is
+        filled and own supply earns d on top; elsewhere own supply earns
+        a - price, if positive.  Ties between the two kinds go the way the
+        price moves them, and a d = 0 application still takes own supply."""
+        p, up = price[..., None], np.asarray(above)[..., None]
+        foreign = np.where(up, b[:, None] > p, b[:, None] >= p)
+        allowed = foreign | np.where(up, a[:, None] > p, a[:, None] >= p)
+        own = _own_fill(np.where(foreign, (a - b)[:, None], a[:, None] - p).reshape(-1, m),
+                        (foreign ^ up).reshape(-1, m),
+                        np.where(allowed, reqs[:, None], 0.0).reshape(-1, m),
+                        np.repeat(caps, price.shape[1], axis=0), owner)
+        return np.where(foreign, reqs[:, None], own.reshape(foreign.shape))
+
+    mates_i, mates_j = np.nonzero((owner[:, None] == owner) & ~np.eye(m, dtype=bool))
+    prices = np.sort(np.maximum(np.concatenate(
+        [np.zeros((rows, 1)), b, a, a[:, mates_j] - (a - b)[:, mates_i]], axis=1), 0.0), axis=1)
+    # bisection between lo (overfills) and hi (fits); the largest fits
+    at = np.arange(rows)
+    lo, hi = np.full(rows, -1), np.full(rows, prices.shape[1] - 1)
+    while (live := hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        fits = receipts(prices[at, mid, None], True)[:, 0].sum(axis=-1) <= pooled
+        hi, lo = np.where(live & fits, mid, hi), np.where(live & ~fits, mid, lo)
+    price = prices[at, hi]
+    t_up, t_down = np.moveaxis(receipts(np.stack([price, price], axis=1), [True, False]), 1, 0)
+    u_up, u_down = t_up.sum(axis=1), t_down.sum(axis=1)
+    spread = np.where((price > 0) & (u_down > u_up), u_down - u_up, np.inf)
+    t = t_up + np.clip((pooled - u_up) / spread, 0.0, 1.0)[:, None] * (t_down - t_up)
+
+    own = _own_fill(a - b, np.zeros((rows, m), dtype=bool), t, caps, owner)
+    foreign = np.where(b > 0, t - own, 0.0)
+    mine = owner == np.arange(size)[:, None]  # (S, MS)
+    spare = np.where(np.where(mine, foreign[:, None], 0.0).sum(axis=-1) > 0, 0.0,
+                     np.maximum(caps - np.where(mine, own[:, None], 0.0).sum(axis=-1), 0.0))
+    x = _staircase(spare, foreign)  # (rows, S, MS)
+    x[:, owner, cols] += own
+    x = np.ascontiguousarray(x.reshape(r_count, k, size, m).transpose(0, 2, 3, 1))
+    _trim(x, prob.caps[:, None, :], -2)
+    _trim(x, prob.reqs, -3)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -394,15 +452,12 @@ def _best_steps(value_at, n: int, coarse: int = 17, refine: int = 24):
     return best_g, best_v
 
 
-def _batched_frank_wolfe(evaluate, objective, lmo, bound, x0: np.ndarray, gap_tol: float,
+def _batched_frank_wolfe(evaluate, objective, lmo, x0: np.ndarray, gap_tol: float,
                          convex: bool):
     """Conditional gradient ascent from each start x0[r], all runs advancing
     in lockstep along the leading axis.  evaluate maps a batch of points to
     their values, one each, and gradients, a batch; objective maps a batch
     to values alone, bit for bit evaluate's; lmo maps a batch to a batch.
-    bound is None or maps a batch of gradients and points to certified
-    upper bounds on their Frank-Wolfe gaps and rounding allowances, one
-    each (_transport_gap_bound).
 
     Each run carries the gradient from the evaluation that moved it, so
     every point is evaluated once.  When the objective is convex on the
@@ -416,13 +471,6 @@ def _batched_frank_wolfe(evaluate, objective, lmo, bound, x0: np.ndarray, gap_to
     rounds; a stopped run leaves the batch, so every run follows the path
     it would follow alone.  Iterates stay feasible as convex combinations
     of vertices.  Returns per-run (x, f, iterations, gap).
-
-    With a bound, from round 2 on a run whose bound plus allowance is
-    strictly below its tolerance stops before the oracle is called, and
-    its gap is the bound: the bound is at least the gap any vertex of the
-    oracle gives, so the gap test would stop it in that round anyway, at
-    the same point, value and round count.  Other runs go on as without
-    a bound.  A zero gap_tol certifies no run.
     """
     x = x0.copy()
     f, g = evaluate(x)
@@ -432,13 +480,6 @@ def _batched_frank_wolfe(evaluate, objective, lmo, bound, x0: np.ndarray, gap_to
     live = np.arange(len(x))
     for it in range(1, MAX_ITER + 1):
         xl, gl = x[live], g[live]
-        if bound is not None and it > 1:
-            certified, allowance = bound(gl, xl)
-            done = certified + allowance < gap_tol * np.maximum(1.0, np.abs(f[live]))
-            iters[live[done]], gap[live[done]] = it, certified[done]
-            live, xl, gl = live[~done], xl[~done], gl[~done]
-            if not live.size:
-                break
         d = lmo(gl) - xl
         fw_gap = (gl * d).reshape(len(live), -1).sum(axis=1)
         iters[live], gap[live] = it, fw_gap
@@ -466,11 +507,9 @@ def _batched_frank_wolfe(evaluate, objective, lmo, bound, x0: np.ndarray, gap_to
     return x, f, iters, gap
 
 
-def _multistart(evaluate, objective, lmo, bound, x0: np.ndarray, gap_tol: float,
-                convex: bool):
+def _multistart(evaluate, objective, lmo, x0: np.ndarray, gap_tol: float, convex: bool):
     """Best run of the batch (the first of equal values): (x, f, iterations, gap)."""
-    x, f, iters, gap = _batched_frank_wolfe(evaluate, objective, lmo, bound, x0, gap_tol,
-                                            convex)
+    x, f, iters, gap = _batched_frank_wolfe(evaluate, objective, lmo, x0, gap_tol, convex)
     best = int(np.argmax(f))
     return x[best], float(f[best]), int(iters[best]), float(gap[best])
 
@@ -604,8 +643,8 @@ def _starts(s: Scenario, tag: int, ident: int, restarts: int, draw_shape,
 
 
 def _receipt_oracles(terms: AppTerms, budget: np.ndarray, weight: float):
-    """Evaluation (value and gradient), objective, linear oracle and gap
-    bound (none) on batched receipts t (R, M, K): the value is
+    """Evaluation (value and gradient), objective and linear oracle on
+    batched receipts t (R, M, K): the value is
     weight * sum_ik g_ik(t_ik), and the reachable receipts are
     0 <= t <= requests with sum_i t_ik <= budget_k."""
     def evaluate(t):
@@ -618,7 +657,7 @@ def _receipt_oracles(terms: AppTerms, budget: np.ndarray, weight: float):
     def lmo(g):
         return _greedy_fill(g, budget, terms.requests)
 
-    return evaluate, objective, lmo, None
+    return evaluate, objective, lmo
 
 
 def _solve_receipts(terms: AppTerms, budget: np.ndarray, weight: float, exact: bool,
@@ -633,7 +672,7 @@ def _solve_receipts(terms: AppTerms, budget: np.ndarray, weight: float, exact: b
     its request, which the oracle never exceeds, so rounds take unit steps.
     Returns (t, value, (solver_kind, iterations, restarts_used, gap))."""
     oracles = _receipt_oracles(terms, budget, weight)
-    evaluate, objective, lmo, _ = oracles
+    evaluate, objective, lmo = oracles
     if exact:
         t = lmo(evaluate(np.zeros((1, *terms.requests.shape)))[1])[0]
         return t, objective(t[None])[0], ("exact_linear", 0, 0, 0.0)
@@ -721,14 +760,17 @@ def _random_staircases(prob: CoalitionProblem, draws: np.ndarray) -> np.ndarray:
 
 
 def _member_oracles(prob: CoalitionProblem):
-    """Evaluation (value and gradient), objective, LP-backed oracle and gap
-    bound in member coordinates (R, S, MS, K).  The first two take the
-    whole batch; the oracle solves one transport LP per resource and
-    distinct gradient slice, and restarts whose slices are equal share its
-    vertex.  The bound (_transport_gap_bound) is given for convex
-    objectives only: there each run sits at the oracle's last vertex, whose
-    u-v prices are near-optimal duals, while a line-search step ends inside
-    the polytope, where the bound seldom certifies.  It is None otherwise."""
+    """Evaluation (value and gradient), objective and linear oracle in
+    member coordinates (R, S, MS, K); each takes the whole batch.  Where
+    the members share one zeta and every owner's w is at least it
+    (prob.own_foreign: every generated scenario whose w is at least its
+    zeta), the oracle is _lmo_own_foreign, exact and LP-free.  Otherwise
+    (w below zeta, or unequal zetas, which only a hand-written scenario
+    holds) it solves one transport LP per resource and distinct gradient
+    slice, and restarts whose slices are equal share its vertex."""
+    if prob.own_foreign:
+        return prob.evaluate, prob.objective, functools.partial(_lmo_own_foreign, prob)
+
     def lmo(gs):
         out = np.empty_like(gs)
         for k in range(gs.shape[-1]):
@@ -740,8 +782,7 @@ def _member_oracles(prob: CoalitionProblem):
                 out[r, ..., k] = vertex_of[key]
         return out
 
-    bound = functools.partial(_transport_gap_bound, supplies=prob.caps, demands=prob.reqs)
-    return prob.evaluate, prob.objective, lmo, bound if prob.convex else None
+    return prob.evaluate, prob.objective, lmo
 
 
 def solve_coalition(
@@ -773,7 +814,7 @@ def solve_coalition(
         x = t[None] if size == 1 else _staircase(prob.caps.T, t.T).transpose(1, 2, 0)
     elif linear:
         # a linear objective's gradient is the constant per-unit credit
-        evaluate, objective, lmo, _ = _member_oracles(prob)
+        evaluate, objective, lmo = _member_oracles(prob)
         x = lmo(evaluate(np.zeros((1, size, *prob.reqs.shape)))[1])[0]
         value, how = objective(x), ("exact_linear", 0, 0, 0.0)
     else:

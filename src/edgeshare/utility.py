@@ -163,6 +163,18 @@ class CoalitionProblem:
         shared by all members)."""
         return bool(np.all(np.diff(self.zseq, axis=1) <= 0) and np.all(self.zseq[:, -1] >= 0))
 
+    @cached_property
+    def own_foreign(self) -> bool:
+        """Two or more members, one zeta shared by all of them, and every
+        owner's w at least that zeta.  Then the gradient (_gradient_of)
+        holds, per app and resource, one value b = zeta * g'(c_last) on
+        every foreign cell, bit for bit, and b + d with d = (w - zeta) *
+        g'(c_owner) >= 0 on the owner's cell: the form the solver's
+        LP-free oracle needs (solver._lmo_own_foreign)."""
+        shared = self.zseq[:, 1:]
+        return bool(self.size > 1 and np.all(shared == shared[0, 0])
+                    and np.all(self.zseq[:, 0] >= shared[0, 0]))
+
     # -- objective in local coordinates ------------------------------------
 
     @cached_property

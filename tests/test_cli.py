@@ -820,7 +820,7 @@ loaded["import edgeshare"] = lazy_modules()
 from edgeshare.cli import main
 loaded["import edgeshare.cli"] = lazy_modules()
 linear, sigmoid = str(work / "linear.json"), str(work / "sigmoid.json")
-weighted = str(work / "weighted.json")
+weighted, below = str(work / "weighted.json"), str(work / "below.json")
 small = ["--players", "3", "--apps", "2", "--resources", "2"]
 steps = [
     ("--help", ["--help"], 0),
@@ -834,6 +834,8 @@ steps = [
     ("weighted gen", ["gen", *small, "--utility", "sigmoid", "--mu", "3",
                       "--weights", "1:0.5", "--out", weighted], 0),
     ("weighted run", ["run", "--scenario", weighted, "--out", str(work / "weighted")], 0),
+    ("w below zeta gen", ["gen", *small, "--weights", "0.5:1", "--out", below], 0),
+    ("w below zeta run", ["run", "--scenario", below, "--out", str(work / "below")], 0),
 ]
 for name, argv, code in steps:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -846,35 +848,36 @@ print(json.dumps(loaded))
 def test_startup_loads_numpy_only(tmp_path):
     """Importing the package, `--help` and a usage error load neither scipy
     nor numpy.random; `gen`, a linear and a sigmoid `run --method both` at
-    weights 1:1 and `verify --payoffs` on the sigmoid run load no scipy
+    weights 1:1, `verify --payoffs` on the sigmoid run and a sigmoid run at
+    1:0.5, whose weighted coalitions take the LP-free oracle, load no scipy
     module.  numpy.random loads at the scenario draw or the first restart
     stream, scipy's HiGHS binding at the first transport LP, which the
-    sigmoid run at 1:0.5 solves: the extension alone, without the
-    scipy.optimize package or the scipy.special, scipy.sparse and
-    scipy.linalg its __init__ brings.  The steps run in order in one fresh
-    interpreter."""
+    linear run at 0.5:1 (w below zeta) solves: the extension alone,
+    without the scipy.optimize package or the scipy.special, scipy.sparse
+    and scipy.linalg its __init__ brings.  The steps run in order in one
+    fresh interpreter."""
     src = Path(edgeshare.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(tmp_path)],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
-    assert len(loaded) == 11
+    assert len(loaded) == 13
     for step in ("import edgeshare", "import edgeshare.cli", "--help", "run --restarts 0"):
         assert loaded.pop(step) == [], step
-    weighted = loaded.pop("weighted run")
-    # every step before it, the sigmoid run and verify at 1:1 included,
-    # evaluates the logistic in numpy and solves no LP
+    below = loaded.pop("w below zeta run")
+    # every step before it, the sigmoid runs and verify at 1:1 and 1:0.5
+    # included, evaluates the logistic in numpy and solves no LP
     for step, modules in loaded.items():
         assert not [m for m in modules if m.startswith("scipy")], step
     core = "scipy.optimize._highspy._core"
-    assert core in weighted
+    assert core in below
     # the extension and the submodules its pybind11 init registers, but no
     # scipy.optimize or scipy.optimize._highspy package __init__
-    optimize = [m for m in weighted if m.startswith("scipy.optimize")]
+    optimize = [m for m in below if m.startswith("scipy.optimize")]
     assert all(m == core or m.startswith(core + ".") for m in optimize), optimize
-    assert not [m for m in weighted
-                if m.startswith(("scipy.special", "scipy.sparse", "scipy.linalg"))], weighted
+    assert not [m for m in below
+                if m.startswith(("scipy.special", "scipy.sparse", "scipy.linalg"))], below
 
 
 def test_public_names_resolve():

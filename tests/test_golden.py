@@ -9,9 +9,11 @@ change that moves a value on purpose updates a hash here and says why in
 CHANGES.md.  The hashes hold for the pinned numpy and scipy (numpy 2.4,
 scipy 1.17).  The sigmoid values go through numpy's exp, whose kernel
 numpy picks by the CPU's SIMD level (they hold with its AVX-512 kernel),
-so another CPU may round a logistic differently, as may another HiGHS.
+so another CPU may round a logistic differently.  No scenario here solves
+a transport LP: the 1:0.5 one takes the LP-free own/foreign oracle.
 Moving the logistic from scipy's expit (libm's exp) to numpy's exp left
-all six hashes unchanged.
+all six hashes unchanged; that oracle moved the three 1:0.5 run and
+verify hashes (CHANGES.md lists the values).
 """
 import hashlib
 
@@ -26,8 +28,8 @@ GOLDEN = [
      "bbdf85a7f69a1f67bea24ec8ce7eb71c46bdda2e17bac608512b7c0585033268"),
     (["--players", "3", "--apps", "5", "--utility", "sigmoid", "--mu", "3",
       "--weights", "1:0.5", "--seed", "2"],
-     "670cdd624671355ef543efe99c31b2bb0b721efeb3f5199fa301a1398ee8809e",
-     "d48808d82d2ef62ec9b5cd576fb8f814fdf4b1282ce6a0e02fc195dd0193ee7f"),
+     "4bf07584bca9c5acc02222bbfd3f619eef03f4c5e02f2de9fb946b53837add50",
+     "ab7ca4d05bfa9284c65bce76a0e1766cd4c937a4d7b3a6b775205c93a1166e07"),
     (["--players", "4", "--apps", "3", "--utility", "linear", "--seed", "3"],
      "2a20f943c2660594c479cfd092c5ff4dd896d9927b77cba9677db916c6215491",
      "20c2a9956306e2638776486a291d3e6a9c0940ace82fadccd2e0430c331e3e2a"),
@@ -40,7 +42,7 @@ IDS = ["3x5-sigmoid-1:1", "3x5-sigmoid-1:0.5", "4x3-linear"]
 GOLDEN_VERIFY_FAST = [
     ("f95bd3631bd2a780773699e9b57b076662adfc49cf1358aac3abdb6a0c1f8760",
      "6a105b5c61f8c1843d9225ac7410690f8c6782a1cd8a09fe16282d7101f9519c"),
-    ("936161118eb20dd34d60ebf83467a33f6e5713e7a61d153417905b1045692528",
+    ("09b4ad476c94e188caeee01bd86befeba3ec9d5ba8da00d52e68c4075a0612d2",
      "cdb6734c3bd781b42bbddbf5166dcd2278a6b1846cdc8d7efcfd20dc98684868"),
     ("ed75d5813104131ead46ae685dcf7e5a37b65c087df799269401137e37d3819d",
      "8507f5e55ab8b4460428d3b67c1252531052d28d9f643bab9f9fdba4614ecf5f"),

@@ -6,6 +6,7 @@ integer brute force for the transport LMO.
 """
 import dataclasses
 import functools
+import hashlib
 import importlib.machinery
 import itertools
 import json
@@ -20,6 +21,8 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from edgeshare import solver
+from edgeshare.cli import main
+from edgeshare.engine import build_characteristic_table
 from edgeshare.model import (
     Allocation,
     Coalition,
@@ -28,6 +31,8 @@ from edgeshare.model import (
     all_coalitions,
     audit_allocation,
     generate_scenario,
+    scenario_from_json,
+    scenario_to_json,
 )
 from edgeshare.solver import (
     lmo_transport,
@@ -300,77 +305,147 @@ def test_lmo_rejects_infinite_bounds():
 
 
 # ---------------------------------------------------------------------------
-# LP duality bound on the Frank-Wolfe gap
+# the LP-free oracle of coalitions whose members share one zeta
 
 
-def gap_bound(profit, point, supplies, demands):
-    """_transport_gap_bound of one (S, M) slice: (bound, allowance)."""
-    b, a = solver._transport_gap_bound(profit[None, ..., None], point[None, ..., None],
-                                       supplies[:, None], demands[:, None])
-    return float(b[0]), float(a[0])
+def own_foreign_problem(rng, case, restarts=3, n_resources=2):
+    """A grand coalition of 2-4 linear players with 1-5 applications each,
+    one zeta and every w at least it, and a batch
+    (restarts, S, MS, K) of gradients of the oracle's form: one value b on
+    an application's foreign cells, b + d with d >= 0 on its owner's.
+    Cases: random data; tied rows (every b and every d equal); zero
+    profits (some b, some d, some both); zero capacities and requests; and
+    w == zeta on some owners, whose d is then 0."""
+    size = int(rng.integers(2, 5))
+    owner = np.repeat(np.arange(size), rng.integers(1, 6, size=size))
+    m = owner.size
+    caps = rng.uniform(0.0, 12.0, size=(size, n_resources))
+    reqs = rng.uniform(0.0, 6.0, size=(m, n_resources))
+    w = rng.uniform(0.5, 2.0, size=size)
+    b = rng.uniform(0.0, 3.0, size=(restarts, m, n_resources))
+    d = rng.uniform(0.0, 3.0, size=b.shape)
+    if case == "tied rows":
+        b[:], d[:] = b[:, :1, :1], d[:, :1, :1]
+    elif case == "zero profits":
+        b[rng.uniform(size=b.shape) < 0.4] = 0.0
+        d[rng.uniform(size=d.shape) < 0.4] = 0.0
+    elif case == "zero capacities":
+        caps[rng.integers(size)] = 0.0
+        caps[rng.uniform(size=caps.shape) < 0.2] = 0.0
+        reqs[rng.uniform(size=reqs.shape) < 0.3] = 0.0
+    elif case == "w == zeta":
+        w[rng.uniform(size=size) < 0.5] = 0.5
+        d[:, w[owner] == 0.5] = 0.0
+    s = linear_scenario(caps, reqs, owner, w=np.maximum(w, 0.5), zeta=np.full(size, 0.5))
+    prob = CoalitionProblem.build(s, Coalition.grand(size))
+    assert prob.own_foreign
+    gs = np.repeat(b[:, None], size, axis=1)
+    gs[:, owner, np.arange(m)] += d
+    return s, prob, gs
 
 
-def random_feasible_point(rng, supplies, demands):
-    """A random point of the transportation polytope: nonnegative entries
-    scaled down until every row and column sum fits."""
-    y = rng.uniform(size=(supplies.size, demands.size)) * (rng.uniform(size=(supplies.size,
-                                                                             demands.size)) < 0.6)
-    y *= np.minimum(1.0, supplies / np.maximum(y.sum(axis=1), 1e-300))[:, None]
-    y *= np.minimum(1.0, demands / np.maximum(y.sum(axis=0), 1e-300))[None, :]
-    return y * rng.uniform()
+OWN_FOREIGN_CASES = ["random", "tied rows", "zero profits", "zero capacities", "w == zeta"]
 
 
-def test_gap_bound_is_never_below_the_exact_gap():
-    """Soundness on small integer-bounded instances (tied rows, zero
-    supplies or demands, nonpositive profits): at random feasible points
-    and at the oracle's vertices, the bound plus its allowance is at least
-    the exhaustive optimum less the point's value, and the bound alone
-    falls short of it by rounding at most."""
-    rng = np.random.default_rng(13)
+@pytest.mark.parametrize("case", OWN_FOREIGN_CASES)
+def test_own_foreign_oracle_matches_the_transport_lp(case):
+    """On every restart and resource of 40 random instances per case, the
+    oracle's linear value equals lmo_transport's to 1e-12 relative, and
+    its allocation meets every capacity and request exactly, with no
+    tolerance: the sums the audit takes are at most their bounds."""
+    rng = np.random.default_rng(OWN_FOREIGN_CASES.index(case))
+    for trial in range(40):
+        s, prob, gs = own_foreign_problem(rng, case)
+        x = solver._lmo_own_foreign(prob, gs)
+        assert x.shape == gs.shape and x.min() >= 0.0
+        assert (x.sum(axis=-2) <= prob.caps).all() and (x.sum(axis=-3) <= prob.reqs).all()
+        for r in range(len(gs)):
+            assert audit_allocation(s, Allocation(x[r]), Coalition.grand(s.n_players), tol=0.0) == []
+            for k in range(s.n_resources):
+                g = gs[r, ..., k]
+                want = float((g * lmo_transport(g, prob.caps[:, k], prob.reqs[:, k])).sum())
+                got = float((g * x[r, ..., k]).sum())
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (case, trial, r, k)
+
+
+def test_own_foreign_oracle_matches_integer_brute_force():
+    """On small integer capacities and requests the oracle's value is the
+    exhaustive optimum."""
+    rng = np.random.default_rng(31)
     cases = 0
-    while cases < 120:
-        u_n, i_n = int(rng.integers(1, 5)), int(rng.integers(1, 9))
-        supplies = rng.integers(0, 4, size=u_n).astype(float)
-        demands = rng.integers(0, 3, size=i_n).astype(float)
-        if np.prod(np.minimum.outer(supplies, demands) + 1) > 60_000:
+    while cases < 60:
+        size = int(rng.integers(2, 4))
+        owner = np.repeat(np.arange(size), rng.integers(1, 3, size=size))
+        caps = rng.integers(0, 3, size=(size, 1)).astype(float)
+        reqs = rng.integers(0, 3, size=(owner.size, 1)).astype(float)
+        if np.prod(np.minimum.outer(caps[:, 0], reqs[:, 0]) + 1) > 20_000:
             continue  # keep the exhaustive search small
-        profit = rng.uniform(0.1, 3.0, size=(u_n, i_n))
-        case = cases % 4
-        if case == 1 and u_n > 1:
-            profit[1:] = profit[1]  # tied rows, as a common-zeta gradient
-        elif case == 2:
-            profit[rng.uniform(size=profit.shape) < 0.4] *= -1.0
-            profit[rng.uniform(size=profit.shape) < 0.2] = 0.0
-        elif case == 3:
-            supplies[rng.integers(u_n)] = 0.0
-            demands[rng.uniform(size=i_n) < 0.3] = 0.0
-        best = brute_force_transport(profit, supplies, demands)
-        points = [random_feasible_point(rng, supplies, demands), np.zeros_like(profit),
-                  lmo_transport(profit, supplies, demands),
-                  lmo_transport(rng.uniform(-1.0, 3.0, size=profit.shape), supplies, demands)]
-        for y in points:
-            want = best - float((profit * y).sum())
-            bound, allowance = gap_bound(profit, y, supplies, demands)
-            assert allowance >= 0.0
-            assert bound + allowance >= want, (u_n, i_n, case)
-            assert bound >= want - 1e-12, (u_n, i_n, case)
+        s = linear_scenario(caps, reqs, owner, w=np.ones(size), zeta=np.full(size, 0.5))
+        prob = CoalitionProblem.build(s, Coalition.grand(size))
+        b = rng.uniform(0.0, 3.0, size=owner.size).round(2)
+        g = np.repeat(b[None], size, axis=0)
+        g[owner, np.arange(owner.size)] += rng.uniform(0.0, 3.0, size=owner.size).round(2)
+        x = solver._lmo_own_foreign(prob, g[None, ..., None])[0, ..., 0]
+        want = brute_force_transport(g, caps[:, 0], reqs[:, 0])
+        assert float((g * x).sum()) == pytest.approx(want, abs=1e-9), cases
         cases += 1
 
 
-def test_gap_bound_vanishes_at_a_non_degenerate_lp_vertex():
-    """With generic real data the oracle's vertex for the same profits is
-    a non-degenerate optimum, whose u-v prices are the optimal duals."""
-    rng = np.random.default_rng(29)
-    for u_n in (2, 3, 4):
-        for i_n in (2, 5, 8):
-            for _ in range(5):
-                profit = rng.uniform(0.1, 2.0, size=(u_n, i_n))
-                supplies = rng.uniform(1.0, 12.0, size=u_n)
-                demands = rng.uniform(1.0, 6.0, size=i_n)
-                y = lmo_transport(profit, supplies, demands)
-                bound, allowance = gap_bound(profit, y, supplies, demands)
-                assert abs(bound) <= 1e-12, (u_n, i_n)
-                assert 0.0 < allowance < 1e-9
+def test_own_foreign_oracle_is_not_greedy_by_profit():
+    """Member p (capacity 1) owns application i (own credit 10, foreign
+    9.9) and j (9.95 and 0.1); member q has capacity 1 and no demand.
+    Filling i's own cell first, as a greedy fill by profit does, scores
+    10.1.  The optimum puts p on j and q on i, for 19.85."""
+    s = linear_scenario([[1.0], [1.0]], [[1.0], [1.0], [0.0]], [0, 0, 1],
+                        w=[1.0, 1.0], zeta=[0.5, 0.5])
+    prob = CoalitionProblem.build(s, Coalition.grand(2))
+    g = np.array([[10.0, 9.95, 0.0], [9.9, 0.1, 0.0]])
+    x = solver._lmo_own_foreign(prob, g[None, ..., None])[0, ..., 0]
+    assert float((g * x).sum()) == pytest.approx(19.85, rel=1e-15)
+    assert x.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+
+
+def test_member_gradients_take_the_own_foreign_form():
+    """The gradient prob.evaluate gives at a 1:0.5 sigmoid coalition's
+    restart points holds one value on each application's foreign cells,
+    bit for bit, and no less on its owner's.  There the oracle is never
+    below the transport LP, and above it by less than HiGHS's default
+    dual feasibility tolerance (1e-7) per unit shipped: at that tolerance
+    HiGHS leaves cells whose profit, or profit difference, is below it
+    as it finds them, and sigmoid slopes far from the request are 1e-9
+    and less.  Exact agreement is checked on data of unit scale
+    (test_own_foreign_oracle_matches_the_transport_lp)."""
+    s = generate_scenario(4, 2, 3, utility="sigmoid", mu=3.0, seed=5, w=1.0, zeta=0.5)
+    for c in (Coalition(0b0011), Coalition(0b1101), Coalition.grand(4)):
+        prob = CoalitionProblem.build(s, c)
+        assert prob.own_foreign and prob.uniform_weight is None
+        _, x0 = coalition_fw(s, c, 6)
+        gs = prob.evaluate(x0)[1]
+        cols = np.arange(len(prob.apps))
+        foreign = np.stack([gs[:, prob.ord_pos[:, t], cols] for t in range(1, prob.size)])
+        assert (foreign == foreign[0]).all()
+        assert (gs[:, prob.ord_pos[:, 0], cols] >= foreign[0]).all()
+        x = solver._lmo_own_foreign(prob, gs)
+        for r in range(len(gs)):
+            for k in range(s.n_resources):
+                g = gs[r, ..., k]
+                want = float((g * lmo_transport(g, prob.caps[:, k], prob.reqs[:, k])).sum())
+                got = float((g * x[r, ..., k]).sum())
+                assert want * (1 - 1e-12) <= got <= want + 1e-7 * prob.caps[:, k].sum()
+
+
+@pytest.mark.parametrize("w, zeta, own_foreign", [
+    ([1.0] * 3, [0.5] * 3, True),  # w above zeta
+    ([0.5, 1.0, 1.0], [0.5] * 3, True),  # w == zeta on one owner
+    ([0.5] * 3, [1.0] * 3, False),  # w below zeta
+    ([2.0, 1.5, 2.5], [1.0, 0.75, 0.5], False),  # one zeta per player
+])
+def test_own_foreign_predicate(w, zeta, own_foreign):
+    s = dataclasses.replace(generate_scenario(3, 2, 2, utility="sigmoid", mu=3.0, seed=5),
+                            w=np.array(w), zeta=np.array(zeta))
+    assert CoalitionProblem.build(s, Coalition.grand(3)).own_foreign is own_foreign
+    for n in range(3):  # a lone member has no foreign cell
+        assert not CoalitionProblem.build(s, Coalition.singleton(n)).own_foreign
 
 
 # ---------------------------------------------------------------------------
@@ -730,9 +805,8 @@ def test_receipt_evaluate_is_objective_and_gradient_bit_for_bit():
         terms = AppTerms.from_scenario(scen, apps)
         assert terms.all_sigmoid is (scen is s)
         for weight in (1.0, 0.5):
-            evaluate, objective, lmo, bound = solver._receipt_oracles(
+            evaluate, objective, lmo = solver._receipt_oracles(
                 terms, scen.capacities.sum(axis=0), weight)
-            assert bound is None
             t = rng.uniform(0.0, 1.2, (7, *terms.requests.shape)) * terms.requests
             t[0] = 0.0
             t[1] = lmo(rng.random(t[1:2].shape))[0]
@@ -937,11 +1011,89 @@ def test_coalition_solves_draw_the_coalition_streams(monkeypatch):
     assert paths == {True, False}
 
 
+def count_lps(monkeypatch):
+    """Route solver.lmo_transport through a counter; returns the count."""
+    calls = [0]
+
+    def counted(profit, supplies, demands):
+        calls[0] += 1
+        return lmo_transport(profit, supplies, demands)
+
+    monkeypatch.setattr(solver, "lmo_transport", counted)
+    return calls
+
+
+def lp_path_scenarios():
+    """The member-coordinate scenarios that keep the transport LP: 3 x 3
+    at w:zeta = 0.5:1, linear and sigmoid, seeds 0-5; and a hand-written
+    scenario (JSON) whose players each credit shared supply at their own
+    zeta, with every w above every zeta."""
+    below = [generate_scenario(3, 2, 3, utility=kind, mu=None if kind == "linear" else
+                               (1.0, 3.0, 10.0)[seed % 3], seed=seed, w=0.5, zeta=1.0)
+             for kind in ("linear", "sigmoid") for seed in range(6)]
+    doc = json.loads(scenario_to_json(generate_scenario(3, 2, 3, utility="sigmoid", mu=3.0,
+                                                        seed=4)))
+    for player, w, zeta in zip(doc["players"], (2.0, 1.5, 2.5), (1.0, 0.75, 0.5)):
+        player["w"], player["zeta"] = w, zeta
+    return below, scenario_from_json(json.dumps(doc))
+
+
+def table_digest(scenarios, **settings):
+    """sha256 over every coalition's value and local allocation, mask by
+    mask, of the characteristic tables of the scenarios."""
+    h = hashlib.sha256()
+    for s in scenarios:
+        table = build_characteristic_table(s, **settings)
+        for mask in range(1, 2 ** s.n_players):
+            rep = table.reports[mask]
+            h.update(np.float64(rep.value).tobytes())
+            h.update(rep.allocation.x.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("weights, utility", [("1:0.5", "sigmoid"), ("1:0.5", "linear")])
+def test_shared_zeta_runs_solve_no_lp(monkeypatch, tmp_path, weights, utility):
+    """Every weighted coalition of a generated scenario with w above zeta
+    takes the LP-free oracle: `run --method both` solves no transport LP."""
+    calls = count_lps(monkeypatch)
+    scenario = tmp_path / "s.json"
+    argv = ["gen", "--players", "3", "--apps", "3", "--resources", "2", "--utility", utility,
+            "--weights", weights, "--seed", "3", "--out", str(scenario)]
+    assert main(argv + (["--mu", "3"] if utility == "sigmoid" else [])) == 0
+    assert main(["run", "--scenario", str(scenario), "--method", "both",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert calls[0] == 0
+
+
+def test_lp_paths_keep_their_values_and_allocations(monkeypatch):
+    """w below zeta and one zeta per player still solve transport LPs,
+    and their tables are byte for byte those of the LP oracle before the
+    LP-free one existed (digests recorded then).  The sigmoid 0.5:1
+    tables run 4 restarts to gap 1e-3, which keeps this test short."""
+    calls = count_lps(monkeypatch)
+    below, mixed = lp_path_scenarios()
+    got = [table_digest(below[:6]), table_digest(below[6:], restarts=4, gap_tol=1e-3)]
+    assert calls[0] > 0
+    before = calls[0]
+    got.append(table_digest([mixed]))
+    assert calls[0] > before
+    assert got == LP_PATH_DIGESTS
+
+
+LP_PATH_DIGESTS = [
+    "d0b4a3fd158a65cead5575564c52c6cfc32acabd381aca36946205be94b07f94",
+    "bc090cbc24bd179ec4526ff748e6a72af4dbd85a3bdf3265b30d09edb8ee34a8",
+    "db7b3880553687fa405d72c72cd75242a22b428113ad10e5af1e6c1d033c73c6",
+]
+
+
 def test_member_oracle_solves_one_lp_per_distinct_slice(monkeypatch):
-    """Restarts with equal gradient slices share one transport LP, and the
-    stacked vertices equal the per-restart solves."""
-    s = generate_scenario(3, 2, 3, utility="sigmoid", mu=3.0, seed=7, w=1.0, zeta=0.5)
+    """Where the oracle is the LP (w below zeta here), restarts with equal
+    gradient slices share one transport LP, and the stacked vertices equal
+    the per-restart solves."""
+    s = generate_scenario(3, 2, 3, utility="sigmoid", mu=3.0, seed=7, w=0.5, zeta=1.0)
     prob = CoalitionProblem.build(s, Coalition(0b011))
+    assert not prob.own_foreign
     rng = np.random.default_rng(7)
     g0, g1 = rng.random((2, prob.size, *prob.reqs.shape))
     gs = np.stack([g0, g1, g0, g0, g1])
@@ -950,17 +1102,10 @@ def test_member_oracle_solves_one_lp_per_distinct_slice(monkeypatch):
         np.stack([lmo_transport(g[..., k], prob.caps[:, k], prob.reqs[:, k])
                   for k in range(s.n_resources)], axis=-1)
         for g in gs])
-    calls = 0
-
-    def counted(profit, supplies, demands):
-        nonlocal calls
-        calls += 1
-        return lmo_transport(profit, supplies, demands)
-
-    monkeypatch.setattr(solver, "lmo_transport", counted)
+    calls = count_lps(monkeypatch)
     got = solver._member_oracles(prob)[2](gs)
     assert got.tobytes() == want.tobytes()
-    assert calls == 2 * s.n_resources < len(gs) * s.n_resources
+    assert calls[0] == 2 * s.n_resources < len(gs) * s.n_resources
 
 
 # ---------------------------------------------------------------------------
@@ -990,8 +1135,11 @@ def test_batched_restarts_match_solo_runs():
         x0 = solver._starts(s, solver._NATIVE_TAG, 1, 16, terms.requests.shape, oracles[2])
         iters = assert_batch_matches_solo_runs(oracles, x0, convex)
         assert len(set(iters)) > 1  # runs leave the batch at different rounds
-        for w, zeta in ((1.0, 1.0), (1.0, 0.5)):
-            s = generate_scenario(3, 3, 3, utility="sigmoid", mu=10.0, seed=1, w=w, zeta=zeta)
+        base = generate_scenario(3, 3, 3, utility="sigmoid", mu=10.0, seed=1)
+        # pooled receipts, the LP-free member oracle, and the LP one
+        for w, zeta in (([1.0] * 3, [1.0] * 3), ([1.0] * 3, [0.5] * 3),
+                        ([2.0, 1.5, 2.5], [1.0, 0.75, 0.5])):
+            s = dataclasses.replace(base, w=np.array(w), zeta=np.array(zeta))
             oracles, x0 = coalition_fw(s, Coalition(0b110), 16)
             assert x0.ndim == (3 if w == zeta else 4)
             iters = assert_batch_matches_solo_runs(oracles, x0, convex)
@@ -1013,7 +1161,7 @@ def test_run_that_cannot_improve_stops_where_it_is(convex):
     x0 = np.zeros((3, 2, 2))
     x0[1] = 0.25
     x, f, iters, gap = solver._batched_frank_wolfe(
-        evaluate, objective, np.ones_like, None, x0, solver.DEFAULT_GAP_TOL, convex)
+        evaluate, objective, np.ones_like, x0, solver.DEFAULT_GAP_TOL, convex)
     assert np.array_equal(x, x0)
     assert f.tolist() == [0.0, -1.0, 0.0]
     assert iters.tolist() == [1, 1, 1]
@@ -1100,102 +1248,3 @@ def test_non_convex_solve_searches_the_step(monkeypatch):
     assert rep.value == pytest.approx(CoalitionProblem.build(s, c).objective(rep.allocation.x),
                                       rel=1e-12, abs=1e-12)
     assert any(0.0 < step < 1.0 for step in steps)
-
-
-def member_fw_cases(seeds):
-    """(label, oracles, x0) of every member-coordinate coalition of the
-    3 x 5, w:zeta = 1:0.5 sigmoid scenarios of the given seeds, with the
-    solver's own restarts."""
-    for seed in seeds:
-        s = generate_scenario(3, 3, 5, utility="sigmoid", mu=(1.0, 3.0, 10.0)[seed % 3],
-                              seed=seed, w=1.0, zeta=0.5)
-        for c in all_coalitions(3):
-            if CoalitionProblem.build(s, c).uniform_weight is None:
-                yield f"seed {seed} {c.label()}", *coalition_fw(s, c, solver.DEFAULT_RESTARTS)
-
-
-def count_lps(monkeypatch):
-    """Route solver.lmo_transport through a counter; returns the count."""
-    calls = [0]
-
-    def counted(profit, supplies, demands):
-        calls[0] += 1
-        return lmo_transport(profit, supplies, demands)
-
-    monkeypatch.setattr(solver, "lmo_transport", counted)
-    return calls
-
-
-def test_certified_runs_end_where_the_gap_test_ends_them(monkeypatch):
-    """On convex member-coordinate solves the LP duality bound stops runs
-    in the round the gap test would, at the same point, value and round
-    count, bit for bit, so the best restart is the same; it only skips
-    LPs, and a certified gap is at least the vertex's gap."""
-    calls = count_lps(monkeypatch)
-    with_bound = without = cases = 0
-    for label, oracles, x0 in member_fw_cases(range(6)):
-        evaluate, objective, lmo, bound = oracles
-        assert bound is not None, label
-        before = calls[0]
-        got = solver._batched_frank_wolfe(*oracles, x0, solver.DEFAULT_GAP_TOL, True)
-        with_bound += calls[0] - before
-        before = calls[0]
-        want = solver._batched_frank_wolfe(evaluate, objective, lmo, None, x0,
-                                           solver.DEFAULT_GAP_TOL, True)
-        without += calls[0] - before
-        for k in range(3):  # x, f, iterations
-            assert got[k].tobytes() == want[k].tobytes(), label
-        assert np.all(got[3] >= want[3] - 1e-12), label
-        cases += 1
-    assert cases == 24
-    assert with_bound < 0.75 * without
-
-
-def test_zero_gap_tolerance_certifies_nothing(monkeypatch):
-    """With gap_tol = 0 no bound plus allowance is below the tolerance, so
-    every run calls the oracle every round, as without the bound."""
-    calls = count_lps(monkeypatch)
-    for label, oracles, x0 in itertools.islice(member_fw_cases([0, 1]), 3):
-        before = calls[0]
-        got = solver._batched_frank_wolfe(*oracles, x0, 0.0, True)
-        counted = calls[0] - before
-        before = calls[0]
-        want = solver._batched_frank_wolfe(*oracles[:3], None, x0, 0.0, True)
-        assert counted == calls[0] - before, label
-        for k in range(4):
-            assert got[k].tobytes() == want[k].tobytes(), label
-
-
-@pytest.mark.parametrize("gap_tol, lmo_calls", [(0.0, [2, 2]), (1e-6, [2])])
-def test_a_bound_must_fall_strictly_below_the_tolerance(gap_tol, lmo_calls):
-    """A zero bound with a zero allowance certifies a positive tolerance
-    but not a zero one; either way the runs end as the gap test ends
-    them.  The stub moves every run to the vertex in round 1, where the
-    bound first applies and its gap is 0."""
-    calls = []
-
-    def lmo(g):
-        calls.append(len(g))
-        return np.ones_like(g)
-
-    def objective(x):
-        return x.reshape(len(x), -1).sum(axis=1)
-
-    def evaluate(x):
-        return objective(x), np.ones_like(x)
-
-    def bound(g, x):
-        return np.zeros(len(g)), np.zeros(len(g))
-
-    x, f, iters, gap = solver._batched_frank_wolfe(
-        evaluate, objective, lmo, bound, np.zeros((2, 3)), gap_tol, True)
-    assert calls == lmo_calls
-    assert np.array_equal(x, np.ones((2, 3)))
-    assert (f.tolist(), iters.tolist(), gap.tolist()) == ([3.0, 3.0], [2, 2], [0.0, 0.0])
-
-
-def test_only_convex_member_solves_get_a_bound():
-    for w, zeta in ((1.0, 0.5), (0.5, 1.0)):
-        s = generate_scenario(3, 3, 3, utility="sigmoid", mu=3.0, seed=2, w=w, zeta=zeta)
-        prob = CoalitionProblem.build(s, Coalition.grand(3))
-        assert (solver._member_oracles(prob)[3] is not None) is prob.convex is (w > zeta)

@@ -29,9 +29,9 @@ def test_tracer_records_every_span_it_names(tmp_path, capsys):
     scenario, out = tmp_path / "s.json", tmp_path / "out"
     tracer.install(edgeshare)
     try:
-        # w != zeta, so coalitions of two or more solve transport LPs
+        # w below zeta, so coalitions of two or more solve transport LPs
         assert cli.main(["gen", "--players", "3", "--apps", "2", "--utility", "sigmoid",
-                         "--mu", "3", "--weights", "1:0.5", "--out", str(scenario)]) == 0
+                         "--mu", "3", "--weights", "0.5:1", "--out", str(scenario)]) == 0
         assert cli.main(["run", "--scenario", str(scenario), "--method", "both",
                          "--out", str(out)]) == 0
         before_verify = len(tracer.spans)
