@@ -10,9 +10,14 @@ When Shapley ran, `run` also saves its characteristic table as
 table.npz beside payoffs.csv.  `verify --payoffs P` reads the table.npz
 beside P when its key (format version, scenario digest, restarts, solver
 gap) matches, audits it and solves no coalition; otherwise it solves the
-table again, and it says on stdout which it did.  coalition.csv and that
-audit take each coalition's split over its members from one pass,
+table again, and it says on stdout which it did.  The digest is that of
+the scenario file's text as read, so the same scenario saved again with
+other formatting no longer matches.  coalition.csv and that audit take
+each coalition's split over its members from one pass,
 analysis.member_shares.
+
+main builds its parser once per process: in-process callers share it,
+so option defaults are read at the first call.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 usage error or
 unreadable table.npz, 3 I/O error.  All value output is deterministic for
@@ -23,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -507,6 +513,7 @@ def cmd_bench(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edgeshare",

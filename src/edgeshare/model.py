@@ -118,8 +118,11 @@ class Scenario:
         return c
 
     def digest(self) -> str:
-        """Stable content hash of the serialized form."""
-        return text_digest(scenario_to_json(self))
+        """Content hash of the scenario file's text as load_scenario read
+        it, else of scenario_to_json.  The recorded digest is no field, so
+        repr ignores it and a dataclasses.replace copy hashes its own
+        serialization."""
+        return self.__dict__.get("_text_digest") or text_digest(scenario_to_json(self))
 
 
 def validate_scenario(s: Scenario) -> list[str]:
@@ -452,4 +455,8 @@ def save_scenario(s: Scenario, path: str | Path) -> str:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    return scenario_from_json(Path(path).read_text(encoding="utf-8"))
+    """The scenario in the file, with the digest of the text read."""
+    text = Path(path).read_text(encoding="utf-8")
+    s = scenario_from_json(text)
+    object.__setattr__(s, "_text_digest", text_digest(text))
+    return s

@@ -207,3 +207,30 @@ def test_two_player_payoffs_sit_in_the_core_of_a_superadditive_game():
     # two players: superadditive game always has both vectors in the core
     assert core_reports["shapley"].in_core and core_reports["fast"].in_core
     assert sa.ok
+
+
+# ---------------------------------------------------------------------------
+# a core point, constructed
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_linear_game_has_a_core_point(seed):
+    """The least-core LP over the table (min eps such that every coalition
+    S gets at least v(S) - eps and the players share v(grand) exactly)
+    reaches eps <= 0 on each of the 25 linear acceptance scenarios, so the
+    core is non-empty, and its point passes core_verify."""
+    from scipy.optimize import linprog
+
+    n = (2, 3, 4)[seed % 3]
+    table = build_characteristic_table(generate_scenario(n, 3, 3, utility="linear", seed=seed))
+    masks = np.arange(1, (1 << n) - 1)
+    member = (masks[:, None] >> np.arange(n)) & 1
+    # variables (x_1 .. x_n, eps): -x(S) - eps <= -v(S), x(N) = v(N)
+    lp = linprog(c=np.r_[np.zeros(n), 1.0],
+                 A_ub=-np.c_[member, np.ones(len(masks))], b_ub=-table.values[masks - 1],
+                 A_eq=np.r_[np.ones(n), 0.0][None], b_eq=table.values[-1:],
+                 bounds=[(None, None)] * (n + 1), method="highs")
+    assert lp.status == 0, lp.message
+    assert lp.fun <= 1e-9
+    report = core_verify(lp.x[:n], table, tol=1e-6)
+    assert report.in_core, report.deficits

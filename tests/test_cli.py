@@ -629,6 +629,63 @@ def test_verify_solves_again_when_the_table_key_differs(tmp_path, capsys, change
     assert (code, rows) == (bare_code, bare_rows)
 
 
+def test_table_key_is_the_digest_of_the_scenario_text_read(tmp_path, capsys):
+    """A scenario written as compact JSON keys its table by that text; the
+    same scenario re-saved canonically between run and verify no longer
+    matches, so verify solves again and says why."""
+    scenario = tmp_path / "s.json"
+    assert main(["gen", *SIGMOID_WEIGHTED, "--seed", "2", "--out", str(scenario)]) == 0
+    compact = json.dumps(json.loads(scenario.read_text(encoding="utf-8")))
+    scenario.write_text(compact, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    capsys.readouterr()
+    verify_rows(scenario, out / "payoffs.csv", tmp_path / "v")
+    assert f"table: read {out / 'table.npz'}, solved no coalition" in capsys.readouterr().out
+
+    model.save_scenario(model.load_scenario(scenario), scenario)
+    code, rows = verify_rows(scenario, out / "payoffs.csv", tmp_path / "v2")
+    said = capsys.readouterr().out
+    assert (f"table: {out / 'table.npz'} was saved for digest "
+            f"{model.text_digest(compact)!r}, not ") in said
+    assert "solving all 7 coalitions" in said
+    bare_code, bare_rows = verify_rows(scenario, without_table(out, tmp_path),
+                                       tmp_path / "bare-v")
+    assert (code, rows) == (bare_code, bare_rows)
+
+
+def test_pipeline_builds_one_parser_and_serializes_no_scenario(tmp_path, monkeypatch):
+    """In one process gen → run → verify --payoffs builds the parser once,
+    and run and verify take the table key's digest from the text read."""
+    cli.build_parser.cache_clear()
+    scenario = gen(tmp_path)
+    calls, to_json = [], model.scenario_to_json
+
+    def counted(s):
+        calls.append(s)
+        return to_json(s)
+
+    monkeypatch.setattr(model, "scenario_to_json", counted)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    assert main(["verify", "--scenario", str(scenario),
+                 "--payoffs", str(out / "payoffs.csv")]) == 0
+    assert calls == []
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_options_do_not_leak_between_main_calls(tmp_path, capsys):
+    scenario = gen(tmp_path)
+    assert main(["run", "--scenario", str(scenario), "--restarts", "4", "--tol", "1e-3",
+                 "--out", str(tmp_path / "a")]) == 0
+    assert main(["run", "--scenario", str(scenario), "--restarts", "0"]) == 2
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "b")]) == 0
+    with np.load(tmp_path / "a" / "table.npz") as npz:
+        assert (npz["restarts"], npz["gap_tol"]) == (4, 1e-3)
+    with np.load(tmp_path / "b" / "table.npz") as npz:
+        assert (npz["restarts"], npz["gap_tol"]) == (16, 1e-6)
+
+
 def _truncate(path: Path) -> None:
     data = path.read_bytes()
     path.write_bytes(data[:len(data) // 2])

@@ -1,4 +1,5 @@
 """Scenario construction, validation, coalitions, allocations, serialization."""
+import dataclasses
 import json
 
 import numpy as np
@@ -153,6 +154,29 @@ def test_save_load_round_trip(tmp_path):
     save_scenario(s, path)
     t = load_scenario(path)
     assert scenario_to_json(s) == scenario_to_json(t)
+
+
+def test_loaded_digest_is_the_digest_of_the_text_read(tmp_path):
+    """A compact file loads to the same scenario as the canonical one but
+    keeps the digest of its own text."""
+    s = generate_scenario(2, 3, 2, utility="linear", seed=5)
+    path = tmp_path / "compact.json"
+    text = json.dumps(json.loads(scenario_to_json(s)))
+    path.write_text(text, encoding="utf-8")
+    t = load_scenario(path)
+    assert scenario_to_json(t) == scenario_to_json(s)
+    assert t.digest() == model.text_digest(text) != s.digest()
+
+
+def test_an_edited_copy_hashes_its_own_serialization(tmp_path):
+    path = tmp_path / "scen.json"
+    save_scenario(generate_scenario(2, 3, 2, utility="linear", seed=5), path)
+    loaded = load_scenario(path)
+    edited = dataclasses.replace(loaded, capacities=loaded.capacities * 1.5)
+    assert edited.digest() == model.text_digest(scenario_to_json(edited))
+    assert edited.digest() != loaded.digest()
+    # the recorded digest is no field: repr shows the content alone
+    assert repr(loaded) == repr(scenario_from_json(path.read_text(encoding="utf-8")))
 
 
 def test_scenario_json_shape(tmp_path):
