@@ -30,12 +30,14 @@ def _frozen(a: np.ndarray, dtype=float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UtilitySpec:
     """Per-player utility shape for its native applications.
 
     kind is "linear" (value c_ik per delivered unit) or "sigmoid"
     (logistic satisfaction centered at the request, steepness mu).
+    == is identity, since coeffs is an array; a scenario's specs are
+    compared through scenario_to_json.
     """
 
     kind: str
@@ -57,13 +59,15 @@ class UtilitySpec:
                 object.__setattr__(self, "coeffs", _frozen(self.coeffs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """Immutable problem instance shared by every pipeline stage.
 
     Arrays use a flat application axis: requests[i] is application i's
     request vector and owner[i] the player that brought it.  Player n's
-    native block is contiguous and ordered by player index.
+    native block is contiguous and ordered by player index.  == and hash
+    are by identity, since the fields are arrays; content is compared
+    through scenario_to_json or digest().
     """
 
     n_players: int
@@ -162,6 +166,15 @@ def validate_scenario(s: Scenario) -> list[str]:
             problems.append(f"{name} must be finite")
         elif np.any(arr < 0):
             problems.append(f"{name} must be nonnegative")
+    if not problems:  # the solvers sum and scale these: finite entries can still overflow
+        with np.errstate(over="ignore"):
+            for name, arr in (("capacities", s.capacities), ("requests", s.requests)):
+                if not np.all(np.isfinite(arr.sum(axis=0))):
+                    problems.append(f"{name} must have finite totals per resource")
+            for i, spec in enumerate(s.utilities):
+                if spec.kind == "sigmoid" and not np.isfinite(
+                        spec.mu * s.requests[s.owner == i].max()):
+                    problems.append(f"player {i} mu times its largest request must be finite")
     for name, arr in (("w", s.w), ("zeta", s.zeta)):
         if arr.shape != (n,):
             problems.append(f"{name} must have shape ({n},)")
@@ -230,9 +243,10 @@ def all_coalitions(n_players: int):
 # allocations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Allocation:
-    """x[n, i, k] = amount of resource k provider n gives application i."""
+    """x[n, i, k] = amount of resource k provider n gives application i.
+    == and hash are by identity; compare the arrays x themselves."""
 
     x: np.ndarray
 
@@ -414,14 +428,15 @@ def scenario_from_json(text: str) -> Scenario:
             raise ValueError(f"{where} must be an object, got {p!r}")
         caps.append(_numbers(p, "capacity", where))
         block = _numbers(p, "requests", where)
-        try:
-            block = block.reshape(-1, k)
-        except ValueError:
-            raise ValueError(f"{where}: 'requests' must hold rows of k={k} numbers") from None
+        if block.ndim != 2 or block.shape[1] != k:
+            raise ValueError(f"{where}: 'requests' must be a list of rows of k={k} numbers")
         reqs.append(block)
         owner.extend([idx] * block.shape[0])
         u = _field(p, "utility", dict, "an object", where)
         kind = _field(u, "kind", str, "a string", f"{where}.utility")
+        extra = {"sigmoid": "coeffs", "linear": "mu"}.get(kind)
+        if extra in u:
+            raise ValueError(f"{where}.utility: {kind} utility takes no {extra!r}")
         if kind == "sigmoid":
             specs.append(UtilitySpec("sigmoid", mu=_field(
                 u, "mu", (int, float), "a number", f"{where}.utility")))

@@ -339,36 +339,27 @@ def _trim(x: np.ndarray, bound: np.ndarray, axis: int) -> None:
         np.put_along_axis(x, at, np.where(over > 0, lower, top), axis)
 
 
-def _lmo_own_foreign(prob: CoalitionProblem, gs: np.ndarray) -> np.ndarray:
-    """Exact linear oracle in member coordinates, with no LP, for a
-    gradient batch (R, S, MS, K) of a coalition with prob.own_foreign: per
-    app and resource, one value b on every foreign cell and a = b + d,
-    d >= 0, on the owner's.  Each resource of each restart is then
-    max b.t + d.o over 0 <= o <= t <= requests, each member's own supply o
-    within its capacity and sum t within the pooled capacity C; any such
-    split ships once every member with foreign receipts has no capacity
-    left (Hall's condition without the own cells), as the split below has.
+def _pooled_receipts(a: np.ndarray, b: np.ndarray, reqs: np.ndarray, caps: np.ndarray,
+                     owner: np.ndarray) -> np.ndarray:
+    """Optimal receipts t (B, MS) of the pooled row of _lmo_own_foreign,
+    per batched row: foreign credit b and owner's credit a = b + d (B, MS),
+    requests (B, MS), member capacities (B, S), owner_i the member that
+    owns application i.
 
-    The pooled row is priced: at price p each owner fills its own supply
-    by the profits min(d, a - p)+, and every request whose b beats p is
-    filled.  Receipts only fall as p rises, and change only at p = 0, b_i,
-    a_i or a_j - d_i for two applications of one owner, so a bisection
-    over those sorted breakpoints finds the least p whose receipts just
-    above it fit in C.  Where p > 0 the receipts just below it overfill C,
-    and the mix of the two that fills C exactly is optimal.  Of receipts t
-    each owner supplies its own applications first, by decreasing d and
-    then lowest index; the rest, where b > 0, is foreign, shipped from the
-    members' leftover capacity by the northwest-corner staircase, lowest
-    index first.  Sums that rounding pushes past a bound are trimmed
-    (_trim).  Every restart and resource is solved at once."""
-    r_count, size, m, k = gs.shape
-    cols, owner = np.arange(m), prob.ord_pos[:, 0]
-    # restart-major, then resource: rows (R * K, MS)
-    a, b = (gs[:, prob.ord_pos[:, slot], cols, :].transpose(0, 2, 1).reshape(-1, m)
-            for slot in (0, 1))
-    rows = len(a)
-    reqs = np.broadcast_to(prob.reqs.T, (r_count, k, m)).reshape(rows, m)
-    caps = np.broadcast_to(prob.caps.T, (r_count, k, size)).reshape(rows, size)
+    At price p each owner fills its own supply by the profits
+    min(d, a - p)+, and every request whose b beats p is filled.  Receipts
+    only fall as p rises, and change only at p = 0, b_i, a_i, or a_j - d_i
+    for two applications of one owner while i is foreign and j is not
+    (b_j <= p < b_i).  A bisection over those distinct sorted prices finds
+    the least p whose receipts just above it fit in the pooled capacity C.
+    It starts from a bracket of two bounds on the receipts at every price:
+    the foreign requests alone, and those plus each owner's own-only
+    requests (b <= p < a) capped at its capacity.  A price whose lower
+    bound overfills C, or whose upper bound fits, by more than 1e-9 *
+    max(1, C), is on that side of p.  Where p > 0 the receipts just below
+    it overfill C, and the mix of the two that fills C exactly is
+    optimal."""
+    rows, m = a.shape
     pooled = caps.sum(axis=1)
 
     def receipts(price, above):
@@ -387,11 +378,26 @@ def _lmo_own_foreign(prob: CoalitionProblem, gs: np.ndarray) -> np.ndarray:
         return np.where(foreign, reqs[:, None], own.reshape(foreign.shape))
 
     mates_i, mates_j = np.nonzero((owner[:, None] == owner) & ~np.eye(m, dtype=bool))
-    prices = np.sort(np.maximum(np.concatenate(
-        [np.zeros((rows, 1)), b, a, a[:, mates_j] - (a - b)[:, mates_i]], axis=1), 0.0), axis=1)
-    # bisection between lo (overfills) and hi (fits); the largest fits
+    swap = a[:, mates_j] - (a - b)[:, mates_i]
+    swap[(b[:, mates_j] > swap) | (swap >= b[:, mates_i])] = np.inf
+    prices = np.sort(np.maximum(np.concatenate([np.zeros((rows, 1)), b, a, swap], axis=1), 0.0),
+                     axis=1)
+    prices[:, 1:][prices[:, 1:] == prices[:, :-1]] = np.inf  # +inf pads each row
+    prices = np.sort(prices, axis=1)
+    count = np.isfinite(prices).sum(axis=1)
+    prices = prices[:, :count.max()]
+    p = prices[..., None]
+    foreign = b[:, None] > p
+    lower = np.where(foreign, reqs[:, None], 0.0).sum(axis=-1)
+    own_only = np.where(foreign | (a[:, None] <= p), 0.0, reqs[:, None])
+    own_only = own_only @ (owner == np.arange(caps.shape[1])[:, None]).T
+    upper = lower + np.minimum(own_only, caps[:, None]).sum(axis=-1)
+    slack = 1e-9 * np.maximum(1.0, pooled)[:, None]
+    step = np.arange(prices.shape[1])
+    # bisection between lo (overfills) and hi (fits); the last price fits
     at = np.arange(rows)
-    lo, hi = np.full(rows, -1), np.full(rows, prices.shape[1] - 1)
+    lo = np.where(lower > pooled[:, None] + slack, step, -1).max(axis=1)
+    hi = np.where(upper < pooled[:, None] - slack, step, count[:, None] - 1).min(axis=1)
     while (live := hi - lo > 1).any():
         mid = (lo + hi) // 2
         fits = receipts(prices[at, mid, None], True)[:, 0].sum(axis=-1) <= pooled
@@ -400,8 +406,35 @@ def _lmo_own_foreign(prob: CoalitionProblem, gs: np.ndarray) -> np.ndarray:
     t_up, t_down = np.moveaxis(receipts(np.stack([price, price], axis=1), [True, False]), 1, 0)
     u_up, u_down = t_up.sum(axis=1), t_down.sum(axis=1)
     spread = np.where((price > 0) & (u_down > u_up), u_down - u_up, np.inf)
-    t = t_up + np.clip((pooled - u_up) / spread, 0.0, 1.0)[:, None] * (t_down - t_up)
+    return t_up + np.clip((pooled - u_up) / spread, 0.0, 1.0)[:, None] * (t_down - t_up)
 
+
+def _lmo_own_foreign(prob: CoalitionProblem, gs: np.ndarray) -> np.ndarray:
+    """Exact linear oracle in member coordinates, with no LP, for a
+    gradient batch (R, S, MS, K) of a coalition with prob.own_foreign: per
+    app and resource, one value b on every foreign cell and a = b + d,
+    d >= 0, on the owner's.  Each resource of each restart is then
+    max b.t + d.o over 0 <= o <= t <= requests, each member's own supply o
+    within its capacity and sum t within the pooled capacity C; any such
+    split ships once every member with foreign receipts has no capacity
+    left (Hall's condition without the own cells), as the split below has.
+
+    The pooled row is priced for its receipts t (_pooled_receipts).  Of
+    receipts t each owner supplies its own applications first, by
+    decreasing d and then lowest index; the rest, where b > 0, is
+    foreign, shipped from the members' leftover capacity by the
+    northwest-corner staircase, lowest index first.  Sums that rounding
+    pushes past a bound are trimmed (_trim).  Every restart and resource
+    is solved at once."""
+    r_count, size, m, k = gs.shape
+    cols, owner = np.arange(m), prob.ord_pos[:, 0]
+    # restart-major, then resource: rows (R * K, MS)
+    a, b = (gs[:, prob.ord_pos[:, slot], cols, :].transpose(0, 2, 1).reshape(-1, m)
+            for slot in (0, 1))
+    rows = len(a)
+    reqs = np.broadcast_to(prob.reqs.T, (r_count, k, m)).reshape(rows, m)
+    caps = np.broadcast_to(prob.caps.T, (r_count, k, size)).reshape(rows, size)
+    t = _pooled_receipts(a, b, reqs, caps, owner)
     own = _own_fill(a - b, np.zeros((rows, m), dtype=bool), t, caps, owner)
     foreign = np.where(b > 0, t - own, 0.0)
     mine = owner == np.arange(size)[:, None]  # (S, MS)

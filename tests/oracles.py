@@ -247,3 +247,61 @@ def factored_staircase(alpha, gamma, supplies, demands):
     rank_u = np.argsort(order_u, axis=-1)[..., :, None]
     rank_i = np.argsort(order_i, axis=-1)[..., None, :]
     return np.take_along_axis(np.take_along_axis(sorted_x, rank_u, -2), rank_i, -1)
+
+
+def own_fill(profit, later, amounts, budget, owner):
+    """Each owner's fractional-knapsack fill of its own applications,
+    batched rows (B, M): item i takes up to amounts_i from its owner's
+    budget (B, S), in decreasing profit, then `later` False before True,
+    then lowest index."""
+    rows, m = profit.shape
+    at = (np.lexsort((later, -profit), axis=-1) + np.arange(0, rows * m, m)[:, None]).ravel()
+    amt, whose = amounts.ravel()[at], owner[at % m]
+    run = np.zeros((rows * m, budget.shape[1]))
+    item = np.arange(rows * m)
+    run[item, whose] = amt
+    before = np.zeros_like(run)
+    np.cumsum(run.reshape(rows, m, -1)[:, :-1], axis=1,
+              out=before.reshape(rows, m, -1)[:, 1:])
+    fill = np.empty(rows * m)
+    fill[at] = np.clip(budget[item // m, whose] - before[item, whose], 0.0, amt)
+    return fill.reshape(rows, m)
+
+
+def own_foreign_receipts(a, b, reqs, caps, owner):
+    """Receipts (B, M) of the own/foreign oracle's pooled row by the first
+    price search: a bisection over every breakpoint, 0, b_i, a_i and
+    a_j - d_i for every two applications of one owner, duplicates and
+    all, from the full range.  Each row: foreign credit b, owner's credit
+    a = b + d, requests, member capacities caps (B, S), owner_i the member
+    owning application i.  At price p own supply earns min(d, a - p)+ and
+    every request whose b beats p is filled; the least p whose receipts
+    just above it fit in the pooled capacity is mixed with the receipts
+    just below it to fill that capacity exactly."""
+    rows, m = a.shape
+    pooled = caps.sum(axis=1)
+
+    def receipts(price, above):
+        p, up = price[..., None], np.asarray(above)[..., None]
+        foreign = np.where(up, b[:, None] > p, b[:, None] >= p)
+        allowed = foreign | np.where(up, a[:, None] > p, a[:, None] >= p)
+        own = own_fill(np.where(foreign, (a - b)[:, None], a[:, None] - p).reshape(-1, m),
+                       (foreign ^ up).reshape(-1, m),
+                       np.where(allowed, reqs[:, None], 0.0).reshape(-1, m),
+                       np.repeat(caps, price.shape[1], axis=0), owner)
+        return np.where(foreign, reqs[:, None], own.reshape(foreign.shape))
+
+    mates_i, mates_j = np.nonzero((owner[:, None] == owner) & ~np.eye(m, dtype=bool))
+    prices = np.sort(np.maximum(np.concatenate(
+        [np.zeros((rows, 1)), b, a, a[:, mates_j] - (a - b)[:, mates_i]], axis=1), 0.0), axis=1)
+    at = np.arange(rows)
+    lo, hi = np.full(rows, -1), np.full(rows, prices.shape[1] - 1)
+    while (live := hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        fits = receipts(prices[at, mid, None], True)[:, 0].sum(axis=-1) <= pooled
+        hi, lo = np.where(live & fits, mid, hi), np.where(live & ~fits, mid, lo)
+    price = prices[at, hi]
+    t_up, t_down = np.moveaxis(receipts(np.stack([price, price], axis=1), [True, False]), 1, 0)
+    u_up, u_down = t_up.sum(axis=1), t_down.sum(axis=1)
+    spread = np.where((price > 0) & (u_down > u_up), u_down - u_up, np.inf)
+    return t_up + np.clip((pooled - u_up) / spread, 0.0, 1.0)[:, None] * (t_down - t_up)

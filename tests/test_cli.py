@@ -276,6 +276,74 @@ def test_run_scenario_with_mistyped_field_is_a_usage_error(tmp_path, capsys, fie
         assert repr(field) in err and "Traceback" not in err
 
 
+def _edit_player(player: dict, how: str) -> str:
+    """Break player 0 of a 2-resource scenario the way `how` names, in
+    place, and return the field the refusal must name."""
+    if how == "mu on linear":
+        player["utility"]["mu"] = 3.0
+        return "mu"
+    if how == "coeffs on sigmoid":
+        player["utility"] = {"kind": "sigmoid", "mu": 3.0, "coeffs": [[1.0, 1.0]] * 2}
+        return "coeffs"
+    if how == "flat requests":
+        player["requests"] = sum(player["requests"], [])
+    elif how == "requests three deep":
+        player["requests"] = [player["requests"]]
+    elif how == "one row of 4":  # reshaped, it read as the 2 x 2 original
+        player["requests"] = [sum(player["requests"], [])]
+    return "requests"
+
+
+@pytest.mark.parametrize("how", ["mu on linear", "coeffs on sigmoid", "flat requests",
+                                 "requests three deep", "one row of 4"])
+def test_run_scenario_with_a_field_the_reader_would_drop_or_reshape_is_a_usage_error(
+        tmp_path, capsys, how):
+    """Nothing in the file is ignored or reshaped: a field that does not
+    belong to the player's utility kind, or requests that are not rows of
+    k numbers, is refused by name."""
+    doc = json.loads(gen(tmp_path).read_text(encoding="utf-8"))
+    field = _edit_player(doc["players"][0], how)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    for argv in (["run", "--out", str(tmp_path / "out")], ["verify"]):
+        assert main([*argv, "--scenario", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert "players[0]" in err and repr(field) in err and "Traceback" not in err
+        assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("requests", 1e308, "requests must have finite totals per resource"),
+    ("capacity", 1e308, "capacities must have finite totals per resource"),
+    ("mu", 1e300, "player 0 mu times its largest request must be finite"),
+])
+def test_run_scenario_whose_sums_overflow_is_a_usage_error_before_solving(
+        tmp_path, capsys, field, value, message):
+    """Finite entries whose per-resource totals, or a sigmoid player's
+    mu times its largest request (with a request of 1e10), overflow to
+    inf are refused before anything is solved or written."""
+    doc = json.loads(gen(tmp_path, utility="sigmoid", mu="3").read_text(encoding="utf-8"))
+    for p in doc["players"]:
+        if field == "requests":
+            p["requests"] = [[value] * 2 for _ in p["requests"]]
+        elif field == "capacity":
+            p["capacity"] = [value] * 2
+    if field == "mu":
+        doc["players"][0]["utility"]["mu"] = value
+        doc["players"][0]["requests"][0][0] = 1e10
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    for argv in (["run", "--out", str(tmp_path / "out")], ["verify", "--out", str(tmp_path / "v")]):
+        assert main([*argv, "--scenario", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert message in err and "Traceback" not in err
+        assert out == ""  # nothing was solved
+    assert not (tmp_path / "out").exists() and not (tmp_path / "v").exists()
+
+
 def test_run_negative_seed_is_a_usage_error_before_solving(tmp_path, capsys):
     doc = json.loads(gen(tmp_path, utility="sigmoid", mu="3").read_text(encoding="utf-8"))
     doc["seed"] = -1

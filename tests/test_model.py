@@ -179,6 +179,22 @@ def test_an_edited_copy_hashes_its_own_serialization(tmp_path):
     assert repr(loaded) == repr(scenario_from_json(path.read_text(encoding="utf-8")))
 
 
+def test_array_holding_records_compare_and_hash_by_identity():
+    """Scenario, UtilitySpec and Allocation hold arrays, so == is identity
+    and never raises (the default field-by-field == asked numpy for the
+    truth value of an array), and each hashes, by identity.  Content is
+    compared through scenario_to_json or digest()."""
+    s = generate_scenario(2, 3, 2, utility="linear", seed=5)
+    twin = scenario_from_json(scenario_to_json(s))
+    spec = UtilitySpec("linear", coeffs=np.ones((2, 3)))
+    x = np.zeros((2, 4, 3))
+    for one, other in ((s, twin), (spec, UtilitySpec("linear", coeffs=np.ones((2, 3)))),
+                       (Allocation(x), Allocation(x))):
+        assert one == one and one != other
+        assert len({one, other, one}) == 2
+    assert scenario_to_json(s) == scenario_to_json(twin) and s.digest() == twin.digest()
+
+
 def test_scenario_json_shape(tmp_path):
     s = tiny_scenario()
     doc = json.loads(scenario_to_json(s))

@@ -48,6 +48,7 @@ from oracles import (
     factored_staircase,
     feasibility_violations,
     grid_best,
+    own_foreign_receipts,
     restart_draws,
     sigmoid_term,
 )
@@ -314,8 +315,11 @@ def own_foreign_problem(rng, case, restarts=3, n_resources=2):
     (restarts, S, MS, K) of gradients of the oracle's form: one value b on
     an application's foreign cells, b + d with d >= 0 on its owner's.
     Cases: random data; tied rows (every b and every d equal); zero
-    profits (some b, some d, some both); zero capacities and requests; and
-    w == zeta on some owners, whose d is then 0."""
+    profits (some b, some d, some both); zero capacities and requests;
+    w == zeta on some owners, whose d is then 0; and a plateau: pooled
+    capacity equal to the total request per resource, up to rounding, so
+    the pooled row binds with receipts at capacity over a range of
+    prices."""
     size = int(rng.integers(2, 5))
     owner = np.repeat(np.arange(size), rng.integers(1, 6, size=size))
     m = owner.size
@@ -336,6 +340,8 @@ def own_foreign_problem(rng, case, restarts=3, n_resources=2):
     elif case == "w == zeta":
         w[rng.uniform(size=size) < 0.5] = 0.5
         d[:, w[owner] == 0.5] = 0.0
+    elif case == "plateau":
+        caps *= reqs.sum(axis=0) / caps.sum(axis=0)
     s = linear_scenario(caps, reqs, owner, w=np.maximum(w, 0.5), zeta=np.full(size, 0.5))
     prob = CoalitionProblem.build(s, Coalition.grand(size))
     assert prob.own_foreign
@@ -344,20 +350,50 @@ def own_foreign_problem(rng, case, restarts=3, n_resources=2):
     return s, prob, gs
 
 
-OWN_FOREIGN_CASES = ["random", "tied rows", "zero profits", "zero capacities", "w == zeta"]
+OWN_FOREIGN_CASES = ["random", "tied rows", "zero profits", "zero capacities", "w == zeta",
+                     "plateau"]
+
+
+def full_search_vertex(prob, gs):
+    """_lmo_own_foreign's vertex from the receipts of the first price
+    search, a bisection over every breakpoint (oracles)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_pooled_receipts", own_foreign_receipts)
+        return solver._lmo_own_foreign(prob, gs)
+
+
+def assert_matches_full_search(prob, gs, x, where):
+    """Every restart and resource of x equals the full search's vertex,
+    bit for bit, except where the pooled row binds: receipts equal to the
+    pooled capacity over a range of prices make the fit test flip with
+    an ulp of rounding, so the two searches may settle on different
+    prices of that plateau, each optimal.  There both fill the capacity
+    and their linear values agree to 1e-12 relative."""
+    want = full_search_vertex(prob, gs)
+    for r, k in np.ndindex(len(gs), gs.shape[-1]):
+        if np.array_equal(x[r, ..., k], want[r, ..., k]):
+            continue
+        pooled = prob.caps[:, k].sum()
+        assert x[r, ..., k].sum() == pytest.approx(pooled, rel=1e-12), (where, r, k)
+        assert want[r, ..., k].sum() == pytest.approx(pooled, rel=1e-12), (where, r, k)
+        g = gs[r, ..., k]
+        assert (g * x[r, ..., k]).sum() == pytest.approx((g * want[r, ..., k]).sum(),
+                                                          rel=1e-12), (where, r, k)
 
 
 @pytest.mark.parametrize("case", OWN_FOREIGN_CASES)
 def test_own_foreign_oracle_matches_the_transport_lp(case):
     """On every restart and resource of 40 random instances per case, the
-    oracle's linear value equals lmo_transport's to 1e-12 relative, and
-    its allocation meets every capacity and request exactly, with no
-    tolerance: the sums the audit takes are at most their bounds."""
+    oracle's linear value equals lmo_transport's to 1e-12 relative, its
+    allocation meets every capacity and request exactly, with no
+    tolerance (the sums the audit takes are at most their bounds), and
+    it is the full price search's vertex, plateaus aside."""
     rng = np.random.default_rng(OWN_FOREIGN_CASES.index(case))
     for trial in range(40):
         s, prob, gs = own_foreign_problem(rng, case)
         x = solver._lmo_own_foreign(prob, gs)
         assert x.shape == gs.shape and x.min() >= 0.0
+        assert_matches_full_search(prob, gs, x, (case, trial))
         assert (x.sum(axis=-2) <= prob.caps).all() and (x.sum(axis=-3) <= prob.reqs).all()
         for r in range(len(gs)):
             assert audit_allocation(s, Allocation(x[r]), Coalition.grand(s.n_players), tol=0.0) == []
@@ -366,6 +402,53 @@ def test_own_foreign_oracle_matches_the_transport_lp(case):
                 want = float((g * lmo_transport(g, prob.caps[:, k], prob.reqs[:, k])).sum())
                 got = float((g * x[r, ..., k]).sum())
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (case, trial, r, k)
+
+
+def test_own_foreign_oracle_on_a_plateau_of_prices():
+    """A pooled row, found among random instances, whose receipts equal its
+    capacity over a range of prices.  The full search and the bracketed
+    one may stop at different prices of it; either way the vertex fills
+    the capacity within an ulp, meets every bound exactly, and scores as
+    the full search's and the transport LP's do."""
+    a = [2.904346020761008, 3.9761677456565314, 2.8855933572919183, 1.777351519945682,
+         2.504552001947109, 2.7266387738436006, 1.0913207703459178, 3.0001742459668552,
+         3.0642633561981647, 2.4376034516582035]
+    b = [0.4690796006618583, 1.945536019036707, 0.03460239864382941, 0.2076349684515192,
+         1.79728591647677, 0.11405907946181648, 0.723595466332274, 1.544022712581173,
+         2.3902980005837184, 0.18603371560042603]
+    reqs = [1.6646233700832744, 4.520572368683496, 3.260483443184837, 4.1418399380562265,
+            3.697742757155935, 1.2418360672515878, 4.530214072003322, 3.108708959438444,
+            0.8039302775616046, 5.065651633579996]
+    caps = [[6.431703052799788], [8.554689848045378]]
+    owner = np.repeat([0, 1], 5)
+    s = linear_scenario(caps, np.array(reqs)[:, None], owner, w=[1.0, 1.0], zeta=[0.5, 0.5])
+    prob = CoalitionProblem.build(s, Coalition.grand(2))
+    g = np.repeat(np.array(b)[None], 2, axis=0)
+    g[owner, np.arange(10)] = a
+    gs = g[None, ..., None]
+    x = solver._lmo_own_foreign(prob, gs)
+    assert_matches_full_search(prob, gs, x, "plateau")
+    assert x.sum() == pytest.approx(prob.caps.sum(), rel=1e-15)
+    assert audit_allocation(s, Allocation(x[0]), Coalition.grand(2), tol=0.0) == []
+    want = float((g * lmo_transport(g, prob.caps[:, 0], prob.reqs[:, 0])).sum())
+    assert float((g * x[0, ..., 0]).sum()) == pytest.approx(want, rel=1e-12)
+
+
+def test_own_foreign_oracle_work_on_the_golden_weighted_table(monkeypatch):
+    """Building the golden 3x5 sigmoid 1:0.5 table (8 oracle calls) runs
+    16 owner fills.  The bisection over every breakpoint from the full
+    range ran 58: only prices that can move the receipts are searched,
+    from a bracket of two bounds on them."""
+    fill, passes = solver._own_fill, []
+
+    def counted(*args):
+        passes.append(len(args[0]))
+        return fill(*args)
+
+    monkeypatch.setattr(solver, "_own_fill", counted)
+    build_characteristic_table(
+        generate_scenario(3, 3, 5, utility="sigmoid", mu=3.0, seed=2, w=1.0, zeta=0.5))
+    assert len(passes) == 16
 
 
 def test_own_foreign_oracle_matches_integer_brute_force():
