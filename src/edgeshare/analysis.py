@@ -26,10 +26,11 @@ from .model import Coalition, Scenario, audit_allocation
 from .solver import DEFAULT_GAP_TOL, DEFAULT_RESTARTS
 
 DEFAULT_CORE_TOL = 1e-6
-# A stored value is the solver's, computed from the receipts; the sum of
-# the members' shares at the allocation shipping them differs by rounding
-# alone (up to 3.7e-13 on uniform-weight rows, about 2e-16 on weighted ones,
-# where the objective matched exactly), relative to max(1, |v(S)|).
+# A stored value is the solver's, computed from the receipts (or the own
+# supply and total receipts); the sum of the members' shares at the
+# allocation shipping them differs by rounding alone (up to 3.7e-13 on
+# uniform-weight rows, up to 2.0e-15 on weighted ones over 70 tables of
+# 2-4 players at w >= zeta), relative to max(1, |v(S)|).
 TABLE_VALUE_RTOL = 1e-9
 # Masks attributed per breakdown call: every mask up to N = 4 in one call,
 # and a bounded stack beyond.  At N = 12 (linear, 3 apps) the coalition.csv

@@ -166,6 +166,11 @@ def validate_scenario(s: Scenario) -> list[str]:
             problems.append(f"{name} must be finite")
         elif np.any(arr < 0):
             problems.append(f"{name} must be nonnegative")
+    for name, arr in (("w", s.w), ("zeta", s.zeta)):
+        if arr.shape != (n,):
+            problems.append(f"{name} must have shape ({n},)")
+        elif not np.all(np.isfinite(arr)) or np.any(arr < 0):
+            problems.append(f"{name} must be finite and >= 0")
     if not problems:  # the solvers sum and scale these: finite entries can still overflow
         with np.errstate(over="ignore"):
             for name, arr in (("capacities", s.capacities), ("requests", s.requests)):
@@ -175,11 +180,18 @@ def validate_scenario(s: Scenario) -> list[str]:
                 if spec.kind == "sigmoid" and not np.isfinite(
                         spec.mu * s.requests[s.owner == i].max()):
                     problems.append(f"player {i} mu times its largest request must be finite")
-    for name, arr in (("w", s.w), ("zeta", s.zeta)):
-        if arr.shape != (n,):
-            problems.append(f"{name} must have shape ({n},)")
-        elif not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            problems.append(f"{name} must be finite and >= 0")
+            # each player's largest attainable utility: a logistic term is
+            # at most 1, a linear one its coefficient times its request
+            most = k * np.bincount(s.owner, minlength=n).astype(float)
+            linear = [i for i, spec in enumerate(s.utilities) if spec.kind == "linear"]
+            if linear:
+                most[linear] = np.bincount(s.owner, (s.coeff_matrix() * s.requests).sum(axis=1),
+                                           minlength=n)[linear]
+            for i in np.flatnonzero(~np.isfinite(most)):
+                problems.append(f"player {i} coefficients times requests must have a finite total")
+            if not problems and not np.isfinite((np.maximum(s.w, s.zeta) * most).sum()):
+                problems.append("the weighted utility bound sum_p max(w_p, zeta_p) * U_p, "
+                                "U_p player p's largest attainable utility, must be finite")
     if s.seed is not None and s.seed < 0:
         # restart streams are seeded with it, and numpy takes no negative seed
         problems.append(f"seed must be >= 0 or null, got {s.seed}")

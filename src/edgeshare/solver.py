@@ -14,7 +14,8 @@ into its next round.  Line-search probes compute the value alone.
 Every sigmoid term is convex at receipts up to its request, and no
 feasible point exceeds a request, so receipt objectives are convex, and so
 are member-coordinate objectives whose credit weights do not increase
-along the attribution order (CoalitionProblem.convex).  There each round
+along the attribution order (CoalitionProblem.convex), and own/total ones
+(nonnegative weights w - zeta and zeta).  There each round
 takes the unit step to the oracle's point; only the other weightings
 (some zeta above an owner's w, say) search the step by golden section.
 
@@ -25,24 +26,30 @@ equal (every singleton, and w == zeta shared by all members).  The
 receipts the budgets can deliver are exactly 0 <= t <= r with sum_i t_ik
 at most the pooled budget, so the linear oracle is one greedy fill of that
 budget.  A coalition's members then ship the receipts by the
-northwest-corner staircase against their capacities.  Other coalitions
-run in member coordinates.  Where the members share one zeta and every
-owner's w is at least it (CoalitionProblem.own_foreign: every generated
-scenario with w >= zeta), the gradient holds, per application and
-resource, one value on the foreign cells and no less on the owner's, so
-the linear problem is one over own and total receipts with one pooled
-row, which _lmo_own_foreign solves exactly, with no LP, for every restart
-and resource at once.  Otherwise (w below zeta, or one zeta per player,
-which only a hand-written scenario holds) the oracle is the
-transportation LP, one per resource and distinct gradient slice.
+northwest-corner staircase against their capacities.  Where the members
+share one zeta and every owner's w is at least it
+(CoalitionProblem.own_foreign: every generated scenario with w >= zeta),
+the objective is (w - zeta) * g(o) + zeta * g(t) at each application's
+own supply o and total receipts t, so a sigmoid coalition runs in those
+own/total coordinates, the image of its member allocations, on which
+Frank-Wolfe takes the steps it would take on the allocations.  The
+linear problem there has one pooled row, which _lmo_own_total solves
+exactly, with no LP, for every restart and resource at once.  The member
+allocation is built once per solve, from the best run (_member_split).
+Other coalitions run in member coordinates, where the oracle is the
+transportation LP, one per resource and distinct gradient slice (w below
+zeta, or one zeta per player, which only a hand-written scenario holds),
+or, for a linear own/foreign coalition's one oracle call,
+_lmo_own_foreign.
 
 Start points (_starts): restart 0 starts at zero; restart r > 0 draws a
 scale and uniform factors from the PCG64 stream that SeedSequence([scenario
 seed, solve tag, player or mask, r]) seeds, and starts at the scaled vertex
 the factors pick.  Native and residual solves take the greedy fill of the
 factors as profits.  Every coalition draws member and application factors
-per resource; in member coordinates it starts at their staircase, on
-receipts at the greedy fill of the application factors alone.  The streams
+per resource; in member coordinates it starts at their staircase, in
+own/total coordinates at that staircase's own supply and total receipts,
+on receipts at the greedy fill of the application factors alone.  The streams
 depend only on the scenario and the solve, so every solve is reproducible
 on its own.  They are the streams default_rng(SeedSequence([...])) gives,
 but no SeedSequence or PCG64 is built per restart: one vectorized pass of
@@ -409,43 +416,87 @@ def _pooled_receipts(a: np.ndarray, b: np.ndarray, reqs: np.ndarray, caps: np.nd
     return t_up + np.clip((pooled - u_up) / spread, 0.0, 1.0)[:, None] * (t_down - t_up)
 
 
-def _lmo_own_foreign(prob: CoalitionProblem, gs: np.ndarray) -> np.ndarray:
-    """Exact linear oracle in member coordinates, with no LP, for a
-    gradient batch (R, S, MS, K) of a coalition with prob.own_foreign: per
-    app and resource, one value b on every foreign cell and a = b + d,
-    d >= 0, on the owner's.  Each resource of each restart is then
-    max b.t + d.o over 0 <= o <= t <= requests, each member's own supply o
-    within its capacity and sum t within the pooled capacity C; any such
-    split ships once every member with foreign receipts has no capacity
-    left (Hall's condition without the own cells), as the split below has.
+def _rows(v: np.ndarray) -> np.ndarray:
+    """(R, MS, K) to rows (R * K, MS): restart-major, then resource."""
+    return v.transpose(0, 2, 1).reshape(-1, v.shape[1])
 
-    The pooled row is priced for its receipts t (_pooled_receipts).  Of
-    receipts t each owner supplies its own applications first, by
-    decreasing d and then lowest index; the rest, where b > 0, is
-    foreign, shipped from the members' leftover capacity by the
-    northwest-corner staircase, lowest index first.  Sums that rounding
-    pushes past a bound are trimmed (_trim).  Every restart and resource
-    is solved at once."""
-    r_count, size, m, k = gs.shape
-    cols, owner = np.arange(m), prob.ord_pos[:, 0]
-    # restart-major, then resource: rows (R * K, MS)
-    a, b = (gs[:, prob.ord_pos[:, slot], cols, :].transpose(0, 2, 1).reshape(-1, m)
-            for slot in (0, 1))
-    rows = len(a)
-    reqs = np.broadcast_to(prob.reqs.T, (r_count, k, m)).reshape(rows, m)
-    caps = np.broadcast_to(prob.caps.T, (r_count, k, size)).reshape(rows, size)
+
+def _pooled_bounds(prob: CoalitionProblem, rows: int):
+    """Requests (rows, MS) and member capacities (rows, S) of the rows
+    (R * K) of _rows."""
+    k, m = prob.reqs.shape[1], len(prob.apps)
+    reqs = np.broadcast_to(prob.reqs.T, (rows // k, k, m)).reshape(rows, m)
+    return reqs, np.broadcast_to(prob.caps.T, (rows // k, k, prob.size)).reshape(rows, -1)
+
+
+def _own_total_vertex(prob: CoalitionProblem, a: np.ndarray, b: np.ndarray):
+    """Own supply o and total receipts t, rows (R * K, MS) each,
+    maximizing b.t + (a - b).o per row over 0 <= o <= t <= requests, each
+    member's own supply within its capacity and sum t within the pooled
+    capacity C, from the owner's credit a and the foreign credit b >= 0,
+    a >= b.  The pooled row is priced for its receipts t
+    (_pooled_receipts); of them each owner supplies its own applications
+    first, by decreasing a - b and then lowest index (_own_fill), and an
+    application whose b is 0 keeps its own supply alone."""
+    reqs, caps = _pooled_bounds(prob, len(a))
+    owner = prob.ord_pos[:, 0]
     t = _pooled_receipts(a, b, reqs, caps, owner)
-    own = _own_fill(a - b, np.zeros((rows, m), dtype=bool), t, caps, owner)
-    foreign = np.where(b > 0, t - own, 0.0)
+    own = _own_fill(a - b, np.zeros(a.shape, dtype=bool), t, caps, owner)
+    return own, np.where(b > 0, t, own)
+
+
+def _lmo_own_total(prob: CoalitionProblem, gs: np.ndarray) -> np.ndarray:
+    """Exact linear oracle in own/total coordinates, with no LP, for a
+    gradient batch (R, 2, MS, K) of a coalition with prob.own_foreign:
+    (d, b), the slopes in the own supply o and the total receipts t.  The
+    feasible (o, t) are the image of the member polytope under
+    CoalitionProblem.own_total, and at any allocation with image (o, t)
+    the member gradient's linear value is d.o + b.t, so this oracle's
+    vertex (_own_total_vertex) is the image of _lmo_own_foreign's, and
+    _member_split ships it.  Returns the vertices (R, 2, MS, K), every
+    restart and resource solved at once."""
+    r_count, _, m, k = gs.shape
+    b = _rows(gs[:, 1])
+    own, t = _own_total_vertex(prob, _rows(gs[:, 0]) + b, b)
+    return np.stack([own, t], axis=1).reshape(r_count, k, 2, m).transpose(0, 2, 3, 1)
+
+
+def _member_split(prob: CoalitionProblem, own: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """A member allocation (R, S, MS, K) of own/total vertices, rows
+    (R * K, MS) of _own_total_vertex.  Each owner's cell takes the own
+    supply; the rest of the receipts is foreign, shipped from the
+    members' leftover capacity by the northwest-corner staircase, lowest
+    index first.  At such a vertex a member whose applications take
+    foreign receipts has spent its capacity on them, so it ships none:
+    every member that ships has capacity left over its own supply
+    (Hall's condition without the own cells).  Sums that rounding pushes
+    past a bound are trimmed (_trim)."""
+    size, owner, m = prob.size, prob.ord_pos[:, 0], t.shape[1]
+    _, caps = _pooled_bounds(prob, len(t))
+    foreign = t - own
     mine = owner == np.arange(size)[:, None]  # (S, MS)
     spare = np.where(np.where(mine, foreign[:, None], 0.0).sum(axis=-1) > 0, 0.0,
                      np.maximum(caps - np.where(mine, own[:, None], 0.0).sum(axis=-1), 0.0))
     x = _staircase(spare, foreign)  # (rows, S, MS)
-    x[:, owner, cols] += own
-    x = np.ascontiguousarray(x.reshape(r_count, k, size, m).transpose(0, 2, 3, 1))
+    x[:, owner, np.arange(m)] += own
+    k = prob.reqs.shape[1]
+    x = np.ascontiguousarray(x.reshape(-1, k, size, m).transpose(0, 2, 3, 1))
     _trim(x, prob.caps[:, None, :], -2)
     _trim(x, prob.reqs, -3)
     return x
+
+
+def _lmo_own_foreign(prob: CoalitionProblem, gs: np.ndarray) -> np.ndarray:
+    """Exact linear oracle in member coordinates, with no LP, for a
+    gradient batch (R, S, MS, K) of a coalition with prob.own_foreign: per
+    app and resource, one value b on every foreign cell and a = b + d,
+    d >= 0, on the owner's.  A member allocation's linear value is then
+    b.t + d.o at its own supply o and total receipts t, so the oracle is
+    the own/total vertex (_own_total_vertex) split over the members
+    (_member_split)."""
+    cols = np.arange(gs.shape[2])
+    a, b = (_rows(gs[:, prob.ord_pos[:, slot], cols, :]) for slot in (0, 1))
+    return _member_split(prob, *_own_total_vertex(prob, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -503,17 +554,25 @@ def _batched_frank_wolfe(evaluate, objective, lmo, x0: np.ndarray, gap_tol: floa
     gap_tol * max(1, |f|), when its step cannot improve, or after MAX_ITER
     rounds; a stopped run leaves the batch, so every run follows the path
     it would follow alone.  Iterates stay feasible as convex combinations
-    of vertices.  Returns per-run (x, f, iterations, gap).
+    of vertices.  Returns per-run (x, f, iterations, gap) and vertex:
+    vertex(r) is the oracle's point s of run r's last move, None if it
+    never moved; with unit steps x[r] is x + (s - x) of it, s up to
+    rounding.  The oracle's batches are kept by reference, not copied,
+    for the rounds some run last moved at.
     """
     x = x0.copy()
     f, g = evaluate(x)
     iters = np.zeros(len(x), dtype=int)
     gap = np.full(len(x), np.inf)
+    moved_at = np.zeros(len(x), dtype=int)  # round of each run's last move, 0 for none
+    points = {}  # round: (live runs, the oracle's points for them)
     bcast = (-1,) + (1,) * (x.ndim - 1)  # one step per run against its point
     live = np.arange(len(x))
     for it in range(1, MAX_ITER + 1):
         xl, gl = x[live], g[live]
-        d = lmo(gl) - xl
+        s = lmo(gl)
+        points[it] = live, s
+        d = s - xl
         fw_gap = (gl * d).reshape(len(live), -1).sum(axis=1)
         iters[live], gap[live] = it, fw_gap
         keep = fw_gap > gap_tol * np.maximum(1.0, np.abs(f[live]))
@@ -536,15 +595,27 @@ def _batched_frank_wolfe(evaluate, objective, lmo, x0: np.ndarray, gap_tol: floa
         else:
             x_new = xl[move] + step[move].reshape(bcast) * d[move]
             g_new = evaluate(x_new)[1]
-        x[live], f[live], g[live] = x_new, f_new[move], g_new
-    return x, f, iters, gap
+        x[live], f[live], g[live], moved_at[live] = x_new, f_new[move], g_new, it
+        if len(points) > 2 * len(x):  # drop the rounds no run last moved at
+            points = {r: points[r] for r in set(moved_at.tolist()) - {0}}
+
+    def vertex(r: int):
+        if not moved_at[r]:
+            return None
+        runs, s = points[moved_at[r]]
+        return s[np.searchsorted(runs, r)]
+
+    return x, f, iters, gap, vertex
 
 
 def _multistart(evaluate, objective, lmo, x0: np.ndarray, gap_tol: float, convex: bool):
-    """Best run of the batch (the first of equal values): (x, f, iterations, gap)."""
-    x, f, iters, gap = _batched_frank_wolfe(evaluate, objective, lmo, x0, gap_tol, convex)
+    """Best run of the batch (the first of equal values): (index, x, f,
+    iterations, gap) and the driver's vertex record, whose vertex(index)
+    is the oracle's point of its last move."""
+    x, f, iters, gap, vertex = _batched_frank_wolfe(evaluate, objective, lmo, x0, gap_tol,
+                                                    convex)
     best = int(np.argmax(f))
-    return x[best], float(f[best]), int(iters[best]), float(gap[best])
+    return best, x[best], float(f[best]), int(iters[best]), float(gap[best]), vertex
 
 
 def _check_settings(restarts: int, gap_tol: float) -> None:
@@ -710,7 +781,7 @@ def _solve_receipts(terms: AppTerms, budget: np.ndarray, weight: float, exact: b
         t = lmo(evaluate(np.zeros((1, *terms.requests.shape)))[1])[0]
         return t, objective(t[None])[0], ("exact_linear", 0, 0, 0.0)
     x0 = starts(lmo)
-    t, value, iters, gap = _multistart(*oracles, x0, gap_tol, True)
+    _, t, value, iters, gap, _ = _multistart(*oracles, x0, gap_tol, True)
     return t, value, ("multistart_fw", iters, len(x0), gap)
 
 
@@ -797,10 +868,12 @@ def _member_oracles(prob: CoalitionProblem):
     member coordinates (R, S, MS, K); each takes the whole batch.  Where
     the members share one zeta and every owner's w is at least it
     (prob.own_foreign: every generated scenario whose w is at least its
-    zeta), the oracle is _lmo_own_foreign, exact and LP-free.  Otherwise
-    (w below zeta, or unequal zetas, which only a hand-written scenario
-    holds) it solves one transport LP per resource and distinct gradient
-    slice, and restarts whose slices are equal share its vertex."""
+    zeta), the oracle is _lmo_own_foreign, exact and LP-free; only a
+    linear coalition's one oracle call takes it, since sigmoid ones run
+    in own/total coordinates (_own_total_oracles).  Otherwise (w below
+    zeta, or unequal zetas, which only a hand-written scenario holds) it
+    solves one transport LP per resource and distinct gradient slice,
+    and restarts whose slices are equal share its vertex."""
     if prob.own_foreign:
         return prob.evaluate, prob.objective, functools.partial(_lmo_own_foreign, prob)
 
@@ -818,6 +891,15 @@ def _member_oracles(prob: CoalitionProblem):
     return prob.evaluate, prob.objective, lmo
 
 
+def _own_total_oracles(prob: CoalitionProblem):
+    """Evaluation, objective and linear oracle (_lmo_own_total) of a
+    coalition with prob.own_foreign, on batches of own/total points
+    (R, 2, MS, K): its own supply and total receipts per application and
+    resource."""
+    return (prob.own_total_evaluate, prob.own_total_objective,
+            functools.partial(_lmo_own_total, prob))
+
+
 def solve_coalition(
     s: Scenario,
     coalition: Coalition,
@@ -827,7 +909,16 @@ def solve_coalition(
     """Maximize the coalition's weighted objective: members pool capacity
     over the union of their applications (per-provider budgets and
     per-application caps still bind).  The allocation is local
-    (Scenario.local_axes), a copy that pins no restart batch."""
+    (Scenario.local_axes), a copy that pins no restart batch.
+
+    A sigmoid coalition with prob.own_foreign runs Frank-Wolfe in
+    own/total coordinates, from its member starts' own supply and total
+    receipts, and builds its member allocation once, from the best run:
+    its member start if it never moved, else the member split
+    (_member_split) of the oracle's point it last moved to, which unit
+    steps (w >= zeta >= 0 is convex) reach up to rounding.  Its value is
+    the run's own/total value, which the objective at that allocation
+    matches up to rounding."""
     _check_settings(restarts, gap_tol)
     t0 = time.perf_counter()
     prob = CoalitionProblem.build(s, coalition)
@@ -852,6 +943,13 @@ def solve_coalition(
         value, how = objective(x), ("exact_linear", 0, 0, 0.0)
     else:
         x0 = starts(functools.partial(_random_staircases, prob))
-        x, value, iters, gap = _multistart(*_member_oracles(prob), x0, gap_tol, prob.convex)
+        if prob.own_foreign:
+            best, _, value, iters, gap, vertex = _multistart(*_own_total_oracles(prob),
+                                                             prob.own_total(x0), gap_tol, True)
+            y = vertex(best)
+            x = x0[best] if y is None else _member_split(prob, y[0].T, y[1].T)[0]
+        else:
+            _, x, value, iters, gap, _ = _multistart(*_member_oracles(prob), x0, gap_tol,
+                                                     prob.convex)
         how = ("multistart_fw", iters, restarts, gap)
     return _report(value, Allocation(x), how, t0)

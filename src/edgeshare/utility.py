@@ -170,7 +170,9 @@ class CoalitionProblem:
         holds, per app and resource, one value b = zeta * g'(c_last) on
         every foreign cell, bit for bit, and b + d with d = (w - zeta) *
         g'(c_owner) >= 0 on the owner's cell: the form the solver's
-        LP-free oracle needs (solver._lmo_own_foreign)."""
+        LP-free oracle needs (solver._lmo_own_foreign).  The objective is
+        then (w - zeta) * g(o) + zeta * g(t) per app and resource, at the
+        owner's own supply o and the total receipts t (own_total)."""
         shared = self.zseq[:, 1:]
         return bool(self.size > 1 and np.all(shared == shared[0, 0])
                     and np.all(self.zseq[:, 0] >= shared[0, 0]))
@@ -230,6 +232,39 @@ class CoalitionProblem:
         one cumulative sum and one logistic pass."""
         g, gp = self.terms.value_and_slope(self._sorted_cumulative(x_local))
         return self._weighted_sum(self._slot_credits(g)), self._gradient_of(gp)
+
+    # -- own/total coordinates (own_foreign coalitions) ----------------------
+
+    def own_total(self, x_local: np.ndarray) -> np.ndarray:
+        """(..., 2, MS, K): each app's own supply o, from its owner's cell,
+        then its total receipts t, of a (..., S, MS, K) allocation."""
+        rows, cols = self._by_slot
+        return np.stack([x_local[..., rows[0], cols, :], x_local.sum(axis=-3)], axis=-3)
+
+    @cached_property
+    def _own_total_weights(self) -> np.ndarray:
+        """(2, MS, 1): w - zeta on the own supply, zeta on the total."""
+        zeta = self.zseq[:, 1]
+        return np.stack([self.zseq[:, 0] - zeta, zeta])[:, :, None]
+
+    def _own_total_sum(self, g: np.ndarray) -> np.ndarray:
+        weighted = self._own_total_weights * g
+        return weighted.reshape(g.shape[:-3] + (-1,)).sum(axis=-1)
+
+    def own_total_objective(self, y: np.ndarray) -> np.ndarray:
+        """The objective of an own_foreign coalition at own/total points y
+        (..., 2, MS, K): sum (w - zeta) * g(o) + zeta * g(t), one value per
+        leading index.  It equals objective at any allocation y is
+        own_total of, up to rounding."""
+        return self._own_total_sum(self.terms.value(y))
+
+    def own_total_evaluate(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """own_total_objective, bit for bit, and its gradient (..., 2, MS,
+        K), (d, b) = ((w - zeta) * g'(o), zeta * g'(t)), from one logistic
+        pass.  An allocation's gradient (evaluate) is b on every foreign
+        cell and d + b on the owner's."""
+        g, gp = self.terms.value_and_slope(y)
+        return self._own_total_sum(g), self._own_total_weights * gp
 
 
 # ---------------------------------------------------------------------------

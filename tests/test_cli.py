@@ -318,20 +318,31 @@ def test_run_scenario_with_a_field_the_reader_would_drop_or_reshape_is_a_usage_e
     ("requests", 1e308, "requests must have finite totals per resource"),
     ("capacity", 1e308, "capacities must have finite totals per resource"),
     ("mu", 1e300, "player 0 mu times its largest request must be finite"),
+    ("coeffs", 1e300, "player 0 coefficients times requests must have a finite total"),
+    ("weights", 1e308, "the weighted utility bound sum_p max(w_p, zeta_p) * U_p"),
 ])
 def test_run_scenario_whose_sums_overflow_is_a_usage_error_before_solving(
         tmp_path, capsys, field, value, message):
-    """Finite entries whose per-resource totals, or a sigmoid player's
-    mu times its largest request (with a request of 1e10), overflow to
-    inf are refused before anything is solved or written."""
-    doc = json.loads(gen(tmp_path, utility="sigmoid", mu="3").read_text(encoding="utf-8"))
+    """Finite entries whose per-resource totals, a sigmoid player's mu
+    times its largest request (with a request of 1e10), a linear player's
+    coefficients times its requests (coefficients 1e300, a request of
+    1e10), or the weighted utility bound (w = zeta = 1e308 on sigmoid
+    players, as gen --weights 1e308:1e308 would write) overflow to inf
+    are refused before anything is solved or written."""
+    kind = {"utility": "linear"} if field == "coeffs" else {"utility": "sigmoid", "mu": "3"}
+    doc = json.loads(gen(tmp_path, **kind).read_text(encoding="utf-8"))
     for p in doc["players"]:
         if field == "requests":
             p["requests"] = [[value] * 2 for _ in p["requests"]]
         elif field == "capacity":
             p["capacity"] = [value] * 2
+        elif field == "weights":
+            p["w"] = p["zeta"] = value
     if field == "mu":
         doc["players"][0]["utility"]["mu"] = value
+        doc["players"][0]["requests"][0][0] = 1e10
+    elif field == "coeffs":
+        doc["players"][0]["utility"]["coeffs"] = [[value] * 2 for _ in doc["players"][0]["requests"]]
         doc["players"][0]["requests"][0][0] = 1e10
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")

@@ -156,6 +156,28 @@ def test_tables_hold_the_benchmark_floors(workload, players, apps, weights, seed
     assert not low, f"(mask, value, floor) below the floor: {low}"
 
 
+WEIGHTED_FLOORS = Path(__file__).resolve().parent / "weighted_floors.json"
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_weighted_tables_hold_their_recorded_floors(seed):
+    """Every coalition value of the weighted-sigmoid shape (3 x 5, 3
+    resources, 1:0.5, mu cycling through 1, 3, 10 with the seed), seeds
+    0-23, stays within 1e-12 (relative) of the value recorded before
+    own/foreign coalitions ran in own/total coordinates, or above it.
+    The benchmark's own floors (test_tables_hold_the_benchmark_floors)
+    predate the LP-free oracle, which raised these values by up to
+    29.5 %, so only these floors catch a weighted regression."""
+    floors = json.loads(WEIGHTED_FLOORS.read_text())["values"][str(seed)]
+    s = generate_scenario(3, 3, 5, utility="sigmoid", mu=(1, 3, 10)[seed % 3], seed=seed,
+                          w=1.0, zeta=0.5)
+    got = build_characteristic_table(s).values.tolist()
+    assert len(got) == len(floors)
+    low = [(mask, g, f) for mask, (g, f) in enumerate(zip(got, floors), start=1)
+           if g < f - 1e-12 * max(1.0, abs(f))]
+    assert not low, f"(mask, value, floor) below the floor: {low}"
+
+
 # ---------------------------------------------------------------------------
 # shapley
 

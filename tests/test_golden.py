@@ -13,7 +13,10 @@ so another CPU may round a logistic differently.  No scenario here solves
 a transport LP: the 1:0.5 one takes the LP-free own/foreign oracle.
 Moving the logistic from scipy's expit (libm's exp) to numpy's exp left
 all six hashes unchanged; that oracle moved the three 1:0.5 run and
-verify hashes (CHANGES.md lists the values).
+verify hashes (CHANGES.md lists the values).  Solving own/foreign
+coalitions in own/total coordinates moved the 1:0.5 run hashes alone:
+v({1,2}) and three member shares by rounding, and with them two Shapley
+payoffs (CHANGES.md lists each).
 """
 import hashlib
 
@@ -28,8 +31,8 @@ GOLDEN = [
      "bbdf85a7f69a1f67bea24ec8ce7eb71c46bdda2e17bac608512b7c0585033268"),
     (["--players", "3", "--apps", "5", "--utility", "sigmoid", "--mu", "3",
       "--weights", "1:0.5", "--seed", "2"],
-     "4bf07584bca9c5acc02222bbfd3f619eef03f4c5e02f2de9fb946b53837add50",
-     "ab7ca4d05bfa9284c65bce76a0e1766cd4c937a4d7b3a6b775205c93a1166e07"),
+     "8daceeda8108d6b3e49bc42d603e71e13b65034caf7c19bdf80a8d4f44caa0e0",
+     "462f83378bbaf1416c12286fdaa5102620d109b9b24d76c5d786a2272b7a1413"),
     (["--players", "4", "--apps", "3", "--utility", "linear", "--seed", "3"],
      "2a20f943c2660594c479cfd092c5ff4dd896d9927b77cba9677db916c6215491",
      "20c2a9956306e2638776486a291d3e6a9c0940ace82fadccd2e0430c331e3e2a"),

@@ -21,6 +21,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from edgeshare import solver
+from edgeshare.analysis import TABLE_VALUE_RTOL
 from edgeshare.cli import main
 from edgeshare.engine import build_characteristic_table
 from edgeshare.model import (
@@ -71,17 +72,30 @@ def linear_scenario(caps, reqs, owner, coeffs=None, w=None, zeta=None):
     )
 
 
+def member_starts(s, c, restarts):
+    """The member staircases (restarts, S, MS, K) a weighted coalition
+    solve starts from."""
+    prob = CoalitionProblem.build(s, c)
+    return solver._starts(s, solver._COALITION_TAG, c.mask, restarts,
+                          (s.n_resources, prob.size + len(prob.apps)),
+                          functools.partial(solver._random_staircases, prob))
+
+
 def coalition_fw(s, c, restarts):
     """The oracles and start points a sigmoid coalition solve runs
     Frank-Wolfe from: pooled receipts when every credit weight is equal,
     with the greedy fill of the drawn application factors as start
-    vertices; member coordinates otherwise, from random staircases."""
+    vertices; own/total coordinates where the members share one zeta
+    and every w is at least it, from the own supply and total receipts
+    of random staircases; member coordinates otherwise, from the
+    staircases."""
     prob = CoalitionProblem.build(s, c)
+    if prob.uniform_weight is None:
+        if prob.own_foreign:
+            return solver._own_total_oracles(prob), prob.own_total(member_starts(s, c, restarts))
+        return solver._member_oracles(prob), member_starts(s, c, restarts)
     starts = functools.partial(solver._starts, s, solver._COALITION_TAG, c.mask, restarts,
                                (s.n_resources, prob.size + len(prob.apps)))
-    if prob.uniform_weight is None:
-        return solver._member_oracles(prob), starts(
-            functools.partial(solver._random_staircases, prob))
     oracles = solver._receipt_oracles(prob.terms, prob.caps.sum(axis=0), prob.uniform_weight)
     return oracles, starts(lambda d: oracles[2](np.swapaxes(d[..., prob.size:], -1, -2)))
 
@@ -502,8 +516,7 @@ def test_member_gradients_take_the_own_foreign_form():
     for c in (Coalition(0b0011), Coalition(0b1101), Coalition.grand(4)):
         prob = CoalitionProblem.build(s, c)
         assert prob.own_foreign and prob.uniform_weight is None
-        _, x0 = coalition_fw(s, c, 6)
-        gs = prob.evaluate(x0)[1]
+        gs = prob.evaluate(member_starts(s, c, 6))[1]
         cols = np.arange(len(prob.apps))
         foreign = np.stack([gs[:, prob.ord_pos[:, t], cols] for t in range(1, prob.size)])
         assert (foreign == foreign[0]).all()
@@ -515,6 +528,91 @@ def test_member_gradients_take_the_own_foreign_form():
                 want = float((g * lmo_transport(g, prob.caps[:, k], prob.reqs[:, k])).sum())
                 got = float((g * x[r, ..., k]).sum())
                 assert want * (1 - 1e-12) <= got <= want + 1e-7 * prob.caps[:, k].sum()
+
+
+def random_own_foreign_coalitions(seed, count):
+    """(scenario, coalition, problem) of `count` random sigmoid coalitions
+    of 2-4 members with prob.own_foreign and unequal credit weights: 1-4
+    applications per player, 2 resources, mu 1, 3 or 10, one shared zeta
+    and each w at least it, equal to it on some players."""
+    rng = np.random.default_rng(seed)
+    trial = 0
+    while count:
+        trial += 1
+        n = int(rng.integers(2, 5))
+        s = generate_scenario(n, 2, int(rng.integers(1, 5)), utility="sigmoid",
+                              mu=float(rng.choice([1.0, 3.0, 10.0])), seed=seed * 100 + trial)
+        zeta = rng.uniform(0.1, 1.0)
+        above = rng.uniform(0.0, 1.0, size=n) * (rng.uniform(size=n) < 0.7)
+        s = dataclasses.replace(s, w=zeta + above, zeta=np.full(n, zeta))
+        mask = int(rng.integers(1, 2**n))
+        prob = CoalitionProblem.build(s, Coalition(mask))
+        if prob.size < 2 or prob.uniform_weight is not None:
+            continue
+        assert prob.own_foreign
+        count -= 1
+        yield s, Coalition(mask), prob
+
+
+def test_own_total_value_and_gradient_match_member_coordinates():
+    """At member points (staircase starts, rescaled at random) mapped to
+    own/total coordinates, the own/total value equals evaluate's to 1e-14
+    relative, and its gradient (d, b) gives evaluate's gradient: b on
+    every foreign cell and d + b on every owner's cell.  The totals sum
+    the members in index order, the member objective in attribution
+    order, so both agree up to rounding."""
+    for s, c, prob in random_own_foreign_coalitions(3, 30):
+        rng = np.random.default_rng(c.mask)
+        x0 = member_starts(s, c, 6)
+        xs = np.concatenate([x0, x0 * rng.uniform(0.0, 1.0, size=x0.shape)])
+        f, grad = prob.evaluate(xs)
+        y = prob.own_total(xs)
+        assert y.shape == (len(xs), 2, *prob.reqs.shape)
+        f_ot, slopes = prob.own_total_evaluate(y)
+        d, b = slopes[:, 0], slopes[:, 1]
+        assert f_ot.tobytes() == prob.own_total_objective(y).tobytes()
+        np.testing.assert_allclose(f_ot, f, rtol=1e-14, atol=0)
+        cols = np.arange(len(prob.apps))
+        for slot in range(1, prob.size):
+            np.testing.assert_allclose(grad[:, prob.ord_pos[:, slot], cols], b, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(grad[:, prob.ord_pos[:, 0], cols], d + b, rtol=1e-12, atol=0)
+
+
+def test_own_total_solves_ship_a_feasible_allocation_worth_their_value(monkeypatch):
+    """A sigmoid own/foreign solve runs in own/total coordinates and
+    builds its member allocation once, from its best run: the member
+    start where that run never moved, and otherwise the member split of
+    the oracle's point it last moved to.  Either way the allocation meets
+    every bound exactly (audit_allocation, tol=0), and the objective at
+    it is the reported value to TABLE_VALUE_RTOL.  A gap tolerance every
+    gap is below stops every run at its start; at the default one, best
+    runs move (and now and then one does not)."""
+    splits = []
+    split = solver._member_split
+
+    def recording(prob, own, t):
+        splits.append(len(own))
+        return split(prob, own, t)
+
+    monkeypatch.setattr(solver, "_member_split", recording)
+    seen = {1e9: set(), solver.DEFAULT_GAP_TOL: set()}
+    for s, c, prob in random_own_foreign_coalitions(4, 40):
+        starts = member_starts(s, c, 6)
+        for gap_tol, branches in seen.items():
+            splits.clear()
+            rep = solve_coalition(s, c, restarts=6, gap_tol=gap_tol)
+            x = rep.allocation.x
+            assert audit_allocation(s, rep.allocation, c, tol=0.0) == [], c.label()
+            assert abs(prob.objective(x) - rep.value) <= \
+                TABLE_VALUE_RTOL * max(1.0, abs(rep.value)), c.label()
+            moved = bool(splits)
+            branches.add(moved)
+            if moved:  # one split of one run's point, one row per resource
+                assert splits == [s.n_resources] and rep.iterations > 1, c.label()
+                assert not any(np.array_equal(x, x0) for x0 in starts), c.label()
+            else:
+                assert any(np.array_equal(x, x0) for x0 in starts), c.label()
+    assert seen[1e9] == {False} and True in seen[solver.DEFAULT_GAP_TOL]
 
 
 @pytest.mark.parametrize("w, zeta, own_foreign", [
@@ -847,7 +945,7 @@ def test_member_objective_and_gradient_batch_bit_for_bit(w, zeta):
     for c in (Coalition(0b011), Coalition(0b101), Coalition.grand(3)):
         prob = CoalitionProblem.build(s, c)
         assert prob.uniform_weight is None
-        _, x0 = coalition_fw(s, c, 8)
+        x0 = member_starts(s, c, 8)
         rng = np.random.default_rng(c.mask)
         xs = np.concatenate([x0, x0 * rng.uniform(0.0, 1.5, size=x0.shape)])
         f, g = prob.evaluate(xs)
@@ -866,7 +964,7 @@ def test_member_evaluate_is_objective_bit_for_bit(w, zeta):
     s = generate_scenario(3, 3, 3, utility="sigmoid", mu=3.0, seed=2, w=w, zeta=zeta)
     for c in (Coalition(0b011), Coalition(0b101), Coalition(0b110), Coalition.grand(3)):
         prob = CoalitionProblem.build(s, c)
-        _, x0 = coalition_fw(s, c, 8)
+        x0 = member_starts(s, c, 8)
         rng = np.random.default_rng(c.mask)
         xs = np.concatenate([x0, x0 * rng.uniform(0.0, 1.5, size=x0.shape)])
         f, g = prob.evaluate(xs)
@@ -1198,12 +1296,16 @@ def test_member_oracle_solves_one_lp_per_distinct_slice(monkeypatch):
 def assert_batch_matches_solo_runs(oracles, x0, convex):
     """Every run of a batch ends exactly where the driver run on its start
     alone ends; returns the batch's iteration counts."""
-    x, f, iters, gap = solver._batched_frank_wolfe(*oracles, x0, solver.DEFAULT_GAP_TOL, convex)
+    x, f, iters, gap, vertex = solver._batched_frank_wolfe(*oracles, x0, solver.DEFAULT_GAP_TOL,
+                                                           convex)
     for r in range(len(x0)):
-        xr, fr, itr, gapr = solver._batched_frank_wolfe(
+        xr, fr, itr, gapr, vr = solver._batched_frank_wolfe(
             *oracles, x0[r:r + 1], solver.DEFAULT_GAP_TOL, convex)
         assert (f[r], iters[r], gap[r]) == (fr[0], itr[0], gapr[0]), f"restart {r}"
         assert np.array_equal(x[r], xr[0]), f"restart {r}"
+        assert (vertex(r) is None) == (vr(0) is None), f"restart {r}"
+        if vr(0) is not None:
+            assert np.array_equal(vertex(r), vr(0)), f"restart {r}"
     return iters
 
 
@@ -1243,9 +1345,10 @@ def test_run_that_cannot_improve_stops_where_it_is(convex):
 
     x0 = np.zeros((3, 2, 2))
     x0[1] = 0.25
-    x, f, iters, gap = solver._batched_frank_wolfe(
+    x, f, iters, gap, vertex = solver._batched_frank_wolfe(
         evaluate, objective, np.ones_like, x0, solver.DEFAULT_GAP_TOL, convex)
     assert np.array_equal(x, x0)
+    assert [vertex(r) for r in range(3)] == [None] * 3  # no run moved
     assert f.tolist() == [0.0, -1.0, 0.0]
     assert iters.tolist() == [1, 1, 1]
     assert gap.tolist() == [4.0, 3.0, 4.0]
@@ -1290,6 +1393,9 @@ def test_unit_step_matches_line_search_on_convex_problems():
             assert np.array_equal(unit[0][r], search[0][r]), f"{name} restart {r}"
             assert (unit[1][r], unit[2][r], unit[3][r]) == \
                 (search[1][r], search[2][r], search[3][r]), f"{name} restart {r}"
+            points = unit[4](r), search[4](r)
+            assert points[0] is None if points[1] is None else \
+                np.array_equal(*points), f"{name} restart {r}"
         assert unit[2].max() > 1, name  # at least one restart took a step
 
 

@@ -45,3 +45,25 @@ def test_tracer_records_every_span_it_names(tmp_path, capsys):
     # the saved table's audit attributes its allocations through the traced name
     assert "utility.breakdown" in {span[0] for span in tracer.spans[before_verify:]}
     assert [span[0] for span in tracer.spans].count("solver.coalition") == 2**3 - 1
+
+
+def test_tracer_sees_one_solve_per_mask_and_no_lp_on_the_own_total_path(tmp_path):
+    """At w above zeta (1:0.5, the weighted-sigmoid shape) every coalition
+    of two or more members runs in own/total coordinates: the tracer
+    records one solver.coalition span per mask and no solver.lp span."""
+    layers = load_layers()
+    tracer = layers.Tracer()
+    scenario, out = tmp_path / "s.json", tmp_path / "out"
+    tracer.install(edgeshare)
+    try:
+        assert cli.main(["gen", "--players", "3", "--apps", "5", "--utility", "sigmoid",
+                         "--mu", "3", "--weights", "1:0.5", "--out", str(scenario)]) == 0
+        assert cli.main(["run", "--scenario", str(scenario), "--method", "both",
+                         "--out", str(out)]) == 0
+        assert cli.main(["verify", "--scenario", str(scenario),
+                         "--payoffs", str(out / "payoffs.csv")]) in (0, 1)
+    finally:
+        tracer.uninstall()
+    masks = sorted(span[5]["mask"] for span in tracer.spans if span[0] == "solver.coalition")
+    assert masks == list(range(1, 2**3))
+    assert "solver.lp" not in {span[0] for span in tracer.spans}
