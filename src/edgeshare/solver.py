@@ -7,9 +7,12 @@ are solved exactly, by one call of the linear oracle on their constant
 gradient; sigmoid objectives run a multi-start Frank-Wolfe conditional
 gradient.  All restarts of one solve advance together in one batched
 driver, and each leaves the batch when its own stopping test fires.  The
-driver evaluates each point once: one sigmoid pass gives its value and
-its gradient, and a run carries the gradient of the point it moved to
-into its next round.  Line-search probes compute the value alone.
+batch is gathered, compacted and written back only in a round where some
+run leaves it; a round in which every run moved adopts the new points,
+values and gradients as the batch, uncopied.  The driver evaluates each
+point once: one sigmoid pass gives its value and its gradient, and a run
+carries the gradient of the point it moved to into its next round.
+Line-search probes compute the value alone.
 
 Every sigmoid term is convex at receipts up to its request, and no
 feasible point exceeds a request, so receipt objectives are convex, and so
@@ -101,6 +104,15 @@ class SolveReport:
 # linear maximization oracles
 
 
+@functools.cache
+def _row_offsets(size: int, n: int) -> np.ndarray:
+    """Column (size // n, 1) of the flat index at which each row of n
+    starts in an array of size, built once per shape (read-only)."""
+    offsets = np.arange(0, size, n)[:, None]
+    offsets.flags.writeable = False
+    return offsets
+
+
 def _sort_index(key: np.ndarray) -> np.ndarray:
     """Flat indices into key (..., n) that list each row along the last
     axis in decreasing order (stable: ties to the lowest index).  Moving
@@ -108,7 +120,9 @@ def _sort_index(key: np.ndarray) -> np.ndarray:
     put_along_axis at these sizes."""
     order = np.argsort(-key, axis=-1, kind="stable")
     n = key.shape[-1]
-    return (order.reshape(-1, n) + np.arange(0, order.size, n)[:, None]).ravel()
+    order = order.reshape(-1, n)
+    order += _row_offsets(order.size, n)
+    return order.ravel()
 
 
 def _greedy_fill(profits: np.ndarray, budget: np.ndarray, ubs: np.ndarray) -> np.ndarray:
@@ -122,10 +136,16 @@ def _greedy_fill(profits: np.ndarray, budget: np.ndarray, ubs: np.ndarray) -> np
     p = np.swapaxes(profits, -1, -2)  # (..., K, M): items last
     at = _sort_index(p)
     ub_o = np.where(p > 0, ubs.T, 0.0).ravel()[at].reshape(p.shape)
-    prev = np.zeros_like(ub_o)
-    np.cumsum(ub_o[..., :-1], axis=-1, out=prev[..., 1:])
+    # the budget left before each item, clipped to [0, its cap] in place
+    # (maximum, then minimum, returns what np.clip does, signed zeros too)
+    room = np.empty(p.shape)
+    room[..., :1] = 0.0
+    np.cumsum(ub_o[..., :-1], axis=-1, out=room[..., 1:])
+    np.subtract(budget[..., None], room, out=room)
+    np.maximum(room, 0.0, out=room)
+    np.minimum(room, ub_o, out=room)
     x = np.empty(p.size)
-    x[at] = np.clip(np.expand_dims(budget, -1) - prev, 0.0, ub_o).ravel()
+    x[at] = room.ravel()
     return np.swapaxes(x.reshape(p.shape), -1, -2)
 
 
@@ -553,12 +573,16 @@ def _batched_frank_wolfe(evaluate, objective, lmo, x0: np.ndarray, gap_tol: floa
     stops when its Frank-Wolfe gap <grad, s - x> drops below
     gap_tol * max(1, |f|), when its step cannot improve, or after MAX_ITER
     rounds; a stopped run leaves the batch, so every run follows the path
-    it would follow alone.  Iterates stay feasible as convex combinations
-    of vertices.  Returns per-run (x, f, iterations, gap) and vertex:
-    vertex(r) is the oracle's point s of run r's last move, None if it
-    never moved; with unit steps x[r] is x + (s - x) of it, s up to
-    rounding.  The oracle's batches are kept by reference, not copied,
-    for the rounds some run last moved at.
+    it would follow alone.  The live runs' batch starts as x and f
+    themselves; only a round where some run leaves writes the leavers back
+    and compacts the rest, and a round in which every live run moved adopts
+    the new points, values and gradients as the batch instead of copying
+    them in.  Iterates stay feasible as convex combinations of vertices.
+    Returns per-run (x, f, iterations, gap) and vertex: vertex(r) is the
+    oracle's point s of run r's last move, None if it never moved; with
+    unit steps x[r] is x + (s - x) of it, s up to rounding.  The oracle's
+    batches are kept by reference, not copied, for the rounds some run
+    last moved at.
     """
     x = x0.copy()
     f, g = evaluate(x)
@@ -567,37 +591,49 @@ def _batched_frank_wolfe(evaluate, objective, lmo, x0: np.ndarray, gap_tol: floa
     moved_at = np.zeros(len(x), dtype=int)  # round of each run's last move, 0 for none
     points = {}  # round: (live runs, the oracle's points for them)
     bcast = (-1,) + (1,) * (x.ndim - 1)  # one step per run against its point
-    live = np.arange(len(x))
+    # the live runs' batch, x and f themselves until a round changes it: a
+    # run that leaves is written back to x and f and the rest compacted
+    live, xl, fl, gl = np.arange(len(x)), x, f, g
     for it in range(1, MAX_ITER + 1):
-        xl, gl = x[live], g[live]
         s = lmo(gl)
         points[it] = live, s
         d = s - xl
         fw_gap = (gl * d).reshape(len(live), -1).sum(axis=1)
         iters[live], gap[live] = it, fw_gap
-        keep = fw_gap > gap_tol * np.maximum(1.0, np.abs(f[live]))
-        live, xl, d = live[keep], xl[keep], d[keep]
-        if not live.size:
-            break
+        keep = fw_gap > gap_tol * np.maximum(1.0, np.abs(fl))
+        if not keep.all():
+            gone = ~keep
+            x[live[gone]], f[live[gone]] = xl[gone], fl[gone]
+            live, xl, fl, d = live[keep], xl[keep], fl[keep], d[keep]
+            if not live.size:
+                break
         if convex:
             x_new = xl + d  # as the line search's step 1 forms it; xl + (s - xl) may round off s
             f_new, g_new = evaluate(x_new)
-            move = f_new > f[live]
+            move = f_new > fl
         else:
             step, f_new = _best_steps(lambda gam: objective(xl + gam.reshape(bcast) * d),
                                       len(live))
-            move = (f_new > f[live]) & (step != 0.0)  # else line search cannot improve
-        live = live[move]
-        if not live.size:
-            break
-        if convex:
-            x_new, g_new = x_new[move], g_new[move]
-        else:
-            x_new = xl[move] + step[move].reshape(bcast) * d[move]
+            move = (f_new > fl) & (step != 0.0)  # else line search cannot improve
+        if not move.all():
+            gone = ~move
+            x[live[gone]], f[live[gone]] = xl[gone], fl[gone]
+            live, f_new = live[move], f_new[move]
+            if not live.size:
+                break
+            if convex:
+                x_new, g_new = x_new[move], g_new[move]
+            else:
+                xl, d, step = xl[move], d[move], step[move]
+        if not convex:
+            x_new = xl + step.reshape(bcast) * d
             g_new = evaluate(x_new)[1]
-        x[live], f[live], g[live], moved_at[live] = x_new, f_new[move], g_new, it
+        # every live run moved: the new points are the batch
+        xl, fl, gl, moved_at[live] = x_new, f_new, g_new, it
         if len(points) > 2 * len(x):  # drop the rounds no run last moved at
             points = {r: points[r] for r in set(moved_at.tolist()) - {0}}
+    if live.size:  # MAX_ITER ended the runs still live
+        x[live], f[live] = xl, fl
 
     def vertex(r: int):
         if not moved_at[r]:

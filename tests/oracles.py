@@ -249,6 +249,29 @@ def factored_staircase(alpha, gamma, supplies, demands):
     return np.take_along_axis(np.take_along_axis(sorted_x, rank_u, -2), rank_i, -1)
 
 
+def greedy_fill(profits, budget, ubs):
+    """Fractional-knapsack fill of profits (R, M, K), one row at a time:
+    per batch index and resource, the items in Python's stable sorted
+    order of decreasing profit (ties to the lowest index), each taking
+    its cap ubs (M, K) clipped to what the budget (K,) has left after the
+    caps before it, a running sum; an item whose profit is not positive
+    takes nothing and uses nothing."""
+    profits = np.asarray(profits, dtype=float)
+    rows, m, k = profits.shape
+    x = np.zeros((rows, m, k))
+    for r in range(rows):
+        for j in range(k):
+            used = 0.0
+            for i in sorted(range(m), key=lambda i: -profits[r, i, j]):
+                if profits[r, i, j] > 0:
+                    room, cap = float(budget[j]) - used, float(ubs[i, j])
+                    # the clip to [0, cap]: 0 for a room of -0.0 too, and
+                    # the cap where room equals it
+                    x[r, i, j] = cap if room >= cap else (room if room > 0.0 else 0.0)
+                    used += cap
+    return x
+
+
 def own_fill(profit, later, amounts, budget, owner):
     """Each owner's fractional-knapsack fill of its own applications,
     batched rows (B, M): item i takes up to amounts_i from its owner's

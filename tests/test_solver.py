@@ -48,6 +48,7 @@ from oracles import (
     embed,
     factored_staircase,
     feasibility_violations,
+    greedy_fill,
     grid_best,
     own_foreign_receipts,
     restart_draws,
@@ -291,6 +292,26 @@ def test_missing_binding_is_an_import_error_naming_where_it_looked(tmp_path, bin
     if binding == "absent":
         assert f"scipy {out['version']} " in out["error"]
     assert out["left"] == []
+
+
+@pytest.mark.parametrize("budget_scale", [0.0, 0.4, 1.5])  # zero, binding, above the total
+def test_greedy_fill_matches_the_loop_fill(budget_scale):
+    """The batched fill is the per-row loop fill (oracles.greedy_fill) bit
+    for bit on random (R, M, K) batches: ties, zero and negative profits
+    on a half-integer grid, zero caps, and a budget of zero, one that
+    binds, and one above the total request."""
+    rng = np.random.default_rng(25)
+    for case in range(60):
+        r, m, k = (int(v) for v in rng.integers(1, (9, 13, 4)))
+        profits = rng.normal(size=(r, m, k))
+        if case % 2:
+            profits = rng.integers(-2, 3, size=(r, m, k)) * 0.5
+        ubs = rng.random((m, k)) * (rng.random((m, k)) < 0.75)
+        budget = budget_scale * ubs.sum(axis=0)
+        got = solver._greedy_fill(profits, budget, ubs)
+        assert got.tobytes() == greedy_fill(profits, budget, ubs).tobytes(), f"case {case}"
+        if budget_scale > 1:  # every item with a positive profit is filled
+            assert np.array_equal(got, np.where(profits > 0, ubs, 0.0)), f"case {case}"
 
 
 def test_lmo_rejects_bad_shapes():
@@ -1295,9 +1316,18 @@ def test_member_oracle_solves_one_lp_per_distinct_slice(monkeypatch):
 
 def assert_batch_matches_solo_runs(oracles, x0, convex):
     """Every run of a batch ends exactly where the driver run on its start
-    alone ends; returns the batch's iteration counts."""
-    x, f, iters, gap, vertex = solver._batched_frank_wolfe(*oracles, x0, solver.DEFAULT_GAP_TOL,
-                                                           convex)
+    alone ends; returns the batch's iteration counts and whether every
+    run moved in round 1 (round 2's oracle batch holds every run), where
+    the driver adopts the round's new points as its batch."""
+    evaluate, objective, lmo = oracles
+    batches = []
+
+    def recording(g):
+        batches.append(len(g))
+        return lmo(g)
+
+    x, f, iters, gap, vertex = solver._batched_frank_wolfe(
+        evaluate, objective, recording, x0, solver.DEFAULT_GAP_TOL, convex)
     for r in range(len(x0)):
         xr, fr, itr, gapr, vr = solver._batched_frank_wolfe(
             *oracles, x0[r:r + 1], solver.DEFAULT_GAP_TOL, convex)
@@ -1306,7 +1336,7 @@ def assert_batch_matches_solo_runs(oracles, x0, convex):
         assert (vertex(r) is None) == (vr(0) is None), f"restart {r}"
         if vr(0) is not None:
             assert np.array_equal(vertex(r), vr(0)), f"restart {r}"
-    return iters
+    return iters, batches[1:2] == [len(x0)]
 
 
 def test_batched_restarts_match_solo_runs():
@@ -1318,7 +1348,7 @@ def test_batched_restarts_match_solo_runs():
         terms = AppTerms.from_scenario(s, s.apps_of(1))
         oracles = solver._receipt_oracles(terms, s.capacities[1], 1.0)
         x0 = solver._starts(s, solver._NATIVE_TAG, 1, 16, terms.requests.shape, oracles[2])
-        iters = assert_batch_matches_solo_runs(oracles, x0, convex)
+        iters, _ = assert_batch_matches_solo_runs(oracles, x0, convex)
         assert len(set(iters)) > 1  # runs leave the batch at different rounds
         base = generate_scenario(3, 3, 3, utility="sigmoid", mu=10.0, seed=1)
         # pooled receipts, the LP-free member oracle, and the LP one
@@ -1327,8 +1357,14 @@ def test_batched_restarts_match_solo_runs():
             s = dataclasses.replace(base, w=np.array(w), zeta=np.array(zeta))
             oracles, x0 = coalition_fw(s, Coalition(0b110), 16)
             assert x0.ndim == (3 if w == zeta else 4)
-            iters = assert_batch_matches_solo_runs(oracles, x0, convex)
+            iters, _ = assert_batch_matches_solo_runs(oracles, x0, convex)
             assert len(set(iters)) > 1
+        # a flat grand coalition on pooled receipts: every run moves in
+        # round 1, and all but one stop in round 2
+        s = generate_scenario(3, 3, 4, utility="sigmoid", mu=1.0, seed=0)
+        iters, all_moved = assert_batch_matches_solo_runs(
+            *coalition_fw(s, Coalition.grand(3), 16), convex)
+        assert all_moved and len(set(iters)) > 1
 
 
 @pytest.mark.parametrize("convex", [True, False])
@@ -1352,6 +1388,39 @@ def test_run_that_cannot_improve_stops_where_it_is(convex):
     assert f.tolist() == [0.0, -1.0, 0.0]
     assert iters.tolist() == [1, 1, 1]
     assert gap.tolist() == [4.0, 3.0, 4.0]
+
+
+@pytest.mark.parametrize("convex", [True, False])
+def test_driver_returns_points_of_its_own(convex):
+    """With unit steps and with the line search, the driver leaves x0 as it
+    was, and no returned point shares memory with x0 or with the oracle's
+    point vertex(r): the batches it adopts and compacts are its own."""
+    for name, oracles, x0 in convex_cases():
+        before = x0.copy()
+        x, _, _, _, vertex = solver._batched_frank_wolfe(*oracles, x0, solver.DEFAULT_GAP_TOL,
+                                                         convex)
+        assert x0.tobytes() == before.tobytes(), name
+        for r in range(len(x0)):
+            assert not np.shares_memory(x[r], x0), f"{name} restart {r}"
+            v = vertex(r)
+            assert v is None or not np.shares_memory(x[r], v), f"{name} restart {r}"
+        assert any(vertex(r) is not None for r in range(len(x0))), name
+
+
+@pytest.mark.parametrize("convex", [True, False])
+def test_runs_live_at_the_round_limit_return_their_last_point(convex, monkeypatch):
+    """Runs still live after MAX_ITER rounds end at the point they last
+    moved to, worth the value returned for them.  In the flat grand
+    coalition every run moves in round 1."""
+    monkeypatch.setattr(solver, "MAX_ITER", 1)
+    s = generate_scenario(3, 3, 4, utility="sigmoid", mu=1.0, seed=0)
+    oracles, x0 = coalition_fw(s, Coalition.grand(3), 16)
+    x, f, iters, _, vertex = solver._batched_frank_wolfe(*oracles, x0, solver.DEFAULT_GAP_TOL,
+                                                         convex)
+    assert iters.tolist() == [1] * len(x0)
+    for r in range(len(x0)):
+        assert np.array_equal(x[r], x0[r] + (vertex(r) - x0[r])), f"restart {r}"
+        assert f[r] == oracles[0](x[r:r + 1])[0][0], f"restart {r}"
 
 
 def convex_cases():
