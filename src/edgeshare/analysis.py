@@ -253,7 +253,7 @@ def compare_methods(
     drift in host speed falls on all alike; payoffs, solve counts and the
     table come from the first repetition, the median from all of them.
     standalone is v({n}) off the table when Shapley ran, else w_n times n's
-    native optimum, which is the same problem.  Shapley above
+    native optimum: one solve, so the two agree bit for bit.  Shapley above
     TABLE_PLAYER_LIMIT players raises the table's ValueError before its
     first solve.
     """

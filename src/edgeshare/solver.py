@@ -22,44 +22,44 @@ along the attribution order (CoalitionProblem.convex), and own/total ones
 takes the unit step to the oracle's point; only the other weightings
 (some zeta above an owner's w, say) search the step by golden section.
 
-One solve (_solve_receipts) serves every problem whose objective is one
-weight times the total satisfaction at per-application receipts t_ik: a
-native or residual provider, and a coalition whose credit weights are all
-equal (every singleton, and w == zeta shared by all members).  The
-receipts the budgets can deliver are exactly 0 <= t <= r with sum_i t_ik
-at most the pooled budget, so the linear oracle is one greedy fill of that
-budget.  A coalition's members then ship the receipts by the
-northwest-corner staircase against their capacities.  Where the members
-share one zeta and every owner's w is at least it
+Every problem runs one solve (_solve), in one of three coordinates.
+Receipts t_ik per application serve every problem whose objective is one
+weight times the total satisfaction at them: a native or residual
+provider, and a coalition whose credit weights are all equal (w == zeta
+shared by all members).  A singleton coalition is its member's native
+problem, w times, and one solve serves both.  The receipts the budgets can
+deliver are exactly 0 <= t <= r with sum_i t_ik at most the pooled
+budget, so the linear oracle is one greedy fill of that budget, and a
+coalition's members ship the receipts by the northwest-corner staircase.
+Where the members share one zeta and every owner's w is at least it
 (CoalitionProblem.own_foreign: every generated scenario with w >= zeta),
 the objective is (w - zeta) * g(o) + zeta * g(t) at each application's
-own supply o and total receipts t, so a sigmoid coalition runs in those
+own supply o and total receipts t.  Such a coalition runs in those
 own/total coordinates, the image of its member allocations, on which
-Frank-Wolfe takes the steps it would take on the allocations.  The
-linear problem there has one pooled row, which _lmo_own_total solves
-exactly, with no LP, for every restart and resource at once.  The member
-allocation is built once per solve, from the best run (_member_split).
-Other coalitions run in member coordinates, where the oracle is the
-transportation LP, one per resource and distinct gradient slice (w below
-zeta, or one zeta per player, which only a hand-written scenario holds),
-or, for a linear own/foreign coalition's one oracle call,
-_lmo_own_foreign.
+Frank-Wolfe takes the steps it would take on the allocations, and a
+linear one takes its one oracle call there.  That oracle (_lmo_own_total)
+is exact, with no LP, for every restart and resource at once, and the
+member allocation is built once per solve (_member_split).  Only the
+other coalitions run in member coordinates, with one transportation LP
+per resource and distinct gradient slice as the oracle (w below zeta, or
+one zeta per player, which only a hand-written scenario holds).
 
 Start points (_starts): restart 0 starts at zero; restart r > 0 draws a
 scale and uniform factors from the PCG64 stream that SeedSequence([scenario
 seed, solve tag, player or mask, r]) seeds, and starts at the scaled vertex
-the factors pick.  Native and residual solves take the greedy fill of the
-factors as profits.  Every coalition draws member and application factors
-per resource; in member coordinates it starts at their staircase, in
-own/total coordinates at that staircase's own supply and total receipts,
-on receipts at the greedy fill of the application factors alone.  The streams
-depend only on the scenario and the solve, so every solve is reproducible
-on its own.  They are the streams default_rng(SeedSequence([...])) gives,
-but no SeedSequence or PCG64 is built per restart: one vectorized pass of
-SeedSequence's hash seeds a block of 64 players or masks at once
-(_seed_block, which keeps the last four blocks, 64 * (R - 1) * 32 bytes
-each: 30 KiB at R = 16 restarts), and one reused PCG64 is set to each
-stream by PCG64's own seeding rule (_generator).
+the factors pick.  Residual solves take the greedy fill of the factors as
+profits.  Every coalition, a native solve as its singleton one, draws
+member and application factors per resource; in member coordinates it
+starts at their staircase, in own/total coordinates at that staircase's
+own supply and total receipts, on receipts at the greedy fill of the
+application factors alone.  The streams depend only on the scenario and
+the solve, so every solve is reproducible on its own.  They are the
+streams default_rng(SeedSequence([...])) gives, but no SeedSequence or
+PCG64 is built per restart: one vectorized pass of SeedSequence's hash
+seeds a block of 64 players or masks at once (_seed_block, which keeps
+the last four blocks, 64 * (R - 1) * 32 bytes each: 30 KiB at R = 16
+restarts), and one reused PCG64 is set to each stream by PCG64's own
+seeding rule (_generator).
 """
 from __future__ import annotations
 
@@ -80,7 +80,7 @@ DEFAULT_RESTARTS = 16
 MAX_ITER = 500  # Frank-Wolfe rounds per restart
 DEFAULT_GAP_TOL = 1e-6
 
-_NATIVE_TAG, _RESIDUAL_TAG, _COALITION_TAG = 0xA1, 0xB2, 0xC3
+_RESIDUAL_TAG, _COALITION_TAG = 0xB2, 0xC3
 
 
 @dataclass(frozen=True)
@@ -368,7 +368,7 @@ def _trim(x: np.ndarray, bound: np.ndarray, axis: int) -> None:
 
 def _pooled_receipts(a: np.ndarray, b: np.ndarray, reqs: np.ndarray, caps: np.ndarray,
                      owner: np.ndarray) -> np.ndarray:
-    """Optimal receipts t (B, MS) of the pooled row of _lmo_own_foreign,
+    """Optimal receipts t (B, MS) of the pooled row of _own_total_vertex,
     per batched row: foreign credit b and owner's credit a = b + d (B, MS),
     requests (B, MS), member capacities (B, S), owner_i the member that
     owns application i.
@@ -472,9 +472,9 @@ def _lmo_own_total(prob: CoalitionProblem, gs: np.ndarray) -> np.ndarray:
     feasible (o, t) are the image of the member polytope under
     CoalitionProblem.own_total, and at any allocation with image (o, t)
     the member gradient's linear value is d.o + b.t, so this oracle's
-    vertex (_own_total_vertex) is the image of _lmo_own_foreign's, and
-    _member_split ships it.  Returns the vertices (R, 2, MS, K), every
-    restart and resource solved at once."""
+    vertex (_own_total_vertex), split by _member_split, is an optimal
+    member allocation.  Returns the vertices (R, 2, MS, K), every restart
+    and resource solved at once."""
     r_count, _, m, k = gs.shape
     b = _rows(gs[:, 1])
     own, t = _own_total_vertex(prob, _rows(gs[:, 0]) + b, b)
@@ -504,19 +504,6 @@ def _member_split(prob: CoalitionProblem, own: np.ndarray, t: np.ndarray) -> np.
     _trim(x, prob.caps[:, None, :], -2)
     _trim(x, prob.reqs, -3)
     return x
-
-
-def _lmo_own_foreign(prob: CoalitionProblem, gs: np.ndarray) -> np.ndarray:
-    """Exact linear oracle in member coordinates, with no LP, for a
-    gradient batch (R, S, MS, K) of a coalition with prob.own_foreign: per
-    app and resource, one value b on every foreign cell and a = b + d,
-    d >= 0, on the owner's.  A member allocation's linear value is then
-    b.t + d.o at its own supply o and total receipts t, so the oracle is
-    the own/total vertex (_own_total_vertex) split over the members
-    (_member_split)."""
-    cols = np.arange(gs.shape[2])
-    a, b = (_rows(gs[:, prob.ord_pos[:, slot], cols, :]) for slot in (0, 1))
-    return _member_split(prob, *_own_total_vertex(prob, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -800,25 +787,44 @@ def _receipt_oracles(terms: AppTerms, budget: np.ndarray, weight: float):
     return evaluate, objective, lmo
 
 
-def _solve_receipts(terms: AppTerms, budget: np.ndarray, weight: float, exact: bool,
-                    starts, gap_tol: float):
-    """Best receipts t (M, K) for weight * sum_ik g_ik(t_ik) over
-    0 <= t <= requests with sum_i t_ik <= budget_k: the problem of one
-    provider, and of a coalition whose credit weights all equal `weight`.
-    When `exact` (every term with a nonzero request is linear, so the
-    gradient is constant) one greedy fill of the gradient is optimal;
-    otherwise multistart Frank-Wolfe runs from starts(lmo), the start points
-    built with the receipt oracle.  Every term is convex at receipts up to
-    its request, which the oracle never exceeds, so rounds take unit steps.
-    Returns (t, value, (solver_kind, iterations, restarts_used, gap))."""
-    oracles = _receipt_oracles(terms, budget, weight)
+def _solve(oracles, exact: bool, starts, shape, gap_tol: float, convex: bool):
+    """One solve of the problem oracles (evaluate, objective, lmo) pose on
+    points of shape: when `exact` (every term with a nonzero request is
+    linear, so the gradient is constant) the oracle's point at the zero
+    point's gradient, else multistart Frank-Wolfe from starts(lmo), by unit
+    steps where `convex`.  Returns the best run's index (0 if exact), point
+    and value, (solver_kind, iterations, restarts_used, gap), and the
+    oracle's point it last moved to (None if it never moved)."""
     evaluate, objective, lmo = oracles
     if exact:
-        t = lmo(evaluate(np.zeros((1, *terms.requests.shape)))[1])[0]
-        return t, objective(t[None])[0], ("exact_linear", 0, 0, 0.0)
+        x = lmo(evaluate(np.zeros((1, *shape)))[1])
+        return 0, x[0], objective(x)[0], ("exact_linear", 0, 0, 0.0), x[0]
     x0 = starts(lmo)
-    _, t, value, iters, gap, _ = _multistart(*oracles, x0, gap_tol, True)
-    return t, value, ("multistart_fw", iters, len(x0), gap)
+    best, x, value, iters, gap, vertex = _multistart(*oracles, x0, gap_tol, convex)
+    return best, x, value, ("multistart_fw", iters, len(x0), gap), vertex(best)
+
+
+def _coalition_starts(s: Scenario, mask: int, size: int, m: int, restarts: int):
+    """_starts of the coalition of mask, as a function of the vertices: every
+    coalition draws member and application factors per resource, (K, size
+    + m), whichever coordinates use them, so its streams keep one layout."""
+    return functools.partial(_starts, s, _COALITION_TAG, mask, restarts,
+                             (s.n_resources, size + m))
+
+
+def _solve_pooled(s: Scenario, mask: int, size: int, terms: AppTerms, budget: np.ndarray,
+                  weight: float, restarts: int, gap_tol: float):
+    """Best receipts t (MS, K), their value and how, for the coalition of
+    mask (size members) whose credit weights all equal `weight`, on
+    budget: exact where every term is linear, else from the greedy fill of
+    the drawn application factors, by unit steps, since every term is
+    convex up to its request, which the oracle never exceeds."""
+    starts = _coalition_starts(s, mask, size, len(terms.requests), restarts)
+    _, t, value, how, _ = _solve(
+        _receipt_oracles(terms, budget, weight), terms.all_linear,
+        lambda lmo: starts(lambda d: lmo(np.swapaxes(d[..., size:], -1, -2))),
+        terms.requests.shape, gap_tol, True)
+    return t, value, how
 
 
 def _report(value, allocation: Allocation, how, t0: float) -> SolveReport:
@@ -832,6 +838,14 @@ def _report(value, allocation: Allocation, how, t0: float) -> SolveReport:
 # single-provider problems: one budget against per-application caps
 
 
+def _native(s: Scenario, n: int, restarts: int, gap_tol: float):
+    """Player n's receipts (M_n, K) at weight 1, their value and how: its
+    native problem and, times w_n, its singleton coalition's, solved on
+    that coalition's streams."""
+    return _solve_pooled(s, 1 << n, 1, AppTerms.from_scenario(s, s.apps_of(n)),
+                         s.capacities[n], 1.0, restarts, gap_tol)
+
+
 def solve_native(
     s: Scenario,
     n: int,
@@ -842,13 +856,9 @@ def solve_native(
     own capacity.  Returns the unweighted optimum."""
     _check_settings(restarts, gap_tol)
     t0 = time.perf_counter()
-    apps = s.apps_of(n)
-    terms = AppTerms.from_scenario(s, apps)
-    starts = functools.partial(_starts, s, _NATIVE_TAG, n, restarts, terms.requests.shape)
-    t, value, how = _solve_receipts(terms, s.capacities[n], 1.0,
-                                    s.utilities[n].kind == "linear", starts, gap_tol)
+    t, value, how = _native(s, n, restarts, gap_tol)
     full = np.zeros((s.n_players, s.m_total, s.n_resources))
-    full[n, apps, :] = t
+    full[n, s.apps_of(n), :] = t
     return _report(value, Allocation(full), how, t0)
 
 
@@ -876,8 +886,9 @@ def solve_residual(
     foreign_linear = all(
         s.utilities[j].kind == "linear" for j in range(s.n_players) if j != n)
     starts = functools.partial(_starts, s, _RESIDUAL_TAG, n, restarts, reqs.shape)
-    t, value, how = _solve_receipts(terms, np.asarray(residual_caps, dtype=float), 1.0,
-                                    foreign_linear, starts, gap_tol)
+    _, t, value, how, _ = _solve(
+        _receipt_oracles(terms, np.asarray(residual_caps, dtype=float), 1.0), foreign_linear,
+        starts, reqs.shape, gap_tol, True)
     full = np.zeros((s.n_players, s.m_total, s.n_resources))
     full[n] = t
     return _report(value - baseline, Allocation(full), how, t0)
@@ -901,18 +912,10 @@ def _random_staircases(prob: CoalitionProblem, draws: np.ndarray) -> np.ndarray:
 
 def _member_oracles(prob: CoalitionProblem):
     """Evaluation (value and gradient), objective and linear oracle in
-    member coordinates (R, S, MS, K); each takes the whole batch.  Where
-    the members share one zeta and every owner's w is at least it
-    (prob.own_foreign: every generated scenario whose w is at least its
-    zeta), the oracle is _lmo_own_foreign, exact and LP-free; only a
-    linear coalition's one oracle call takes it, since sigmoid ones run
-    in own/total coordinates (_own_total_oracles).  Otherwise (w below
-    zeta, or unequal zetas, which only a hand-written scenario holds) it
-    solves one transport LP per resource and distinct gradient slice,
-    and restarts whose slices are equal share its vertex."""
-    if prob.own_foreign:
-        return prob.evaluate, prob.objective, functools.partial(_lmo_own_foreign, prob)
-
+    member coordinates (R, S, MS, K), each on the whole batch, of a
+    coalition with unequal credit weights and no prob.own_foreign.  The
+    oracle solves one transport LP per resource and distinct gradient
+    slice, and restarts whose slices are equal share its vertex."""
     def lmo(gs):
         out = np.empty_like(gs)
         for k in range(gs.shape[-1]):
@@ -947,45 +950,37 @@ def solve_coalition(
     per-application caps still bind).  The allocation is local
     (Scenario.local_axes), a copy that pins no restart batch.
 
-    A sigmoid coalition with prob.own_foreign runs Frank-Wolfe in
-    own/total coordinates, from its member starts' own supply and total
-    receipts, and builds its member allocation once, from the best run:
-    its member start if it never moved, else the member split
-    (_member_split) of the oracle's point it last moved to, which unit
-    steps (w >= zeta >= 0 is convex) reach up to rounding.  Its value is
-    the run's own/total value, which the objective at that allocation
-    matches up to rounding."""
+    A lone member's problem is its native one times its w (_native).  Any
+    other coalition runs one solve (_solve): on pooled receipts where every
+    credit weight is equal, shipped by the northwest-corner staircase; in
+    own/total coordinates where prob.own_foreign, from its member starts,
+    shipped as the member split (_member_split) of the oracle's point where
+    the best run last moved, which unit steps reach up to rounding, or as
+    its member start if it never moved, worth the run's own/total value up
+    to rounding; otherwise in member coordinates, shipped as it is."""
     _check_settings(restarts, gap_tol)
     t0 = time.perf_counter()
     prob = CoalitionProblem.build(s, coalition)
-    size = prob.size
-    linear = all(s.utilities[m].kind == "linear" for m in prob.members)
-    # every coalition draws member and application factors per resource,
-    # whichever path uses them, so its streams keep one layout
-    starts = functools.partial(_starts, s, _COALITION_TAG, coalition.mask, restarts,
-                               (s.n_resources, size + len(prob.apps)))
+    if prob.size == 1:
+        n = prob.members[0]
+        t, value, how = _native(s, n, restarts, gap_tol)
+        return _report(s.w[n] * value, Allocation(t[None]), how, t0)
     if prob.uniform_weight is not None:
-        # pooled starts: the greedy fill of the application factors
-        t, value, how = _solve_receipts(
-            prob.terms, prob.caps.sum(axis=0), prob.uniform_weight, linear,
-            lambda lmo: starts(lambda d: lmo(np.swapaxes(d[..., size:], -1, -2))), gap_tol)
-        # members ship the receipts in northwest-corner order; a lone
-        # member ships them as they are, unrounded
-        x = t[None] if size == 1 else _staircase(prob.caps.T, t.T).transpose(1, 2, 0)
-    elif linear:
-        # a linear objective's gradient is the constant per-unit credit
-        evaluate, objective, lmo = _member_oracles(prob)
-        x = lmo(evaluate(np.zeros((1, size, *prob.reqs.shape)))[1])[0]
-        value, how = objective(x), ("exact_linear", 0, 0, 0.0)
+        t, value, how = _solve_pooled(s, coalition.mask, prob.size, prob.terms,
+                                      prob.caps.sum(axis=0), prob.uniform_weight, restarts,
+                                      gap_tol)
+        x = _staircase(prob.caps.T, t.T).transpose(1, 2, 0)
+        return _report(value, Allocation(x), how, t0)
+    exact = prob.terms.all_linear
+    # member starts: the staircases of the drawn factors
+    starts = _coalition_starts(s, coalition.mask, prob.size, len(prob.apps), restarts)
+    x0 = None if exact else starts(functools.partial(_random_staircases, prob))
+    if prob.own_foreign:
+        best, _, value, how, y = _solve(_own_total_oracles(prob), exact,
+                                        lambda lmo: prob.own_total(x0), (2, *prob.reqs.shape),
+                                        gap_tol, True)
+        x = x0[best] if y is None else _member_split(prob, y[0].T, y[1].T)[0]
     else:
-        x0 = starts(functools.partial(_random_staircases, prob))
-        if prob.own_foreign:
-            best, _, value, iters, gap, vertex = _multistart(*_own_total_oracles(prob),
-                                                             prob.own_total(x0), gap_tol, True)
-            y = vertex(best)
-            x = x0[best] if y is None else _member_split(prob, y[0].T, y[1].T)[0]
-        else:
-            _, x, value, iters, gap, _ = _multistart(*_member_oracles(prob), x0, gap_tol,
-                                                     prob.convex)
-        how = ("multistart_fw", iters, restarts, gap)
+        _, x, value, how, _ = _solve(_member_oracles(prob), exact, lambda lmo: x0,
+                                     (prob.size, *prob.reqs.shape), gap_tol, prob.convex)
     return _report(value, Allocation(x), how, t0)

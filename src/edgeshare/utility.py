@@ -122,6 +122,8 @@ class CoalitionProblem:
 
     @classmethod
     def build(cls, s: Scenario, coalition: Coalition) -> "CoalitionProblem":
+        if coalition.mask >> s.n_players:
+            raise ValueError(f"coalition {coalition.label()} has players outside the scenario")
         mem, apps = s.local_axes(coalition.mask)
         if not mem.size:
             raise ValueError("coalition has no members inside the scenario")
@@ -169,10 +171,10 @@ class CoalitionProblem:
         owner's w at least that zeta.  Then the gradient (_gradient_of)
         holds, per app and resource, one value b = zeta * g'(c_last) on
         every foreign cell, bit for bit, and b + d with d = (w - zeta) *
-        g'(c_owner) >= 0 on the owner's cell: the form the solver's
-        LP-free oracle needs (solver._lmo_own_foreign).  The objective is
-        then (w - zeta) * g(o) + zeta * g(t) per app and resource, at the
-        owner's own supply o and the total receipts t (own_total)."""
+        g'(c_owner) >= 0 on the owner's cell, and the objective is
+        (w - zeta) * g(o) + zeta * g(t) per app and resource, at the owner's
+        own supply o and the total receipts t (own_total), the coordinates
+        of the solver's LP-free oracle (solver._lmo_own_total)."""
         shared = self.zseq[:, 1:]
         return bool(self.size > 1 and np.all(shared == shared[0, 0])
                     and np.all(self.zseq[:, 0] >= shared[0, 0]))

@@ -134,6 +134,23 @@ def test_run_fast_skips_enumeration(tmp_path):
     assert not (out / "table.npz").exists()  # the fast route builds no table
 
 
+def test_standalone_column_does_not_depend_on_the_method(tmp_path):
+    """payoffs.csv's standalone column holds v({n}) under --method fast (w
+    times the native optimum) and under --method both (off the table),
+    the same text: a singleton coalition is its native problem, solved
+    once.  The golden 3x5 sigmoid 1:0.5 scenario differed at player 2."""
+    scenario = gen(tmp_path, players=3, apps=5, resources=3, utility="sigmoid", mu=3,
+                   weights="1:0.5", seed=2)
+    columns = {}
+    for method in ("fast", "both"):
+        out = tmp_path / method
+        assert main(["run", "--scenario", str(scenario), "--method", method,
+                     "--out", str(out)]) == 0
+        columns[method] = [r["standalone"] for r in read_csv(out / "payoffs.csv")
+                           if r["method"] == "fast"]
+    assert len(columns["fast"]) == 3 and columns["fast"] == columns["both"]
+
+
 def test_run_fast_singleton_rows_credit_their_member(tmp_path):
     # the u_p* columns split a row's value; a singleton's goes to its member
     scenario = gen(tmp_path, players=3, apps=2, resources=2, weights="2:1")

@@ -299,6 +299,39 @@ def test_fast_core_matches_hand_trace_across_seeds():
         assert np.allclose(res.phase2, p2, atol=1e-9)
 
 
+# the two sigmoid shapes the benchmark gates: N=4, m=20 at 1:1, and
+# N=3, m=5 at 1:0.5; mu 1, 3 and 10 by seed, as its scenarios draw it
+GATED_SHAPES = {"4x20 1:1": (4, 20, 1.0, 1.0), "3x5 1:0.5": (3, 5, 1.0, 0.5)}
+
+
+@pytest.fixture(scope="module")
+def gated_battery():
+    """(label, table, fast split) for seeds 0-29 of each gated shape."""
+    out = []
+    for label, (n, m, w, zeta) in GATED_SHAPES.items():
+        for seed in range(30):
+            s = generate_scenario(n, 3, m, utility="sigmoid", mu=(1.0, 3.0, 10.0)[seed % 3],
+                                  seed=seed, w=w, zeta=zeta)
+            out.append((f"{label} seed {seed}", s, build_characteristic_table(s), fast_core(s)))
+    return out
+
+
+def test_singleton_values_are_weighted_native_optima(gated_battery):
+    """v({n}) is w_n times the fast split's phase 1, bit for bit: the
+    singleton coalition and the native problem are one solve."""
+    for label, s, table, fast in gated_battery:
+        assert table.singleton_values().tobytes() == (s.w * fast.phase1).tobytes(), label
+
+
+def test_fast_split_is_individually_rational(gated_battery):
+    """payoff = w * phase1 + zeta * phase2 with v({n}) = w * phase1 and
+    phase2 >= 0 (a residual solve starts at zero, which earns 0), so no
+    player earns less than alone, at tolerance 0."""
+    for label, s, table, fast in gated_battery:
+        assert (fast.phase2 >= 0).all(), label
+        assert core_verify(fast.payoffs, table, tol=0.0).is_individually_rational, label
+
+
 def test_fast_core_group_rational_linear():
     for seed in range(10):
         s = generate_scenario(4, 3, 3, utility="linear", seed=seed)

@@ -16,7 +16,11 @@ all six hashes unchanged; that oracle moved the three 1:0.5 run and
 verify hashes (CHANGES.md lists the values).  Solving own/foreign
 coalitions in own/total coordinates moved the 1:0.5 run hashes alone:
 v({1,2}) and three member shares by rounding, and with them two Shapley
-payoffs (CHANGES.md lists each).
+payoffs (CHANGES.md lists each).  Solving each native problem once, as
+its singleton coalition, on that coalition's restart streams moved the
+1:0.5 run and fast-run hashes alone: player 2's phase 1 went from
+7.000611277318003 to 7.0006112773180025, which is v({2}), and its fast
+gain from 8.9e-16 to 0.0.
 """
 import hashlib
 
@@ -31,8 +35,8 @@ GOLDEN = [
      "bbdf85a7f69a1f67bea24ec8ce7eb71c46bdda2e17bac608512b7c0585033268"),
     (["--players", "3", "--apps", "5", "--utility", "sigmoid", "--mu", "3",
       "--weights", "1:0.5", "--seed", "2"],
-     "8daceeda8108d6b3e49bc42d603e71e13b65034caf7c19bdf80a8d4f44caa0e0",
-     "462f83378bbaf1416c12286fdaa5102620d109b9b24d76c5d786a2272b7a1413"),
+     "a611855c8f2691865d0a245d110c86bb2d6123827a6d47ec70be936a594314fe",
+     "ae8a59d842ba8f0d2a964a4c7c67aa714ed719fd39e811e43f0b6dd428dc34f6"),
     (["--players", "4", "--apps", "3", "--utility", "linear", "--seed", "3"],
      "2a20f943c2660594c479cfd092c5ff4dd896d9927b77cba9677db916c6215491",
      "20c2a9956306e2638776486a291d3e6a9c0940ace82fadccd2e0430c331e3e2a"),
@@ -46,7 +50,7 @@ GOLDEN_VERIFY_FAST = [
     ("f95bd3631bd2a780773699e9b57b076662adfc49cf1358aac3abdb6a0c1f8760",
      "6a105b5c61f8c1843d9225ac7410690f8c6782a1cd8a09fe16282d7101f9519c"),
     ("09b4ad476c94e188caeee01bd86befeba3ec9d5ba8da00d52e68c4075a0612d2",
-     "cdb6734c3bd781b42bbddbf5166dcd2278a6b1846cdc8d7efcfd20dc98684868"),
+     "0e03b4fb003ded148e53ab338055536912e75cc96aee3c45af090b88810db1aa"),
     ("ed75d5813104131ead46ae685dcf7e5a37b65c087df799269401137e37d3819d",
      "8507f5e55ab8b4460428d3b67c1252531052d28d9f643bab9f9fdba4614ecf5f"),
 ]

@@ -82,6 +82,18 @@ def member_starts(s, c, restarts):
                           functools.partial(solver._random_staircases, prob))
 
 
+def native_fw(s, n, restarts):
+    """The receipt oracles and start points of player n's native solve, on
+    its singleton coalition's streams: the greedy fill of the drawn
+    application factors (K, 1 + M_n)."""
+    terms = AppTerms.from_scenario(s, s.apps_of(n))
+    oracles = solver._receipt_oracles(terms, s.capacities[n], 1.0)
+    x0 = solver._starts(s, solver._COALITION_TAG, 1 << n, restarts,
+                        (s.n_resources, 1 + len(terms.requests)),
+                        lambda d: oracles[2](np.swapaxes(d[..., 1:], -1, -2)))
+    return oracles, x0
+
+
 def coalition_fw(s, c, restarts):
     """The oracles and start points a sigmoid coalition solve runs
     Frank-Wolfe from: pooled receipts when every credit weight is equal,
@@ -389,12 +401,23 @@ OWN_FOREIGN_CASES = ["random", "tied rows", "zero profits", "zero capacities", "
                      "plateau"]
 
 
+def own_foreign_vertex(prob, gs):
+    """The LP-free oracle's member allocation for a gradient batch
+    (R, S, MS, K) of the own/foreign form: the own/total vertex
+    (_own_total_vertex) at the owner's credit a and the foreign credit b,
+    split over the members (_member_split), as a linear own/foreign
+    coalition solve ships it."""
+    cols = np.arange(gs.shape[2])
+    a, b = (solver._rows(gs[:, prob.ord_pos[:, slot], cols, :]) for slot in (0, 1))
+    return solver._member_split(prob, *solver._own_total_vertex(prob, a, b))
+
+
 def full_search_vertex(prob, gs):
-    """_lmo_own_foreign's vertex from the receipts of the first price
-    search, a bisection over every breakpoint (oracles)."""
+    """own_foreign_vertex from the receipts of the first price search, a
+    bisection over every breakpoint (oracles)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_pooled_receipts", own_foreign_receipts)
-        return solver._lmo_own_foreign(prob, gs)
+        return own_foreign_vertex(prob, gs)
 
 
 def assert_matches_full_search(prob, gs, x, where):
@@ -426,7 +449,7 @@ def test_own_foreign_oracle_matches_the_transport_lp(case):
     rng = np.random.default_rng(OWN_FOREIGN_CASES.index(case))
     for trial in range(40):
         s, prob, gs = own_foreign_problem(rng, case)
-        x = solver._lmo_own_foreign(prob, gs)
+        x = own_foreign_vertex(prob, gs)
         assert x.shape == gs.shape and x.min() >= 0.0
         assert_matches_full_search(prob, gs, x, (case, trial))
         assert (x.sum(axis=-2) <= prob.caps).all() and (x.sum(axis=-3) <= prob.reqs).all()
@@ -461,7 +484,7 @@ def test_own_foreign_oracle_on_a_plateau_of_prices():
     g = np.repeat(np.array(b)[None], 2, axis=0)
     g[owner, np.arange(10)] = a
     gs = g[None, ..., None]
-    x = solver._lmo_own_foreign(prob, gs)
+    x = own_foreign_vertex(prob, gs)
     assert_matches_full_search(prob, gs, x, "plateau")
     assert x.sum() == pytest.approx(prob.caps.sum(), rel=1e-15)
     assert audit_allocation(s, Allocation(x[0]), Coalition.grand(2), tol=0.0) == []
@@ -503,7 +526,7 @@ def test_own_foreign_oracle_matches_integer_brute_force():
         b = rng.uniform(0.0, 3.0, size=owner.size).round(2)
         g = np.repeat(b[None], size, axis=0)
         g[owner, np.arange(owner.size)] += rng.uniform(0.0, 3.0, size=owner.size).round(2)
-        x = solver._lmo_own_foreign(prob, g[None, ..., None])[0, ..., 0]
+        x = own_foreign_vertex(prob, g[None, ..., None])[0, ..., 0]
         want = brute_force_transport(g, caps[:, 0], reqs[:, 0])
         assert float((g * x).sum()) == pytest.approx(want, abs=1e-9), cases
         cases += 1
@@ -518,7 +541,7 @@ def test_own_foreign_oracle_is_not_greedy_by_profit():
                         w=[1.0, 1.0], zeta=[0.5, 0.5])
     prob = CoalitionProblem.build(s, Coalition.grand(2))
     g = np.array([[10.0, 9.95, 0.0], [9.9, 0.1, 0.0]])
-    x = solver._lmo_own_foreign(prob, g[None, ..., None])[0, ..., 0]
+    x = own_foreign_vertex(prob, g[None, ..., None])[0, ..., 0]
     assert float((g * x).sum()) == pytest.approx(19.85, rel=1e-15)
     assert x.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
 
@@ -542,7 +565,7 @@ def test_member_gradients_take_the_own_foreign_form():
         foreign = np.stack([gs[:, prob.ord_pos[:, t], cols] for t in range(1, prob.size)])
         assert (foreign == foreign[0]).all()
         assert (gs[:, prob.ord_pos[:, 0], cols] >= foreign[0]).all()
-        x = solver._lmo_own_foreign(prob, gs)
+        x = own_foreign_vertex(prob, gs)
         for r in range(len(gs)):
             for k in range(s.n_resources):
                 g = gs[r, ..., k]
@@ -634,6 +657,28 @@ def test_own_total_solves_ship_a_feasible_allocation_worth_their_value(monkeypat
             else:
                 assert any(np.array_equal(x, x0) for x0 in starts), c.label()
     assert seen[1e9] == {False} and True in seen[solver.DEFAULT_GAP_TOL]
+
+
+def test_linear_own_foreign_solves_ship_the_member_oracle_vertex():
+    """A linear own/foreign coalition takes its one oracle call in
+    own/total coordinates, at the zero point's gradient (d, b), and ships
+    its member split.  That is, bit for bit, the LP-free oracle's member
+    allocation at the member gradient (b on every foreign cell, b + d on
+    the owner's), and the objective there is the reported value to
+    1e-15 relative."""
+    for n, m, w, zeta in ((3, 5, 1.0, 0.5), (4, 3, 1.0, 0.8), (3, 4, 2.0, 1.0)):
+        for seed in range(4):
+            s = generate_scenario(n, 3, m, utility="linear", seed=seed, w=w, zeta=zeta)
+            for c in all_coalitions(n):
+                prob = CoalitionProblem.build(s, c)
+                if not prob.own_foreign:
+                    continue
+                rep = solve_coalition(s, c)
+                gs = prob.evaluate(np.zeros((1, prob.size, *prob.reqs.shape)))[1]
+                want = own_foreign_vertex(prob, gs)[0]
+                assert rep.solver_kind == "exact_linear", c.label()
+                assert rep.allocation.x.tobytes() == want.tobytes(), (seed, c.label())
+                assert rep.value == pytest.approx(prob.objective(want), rel=1e-15), c.label()
 
 
 @pytest.mark.parametrize("w, zeta, own_foreign", [
@@ -767,11 +812,34 @@ def test_residual_sigmoid_zero_supply_is_exactly_zero():
 
 
 def test_singleton_equals_native():
-    s = generate_scenario(3, 2, 2, utility="linear", seed=1)
-    for n in range(3):
-        a = solve_coalition(s, Coalition.singleton(n)).value
-        b = solve_native(s, n).value
-        assert a == pytest.approx(b, abs=1e-9)
+    """A singleton coalition is its member's native problem, solved once:
+    its value is w times the native optimum, bit for bit, by the same
+    solve, and its allocation is the native receipts; sigmoid at 1:1,
+    1:0.5 and 2:1."""
+    for (w, zeta), seed in itertools.product(((1.0, 1.0), (1.0, 0.5), (2.0, 1.0)), range(3)):
+        s = generate_scenario(3, 2, 4, utility="sigmoid", mu=(1.0, 3.0, 10.0)[seed],
+                              seed=seed, w=w, zeta=zeta)
+        for n in range(3):
+            a = solve_coalition(s, Coalition.singleton(n))
+            b = solve_native(s, n)
+            case = (w, zeta, seed, n)
+            assert a.value == s.w[n] * b.value, case
+            assert (a.solver_kind, a.iterations, a.restarts_used, a.gap) == \
+                (b.solver_kind, b.iterations, b.restarts_used, b.gap), case
+            assert a.allocation.x[0].tobytes() == b.allocation.x[n, s.apps_of(n)].tobytes(), case
+
+
+def test_masks_beyond_the_scenario_are_rejected():
+    """A mask with a bit at or above n_players names a player the scenario
+    does not have: building its problem, or solving it, is a ValueError,
+    not a solve of its members inside on the mask's own streams."""
+    s = generate_scenario(3, 3, 5, utility="sigmoid", mu=10.0, seed=6)
+    for mask in (0b1011, 0b1000, 1 << 23):
+        with pytest.raises(ValueError, match="outside"):
+            CoalitionProblem.build(s, Coalition(mask))
+        with pytest.raises(ValueError, match="outside"):
+            solve_coalition(s, Coalition(mask))
+    assert CoalitionProblem.build(s, Coalition(0b111)).members == (0, 1, 2)
 
 
 def test_singleton_scales_with_own_weight():
@@ -1088,11 +1156,11 @@ def test_factored_oracle_matches_the_sorted_staircase_bytes():
 
 
 def start_cases():
-    """(tag, ident, draw_shape) as the native, residual and coalition
-    solves of a 3-player scenario draw them."""
+    """(tag, ident, draw_shape) as the native (its singleton coalition's),
+    residual and coalition solves of a 3-player scenario draw them."""
     s = generate_scenario(3, 2, 4, utility="sigmoid", mu=3.0, seed=12)
     prob = CoalitionProblem.build(s, Coalition(0b101))
-    yield s, solver._NATIVE_TAG, 1, s.requests[s.apps_of(1)].shape
+    yield s, solver._COALITION_TAG, 1 << 1, (s.n_resources, 1 + len(s.apps_of(1)))
     yield s, solver._RESIDUAL_TAG, 2, s.requests.shape
     yield s, solver._COALITION_TAG, 0b101, (s.n_resources, prob.size + len(prob.apps))
 
@@ -1119,7 +1187,7 @@ def test_start_streams_match_the_reference_bit_for_bit():
     factor is restart_draws' double.  A single restart seeds nothing."""
     base = generate_scenario(2, 2, 2, utility="sigmoid", mu=3.0, seed=0)
     shape = (2, 3)
-    tags = itertools.cycle((solver._NATIVE_TAG, solver._RESIDUAL_TAG, solver._COALITION_TAG))
+    tags = itertools.cycle((solver._RESIDUAL_TAG, solver._COALITION_TAG))
     for seed, ident, restarts in itertools.product(
             (0, 7, 2**32 - 1, 2**32, 2**64 + 5, None), (0, 63, 64, 65, 2**24 - 1),
             (1, 2, 16, 33)):
@@ -1345,10 +1413,7 @@ def test_batched_restarts_match_solo_runs():
     # member coordinates
     for convex in (True, False):
         s = generate_scenario(3, 3, 4, utility="sigmoid", mu=10.0, seed=1)
-        terms = AppTerms.from_scenario(s, s.apps_of(1))
-        oracles = solver._receipt_oracles(terms, s.capacities[1], 1.0)
-        x0 = solver._starts(s, solver._NATIVE_TAG, 1, 16, terms.requests.shape, oracles[2])
-        iters, _ = assert_batch_matches_solo_runs(oracles, x0, convex)
+        iters, _ = assert_batch_matches_solo_runs(*native_fw(s, 1, 16), convex)
         assert len(set(iters)) > 1  # runs leave the batch at different rounds
         base = generate_scenario(3, 3, 3, utility="sigmoid", mu=10.0, seed=1)
         # pooled receipts, the LP-free member oracle, and the LP one
@@ -1429,10 +1494,7 @@ def convex_cases():
     (w == zeta) and in member coordinates (common w:zeta = 1:0.5, and
     per-player weights with every credit sequence falling)."""
     s = generate_scenario(3, 3, 4, utility="sigmoid", mu=10.0, seed=1)
-    terms = AppTerms.from_scenario(s, s.apps_of(1))
-    oracles = solver._receipt_oracles(terms, s.capacities[1], 1.0)
-    yield "native", oracles, solver._starts(s, solver._NATIVE_TAG, 1, 16,
-                                            terms.requests.shape, oracles[2])
+    yield "native", *native_fw(s, 1, 16)
     reqs = 0.5 * s.requests
     reqs[s.apps_of(1)] = 0.0
     terms = AppTerms.from_scenario(s).with_requests(reqs)
