@@ -31,6 +31,17 @@ problem, w times, and one solve serves both.  The receipts the budgets can
 deliver are exactly 0 <= t <= r with sum_i t_ik at most the pooled
 budget, so the linear oracle is one greedy fill of that budget, and a
 coalition's members ship the receipts by the northwest-corner staircase.
+Objective and budgets separate by resource, so a sigmoid receipt solve
+(_solve_receipts) fixes a slack resource, whose requests' exact sum fits
+its budget, at t = requests, and an empty one, budget 0, at t = 0, and
+runs Frank-Wolfe on the binding resources alone: the sort of the greedy
+fill and the sigmoid passes skip the fixed columns.  A solve with no
+binding resource is exact.  Round 1 decides as the joint problem would:
+the fixed resources add their value at each start, and their gap toward
+the fixed point, to the run's start value and first gap, and once a run
+has moved they add their closed-form value at the fixed point.  Solves in
+the other two coordinates below keep every resource in Frank-Wolfe (their
+slack condition, every member self-sufficient, is not taken).
 Where the members share one zeta and every owner's w is at least it
 (CoalitionProblem.own_foreign: every generated scenario with w >= zeta),
 the objective is (w - zeta) * g(o) + zeta * g(t) at each application's
@@ -52,9 +63,10 @@ profits.  Every coalition, a native solve as its singleton one, draws
 member and application factors per resource; in member coordinates it
 starts at their staircase, in own/total coordinates at that staircase's
 own supply and total receipts, on receipts at the greedy fill of the
-application factors alone.  The streams depend only on the scenario and
-the solve, so every solve is reproducible on its own.  They are the
-streams default_rng(SeedSequence([...])) gives, but no SeedSequence or
+application factors alone on each binding resource and at the requests on
+a slack one; a receipt solve with no binding resource draws nothing.  The
+streams depend only on the scenario and the solve, so every solve is
+reproducible on its own.  They are the streams default_rng(SeedSequence([...])) gives, but no SeedSequence or
 PCG64 is built per restart: one vectorized pass of SeedSequence's hash
 seeds a block of 64 players or masks at once (_seed_block, which keeps
 the last four blocks, 64 * (R - 1) * 32 bytes each: 30 KiB at R = 16
@@ -66,6 +78,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 import time
@@ -91,7 +104,9 @@ class SolveReport:
 
     value: float
     allocation: Allocation
-    solver_kind: str  # "exact_linear" | "multistart_fw"
+    # "exact" for a solve that takes no restarts (every term linear, or no
+    # binding resource), else "multistart_fw"
+    solver_kind: str
     iterations: int
     restarts_used: int
     # the best run's Frank-Wolfe gap when it stopped: <grad, s - x> at the
@@ -544,7 +559,7 @@ def _best_steps(value_at, n: int, coarse: int = 17, refine: int = 24):
 
 
 def _batched_frank_wolfe(evaluate, objective, lmo, x0: np.ndarray, gap_tol: float,
-                         convex: bool):
+                         convex: bool, first=None):
     """Conditional gradient ascent from each start x0[r], all runs advancing
     in lockstep along the leading axis.  evaluate maps a batch of points to
     their values, one each, and gradients, a batch; objective maps a batch
@@ -570,9 +585,15 @@ def _batched_frank_wolfe(evaluate, objective, lmo, x0: np.ndarray, gap_tol: floa
     unit steps x[r] is x + (s - x) of it, s up to rounding.  The oracle's
     batches are kept by reference, not copied, for the rounds some run
     last moved at.
+
+    first, if given, is (f, g, gap): the start values and gradients,
+    which the caller evaluated, and a term to add to each run's round-1
+    gap.  A caller that holds some terms of the objective fixed outside x
+    gives their value at each start in f and their gap toward the fixed
+    point in gap; evaluate and objective count them at that point.
     """
     x = x0.copy()
-    f, g = evaluate(x)
+    f, g = evaluate(x) if first is None else first[:2]
     iters = np.zeros(len(x), dtype=int)
     gap = np.full(len(x), np.inf)
     moved_at = np.zeros(len(x), dtype=int)  # round of each run's last move, 0 for none
@@ -586,6 +607,8 @@ def _batched_frank_wolfe(evaluate, objective, lmo, x0: np.ndarray, gap_tol: floa
         points[it] = live, s
         d = s - xl
         fw_gap = (gl * d).reshape(len(live), -1).sum(axis=1)
+        if it == 1 and first is not None:
+            fw_gap += first[2]
         iters[live], gap[live] = it, fw_gap
         keep = fw_gap > gap_tol * np.maximum(1.0, np.abs(fl))
         if not keep.all():
@@ -631,12 +654,13 @@ def _batched_frank_wolfe(evaluate, objective, lmo, x0: np.ndarray, gap_tol: floa
     return x, f, iters, gap, vertex
 
 
-def _multistart(evaluate, objective, lmo, x0: np.ndarray, gap_tol: float, convex: bool):
+def _multistart(evaluate, objective, lmo, x0: np.ndarray, gap_tol: float, convex: bool,
+                first=None):
     """Best run of the batch (the first of equal values): (index, x, f,
     iterations, gap) and the driver's vertex record, whose vertex(index)
     is the oracle's point of its last move."""
     x, f, iters, gap, vertex = _batched_frank_wolfe(evaluate, objective, lmo, x0, gap_tol,
-                                                    convex)
+                                                    convex, first)
     best = int(np.argmax(f))
     return best, x[best], float(f[best]), int(iters[best]), float(gap[best]), vertex
 
@@ -769,17 +793,18 @@ def _starts(s: Scenario, tag: int, ident: int, restarts: int, draw_shape,
     return x0
 
 
-def _receipt_oracles(terms: AppTerms, budget: np.ndarray, weight: float):
+def _receipt_oracles(terms: AppTerms, budget: np.ndarray, weight: float, held: float = 0.0):
     """Evaluation (value and gradient), objective and linear oracle on
     batched receipts t (R, M, K): the value is
-    weight * sum_ik g_ik(t_ik), and the reachable receipts are
+    weight * sum_ik g_ik(t_ik) + held, held the value of the terms that a
+    caller holds fixed outside t, and the reachable receipts are
     0 <= t <= requests with sum_i t_ik <= budget_k."""
     def evaluate(t):
         g, gp = terms.value_and_slope(t)
-        return weight * g.reshape(len(t), -1).sum(axis=1), weight * gp
+        return weight * g.reshape(len(t), -1).sum(axis=1) + held, weight * gp
 
     def objective(t):
-        return weight * terms.value(t).reshape(len(t), -1).sum(axis=1)
+        return weight * terms.value(t).reshape(len(t), -1).sum(axis=1) + held
 
     def lmo(g):
         return _greedy_fill(g, budget, terms.requests)
@@ -787,21 +812,82 @@ def _receipt_oracles(terms: AppTerms, budget: np.ndarray, weight: float):
     return evaluate, objective, lmo
 
 
-def _solve(oracles, exact: bool, starts, shape, gap_tol: float, convex: bool):
+def _solve(oracles, exact: bool, starts, shape, gap_tol: float, convex: bool, first=None):
     """One solve of the problem oracles (evaluate, objective, lmo) pose on
     points of shape: when `exact` (every term with a nonzero request is
     linear, so the gradient is constant) the oracle's point at the zero
     point's gradient, else multistart Frank-Wolfe from starts(lmo), by unit
-    steps where `convex`.  Returns the best run's index (0 if exact), point
-    and value, (solver_kind, iterations, restarts_used, gap), and the
-    oracle's point it last moved to (None if it never moved)."""
+    steps where `convex`, with the driver's `first`.  Returns the best
+    run's index (0 if exact), point and value, (solver_kind, iterations,
+    restarts_used, gap), and the oracle's point it last moved to (None if
+    it never moved)."""
     evaluate, objective, lmo = oracles
     if exact:
         x = lmo(evaluate(np.zeros((1, *shape)))[1])
-        return 0, x[0], objective(x)[0], ("exact_linear", 0, 0, 0.0), x[0]
+        return 0, x[0], objective(x)[0], ("exact", 0, 0, 0.0), x[0]
     x0 = starts(lmo)
-    best, x, value, iters, gap, vertex = _multistart(*oracles, x0, gap_tol, convex)
+    best, x, value, iters, gap, vertex = _multistart(*oracles, x0, gap_tol, convex, first)
     return best, x, value, ("multistart_fw", iters, len(x0), gap), vertex(best)
+
+
+def _solve_receipts(terms: AppTerms, budget: np.ndarray, weight: float, exact: bool, starts,
+                    gap_tol: float):
+    """Best receipts t (M, K) on budget (K,), their value
+    weight * sum g(t) and how: exact where `exact`, else by unit steps,
+    since every term is convex up to its request, which the oracle never
+    exceeds.  starts(fill) draws the start points, the scaled vertices
+    that fill builds from profits (B, M, K).
+
+    The objective is a sum over resources, each with its own budget, so a
+    slack resource, whose requests' exact sum (math.fsum) fits its
+    budget, is fixed at t = requests, and an empty one, budget 0, at
+    t = 0.  Frank-Wolfe runs on the other, binding, resources alone; a
+    solve with none is exact and draws nothing, and one with no slack or
+    empty resource solves every resource as before.  The binding columns
+    of every start are the greedy fill of their profits, as in the joint
+    problem; the slack ones start at the requests, scaled.  Round 1
+    decides as the joint problem does: one sigmoid pass over every
+    resource gives each run's start value and gradient, and the fixed
+    resources' gap toward their fixed point joins its first gap.  Once a
+    run has moved they add their value at the fixed point: 1/2 per slack
+    sigmoid term (g(r)), c * r per slack linear one, and g(0), from that
+    pass, on an empty resource.  A best run that never moved keeps its
+    start on them too."""
+    oracles = _receipt_oracles(terms, budget, weight)
+    reqs = terms.requests
+    caps = budget.tolist()
+    slack = [math.fsum(col) <= b for col, b in zip(reqs.T.tolist(), caps)]
+    cols = [k for k, b in enumerate(caps) if b > 0 and not slack[k]]
+    if exact or len(cols) == len(caps):
+        _, t, value, how, _ = _solve(oracles, exact, starts, reqs.shape, gap_tol, True)
+        return t, value, how
+    fixed = np.where(slack, reqs, 0.0)
+    if not cols:
+        return fixed, oracles[1](fixed[None])[0], ("exact", 0, 0, 0.0)
+    rest = [k for k in range(len(caps)) if k not in cols]
+
+    def fill(p):
+        v = np.empty(p.shape)
+        v[..., cols] = _greedy_fill(p[..., cols], budget[cols], reqs[:, cols])
+        v[..., rest] = fixed[:, rest]
+        return v
+
+    x0 = starts(fill)
+    g, gp = terms.value_and_slope(x0)  # the joint problem's start
+    gp = weight * gp
+    at, target = x0[..., rest], fixed[:, rest]
+    end = np.where([slack[k] for k in rest],
+                   np.where(terms.is_sigmoid[:, None], 0.5, terms.coeffs[:, rest] * target),
+                   g[0][:, rest])
+    first = (weight * g.reshape(len(x0), -1).sum(axis=1), gp[..., cols],
+             (gp[..., rest] * (target - at)).reshape(len(x0), -1).sum(axis=1))
+    best, tb, value, how, vertex = _solve(
+        _receipt_oracles(terms.resources(cols), budget[cols], weight, weight * end.sum()), False,
+        lambda lmo: x0[..., cols], (len(reqs), len(cols)), gap_tol, True, first)
+    t = np.empty(reqs.shape)
+    t[:, cols] = tb
+    t[:, rest] = at[best] if vertex is None else target
+    return t, value, how
 
 
 def _coalition_starts(s: Scenario, mask: int, size: int, m: int, restarts: int):
@@ -816,15 +902,14 @@ def _solve_pooled(s: Scenario, mask: int, size: int, terms: AppTerms, budget: np
                   weight: float, restarts: int, gap_tol: float):
     """Best receipts t (MS, K), their value and how, for the coalition of
     mask (size members) whose credit weights all equal `weight`, on
-    budget: exact where every term is linear, else from the greedy fill of
-    the drawn application factors, by unit steps, since every term is
-    convex up to its request, which the oracle never exceeds."""
+    budget, by _solve_receipts: exact where every term is linear or no
+    resource binds, else Frank-Wolfe on the binding resources from the
+    greedy fill of the drawn application factors there, its slack and
+    empty resources fixed."""
     starts = _coalition_starts(s, mask, size, len(terms.requests), restarts)
-    _, t, value, how, _ = _solve(
-        _receipt_oracles(terms, budget, weight), terms.all_linear,
-        lambda lmo: starts(lambda d: lmo(np.swapaxes(d[..., size:], -1, -2))),
-        terms.requests.shape, gap_tol, True)
-    return t, value, how
+    return _solve_receipts(terms, budget, weight, terms.all_linear,
+                           lambda fill: starts(lambda d: fill(np.swapaxes(d[..., size:], -1, -2))),
+                           gap_tol)
 
 
 def _report(value, allocation: Allocation, how, t0: float) -> SolveReport:
@@ -875,7 +960,11 @@ def solve_residual(
     residual_reqs is (M, K) over all applications with n's own rows (and any
     exhausted rows) at zero; income for each served application is measured
     by its owner's utility as the lift over the residual's zero-allocation
-    baseline, so shipping nothing earns exactly 0.
+    baseline, so shipping nothing earns exactly 0.  The solve is
+    _solve_receipts': a resource whose residual capacity covers every
+    foreign residual request ships them all, one with no residual capacity
+    ships nothing, and Frank-Wolfe runs on the rest, if any; it is exact
+    where every foreign owner is linear.
     """
     _check_settings(restarts, gap_tol)
     t0 = time.perf_counter()
@@ -885,10 +974,9 @@ def solve_residual(
     baseline = float(terms.value(np.zeros_like(reqs)).sum())
     foreign_linear = all(
         s.utilities[j].kind == "linear" for j in range(s.n_players) if j != n)
-    starts = functools.partial(_starts, s, _RESIDUAL_TAG, n, restarts, reqs.shape)
-    _, t, value, how, _ = _solve(
-        _receipt_oracles(terms, np.asarray(residual_caps, dtype=float), 1.0), foreign_linear,
-        starts, reqs.shape, gap_tol, True)
+    t, value, how = _solve_receipts(
+        terms, np.asarray(residual_caps, dtype=float), 1.0, foreign_linear,
+        functools.partial(_starts, s, _RESIDUAL_TAG, n, restarts, reqs.shape), gap_tol)
     full = np.zeros((s.n_players, s.m_total, s.n_resources))
     full[n] = t
     return _report(value - baseline, Allocation(full), how, t0)

@@ -53,6 +53,10 @@ class AppTerms:
     def with_requests(self, requests: np.ndarray) -> "AppTerms":
         return AppTerms(self.is_sigmoid, self.mu, self.coeffs, requests)
 
+    def resources(self, k: list[int]) -> "AppTerms":
+        """The terms of the resources k (indices along the last axis)."""
+        return AppTerms(self.is_sigmoid, self.mu, self.coeffs[:, k], self.requests[:, k])
+
     @cached_property
     def all_sigmoid(self) -> bool:
         """Every term is sigmoid: value and slope skip the linear branch."""

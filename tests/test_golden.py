@@ -21,6 +21,25 @@ its singleton coalition, on that coalition's restart streams moved the
 1:0.5 run and fast-run hashes alone: player 2's phase 1 went from
 7.000611277318003 to 7.0006112773180025, which is v({2}), and its fast
 gain from 8.9e-16 to 0.0.
+
+Fixing slack resources at their requests in closed form, and running
+Frank-Wolfe on the binding resources alone, moved the five 3x5 sigmoid
+hashes (all but the 1:0.5 verify one) by rounding, at most 2.5e-16
+relative for a value or payoff (the payoff gains and verify deficits,
+differences of those, by up to 1.4e-14).  1:1: v({2}) 7.500000000000002
+-> 7.5 (every request filled, 1/2 per term), v({3}) 6.5772003557856555
+-> 6.577200355785655, v({1,2}) 14.175435768332417 -> 14.175435768332418,
+v({1,3}) 13.500015737951085 -> 13.500015737951083, v({1,2,3})
+21.017488128732463 -> 21.01748812873246, fast payoff 2
+8.921056225491617 -> 8.921056225491615, Shapley payoffs
+6.278615083427551 -> 6.278615083427552, 7.768991441301376 ->
+7.768991441301375, 6.969881604003535 -> 6.969881604003534, verify
+deficits {1,2} 0.12782924360348957 -> 0.12782924360349135 and {1,3}
+0.2515190505199989 -> 0.2515190505199971.  1:0.5: v({1}) 7.500000000000001
+-> 7.5, v({3}) 7.036628316827107 -> 7.036628316827106, fast payoff 1
+7.981380202927448 -> 7.981380202927447 (fast total 22.01861979707256 ->
+22.018619797072557), Shapley payoff 2 7.205688491809742 ->
+7.2056884918097435.  The linear hashes did not move.
 """
 import hashlib
 
@@ -31,12 +50,12 @@ from edgeshare.cli import main
 GOLDEN = [
     (["--players", "3", "--apps", "5", "--utility", "sigmoid", "--mu", "3",
       "--weights", "1:1", "--seed", "1"],
-     "81603c32bd84c4d29e799804053bb6ec36788cc7f8c986a0095da547db91ea9d",
-     "bbdf85a7f69a1f67bea24ec8ce7eb71c46bdda2e17bac608512b7c0585033268"),
+     "7e4450a7cd139085d9bce252ca3318b44e66b41bc446cef76ddc2def3f5b3169",
+     "8ef59b47d7f878bc7e0572f4af46f3c41f561ece5b1ecf9ea1d4cfd3d43b9851"),
     (["--players", "3", "--apps", "5", "--utility", "sigmoid", "--mu", "3",
       "--weights", "1:0.5", "--seed", "2"],
-     "a611855c8f2691865d0a245d110c86bb2d6123827a6d47ec70be936a594314fe",
-     "ae8a59d842ba8f0d2a964a4c7c67aa714ed719fd39e811e43f0b6dd428dc34f6"),
+     "f28fc88974a894910cdb7a503aba2e16f57594a53be8be65cdced285ec711181",
+     "2eb5f011039213b175508706167ed90e547eb477fbc9c964095329589685870c"),
     (["--players", "4", "--apps", "3", "--utility", "linear", "--seed", "3"],
      "2a20f943c2660594c479cfd092c5ff4dd896d9927b77cba9677db916c6215491",
      "20c2a9956306e2638776486a291d3e6a9c0940ace82fadccd2e0430c331e3e2a"),
@@ -47,10 +66,10 @@ IDS = ["3x5-sigmoid-1:1", "3x5-sigmoid-1:0.5", "4x3-linear"]
 # violation, so deficits are pinned too) and run --method fast's
 # coalition.csv (singleton rows from the native solves)
 GOLDEN_VERIFY_FAST = [
-    ("f95bd3631bd2a780773699e9b57b076662adfc49cf1358aac3abdb6a0c1f8760",
-     "6a105b5c61f8c1843d9225ac7410690f8c6782a1cd8a09fe16282d7101f9519c"),
+    ("809104912bcc1555f5106caf1ed4d317399c3c0ee43ee07fd4ef0944f911ee62",
+     "c1b1856233b67603b5777eda466482d2df76c181a21bd7f539daaa4dc4101d3e"),
     ("09b4ad476c94e188caeee01bd86befeba3ec9d5ba8da00d52e68c4075a0612d2",
-     "0e03b4fb003ded148e53ab338055536912e75cc96aee3c45af090b88810db1aa"),
+     "4ef6ccde551113a2b5ca814e22400e824bd7381370191a476698a0b080cb039e"),
     ("ed75d5813104131ead46ae685dcf7e5a37b65c087df799269401137e37d3819d",
      "8507f5e55ab8b4460428d3b67c1252531052d28d9f643bab9f9fdba4614ecf5f"),
 ]

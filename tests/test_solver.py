@@ -10,9 +10,11 @@ import hashlib
 import importlib.machinery
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from scipy.optimize import linprog
 from edgeshare import solver
 from edgeshare.analysis import TABLE_VALUE_RTOL
 from edgeshare.cli import main
-from edgeshare.engine import build_characteristic_table
+from edgeshare.engine import build_characteristic_table, fast_core
 from edgeshare.model import (
     Allocation,
     Coalition,
@@ -676,7 +678,7 @@ def test_linear_own_foreign_solves_ship_the_member_oracle_vertex():
                 rep = solve_coalition(s, c)
                 gs = prob.evaluate(np.zeros((1, prob.size, *prob.reqs.shape)))[1]
                 want = own_foreign_vertex(prob, gs)[0]
-                assert rep.solver_kind == "exact_linear", c.label()
+                assert rep.solver_kind == "exact", c.label()
                 assert rep.allocation.x.tobytes() == want.tobytes(), (seed, c.label())
                 assert rep.value == pytest.approx(prob.objective(want), rel=1e-15), c.label()
 
@@ -787,7 +789,7 @@ def test_residual_exact_when_only_the_seller_is_sigmoid():
     )
     rep = solve_residual(s, 0, residual_caps=np.array([1.0]),
                          residual_reqs=np.array([[1.0], [1.5]]))
-    assert rep.solver_kind == "exact_linear"
+    assert rep.solver_kind == "exact"
     assert rep.value == pytest.approx(1.0, abs=1e-12)
     assert rep.allocation.x[0, 0, 0] == 0.0
     assert rep.allocation.x[0, 1, 0] == pytest.approx(1.0, abs=1e-12)
@@ -901,7 +903,7 @@ def test_linear_coalition_with_member_weights_matches_brute_force():
         owner = np.repeat(np.arange(n_players), apps)
         s = linear_scenario(caps, reqs, owner, coeffs=coeffs, w=w, zeta=w)
         rep = solve_coalition(s, Coalition.grand(n_players))
-        assert rep.solver_kind == "exact_linear"
+        assert rep.solver_kind == "exact"
         assert audit_allocation(s, rep.allocation, Coalition.grand(n_players)) == []
         want = brute_force_transport(w[:, None] * coeffs[None, :, 0], caps[:, 0], reqs[:, 0])
         assert rep.value == pytest.approx(want, abs=1e-9)
@@ -978,16 +980,23 @@ def test_multistart_dominates_single_start():
 
 
 def test_solver_reports_are_consistent():
-    s = generate_scenario(3, 2, 2, utility="sigmoid", mu=1.0, seed=37)
+    # seed 37's grand coalition has no binding resource (both budgets
+    # cover their requests), so its solve is exact; seed 40's has one
+    # binding resource and one slack one
     c = Coalition.grand(3)
-    rep = solve_coalition(s, c, restarts=4)
-    assert audit_allocation(s, rep.allocation, c) == []
-    # reported value equals the objective recomputed at the allocation
-    assert rep.value == pytest.approx(
-        CoalitionProblem.build(s, c).objective(rep.allocation.x), abs=1e-9)
-    assert rep.solver_kind == "multistart_fw"
-    assert rep.restarts_used == 4
-    assert rep.gap >= 0.0 or rep.iterations > 0
+    for seed, kind in ((37, "exact"), (40, "multistart_fw")):
+        s = generate_scenario(3, 2, 2, utility="sigmoid", mu=1.0, seed=seed)
+        rep = solve_coalition(s, c, restarts=4)
+        assert audit_allocation(s, rep.allocation, c) == []
+        # reported value equals the objective recomputed at the allocation
+        assert rep.value == pytest.approx(
+            CoalitionProblem.build(s, c).objective(rep.allocation.x), abs=1e-9)
+        assert rep.solver_kind == kind
+        if kind == "exact":
+            assert (rep.iterations, rep.restarts_used, rep.gap) == (0, 0, 0.0)
+            continue
+        assert rep.restarts_used == 4
+        assert rep.gap >= 0.0 or rep.iterations > 0
     # uniform-weight coalitions solve on pooled receipts; the member
     # allocation built from them must be feasible and worth the value
     for n_players in (2, 3, 4):
@@ -1132,6 +1141,95 @@ def test_invalid_gap_tol_is_rejected(gap_tol):
 
 
 # ---------------------------------------------------------------------------
+# slack and empty resources of receipt-space solves
+
+
+def slack_empty_scenario():
+    """3 players, 4 sigmoid applications each (requests in [1, 10]), three
+    resources: the first slack in every solve (capacity 100 each), the
+    second empty for player 1 alone, the third binding (capacity 2)."""
+    s = generate_scenario(3, 3, 4, utility="sigmoid", mu=3.0, seed=5)
+    caps = s.capacities.copy()
+    caps[:, 0], caps[1, 1], caps[:, 2] = 100.0, 0.0, 2.0
+    return dataclasses.replace(s, capacities=caps)
+
+
+def test_slack_and_empty_resources_are_fixed_exactly():
+    """A slack resource's receipts are its requests bit for bit and an empty
+    one's are 0, in native, residual and pooled coalition solves, while
+    the binding resource runs Frank-Wolfe."""
+    s = slack_empty_scenario()
+    for n in range(3):
+        rep = solve_native(s, n)
+        t = rep.allocation.x[n, s.apps_of(n)]
+        assert rep.solver_kind == "multistart_fw"
+        assert t[:, 0].tobytes() == s.requests[s.apps_of(n), 0].tobytes(), n
+        if n == 1:
+            assert (t[:, 1] == 0).all()
+        reqs = s.requests.copy()
+        rep = solve_residual(s, n, np.array([100.0, 0.0, 1.0]), reqs)
+        reqs[s.apps_of(n)] = 0.0
+        t = rep.allocation.x[n]
+        assert rep.solver_kind == "multistart_fw"
+        assert t[:, 0].tobytes() == reqs[:, 0].tobytes(), n
+        assert (t[:, 1] == 0).all(), n
+    for c in all_coalitions(3):
+        prob = CoalitionProblem.build(s, c)
+        t, _, how = solver._solve_pooled(s, c.mask, prob.size, prob.terms, prob.caps.sum(axis=0),
+                                         prob.uniform_weight, 16, solver.DEFAULT_GAP_TOL)
+        assert how[0] == "multistart_fw", c.label()
+        assert t[:, 0].tobytes() == prob.reqs[:, 0].tobytes(), c.label()
+
+
+def test_all_slack_scenarios_draw_no_starts(monkeypatch):
+    """When every budget covers the requests it serves, every native,
+    residual and coalition solve is exact: no restart stream is drawn."""
+    def no_draws(*args):
+        raise AssertionError("a solve with no binding resource drew start points")
+
+    monkeypatch.setattr(solver, "_starts", no_draws)
+    s = generate_scenario(3, 2, 4, utility="sigmoid", mu=3.0, seed=2)
+    s = dataclasses.replace(s, capacities=np.full((3, 2), 50.0))
+    table = build_characteristic_table(s)
+    fast = fast_core(s)
+    for rep in table.reports.values():
+        assert (rep.solver_kind, rep.iterations, rep.restarts_used, rep.gap) == \
+            ("exact", 0, 0, 0.0)
+    assert (fast.phase2 == 0).all()
+    assert table.values[-1] == 0.5 * 3 * 4 * 2  # every request filled: 1/2 per term
+
+
+def test_split_solves_never_fall_below_the_joint_solve():
+    """On 200 random receipt problems (2-4 resources, 3-8 applications,
+    mu 1, 3 or 10, every fourth with linear terms too, each budget drawn
+    slack, empty or binding), the split solve's value is never below the
+    joint solve's (_solve over every resource, from the same streams) by
+    more than 1e-12 relative, and it is the objective at its receipts."""
+    rng = np.random.default_rng(11)
+    for case in range(200):
+        k, m = rng.integers(2, 5), rng.integers(3, 9)
+        reqs = rng.uniform(1.0, 10.0, size=(m, k))
+        sig = np.ones(m, dtype=bool) if case % 4 else rng.random(m) < 0.5
+        terms = AppTerms(sig, np.where(sig, (1.0, 3.0, 10.0)[case % 3], 0.0),
+                         rng.uniform(0.5, 2.0, size=(m, k)), reqs)
+        kind = rng.integers(0, 3, size=k)  # 0 slack, 1 empty, 2 binding
+        budget = np.select([kind == 0, kind == 1], [reqs.sum(axis=0) + rng.uniform(0, 5, k), 0.0],
+                           rng.uniform(0.1, 0.9, k) * reqs.sum(axis=0))
+        # the residual streams of a scenario of seed `case`, seller `case`
+        starts = functools.partial(solver._starts, types.SimpleNamespace(seed=case),
+                                   solver._RESIDUAL_TAG, case, 16, reqs.shape)
+        t, value, _ = solver._solve_receipts(terms, budget, 1.0, False, starts,
+                                             solver.DEFAULT_GAP_TOL)
+        joint = solver._solve(solver._receipt_oracles(terms, budget, 1.0), False, starts,
+                              reqs.shape, solver.DEFAULT_GAP_TOL, True)[2]
+        assert value >= joint - 1e-12 * abs(joint), case
+        assert value == pytest.approx(terms.value(t).sum(), rel=1e-12), case
+        # unit steps reach the oracle's point up to rounding
+        assert (t >= 0).all() and (t <= reqs * (1 + 1e-12)).all(), case
+        assert (t.sum(axis=0) <= budget * (1 + 1e-12)).all(), case
+
+
+# ---------------------------------------------------------------------------
 # start points and the factored oracle
 
 
@@ -1246,9 +1344,10 @@ def test_solves_repeat_bit_for_bit_around_other_solves_and_draws():
 def test_coalition_solves_draw_the_coalition_streams(monkeypatch):
     """Every coalition solve, on pooled receipts and in member coordinates,
     draws its starts from tag 0xC3 and its mask in the (K, S + MS) layout
-    of member then application factors; a pooled start is the scaled
-    greedy fill of the drawn application factors against the pooled
-    budget."""
+    of member then application factors.  On a binding resource of the
+    pooled budget (its requests' exact sum above a positive budget) a
+    pooled start is the scaled greedy fill of the drawn application
+    factors; a pooled solve with no binding resource draws nothing."""
     calls = []
     starts = solver._starts
 
@@ -1259,26 +1358,33 @@ def test_coalition_solves_draw_the_coalition_streams(monkeypatch):
 
     monkeypatch.setattr(solver, "_starts", recording)
     paths = set()
-    for w, zeta in ((1.0, 1.0), (1.0, 0.5)):
-        s = generate_scenario(3, 2, 3, utility="sigmoid", mu=3.0, seed=9, w=w, zeta=zeta)
+    for seed, zeta in itertools.product((1, 9), (1.0, 0.5)):
+        s = generate_scenario(3, 2, 3, utility="sigmoid", mu=3.0, seed=seed, zeta=zeta)
         for c in all_coalitions(3):
             calls.clear()
             solve_coalition(s, c, restarts=5)
             prob = CoalitionProblem.build(s, c)
+            budget = prob.caps.sum(axis=0)
+            binding = [k for k in range(s.n_resources)
+                       if budget[k] > 0 and math.fsum(prob.reqs[:, k]) > budget[k]]
+            pooled = prob.uniform_weight is not None
+            paths.add("members" if not pooled else len(binding))
+            if pooled and not binding:
+                assert calls == [], c.label()
+                continue
             [(tag, ident, shape, x0)] = calls
             assert (tag, ident, shape) == \
                 (solver._COALITION_TAG, c.mask, (s.n_resources, prob.size + len(prob.apps)))
-            pooled = prob.uniform_weight is not None
-            paths.add(pooled)
             if not pooled:
                 assert x0.shape == (5, prob.size, *prob.reqs.shape)
                 continue
             draws = restart_draws(s.seed, tag, c.mask, 5, 1 + int(np.prod(shape)))
             for r, row in enumerate(draws, start=1):
                 gamma = row[1:].reshape(shape)[:, prob.size:]
-                want = row[0] * solver._greedy_fill(gamma.T, prob.caps.sum(axis=0), prob.reqs)
-                assert x0[r].tobytes() == want.tobytes(), f"{c.label()} restart {r}"
-    assert paths == {True, False}
+                want = row[0] * solver._greedy_fill(gamma.T, budget, prob.reqs)
+                assert x0[r][:, binding].tobytes() == want[:, binding].tobytes(), \
+                    f"{c.label()} restart {r}"
+    assert paths == {"members", 0, 1, 2}  # no, some and every resource binding
 
 
 def count_lps(monkeypatch):
