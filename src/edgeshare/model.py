@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,7 +50,7 @@ class UtilitySpec:
         if self.kind not in ("linear", "sigmoid"):
             raise ValueError(f"unknown utility kind {self.kind!r}")
         if self.kind == "sigmoid":
-            if self.mu is None or not np.isfinite(self.mu) or self.mu <= 0:
+            if self.mu is None or not math.isfinite(self.mu) or self.mu <= 0:
                 raise ValueError(f"sigmoid utility needs mu finite and > 0, got {self.mu}")
             if self.coeffs is not None:
                 raise ValueError("sigmoid utility takes no coefficients")
@@ -412,12 +414,35 @@ def _field(obj: dict, key: str, kind, what: str, where: str):
     return value
 
 
+def _is_number(value) -> bool:
+    """A JSON number within a float's range (true and false are none)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (isinstance(value, float) or abs(value) <= sys.float_info.max))
+
+
+def _number(obj: dict, key: str, where: str):
+    """obj[key] if it is a number (_is_number), else a ValueError naming
+    the field."""
+    if not _is_number(value := obj.get(key)):
+        raise ValueError(f"{where}: {key!r} must be a number, got {value!r}")
+    return value
+
+
 def _numbers(obj: dict, key: str, where: str) -> np.ndarray:
-    """A field holding a (nested) list of numbers, as a float array."""
+    """A field holding a (nested) list of numbers, as a float array; a
+    leaf that is no number (_is_number) or a ragged list is a ValueError
+    naming the field."""
     value = _field(obj, key, list, "a list of numbers", where)
+    lists = [value]
+    while lists:
+        for leaf in lists.pop():
+            if isinstance(leaf, list):
+                lists.append(leaf)
+            elif not _is_number(leaf):
+                raise ValueError(f"{where}: {key!r} must hold numbers alone, got {leaf!r}")
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ValueError(f"{where}: {key!r} must be a list of numbers, got {value!r}") from None
 
 
@@ -450,13 +475,12 @@ def scenario_from_json(text: str) -> Scenario:
         if extra in u:
             raise ValueError(f"{where}.utility: {kind} utility takes no {extra!r}")
         if kind == "sigmoid":
-            specs.append(UtilitySpec("sigmoid", mu=_field(
-                u, "mu", (int, float), "a number", f"{where}.utility")))
+            specs.append(UtilitySpec("sigmoid", mu=_number(u, "mu", f"{where}.utility")))
         else:
             coeffs = _numbers(u, "coeffs", f"{where}.utility") if "coeffs" in u else None
             specs.append(UtilitySpec(kind, coeffs=coeffs))
-        ws.append(_field(p, "w", (int, float), "a number", where))
-        zs.append(_field(p, "zeta", (int, float), "a number", where))
+        ws.append(_number(p, "w", where))
+        zs.append(_number(p, "zeta", where))
     try:
         capacities = np.asarray(caps, dtype=float)
     except ValueError:

@@ -12,17 +12,18 @@ run leaves it; a round in which every run moved adopts the new points,
 values and gradients as the batch, uncopied.  The driver evaluates each
 point once: one sigmoid pass gives its value and its gradient, and a run
 carries the gradient of the point it moved to into its next round.
-Line-search probes compute the value alone.
 
 Every sigmoid term is convex at receipts up to its request, and no
 feasible point exceeds a request, so receipt objectives are convex, and so
 are member-coordinate objectives whose credit weights do not increase
 along the attribution order (CoalitionProblem.convex), and own/total ones
-(nonnegative weights w - zeta and zeta).  There each round
-takes the unit step to the oracle's point; only the other weightings
-(some zeta above an owner's w, say) search the step by golden section.
+(nonnegative weights w - zeta and zeta).  There each round takes the unit
+step to the oracle's point; only the other weightings (some zeta above an
+owner's w, say) search the step by golden section, the one use of the
+value-only objective their solves alone pass to the driver.
 
-Every problem runs one solve (_solve), in one of three coordinates.
+Every problem runs one solve (_solve) from its starts, in one of three
+coordinates.
 Receipts t_ik per application serve every problem whose objective is one
 weight times the total satisfaction at them: a native or residual
 provider, and a coalition whose credit weights are all equal (w == zeta
@@ -558,39 +559,38 @@ def _best_steps(value_at, n: int, coarse: int = 17, refine: int = 24):
     return best_g, best_v
 
 
-def _batched_frank_wolfe(evaluate, objective, lmo, x0: np.ndarray, gap_tol: float,
-                         convex: bool, first=None):
+def _batched_frank_wolfe(evaluate, lmo, x0: np.ndarray, gap_tol: float, objective=None,
+                         first=None):
     """Conditional gradient ascent from each start x0[r], all runs advancing
     in lockstep along the leading axis.  evaluate maps a batch of points to
-    their values, one each, and gradients, a batch; objective maps a batch
-    to values alone, bit for bit evaluate's; lmo maps a batch to a batch.
+    their values, one each, and gradients, a batch; lmo maps a batch to a
+    batch; objective, if given, maps a batch to evaluate's values alone.
 
     Each run carries the gradient from the evaluation that moved it, so
-    every point is evaluated once.  When the objective is convex on the
-    feasible set its maximum along the segment [x, s] sits at an end, so
-    each round evaluates only the vertex s and moves there if it is better
-    (the successive linearization algorithm); otherwise a coarse scan and
-    golden-section search of objective pick the step and its value, and
-    the point it moves to is evaluated again for its gradient.  Run r
-    stops when its Frank-Wolfe gap <grad, s - x> drops below
-    gap_tol * max(1, |f|), when its step cannot improve, or after MAX_ITER
-    rounds; a stopped run leaves the batch, so every run follows the path
-    it would follow alone.  The live runs' batch starts as x and f
-    themselves; only a round where some run leaves writes the leavers back
-    and compacts the rest, and a round in which every live run moved adopts
-    the new points, values and gradients as the batch instead of copying
-    them in.  Iterates stay feasible as convex combinations of vertices.
-    Returns per-run (x, f, iterations, gap) and vertex: vertex(r) is the
-    oracle's point s of run r's last move, None if it never moved; with
-    unit steps x[r] is x + (s - x) of it, s up to rounding.  The oracle's
-    batches are kept by reference, not copied, for the rounds some run
-    last moved at.
+    every point is evaluated once.  With no objective each round evaluates
+    only the vertex s and moves there if it is better (the successive
+    linearization algorithm: a convex objective peaks at an end of [x, s]);
+    given one, a coarse scan and golden-section search of it pick the
+    step and its value, and the point it moves to is evaluated again for
+    its gradient.  Run r stops when its Frank-Wolfe gap <grad, s - x>
+    drops below gap_tol * max(1, |f|), when its step cannot improve, or
+    after MAX_ITER rounds; a stopped run leaves the batch, so every run
+    follows the path it would follow alone.  The live runs' batch starts
+    as x and f themselves; only a round where some run leaves writes the
+    leavers back and compacts the rest, and a round in which every live
+    run moved adopts the new points, values and gradients as the batch
+    instead of copying them in.  Iterates stay feasible as convex
+    combinations of vertices.  Returns per-run (x, f, iterations, gap)
+    and vertex: vertex(r) is the oracle's point s of run r's last move,
+    None if it never moved; with unit steps x[r] is x + (s - x) of it, s
+    up to rounding.  The oracle's batches are kept by reference, not
+    copied, for the rounds some run last moved at.
 
     first, if given, is (f, g, gap): the start values and gradients,
     which the caller evaluated, and a term to add to each run's round-1
     gap.  A caller that holds some terms of the objective fixed outside x
     gives their value at each start in f and their gap toward the fixed
-    point in gap; evaluate and objective count them at that point.
+    point in gap; evaluate counts them at that point.
     """
     x = x0.copy()
     f, g = evaluate(x) if first is None else first[:2]
@@ -617,7 +617,7 @@ def _batched_frank_wolfe(evaluate, objective, lmo, x0: np.ndarray, gap_tol: floa
             live, xl, fl, d = live[keep], xl[keep], fl[keep], d[keep]
             if not live.size:
                 break
-        if convex:
+        if objective is None:
             x_new = xl + d  # as the line search's step 1 forms it; xl + (s - xl) may round off s
             f_new, g_new = evaluate(x_new)
             move = f_new > fl
@@ -631,11 +631,11 @@ def _batched_frank_wolfe(evaluate, objective, lmo, x0: np.ndarray, gap_tol: floa
             live, f_new = live[move], f_new[move]
             if not live.size:
                 break
-            if convex:
+            if objective is None:
                 x_new, g_new = x_new[move], g_new[move]
             else:
                 xl, d, step = xl[move], d[move], step[move]
-        if not convex:
+        if objective is not None:
             x_new = xl + step.reshape(bcast) * d
             g_new = evaluate(x_new)[1]
         # every live run moved: the new points are the batch
@@ -652,17 +652,6 @@ def _batched_frank_wolfe(evaluate, objective, lmo, x0: np.ndarray, gap_tol: floa
         return s[np.searchsorted(runs, r)]
 
     return x, f, iters, gap, vertex
-
-
-def _multistart(evaluate, objective, lmo, x0: np.ndarray, gap_tol: float, convex: bool,
-                first=None):
-    """Best run of the batch (the first of equal values): (index, x, f,
-    iterations, gap) and the driver's vertex record, whose vertex(index)
-    is the oracle's point of its last move."""
-    x, f, iters, gap, vertex = _batched_frank_wolfe(evaluate, objective, lmo, x0, gap_tol,
-                                                    convex, first)
-    best = int(np.argmax(f))
-    return best, x[best], float(f[best]), int(iters[best]), float(gap[best]), vertex
 
 
 def _check_settings(restarts: int, gap_tol: float) -> None:
@@ -762,7 +751,7 @@ def _starts(s: Scenario, tag: int, ident: int, restarts: int, draw_shape,
     then uniform factors of draw_shape, and starts at the scaled vertex
     that vertices (batched over restarts) builds from those factors.
 
-    The streams are unchanged, but no SeedSequence or PCG64 is built per
+    These are those streams, but no SeedSequence or PCG64 is built per
     restart: the seed words come from ident's block of _seed_block, which
     keeps the last four blocks (64 * (restarts - 1) * 32 bytes each, 30 KiB
     at 16 restarts), and the one PCG64 of _generator is set to each stream
@@ -794,40 +783,38 @@ def _starts(s: Scenario, tag: int, ident: int, restarts: int, draw_shape,
 
 
 def _receipt_oracles(terms: AppTerms, budget: np.ndarray, weight: float, held: float = 0.0):
-    """Evaluation (value and gradient), objective and linear oracle on
-    batched receipts t (R, M, K): the value is
-    weight * sum_ik g_ik(t_ik) + held, held the value of the terms that a
-    caller holds fixed outside t, and the reachable receipts are
-    0 <= t <= requests with sum_i t_ik <= budget_k."""
+    """Evaluation (value and gradient) and linear oracle on batched
+    receipts t (R, M, K): the value is weight * sum_ik g_ik(t_ik) + held,
+    held the value of the terms that a caller holds fixed outside t, and
+    the reachable receipts are 0 <= t <= requests with
+    sum_i t_ik <= budget_k."""
     def evaluate(t):
         g, gp = terms.value_and_slope(t)
         return weight * g.reshape(len(t), -1).sum(axis=1) + held, weight * gp
 
-    def objective(t):
-        return weight * terms.value(t).reshape(len(t), -1).sum(axis=1) + held
-
     def lmo(g):
         return _greedy_fill(g, budget, terms.requests)
 
-    return evaluate, objective, lmo
+    return evaluate, lmo
 
 
-def _solve(oracles, exact: bool, starts, shape, gap_tol: float, convex: bool, first=None):
-    """One solve of the problem oracles (evaluate, objective, lmo) pose on
-    points of shape: when `exact` (every term with a nonzero request is
-    linear, so the gradient is constant) the oracle's point at the zero
-    point's gradient, else multistart Frank-Wolfe from starts(lmo), by unit
-    steps where `convex`, with the driver's `first`.  Returns the best
-    run's index (0 if exact), point and value, (solver_kind, iterations,
-    restarts_used, gap), and the oracle's point it last moved to (None if
-    it never moved)."""
-    evaluate, objective, lmo = oracles
+def _solve(oracles, exact: bool, x0: np.ndarray, gap_tol: float, objective=None, first=None):
+    """One solve of the problem oracles (evaluate, lmo) pose, from the
+    start batch x0: when `exact` (every term with a nonzero request is
+    linear, so the gradient is constant; x0 is one zero point) the
+    oracle's point at x0's gradient, else the best run (the first of equal
+    values) of the batched driver from x0, given objective and first.
+    Returns the best run's index (0 if exact), point and value,
+    (solver_kind, iterations, restarts_used, gap), and the oracle's point
+    it last moved to (None if it never moved)."""
+    evaluate, lmo = oracles
     if exact:
-        x = lmo(evaluate(np.zeros((1, *shape)))[1])
-        return 0, x[0], objective(x)[0], ("exact", 0, 0, 0.0), x[0]
-    x0 = starts(lmo)
-    best, x, value, iters, gap, vertex = _multistart(*oracles, x0, gap_tol, convex, first)
-    return best, x, value, ("multistart_fw", iters, len(x0), gap), vertex(best)
+        x = lmo(evaluate(x0)[1])
+        return 0, x[0], evaluate(x)[0][0], ("exact", 0, 0, 0.0), x[0]
+    x, f, iters, gap, vertex = _batched_frank_wolfe(evaluate, lmo, x0, gap_tol, objective, first)
+    best = int(np.argmax(f))
+    how = ("multistart_fw", int(iters[best]), len(x0), float(gap[best]))
+    return best, x[best], float(f[best]), how, vertex(best)
 
 
 def _solve_receipts(terms: AppTerms, budget: np.ndarray, weight: float, exact: bool, starts,
@@ -843,7 +830,7 @@ def _solve_receipts(terms: AppTerms, budget: np.ndarray, weight: float, exact: b
     budget, is fixed at t = requests, and an empty one, budget 0, at
     t = 0.  Frank-Wolfe runs on the other, binding, resources alone; a
     solve with none is exact and draws nothing, and one with no slack or
-    empty resource solves every resource as before.  The binding columns
+    empty resource runs jointly on all of them.  The binding columns
     of every start are the greedy fill of their profits, as in the joint
     problem; the slack ones start at the requests, scaled.  Round 1
     decides as the joint problem does: one sigmoid pass over every
@@ -853,17 +840,18 @@ def _solve_receipts(terms: AppTerms, budget: np.ndarray, weight: float, exact: b
     sigmoid term (g(r)), c * r per slack linear one, and g(0), from that
     pass, on an empty resource.  A best run that never moved keeps its
     start on them too."""
-    oracles = _receipt_oracles(terms, budget, weight)
+    evaluate, lmo = oracles = _receipt_oracles(terms, budget, weight)
     reqs = terms.requests
     caps = budget.tolist()
     slack = [math.fsum(col) <= b for col, b in zip(reqs.T.tolist(), caps)]
     cols = [k for k, b in enumerate(caps) if b > 0 and not slack[k]]
     if exact or len(cols) == len(caps):
-        _, t, value, how, _ = _solve(oracles, exact, starts, reqs.shape, gap_tol, True)
+        x0 = np.zeros((1, *reqs.shape)) if exact else starts(lmo)
+        _, t, value, how, _ = _solve(oracles, exact, x0, gap_tol)
         return t, value, how
     fixed = np.where(slack, reqs, 0.0)
     if not cols:
-        return fixed, oracles[1](fixed[None])[0], ("exact", 0, 0, 0.0)
+        return fixed, evaluate(fixed[None])[0][0], ("exact", 0, 0, 0.0)
     rest = [k for k in range(len(caps)) if k not in cols]
 
     def fill(p):
@@ -883,7 +871,7 @@ def _solve_receipts(terms: AppTerms, budget: np.ndarray, weight: float, exact: b
              (gp[..., rest] * (target - at)).reshape(len(x0), -1).sum(axis=1))
     best, tb, value, how, vertex = _solve(
         _receipt_oracles(terms.resources(cols), budget[cols], weight, weight * end.sum()), False,
-        lambda lmo: x0[..., cols], (len(reqs), len(cols)), gap_tol, True, first)
+        x0[..., cols], gap_tol, first=first)
     t = np.empty(reqs.shape)
     t[:, cols] = tb
     t[:, rest] = at[best] if vertex is None else target
@@ -999,11 +987,11 @@ def _random_staircases(prob: CoalitionProblem, draws: np.ndarray) -> np.ndarray:
 
 
 def _member_oracles(prob: CoalitionProblem):
-    """Evaluation (value and gradient), objective and linear oracle in
-    member coordinates (R, S, MS, K), each on the whole batch, of a
-    coalition with unequal credit weights and no prob.own_foreign.  The
-    oracle solves one transport LP per resource and distinct gradient
-    slice, and restarts whose slices are equal share its vertex."""
+    """Evaluation (value and gradient) and linear oracle in member
+    coordinates (R, S, MS, K), each on the whole batch, of a coalition
+    with unequal credit weights and no prob.own_foreign.  The oracle
+    solves one transport LP per resource and distinct gradient slice, and
+    restarts whose slices are equal share its vertex."""
     def lmo(gs):
         out = np.empty_like(gs)
         for k in range(gs.shape[-1]):
@@ -1015,16 +1003,7 @@ def _member_oracles(prob: CoalitionProblem):
                 out[r, ..., k] = vertex_of[key]
         return out
 
-    return prob.evaluate, prob.objective, lmo
-
-
-def _own_total_oracles(prob: CoalitionProblem):
-    """Evaluation, objective and linear oracle (_lmo_own_total) of a
-    coalition with prob.own_foreign, on batches of own/total points
-    (R, 2, MS, K): its own supply and total receipts per application and
-    resource."""
-    return (prob.own_total_evaluate, prob.own_total_objective,
-            functools.partial(_lmo_own_total, prob))
+    return prob.evaluate, lmo
 
 
 def solve_coalition(
@@ -1060,15 +1039,15 @@ def solve_coalition(
         x = _staircase(prob.caps.T, t.T).transpose(1, 2, 0)
         return _report(value, Allocation(x), how, t0)
     exact = prob.terms.all_linear
-    # member starts: the staircases of the drawn factors
+    # member starts: the staircases of the drawn factors, or one zero point
     starts = _coalition_starts(s, coalition.mask, prob.size, len(prob.apps), restarts)
-    x0 = None if exact else starts(functools.partial(_random_staircases, prob))
+    x0 = (np.zeros((1, prob.size, *prob.reqs.shape)) if exact
+          else starts(functools.partial(_random_staircases, prob)))
     if prob.own_foreign:
-        best, _, value, how, y = _solve(_own_total_oracles(prob), exact,
-                                        lambda lmo: prob.own_total(x0), (2, *prob.reqs.shape),
-                                        gap_tol, True)
+        oracles = prob.own_total_evaluate, functools.partial(_lmo_own_total, prob)
+        best, _, value, how, y = _solve(oracles, exact, prob.own_total(x0), gap_tol)
         x = x0[best] if y is None else _member_split(prob, y[0].T, y[1].T)[0]
     else:
-        _, x, value, how, _ = _solve(_member_oracles(prob), exact, lambda lmo: x0,
-                                     (prob.size, *prob.reqs.shape), gap_tol, prob.convex)
+        _, x, value, how, _ = _solve(_member_oracles(prob), exact, x0, gap_tol,
+                                     None if prob.convex else prob.objective)
     return _report(value, Allocation(x), how, t0)

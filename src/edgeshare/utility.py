@@ -253,24 +253,17 @@ class CoalitionProblem:
         zeta = self.zseq[:, 1]
         return np.stack([self.zseq[:, 0] - zeta, zeta])[:, :, None]
 
-    def _own_total_sum(self, g: np.ndarray) -> np.ndarray:
-        weighted = self._own_total_weights * g
-        return weighted.reshape(g.shape[:-3] + (-1,)).sum(axis=-1)
-
-    def own_total_objective(self, y: np.ndarray) -> np.ndarray:
-        """The objective of an own_foreign coalition at own/total points y
-        (..., 2, MS, K): sum (w - zeta) * g(o) + zeta * g(t), one value per
-        leading index.  It equals objective at any allocation y is
-        own_total of, up to rounding."""
-        return self._own_total_sum(self.terms.value(y))
-
     def own_total_evaluate(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """own_total_objective, bit for bit, and its gradient (..., 2, MS,
-        K), (d, b) = ((w - zeta) * g'(o), zeta * g'(t)), from one logistic
-        pass.  An allocation's gradient (evaluate) is b on every foreign
+        """The objective of an own_foreign coalition at own/total points y
+        (..., 2, MS, K), sum (w - zeta) * g(o) + zeta * g(t), one value per
+        leading index, and its gradient (..., 2, MS, K), (d, b) =
+        ((w - zeta) * g'(o), zeta * g'(t)), from one logistic pass.  The
+        value equals objective at any allocation y is own_total of, up to
+        rounding; an allocation's gradient (evaluate) is b on every foreign
         cell and d + b on the owner's."""
         g, gp = self.terms.value_and_slope(y)
-        return self._own_total_sum(g), self._own_total_weights * gp
+        weighted = self._own_total_weights * g
+        return weighted.reshape(g.shape[:-3] + (-1,)).sum(axis=-1), self._own_total_weights * gp
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,95 @@ def test_run_scenario_with_a_field_the_reader_would_drop_or_reshape_is_a_usage_e
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("capacity", [" 7 ", "1e1"]),
+    ("requests", [[True, 2.0], [3.0, False]]),
+    ("coeffs", [["1", "2"], ["3", "4"]]),
+    ("capacity", [10**400, 1.0]),
+    ("w", 10**400),
+], ids=["string-capacity", "boolean-requests", "string-coeffs", "capacity-beyond-float",
+        "w-beyond-float"])
+def test_run_scenario_with_a_number_field_holding_no_number_is_a_usage_error(
+        tmp_path, capsys, field, value):
+    """A string, a true/false or an integer too large for a float where the
+    file must hold a number is refused by name, in a list as in a scalar
+    field: no string is parsed and no boolean read as 0 or 1."""
+    doc = json.loads(gen(tmp_path).read_text(encoding="utf-8"))
+    player = doc["players"][0]
+    (player["utility"] if field == "coeffs" else player)[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert "players[0]" in err and repr(field) in err and "Traceback" not in err
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def _set(path: str, value):
+    """An edit of a scenario document that sets the entry at path, keys
+    and list indices joined by dots (players.1.w), to value."""
+    *parents, last = path.split(".")
+
+    def edit(doc):
+        node = doc
+        for key in parents:
+            node = node[int(key) if isinstance(node, list) else key]
+        node[int(last) if isinstance(node, list) else last] = value
+        return doc
+    return edit
+
+
+def _no_resources(doc):
+    doc["k"] = 0
+    for p in doc["players"]:
+        p["capacity"], p["requests"] = [], [[] for _ in p["requests"]]
+    return doc
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: [doc], "scenario must be a JSON object"),
+    (_set("version", 2), "unsupported scenario version 2"),
+    (_set("players.1", "p2"), "players[1] must be an object, got 'p2'"),
+    (_set("players.1.capacity", [1.0, 2.0, 3.0]), "every 'capacity' must have the same length"),
+    (_set("players.0.utility", {"kind": "quadratic"}), "unknown utility kind 'quadratic'"),
+    (_set("players.0.utility", {"kind": "sigmoid", "mu": 0}),
+     "sigmoid utility needs mu finite and > 0, got 0"),
+    (_set("players.0.utility", {"kind": "sigmoid", "mu": -1.0}),
+     "sigmoid utility needs mu finite and > 0, got -1.0"),
+    (lambda doc: {**doc, "n": 0, "players": []}, "n_players must be in [1, 24], got 0"),
+    (_set("n", 25), "n_players must be in [1, 24], got 25"),
+    (_no_resources, "n_resources must be >= 1, got 0"),
+    (_set("n", 2), "need 2 utility specs, got 3"),
+    (_set("players.0.utility.coeffs", [[1.0, 1.0]]), "player 0 coeffs shape (1, 2) != (2, 2)"),
+    (_set("players.0.utility.coeffs", [[1.0, -1.0], [1.0, 1.0]]),
+     "player 0 coeffs must be finite and >= 0"),
+    (_set("players.2.capacity", [float("nan"), 1.0]), "capacities must be finite"),
+    (_set("players.1.requests", [[1.0, -1.0], [1.0, 1.0]]), "requests must be nonnegative"),
+    (_set("players.1.w", -0.5), "w must be finite and >= 0"),
+    (_set("players.1.zeta", float("nan")), "zeta must be finite and >= 0"),
+], ids=["not-an-object", "version", "player-not-an-object", "unequal-capacities",
+        "unknown-kind", "zero-mu", "negative-mu", "no-players", "too-many-players",
+        "no-resources", "n-below-the-players", "coeffs-shape", "negative-coeffs",
+        "nan-capacity", "negative-request", "negative-w", "nan-zeta"])
+def test_run_malformed_scenario_is_a_usage_error_naming_the_field(tmp_path, capsys, edit,
+                                                                  message):
+    """Each malformed scenario file, the 3-player linear one gen writes
+    with one entry spoiled, is refused by run with exit code 2 and a
+    message that names what is wrong, with no traceback and nothing
+    solved or written."""
+    doc = edit(json.loads(gen(tmp_path).read_text(encoding="utf-8")))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert message in err and "Traceback" not in err
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("requests", 1e308, "requests must have finite totals per resource"),
     ("capacity", 1e308, "capacities must have finite totals per resource"),
@@ -413,7 +502,7 @@ def test_restarts_below_one_is_a_usage_error(tmp_path, capsys):
             assert "--restarts" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5", "abc"])
 def test_invalid_tolerance_is_a_usage_error(tmp_path, capsys, tol):
     # a NaN or infinite --tol used to stop Frank-Wolfe at its start points
     # and write unoptimized payoffs with exit 0
@@ -569,6 +658,16 @@ def test_verify_names_a_missing_payoffs_column(tmp_path, capsys, column):
     capsys.readouterr()
     assert main(["verify", "--scenario", str(scenario), "--payoffs", str(bad)]) == 2
     assert f"{bad} has no {column} column" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_payoffs_file_with_only_a_header(tmp_path, capsys):
+    scenario = gen(tmp_path, players=2)
+    bare = tmp_path / "payoffs.csv"
+    bare.write_text("method,player,payoff,standalone,gain\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", "--scenario", str(scenario), "--payoffs", str(bare)]) == 2
+    err = capsys.readouterr().err
+    assert f"no payoff vectors in {bare}" in err and "Traceback" not in err
 
 
 def test_verify_missing_payoffs_file(tmp_path):
@@ -799,6 +898,23 @@ def _short_values(path: Path) -> None:
     np.savez(path, **arrays)
 
 
+def _column_entry(name, value):
+    def spoil(path: Path) -> None:
+        arrays = dict(np.load(path))
+        arrays[name] = arrays[name].copy()
+        arrays[name][-1] = value
+        np.savez(path, **arrays)
+    return spoil
+
+
+def _replace(name, change):
+    def spoil(path: Path) -> None:
+        arrays = dict(np.load(path))
+        arrays[name] = change(arrays[name])
+        np.savez(path, **arrays)
+    return spoil
+
+
 def _alloc_entry(value):
     def spoil(path: Path) -> None:
         arrays = dict(np.load(path))
@@ -813,7 +929,12 @@ def _alloc_entry(value):
     (_short_values, "'values' is float64 of shape (6,), expected dtype kind 'f' and shape (7,)"),
     (_alloc_entry(np.nan), "'alloc' holds a NaN or infinite entry"),
     (_alloc_entry(-1.0), "allocation entries must be >= 0"),
-], ids=["truncated", "missing-array", "wrong-shape", "nan-allocation", "negative-allocation"])
+    (_column_entry("gap", np.nan), "'gap' holds a NaN or infinite entry"),
+    (_replace("alloc", lambda a: a[:-1]), "'alloc' is not"),
+    (_replace("alloc", lambda a: a.astype(np.float32)), "'alloc' is not"),
+    (_replace("restarts", lambda a: a.reshape(1)), "'restarts' has shape (1,), expected ()"),
+], ids=["truncated", "missing-array", "wrong-shape", "nan-allocation", "negative-allocation",
+        "nan-gap", "short-alloc", "float32-alloc", "key-not-0-d"])
 def test_verify_rejects_an_unreadable_table(tmp_path, capsys, spoil, says):
     scenario, out = run_both(tmp_path, "--players", "3", "--apps", "2", "--resources", "2")
     spoil(out / "table.npz")
@@ -874,6 +995,7 @@ def test_bench_without_apps_is_a_usage_error(tmp_path, capsys, apps):
     ("--mu", "3,0", "argument --mu: must be finite and > 0, got 0"),
     ("--mu", "3,inf", "argument --mu: must be finite and > 0, got inf"),
     ("--mu", "nan", "argument --mu: must be finite and > 0, got nan"),
+    ("--mu", ",", "sigmoid bench needs at least one --mu value"),
 ])
 def test_bench_bad_grid_item_is_a_usage_error_before_solving(tmp_path, capsys, option,
                                                               values, message):

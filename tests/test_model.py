@@ -1,6 +1,7 @@
 """Scenario construction, validation, coalitions, allocations, serialization."""
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,27 @@ def test_negative_coeffs_rejected():
 def test_weight_shape_checked():
     with pytest.raises(ValueError, match="w must have shape"):
         tiny_scenario(w=np.ones(3))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: tiny_scenario(owner=np.array([0, 0, 1, 2])), "owner indices out of range"),
+    (lambda: tiny_scenario(owner=np.array([-1, 0, 1, 1])), "owner indices out of range"),
+    (lambda: tiny_scenario(owner=np.array([0, 0, 1])), "owner must align with requests rows"),
+    (lambda: tiny_scenario(owner=np.zeros(4, dtype=int)),
+     "every player must own at least one application"),
+    (lambda: tiny_scenario(requests=np.ones(4)), "requests shape (4,) incompatible with K=2"),
+    (lambda: UtilitySpec("sigmoid", mu=3.0, coeffs=np.ones((2, 2))),
+     "sigmoid utility takes no coefficients"),
+    (lambda: UtilitySpec("linear", mu=3.0), "linear utility takes no mu"),
+    (lambda: UtilitySpec("quadratic"), "unknown utility kind 'quadratic'"),
+], ids=["owner-above-n", "negative-owner", "owner-misaligned", "player-without-apps",
+        "flat-requests", "coeffs-on-sigmoid", "mu-on-linear", "unknown-kind"])
+def test_constructors_reject_what_no_scenario_file_holds(build, message):
+    """Scenario and UtilitySpec refuse, by name, what the scenario reader
+    never builds (it derives the owners from the player blocks and refuses
+    a field that does not fit the utility kind first)."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ def native_fw(s, n, restarts):
     oracles = solver._receipt_oracles(terms, s.capacities[n], 1.0)
     x0 = solver._starts(s, solver._COALITION_TAG, 1 << n, restarts,
                         (s.n_resources, 1 + len(terms.requests)),
-                        lambda d: oracles[2](np.swapaxes(d[..., 1:], -1, -2)))
+                        lambda d: oracles[1](np.swapaxes(d[..., 1:], -1, -2)))
     return oracles, x0
 
 
@@ -107,12 +107,13 @@ def coalition_fw(s, c, restarts):
     prob = CoalitionProblem.build(s, c)
     if prob.uniform_weight is None:
         if prob.own_foreign:
-            return solver._own_total_oracles(prob), prob.own_total(member_starts(s, c, restarts))
+            oracles = prob.own_total_evaluate, functools.partial(solver._lmo_own_total, prob)
+            return oracles, prob.own_total(member_starts(s, c, restarts))
         return solver._member_oracles(prob), member_starts(s, c, restarts)
     starts = functools.partial(solver._starts, s, solver._COALITION_TAG, c.mask, restarts,
                                (s.n_resources, prob.size + len(prob.apps)))
     oracles = solver._receipt_oracles(prob.terms, prob.caps.sum(axis=0), prob.uniform_weight)
-    return oracles, starts(lambda d: oracles[2](np.swapaxes(d[..., prob.size:], -1, -2)))
+    return oracles, starts(lambda d: oracles[1](np.swapaxes(d[..., prob.size:], -1, -2)))
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +617,10 @@ def test_own_total_value_and_gradient_match_member_coordinates():
         assert y.shape == (len(xs), 2, *prob.reqs.shape)
         f_ot, slopes = prob.own_total_evaluate(y)
         d, b = slopes[:, 0], slopes[:, 1]
-        assert f_ot.tobytes() == prob.own_total_objective(y).tobytes()
+        zeta = prob.zseq[:, 1]
+        weights = np.stack([prob.zseq[:, 0] - zeta, zeta])[:, :, None]
+        weighted = weights * prob.terms.value(y)
+        assert f_ot.tobytes() == weighted.reshape(len(y), -1).sum(axis=1).tobytes()
         np.testing.assert_allclose(f_ot, f, rtol=1e-14, atol=0)
         cols = np.arange(len(prob.apps))
         for slot in range(1, prob.size):
@@ -1084,13 +1088,13 @@ def test_receipt_evaluate_is_objective_and_gradient_bit_for_bit():
         terms = AppTerms.from_scenario(scen, apps)
         assert terms.all_sigmoid is (scen is s)
         for weight in (1.0, 0.5):
-            evaluate, objective, lmo = solver._receipt_oracles(
-                terms, scen.capacities.sum(axis=0), weight)
+            evaluate, lmo = solver._receipt_oracles(terms, scen.capacities.sum(axis=0), weight)
             t = rng.uniform(0.0, 1.2, (7, *terms.requests.shape)) * terms.requests
             t[0] = 0.0
             t[1] = lmo(rng.random(t[1:2].shape))[0]
             f, g = evaluate(t)
-            assert f.tobytes() == objective(t).tobytes()
+            want = weight * terms.value(t).reshape(len(t), -1).sum(axis=1)
+            assert f.tobytes() == want.tobytes()
             value, slope = terms.value_and_slope(t)
             assert g.tobytes() == (weight * slope).tobytes()
             assert value.tobytes() == terms.value(t).tobytes()
@@ -1220,8 +1224,8 @@ def test_split_solves_never_fall_below_the_joint_solve():
                                    solver._RESIDUAL_TAG, case, 16, reqs.shape)
         t, value, _ = solver._solve_receipts(terms, budget, 1.0, False, starts,
                                              solver.DEFAULT_GAP_TOL)
-        joint = solver._solve(solver._receipt_oracles(terms, budget, 1.0), False, starts,
-                              reqs.shape, solver.DEFAULT_GAP_TOL, True)[2]
+        oracles = solver._receipt_oracles(terms, budget, 1.0)
+        joint = solver._solve(oracles, False, starts(oracles[1]), solver.DEFAULT_GAP_TOL)[2]
         assert value >= joint - 1e-12 * abs(joint), case
         assert value == pytest.approx(terms.value(t).sum(), rel=1e-12), case
         # unit steps reach the oracle's point up to rounding
@@ -1479,7 +1483,7 @@ def test_member_oracle_solves_one_lp_per_distinct_slice(monkeypatch):
                   for k in range(s.n_resources)], axis=-1)
         for g in gs])
     calls = count_lps(monkeypatch)
-    got = solver._member_oracles(prob)[2](gs)
+    got = solver._member_oracles(prob)[1](gs)
     assert got.tobytes() == want.tobytes()
     assert calls[0] == 2 * s.n_resources < len(gs) * s.n_resources
 
@@ -1488,23 +1492,29 @@ def test_member_oracle_solves_one_lp_per_distinct_slice(monkeypatch):
 # batched multistart Frank-Wolfe
 
 
-def assert_batch_matches_solo_runs(oracles, x0, convex):
+def driver(oracles, x0, unit_steps):
+    """The batched driver from x0 by unit steps, or by golden section over
+    the values evaluate gives."""
+    evaluate, lmo = oracles
+    objective = None if unit_steps else (lambda x: evaluate(x)[0])
+    return solver._batched_frank_wolfe(evaluate, lmo, x0, solver.DEFAULT_GAP_TOL, objective)
+
+
+def assert_batch_matches_solo_runs(oracles, x0, unit_steps):
     """Every run of a batch ends exactly where the driver run on its start
     alone ends; returns the batch's iteration counts and whether every
     run moved in round 1 (round 2's oracle batch holds every run), where
     the driver adopts the round's new points as its batch."""
-    evaluate, objective, lmo = oracles
+    evaluate, lmo = oracles
     batches = []
 
     def recording(g):
         batches.append(len(g))
         return lmo(g)
 
-    x, f, iters, gap, vertex = solver._batched_frank_wolfe(
-        evaluate, objective, recording, x0, solver.DEFAULT_GAP_TOL, convex)
+    x, f, iters, gap, vertex = driver((evaluate, recording), x0, unit_steps)
     for r in range(len(x0)):
-        xr, fr, itr, gapr, vr = solver._batched_frank_wolfe(
-            *oracles, x0[r:r + 1], solver.DEFAULT_GAP_TOL, convex)
+        xr, fr, itr, gapr, vr = driver(oracles, x0[r:r + 1], unit_steps)
         assert (f[r], iters[r], gap[r]) == (fr[0], itr[0], gapr[0]), f"restart {r}"
         assert np.array_equal(x[r], xr[0]), f"restart {r}"
         assert (vertex(r) is None) == (vr(0) is None), f"restart {r}"
@@ -1517,9 +1527,9 @@ def test_batched_restarts_match_solo_runs():
     # with unit steps and with the line search: a native solve on receipts,
     # a uniform-weight coalition on pooled receipts, and a weighted one in
     # member coordinates
-    for convex in (True, False):
+    for unit_steps in (True, False):
         s = generate_scenario(3, 3, 4, utility="sigmoid", mu=10.0, seed=1)
-        iters, _ = assert_batch_matches_solo_runs(*native_fw(s, 1, 16), convex)
+        iters, _ = assert_batch_matches_solo_runs(*native_fw(s, 1, 16), unit_steps)
         assert len(set(iters)) > 1  # runs leave the batch at different rounds
         base = generate_scenario(3, 3, 3, utility="sigmoid", mu=10.0, seed=1)
         # pooled receipts, the LP-free member oracle, and the LP one
@@ -1528,48 +1538,61 @@ def test_batched_restarts_match_solo_runs():
             s = dataclasses.replace(base, w=np.array(w), zeta=np.array(zeta))
             oracles, x0 = coalition_fw(s, Coalition(0b110), 16)
             assert x0.ndim == (3 if w == zeta else 4)
-            iters, _ = assert_batch_matches_solo_runs(oracles, x0, convex)
+            iters, _ = assert_batch_matches_solo_runs(oracles, x0, unit_steps)
             assert len(set(iters)) > 1
         # a flat grand coalition on pooled receipts: every run moves in
         # round 1, and all but one stop in round 2
         s = generate_scenario(3, 3, 4, utility="sigmoid", mu=1.0, seed=0)
         iters, all_moved = assert_batch_matches_solo_runs(
-            *coalition_fw(s, Coalition.grand(3), 16), convex)
+            *coalition_fw(s, Coalition.grand(3), 16), unit_steps)
         assert all_moved and len(set(iters)) > 1
 
 
-@pytest.mark.parametrize("convex", [True, False])
-def test_run_that_cannot_improve_stops_where_it_is(convex):
+@pytest.mark.parametrize("unit_steps", [True, False])
+def test_run_that_cannot_improve_stops_where_it_is(unit_steps):
     """A run whose step finds no better point stops at its point, and when
     every live run stops so in one round the driver returns without
-    evaluating an empty batch.  The stub's gradient points at the vertex
-    while its objective falls along every segment toward it."""
+    evaluating an empty batch.  The stub's gradient points at the vertex,
+    all ones, and its objective, h(sum x) with h(u) = -u up to u = 3 and
+    rising from there, is highest at the start along every segment toward
+    the vertex from sum x <= 1, and at the vertex from sum x >= 3.  So in
+    a batch of both kinds some runs stop in round 1 while the rest move,
+    and the driver compacts the movers alone; each run still ends where it
+    ends alone."""
     def objective(x):
-        return -x.reshape(len(x), -1).sum(axis=1)
+        u = x.reshape(len(x), -1).sum(axis=1)
+        return -u + 2.5 * np.maximum(u - 3.0, 0.0)
 
     def evaluate(x):
+        assert len(x), "the driver evaluated an empty batch"
         return objective(x), np.ones_like(x)
 
-    x0 = np.zeros((3, 2, 2))
-    x0[1] = 0.25
-    x, f, iters, gap, vertex = solver._batched_frank_wolfe(
-        evaluate, objective, np.ones_like, x0, solver.DEFAULT_GAP_TOL, convex)
-    assert np.array_equal(x, x0)
+    x0 = np.zeros((5, 2, 2))
+    x0[1], x0[3], x0[4] = 0.25, 0.75, 0.8
+    x, f, iters, gap, vertex = driver((evaluate, np.ones_like), x0, unit_steps)
+    assert np.array_equal(x[:3], x0[:3])
     assert [vertex(r) for r in range(3)] == [None] * 3  # no run moved
-    assert f.tolist() == [0.0, -1.0, 0.0]
-    assert iters.tolist() == [1, 1, 1]
-    assert gap.tolist() == [4.0, 3.0, 4.0]
+    assert f[:3].tolist() == [0.0, -1.0, 0.0]
+    assert iters[:3].tolist() == [1, 1, 1]
+    assert gap[:3].tolist() == [4.0, 3.0, 4.0]
+    # the others move to the vertex in round 1 and stop there in round 2
+    assert (x[3:] == 1.0).all() and f[3:].tolist() == [-1.5, -1.5]
+    assert iters[3:].tolist() == [2, 2] and gap[3:].tolist() == [0.0, 0.0]
+    assert all((vertex(r) == 1.0).all() for r in (3, 4))
+    assert_batch_matches_solo_runs((evaluate, np.ones_like), x0, unit_steps)
+    # every run stops in round 1: the driver returns at once
+    x, f, iters, gap, vertex = driver((evaluate, np.ones_like), x0[:3], unit_steps)
+    assert np.array_equal(x, x0[:3]) and iters.tolist() == [1, 1, 1]
 
 
-@pytest.mark.parametrize("convex", [True, False])
-def test_driver_returns_points_of_its_own(convex):
+@pytest.mark.parametrize("unit_steps", [True, False])
+def test_driver_returns_points_of_its_own(unit_steps):
     """With unit steps and with the line search, the driver leaves x0 as it
     was, and no returned point shares memory with x0 or with the oracle's
     point vertex(r): the batches it adopts and compacts are its own."""
     for name, oracles, x0 in convex_cases():
         before = x0.copy()
-        x, _, _, _, vertex = solver._batched_frank_wolfe(*oracles, x0, solver.DEFAULT_GAP_TOL,
-                                                         convex)
+        x, _, _, _, vertex = driver(oracles, x0, unit_steps)
         assert x0.tobytes() == before.tobytes(), name
         for r in range(len(x0)):
             assert not np.shares_memory(x[r], x0), f"{name} restart {r}"
@@ -1578,16 +1601,15 @@ def test_driver_returns_points_of_its_own(convex):
         assert any(vertex(r) is not None for r in range(len(x0))), name
 
 
-@pytest.mark.parametrize("convex", [True, False])
-def test_runs_live_at_the_round_limit_return_their_last_point(convex, monkeypatch):
+@pytest.mark.parametrize("unit_steps", [True, False])
+def test_runs_live_at_the_round_limit_return_their_last_point(unit_steps, monkeypatch):
     """Runs still live after MAX_ITER rounds end at the point they last
     moved to, worth the value returned for them.  In the flat grand
     coalition every run moves in round 1."""
     monkeypatch.setattr(solver, "MAX_ITER", 1)
     s = generate_scenario(3, 3, 4, utility="sigmoid", mu=1.0, seed=0)
     oracles, x0 = coalition_fw(s, Coalition.grand(3), 16)
-    x, f, iters, _, vertex = solver._batched_frank_wolfe(*oracles, x0, solver.DEFAULT_GAP_TOL,
-                                                         convex)
+    x, f, iters, _, vertex = driver(oracles, x0, unit_steps)
     assert iters.tolist() == [1] * len(x0)
     for r in range(len(x0)):
         assert np.array_equal(x[r], x0[r] + (vertex(r) - x0[r])), f"restart {r}"
@@ -1606,7 +1628,7 @@ def convex_cases():
     terms = AppTerms.from_scenario(s).with_requests(reqs)
     oracles = solver._receipt_oracles(terms, 0.5 * s.capacities[1], 1.0)
     yield "residual", oracles, solver._starts(s, solver._RESIDUAL_TAG, 1, 16,
-                                              reqs.shape, oracles[2])
+                                              reqs.shape, oracles[1])
     for label, w, zeta in (("uniform", [1.0] * 3, [1.0] * 3),
                            ("1:0.5", [1.0] * 3, [0.5] * 3),
                            ("per-player", [2.0, 1.5, 2.5], [1.0, 0.75, 0.5])):
@@ -1624,8 +1646,7 @@ def test_unit_step_matches_line_search_on_convex_problems():
     vertex, so unit steps follow the same path: every restart ends at the
     same point, value, round count and gap, bit for bit."""
     for name, oracles, x0 in convex_cases():
-        unit = solver._batched_frank_wolfe(*oracles, x0, solver.DEFAULT_GAP_TOL, True)
-        search = solver._batched_frank_wolfe(*oracles, x0, solver.DEFAULT_GAP_TOL, False)
+        unit, search = driver(oracles, x0, True), driver(oracles, x0, False)
         for r in range(len(x0)):
             assert np.array_equal(unit[0][r], search[0][r]), f"{name} restart {r}"
             assert (unit[1][r], unit[2][r], unit[3][r]) == \
