@@ -195,7 +195,7 @@ def audit_table(s: Scenario, table: CharacteristicTable) -> TableAudit:
             if not gap <= TABLE_VALUE_RTOL:  # a NaN gap fails
                 problems.append((mask, f"objective {objective!r} at its allocation "
                                        f"is not its value {value!r}"))
-    return TableAudit(masks_checked=len(table.reports), worst_value_gap=worst,
+    return TableAudit(masks_checked=table.values.size, worst_value_gap=worst,
                       problems=tuple(problems))
 
 
@@ -265,7 +265,7 @@ def compare_methods(
     # engine's functions are looked up at each call, where tracers patch them
     def shapley():
         phi, table = engine.shapley_payoffs(s, restarts=restarts, gap_tol=gap_tol)
-        return phi, len(table.reports), table
+        return phi, table.values.size, table
 
     def fast():
         result = engine.fast_core(s, restarts=restarts, gap_tol=gap_tol)

@@ -30,8 +30,8 @@ from .solver import (
 # (|S|, M_S, K) in its own coordinates, in its reports, so time and memory
 # double per player.  With 3 linear apps per player on 2 cores, run
 # --method both takes about 4.5 s and 136 MB of peak RSS at N = 14, 0.1 s of
-# it saving table.npz.  The limit dates from (N, M, K) allocations, when
-# N = 14 took 297 MB and N = 15 14 s and 628 MB.
+# it saving table.npz.  Each player above that doubles both again, and the
+# limit is the largest N whose time and memory have been measured.
 TABLE_PLAYER_LIMIT = 14
 
 
@@ -169,9 +169,9 @@ def fast_core(
     native_reports = [solve_native(s, p, restarts=restarts, gap_tol=gap_tol)
                       for p in range(n)]
     phase1 = np.array([r.value for r in native_reports])
-    x_total = np.zeros((n, m, k))
-    for r in native_reports:
-        x_total += r.allocation.x
+    x_total = np.zeros((n, m, k))  # the grand coalition's coordinates
+    for p, r in enumerate(native_reports):  # each in its singleton's
+        x_total[p, s.apps_of(p)] += r.allocation.x[0]
     residual_reqs = np.clip(s.requests - x_total.sum(axis=0), 0.0, None)
     residual_caps = np.clip(s.capacities - x_total.sum(axis=1), 0.0, None)
 

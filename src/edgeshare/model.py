@@ -146,7 +146,7 @@ def validate_scenario(s: Scenario) -> list[str]:
         problems.append(f"requests shape {s.requests.shape} incompatible with K={k}")
     if s.owner.shape != (s.requests.shape[0],):
         problems.append("owner must align with requests rows")
-    elif n >= 1:
+    elif 1 <= n <= MAX_PLAYERS:  # per-player checks, O(n): only for an n in range
         if s.owner.min(initial=0) < 0 or s.owner.max(initial=0) >= n:
             problems.append("owner indices out of range")
         elif not np.all(np.diff(s.owner) >= 0):
@@ -280,19 +280,17 @@ def audit_allocation(
 ) -> list[str]:
     """Independent feasibility check by direct constraint arithmetic.
 
-    The allocation is (N, M, K), or a coalition's own coordinates
-    (Scenario.local_axes) when one is given: those hold nothing by or for a
-    non-member.  Verifies shape, per-provider capacity and per-application
-    request caps (Allocation refuses a negative entry).  Returns the
-    violated constraints, empty when feasible within tol; providers,
-    applications and resources are numbered globally from 1, as coalitions
-    are.
+    The allocation is in the coalition's own coordinates
+    (Scenario.local_axes), the grand coalition's, (N, M, K), by default:
+    those hold nothing by or for a non-member.  Verifies shape,
+    per-provider capacity and per-application request caps (Allocation
+    refuses a negative entry).  Returns the violated constraints, empty
+    when feasible within tol; providers, applications and resources are
+    numbered globally from 1, as coalitions are.
     """
     x = alloc.x
-    if coalition is None:
-        providers, apps = np.arange(s.n_players), np.arange(s.m_total)
-    else:
-        providers, apps = s.local_axes(coalition.mask)
+    mask = (1 << s.n_players) - 1 if coalition is None else coalition.mask
+    providers, apps = s.local_axes(mask)
     want = (len(providers), len(apps), s.n_resources)
     if x.shape != want:
         return [f"allocation shape {x.shape} is not {want}"]

@@ -28,21 +28,22 @@ Receipts t_ik per application serve every problem whose objective is one
 weight times the total satisfaction at them: a native or residual
 provider, and a coalition whose credit weights are all equal (w == zeta
 shared by all members).  A singleton coalition is its member's native
-problem, w times, and one solve serves both.  The receipts the budgets can
-deliver are exactly 0 <= t <= r with sum_i t_ik at most the pooled
-budget, so the linear oracle is one greedy fill of that budget, and a
-coalition's members ship the receipts by the northwest-corner staircase.
-Objective and budgets separate by resource, so a sigmoid receipt solve
-(_solve_receipts) fixes a slack resource, whose requests' exact sum fits
-its budget, at t = requests, and an empty one, budget 0, at t = 0, and
-runs Frank-Wolfe on the binding resources alone: the sort of the greedy
-fill and the sigmoid passes skip the fixed columns.  A solve with no
-binding resource is exact.  Round 1 decides as the joint problem would:
-the fixed resources add their value at each start, and their gap toward
-the fixed point, to the run's start value and first gap, and once a run
-has moved they add their closed-form value at the fixed point.  Solves in
-the other two coordinates below keep every resource in Frank-Wolfe (their
-slack condition, every member self-sufficient, is not taken).
+problem, w times, and one solve and one allocation, (1, M_n, K), serve
+both.  The receipts the budgets can deliver are exactly 0 <= t <= r with
+sum_i t_ik at most the pooled budget, so the linear oracle is one greedy
+fill of that budget, and a coalition's members ship the receipts by the
+northwest-corner staircase.  Objective and budgets separate by resource,
+so a sigmoid receipt solve (_solve_receipts) fixes a slack resource, whose
+requests' exact sum fits its budget, at t = requests, and an empty one,
+budget 0, at t = 0, and runs Frank-Wolfe on the binding resources alone:
+the sort of the greedy fill and the sigmoid passes skip the fixed columns.
+A solve with no binding resource is exact.  Round 1 decides as the joint
+problem would: the fixed resources add their value at each start, and
+their gap toward the fixed point, to the run's start value and first gap,
+and once a run has moved they add their closed-form value at the fixed
+point.  Solves in the other two coordinates below keep every resource in
+Frank-Wolfe (their slack condition, every member self-sufficient, is not
+taken).
 Where the members share one zeta and every owner's w is at least it
 (CoalitionProblem.own_foreign: every generated scenario with w >= zeta),
 the objective is (w - zeta) * g(o) + zeta * g(t) at each application's
@@ -57,22 +58,23 @@ per resource and distinct gradient slice as the oracle (w below zeta, or
 one zeta per player, which only a hand-written scenario holds).
 
 Start points (_starts): restart 0 starts at zero; restart r > 0 draws a
-scale and uniform factors from the PCG64 stream that SeedSequence([scenario
-seed, solve tag, player or mask, r]) seeds, and starts at the scaled vertex
-the factors pick.  Residual solves take the greedy fill of the factors as
-profits.  Every coalition, a native solve as its singleton one, draws
-member and application factors per resource; in member coordinates it
-starts at their staircase, in own/total coordinates at that staircase's
-own supply and total receipts, on receipts at the greedy fill of the
-application factors alone on each binding resource and at the requests on
-a slack one; a receipt solve with no binding resource draws nothing.  The
-streams depend only on the scenario and the solve, so every solve is
-reproducible on its own.  They are the streams default_rng(SeedSequence([...])) gives, but no SeedSequence or
-PCG64 is built per restart: one vectorized pass of SeedSequence's hash
-seeds a block of 64 players or masks at once (_seed_block, which keeps
-the last four blocks, 64 * (R - 1) * 32 bytes each: 30 KiB at R = 16
-restarts), and one reused PCG64 is set to each stream by PCG64's own
-seeding rule (_generator).
+scale and uniform factors from the PCG64 stream that
+SeedSequence([scenario seed, solve tag, player or mask, r]) seeds, and
+starts at the scaled vertex the factors pick.  Residual solves take the
+greedy fill of the factors as profits.  Every coalition, a native solve as
+its singleton one, draws member and application factors per resource; in
+member coordinates it starts at their staircase, in own/total coordinates
+at that staircase's own supply and total receipts, on receipts at the
+greedy fill of the application factors alone on each binding resource and
+at the requests on a slack one; a receipt solve with no binding resource
+draws nothing.  The streams depend only on the scenario and the solve, so
+every solve is reproducible on its own.  They are the streams
+default_rng(SeedSequence([...])) gives, but no SeedSequence or PCG64 is
+built per restart: one vectorized pass of SeedSequence's hash seeds a
+block of 64 players or masks at once (_seed_block, which keeps the last
+four blocks, 64 * (R - 1) * 32 bytes each: 30 KiB at R = 16 restarts), and
+one reused PCG64 is set to each stream by PCG64's own seeding rule
+(_generator).
 """
 from __future__ import annotations
 
@@ -99,9 +101,9 @@ _RESIDUAL_TAG, _COALITION_TAG = 0xB2, 0xC3
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one subproblem solve.  A coalition solve's allocation is
-    local, (|S|, M_S, K) by Scenario.local_axes; native and residual
-    solves keep (N, M, K), since fast_core assembles the global split."""
+    """Outcome of one subproblem solve.  Its allocation is in one
+    coalition's own coordinates (Scenario.local_axes): a native solve's in
+    its singleton's, a residual sale's in the grand coalition's."""
 
     value: float
     allocation: Allocation
@@ -820,35 +822,33 @@ def _solve(oracles, exact: bool, x0: np.ndarray, gap_tol: float, objective=None,
 def _solve_receipts(terms: AppTerms, budget: np.ndarray, weight: float, exact: bool, starts,
                     gap_tol: float):
     """Best receipts t (M, K) on budget (K,), their value
-    weight * sum g(t) and how: exact where `exact`, else by unit steps,
-    since every term is convex up to its request, which the oracle never
-    exceeds.  starts(fill) draws the start points, the scaled vertices
-    that fill builds from profits (B, M, K).
+    weight * sum g(t) and how: the oracle's point where `exact`, else by
+    unit steps, since every term is convex up to its request, which the
+    oracle never exceeds.  starts(fill) draws the start points, the scaled
+    vertices that fill builds from profits (B, M, K).
 
     The objective is a sum over resources, each with its own budget, so a
     slack resource, whose requests' exact sum (math.fsum) fits its
     budget, is fixed at t = requests, and an empty one, budget 0, at
-    t = 0.  Frank-Wolfe runs on the other, binding, resources alone; a
-    solve with none is exact and draws nothing, and one with no slack or
-    empty resource runs jointly on all of them.  The binding columns
-    of every start are the greedy fill of their profits, as in the joint
-    problem; the slack ones start at the requests, scaled.  Round 1
-    decides as the joint problem does: one sigmoid pass over every
-    resource gives each run's start value and gradient, and the fixed
-    resources' gap toward their fixed point joins its first gap.  Once a
-    run has moved they add their value at the fixed point: 1/2 per slack
-    sigmoid term (g(r)), c * r per slack linear one, and g(0), from that
-    pass, on an empty resource.  A best run that never moved keeps its
-    start on them too."""
-    evaluate, lmo = oracles = _receipt_oracles(terms, budget, weight)
+    t = 0.  Frank-Wolfe runs on the other, binding, resources alone (on
+    all of them where none is fixed); a solve with none is exact and draws
+    nothing.  The binding columns of every start are the greedy fill of
+    their profits, as in the joint problem; the slack ones start at the
+    requests, scaled.  Round 1 decides as the joint problem does: one
+    sigmoid pass over every resource gives each run's start value and
+    gradient, and the fixed resources' gap toward their fixed point joins
+    its first gap.  Once a run has moved they add their value at the fixed
+    point: 1/2 per slack sigmoid term (g(r)), c * r per slack linear one,
+    and g(0), from that pass, on an empty resource.  A best run that never
+    moved keeps its start on them too."""
+    evaluate, _ = oracles = _receipt_oracles(terms, budget, weight)
     reqs = terms.requests
+    if exact:
+        _, t, value, how, _ = _solve(oracles, True, np.zeros((1, *reqs.shape)), gap_tol)
+        return t, value, how
     caps = budget.tolist()
     slack = [math.fsum(col) <= b for col, b in zip(reqs.T.tolist(), caps)]
     cols = [k for k, b in enumerate(caps) if b > 0 and not slack[k]]
-    if exact or len(cols) == len(caps):
-        x0 = np.zeros((1, *reqs.shape)) if exact else starts(lmo)
-        _, t, value, how, _ = _solve(oracles, exact, x0, gap_tol)
-        return t, value, how
     fixed = np.where(slack, reqs, 0.0)
     if not cols:
         return fixed, evaluate(fixed[None])[0][0], ("exact", 0, 0, 0.0)
@@ -926,13 +926,12 @@ def solve_native(
     gap_tol: float = DEFAULT_GAP_TOL,
 ) -> SolveReport:
     """Maximize player n's own utility over its native applications from its
-    own capacity.  Returns the unweighted optimum."""
+    own capacity.  Returns the unweighted optimum and the singleton
+    coalition's allocation (1, M_n, K) of the same solve (_native)."""
     _check_settings(restarts, gap_tol)
     t0 = time.perf_counter()
     t, value, how = _native(s, n, restarts, gap_tol)
-    full = np.zeros((s.n_players, s.m_total, s.n_resources))
-    full[n, s.apps_of(n), :] = t
-    return _report(value, Allocation(full), how, t0)
+    return _report(value, Allocation(t[None]), how, t0)
 
 
 def solve_residual(
@@ -952,7 +951,8 @@ def solve_residual(
     _solve_receipts': a resource whose residual capacity covers every
     foreign residual request ships them all, one with no residual capacity
     ships nothing, and Frank-Wolfe runs on the rest, if any; it is exact
-    where every foreign owner is linear.
+    where every foreign owner is linear.  The sale is row n of an
+    (N, M, K) allocation, the grand coalition's coordinates.
     """
     _check_settings(restarts, gap_tol)
     t0 = time.perf_counter()

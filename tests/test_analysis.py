@@ -148,6 +148,14 @@ def test_repetitions_below_one_are_rejected():
         compare_methods(s, repetitions=0)
 
 
+@pytest.mark.parametrize("methods", [("fast", "fast"), ("shapley", "fast", "shapley"), (),
+                                     ("exact",)])
+def test_methods_must_name_each_pipeline_once(methods):
+    s = generate_scenario(2, 1, 1, utility="linear", seed=0)
+    with pytest.raises(ValueError, match="methods must name 'shapley', 'fast' or both once"):
+        compare_methods(s, methods, repetitions=1)
+
+
 def test_totals_agree_for_exact_solves():
     s = generate_scenario(3, 3, 3, utility="linear", seed=3)
     rep = compare_methods(s, repetitions=2)

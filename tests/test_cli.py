@@ -3,6 +3,8 @@ import csv
 import dataclasses
 import json
 import os
+import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -241,6 +243,34 @@ def test_max_players_is_the_scenario_limit(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_a_huge_player_count_is_refused_without_a_per_player_pass(tmp_path, capsys):
+    """A one-player file that claims n = 10**9 players exits 2 naming
+    n_players at once: the per-player checks, O(n), run only for an n in
+    range.  An alarm fails the test instead of letting such a pass run
+    for an hour."""
+    scenario = gen(tmp_path, players=1, apps=1, resources=1)
+    doc = json.loads(scenario.read_text(encoding="utf-8"))
+    doc["n"] = 10**9
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+
+    def too_slow(signum, frame):
+        pytest.fail("run was still validating n = 10**9 after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        code = main(["run", "--scenario", str(scenario), "--method", "fast",
+                     "--out", str(tmp_path / "o")])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"n_players must be in [1, {model.MAX_PLAYERS}], got {10**9}" in err
+    assert "Traceback" not in err
+
+
 def test_bench_forced_shapley_above_the_player_limit_exits_2(tmp_path, capsys, solve_calls):
     assert main(["bench", "--players", str(engine.TABLE_PLAYER_LIMIT + 1), "--apps", "1",
                  "--utility", "linear", "--method", "shapley", "--repetitions", "1",
@@ -383,6 +413,10 @@ def _no_resources(doc):
     (_set("version", 2), "unsupported scenario version 2"),
     (_set("players.1", "p2"), "players[1] must be an object, got 'p2'"),
     (_set("players.1.capacity", [1.0, 2.0, 3.0]), "every 'capacity' must have the same length"),
+    (_set("players.1.capacity", [1.0, [2.0]]),
+     "players[1]: 'capacity' must be a list of numbers, got [1.0, [2.0]]"),
+    (_set("players.2.requests", [[1.0, 2.0], [3.0]]),
+     "players[2]: 'requests' must be a list of numbers, got [[1.0, 2.0], [3.0]]"),
     (_set("players.0.utility", {"kind": "quadratic"}), "unknown utility kind 'quadratic'"),
     (_set("players.0.utility", {"kind": "sigmoid", "mu": 0}),
      "sigmoid utility needs mu finite and > 0, got 0"),
@@ -400,6 +434,7 @@ def _no_resources(doc):
     (_set("players.1.w", -0.5), "w must be finite and >= 0"),
     (_set("players.1.zeta", float("nan")), "zeta must be finite and >= 0"),
 ], ids=["not-an-object", "version", "player-not-an-object", "unequal-capacities",
+        "ragged-capacity", "ragged-requests",
         "unknown-kind", "zero-mu", "negative-mu", "no-players", "too-many-players",
         "no-resources", "n-below-the-players", "coeffs-shape", "negative-coeffs",
         "nan-capacity", "negative-request", "negative-w", "nan-zeta"])
@@ -1046,6 +1081,36 @@ def test_payoffs_csv_roundtrip_is_exact(tmp_path):
     back = read_payoffs_csv(path)
     assert np.array_equal(back["fast"], fast)
     assert np.array_equal(back["shapley"], shap)
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of every `edgeshare ...` line in README's Command line
+    block, continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("edgeshare ")]
+
+
+def test_readme_commands_parse():
+    """Every command README shows parses (parsed only, nothing run), so a
+    renamed or removed option fails here."""
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == ["gen", "run", "verify", "verify", "bench"]
+    for argv in commands:
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: edgeshare {shlex.join(argv)}")
+
+
+def test_module_help_exits_0():
+    src = Path(edgeshare.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "edgeshare.cli", "--help"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: edgeshare ")
 
 
 def test_console_script_installed(tmp_path):

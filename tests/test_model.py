@@ -103,12 +103,23 @@ def test_weight_shape_checked():
      "sigmoid utility takes no coefficients"),
     (lambda: UtilitySpec("linear", mu=3.0), "linear utility takes no mu"),
     (lambda: UtilitySpec("quadratic"), "unknown utility kind 'quadratic'"),
+    (lambda: Allocation(np.zeros((2, 4))), "allocation must be (providers, apps, resources)"),
+    (lambda: Coalition.from_members([0, model.MAX_PLAYERS]),
+     f"player index {model.MAX_PLAYERS} out of range"),
+    (lambda: generate_scenario(model.MAX_PLAYERS + 1, 1, 1),
+     f"at most {model.MAX_PLAYERS} players supported"),
+    (lambda: generate_scenario(2, 2, 2, utility="linear", mu=3.0),
+     "linear generation takes no mu"),
 ], ids=["owner-above-n", "negative-owner", "owner-misaligned", "player-without-apps",
-        "flat-requests", "coeffs-on-sigmoid", "mu-on-linear", "unknown-kind"])
+        "flat-requests", "coeffs-on-sigmoid", "mu-on-linear", "unknown-kind",
+        "allocation-not-3d", "member-above-max-players", "generate-above-max-players",
+        "generate-linear-with-mu"])
 def test_constructors_reject_what_no_scenario_file_holds(build, message):
     """Scenario and UtilitySpec refuse, by name, what the scenario reader
     never builds (it derives the owners from the player blocks and refuses
-    a field that does not fit the utility kind first)."""
+    a field that does not fit the utility kind first), and so do
+    Allocation, Coalition and generate_scenario on what no scenario
+    holds."""
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
 

@@ -345,6 +345,22 @@ def test_lmo_rejects_nan_or_negative_bounds(where, bad):
         lmo_transport(np.ones((2, 3)), bounds["supplies"], bounds["demands"])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lmo_rejects_non_finite_profits(bad):
+    profit = np.ones((2, 3))
+    profit[1, 2] = bad
+    with pytest.raises(ValueError, match="profits must be finite"):
+        lmo_transport(profit, np.ones(2), np.ones(3))
+
+
+@pytest.mark.parametrize("negative", ["alpha", "gamma"])
+def test_factored_oracle_rejects_negative_factors(negative):
+    factors = {"alpha": np.ones(2), "gamma": np.ones(3)}
+    factors[negative][0] = -0.5
+    with pytest.raises(ValueError, match="nonnegative factors"):
+        solver._lmo_factored(factors["alpha"], factors["gamma"], np.ones(2), np.ones(3))
+
+
 def test_lmo_rejects_infinite_bounds():
     # an infinite supply meeting an infinite demand on a positive profit
     # made the LP unbounded, and HiGHS's failure surfaced as a RuntimeError
@@ -820,8 +836,8 @@ def test_residual_sigmoid_zero_supply_is_exactly_zero():
 def test_singleton_equals_native():
     """A singleton coalition is its member's native problem, solved once:
     its value is w times the native optimum, bit for bit, by the same
-    solve, and its allocation is the native receipts; sigmoid at 1:1,
-    1:0.5 and 2:1."""
+    solve, and the two reports ship one allocation, the receipts in the
+    singleton's coordinates; sigmoid at 1:1, 1:0.5 and 2:1."""
     for (w, zeta), seed in itertools.product(((1.0, 1.0), (1.0, 0.5), (2.0, 1.0)), range(3)):
         s = generate_scenario(3, 2, 4, utility="sigmoid", mu=(1.0, 3.0, 10.0)[seed],
                               seed=seed, w=w, zeta=zeta)
@@ -832,14 +848,18 @@ def test_singleton_equals_native():
             assert a.value == s.w[n] * b.value, case
             assert (a.solver_kind, a.iterations, a.restarts_used, a.gap) == \
                 (b.solver_kind, b.iterations, b.restarts_used, b.gap), case
-            assert a.allocation.x[0].tobytes() == b.allocation.x[n, s.apps_of(n)].tobytes(), case
+            assert a.allocation.x.shape == b.allocation.x.shape == (1, 4, 2), case
+            assert a.allocation.x.tobytes() == b.allocation.x.tobytes(), case
 
 
 def test_masks_beyond_the_scenario_are_rejected():
     """A mask with a bit at or above n_players names a player the scenario
     does not have: building its problem, or solving it, is a ValueError,
-    not a solve of its members inside on the mask's own streams."""
+    not a solve of its members inside on the mask's own streams.  Mask 0
+    names no player, and building its problem is a ValueError too."""
     s = generate_scenario(3, 3, 5, utility="sigmoid", mu=10.0, seed=6)
+    with pytest.raises(ValueError, match="no members"):
+        CoalitionProblem.build(s, Coalition(0))
     for mask in (0b1011, 0b1000, 1 << 23):
         with pytest.raises(ValueError, match="outside"):
             CoalitionProblem.build(s, Coalition(mask))
@@ -1165,7 +1185,7 @@ def test_slack_and_empty_resources_are_fixed_exactly():
     s = slack_empty_scenario()
     for n in range(3):
         rep = solve_native(s, n)
-        t = rep.allocation.x[n, s.apps_of(n)]
+        t = rep.allocation.x[0]
         assert rep.solver_kind == "multistart_fw"
         assert t[:, 0].tobytes() == s.requests[s.apps_of(n), 0].tobytes(), n
         if n == 1:
@@ -1208,8 +1228,11 @@ def test_split_solves_never_fall_below_the_joint_solve():
     mu 1, 3 or 10, every fourth with linear terms too, each budget drawn
     slack, empty or binding), the split solve's value is never below the
     joint solve's (_solve over every resource, from the same streams) by
-    more than 1e-12 relative, and it is the objective at its receipts."""
+    more than 1e-12 relative, and it is the objective at its receipts.
+    Where every budget binds, nothing is fixed and the two are one solve:
+    equal receipts and value, bit for bit."""
     rng = np.random.default_rng(11)
+    all_binding = 0
     for case in range(200):
         k, m = rng.integers(2, 5), rng.integers(3, 9)
         reqs = rng.uniform(1.0, 10.0, size=(m, k))
@@ -1225,12 +1248,17 @@ def test_split_solves_never_fall_below_the_joint_solve():
         t, value, _ = solver._solve_receipts(terms, budget, 1.0, False, starts,
                                              solver.DEFAULT_GAP_TOL)
         oracles = solver._receipt_oracles(terms, budget, 1.0)
-        joint = solver._solve(oracles, False, starts(oracles[1]), solver.DEFAULT_GAP_TOL)[2]
+        _, joint_t, joint, _, _ = solver._solve(oracles, False, starts(oracles[1]),
+                                                solver.DEFAULT_GAP_TOL)
         assert value >= joint - 1e-12 * abs(joint), case
+        if (kind == 2).all():
+            all_binding += 1
+            assert value == joint and t.tobytes() == joint_t.tobytes(), case
         assert value == pytest.approx(terms.value(t).sum(), rel=1e-12), case
         # unit steps reach the oracle's point up to rounding
         assert (t >= 0).all() and (t <= reqs * (1 + 1e-12)).all(), case
         assert (t.sum(axis=0) <= budget * (1 + 1e-12)).all(), case
+    assert all_binding >= 5
 
 
 # ---------------------------------------------------------------------------
