@@ -29,7 +29,6 @@ import argparse
 import csv
 import dataclasses
 import functools
-import json
 import math
 import sys
 import zipfile
@@ -574,19 +573,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed the message
-        return int(exc.code or 0)
     handlers = {"gen": cmd_gen, "run": cmd_run, "verify": cmd_verify, "bench": cmd_bench}
     try:
+        args = parser.parse_args(argv)
         return handlers[args.command](args, parser)
-    except SystemExit as exc:  # parser.error inside a handler
+    except SystemExit as exc:  # argparse printed its message (parse or parser.error)
         return int(exc.code or 0)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, json.JSONDecodeError, KeyError) as exc:
+    except ValueError as exc:  # bad input, json.JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -173,6 +173,7 @@ def fast_core(
     for p, r in enumerate(native_reports):  # each in its singleton's
         x_total[p, s.apps_of(p)] += r.allocation.x[0]
     residual_reqs = np.clip(s.requests - x_total.sum(axis=0), 0.0, None)
+    # each player's leftover capacity, read once, at its own turn
     residual_caps = np.clip(s.capacities - x_total.sum(axis=1), 0.0, None)
 
     phase2 = np.zeros(n)
@@ -183,7 +184,6 @@ def fast_core(
         sold = report.allocation.x[p]
         x_total[p] += sold
         residual_reqs = np.clip(residual_reqs - sold, 0.0, None)
-        residual_caps[p] = np.clip(residual_caps[p] - sold.sum(axis=0), 0.0, None)
 
     payoffs = s.w * phase1 + s.zeta * phase2
     return FastCoreResult(

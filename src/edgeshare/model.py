@@ -17,6 +17,11 @@ from pathlib import Path
 import numpy as np
 
 MAX_PLAYERS = 24
+# The most request entries (applications times resources, N * m * K for m
+# applications per player) a scenario may hold.  run --method fast peaked at
+# 666 MB resident on 300,000 sigmoid entries (N = 24, m = 1562, K = 8; 2
+# cores), the most of the shapes measured, and at 872 MB on 384,000.
+MAX_REQUEST_ENTRIES = 300_000
 
 REQUEST_LOW = 1.0
 REQUEST_HIGH = 10.0
@@ -144,6 +149,9 @@ def validate_scenario(s: Scenario) -> list[str]:
         problems.append(f"capacities shape {s.capacities.shape} != {(n, k)}")
     if s.requests.ndim != 2 or s.requests.shape[1] != k:
         problems.append(f"requests shape {s.requests.shape} incompatible with K={k}")
+    if s.requests.size > MAX_REQUEST_ENTRIES:
+        problems.append(f"at most {MAX_REQUEST_ENTRIES} request entries (applications times "
+                        f"resources) supported, got {s.requests.size}")
     if s.owner.shape != (s.requests.shape[0],):
         problems.append("owner must align with requests rows")
     elif 1 <= n <= MAX_PLAYERS:  # per-player checks, O(n): only for an n in range
@@ -334,6 +342,10 @@ def generate_scenario(
         raise ValueError("n_players, n_resources and m_per_player must all be >= 1")
     if n_players > MAX_PLAYERS:
         raise ValueError(f"at most {MAX_PLAYERS} players supported")
+    if (entries := n_players * m_per_player * n_resources) > MAX_REQUEST_ENTRIES:
+        raise ValueError(f"at most {MAX_REQUEST_ENTRIES} request entries (N * m * K) "
+                         f"supported, got {n_players} * {m_per_player} * {n_resources} "
+                         f"= {entries}")
     if utility == "sigmoid" and mu is None:
         raise ValueError("sigmoid generation needs mu")
     if utility == "linear" and mu is not None:

@@ -28,8 +28,8 @@ Receipts t_ik per application serve every problem whose objective is one
 weight times the total satisfaction at them: a native or residual
 provider, and a coalition whose credit weights are all equal (w == zeta
 shared by all members).  A singleton coalition is its member's native
-problem, w times, and one solve and one allocation, (1, M_n, K), serve
-both.  The receipts the budgets can deliver are exactly 0 <= t <= r with
+problem, w times: its report is solve_native's, with w times the value,
+one allocation (1, M_n, K) for both.  The receipts the budgets can deliver are exactly 0 <= t <= r with
 sum_i t_ik at most the pooled budget, so the linear oracle is one greedy
 fill of that budget, and a coalition's members ship the receipts by the
 northwest-corner staircase.  Objective and budgets separate by resource,
@@ -85,7 +85,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -462,8 +462,8 @@ def _rows(v: np.ndarray) -> np.ndarray:
 def _pooled_bounds(prob: CoalitionProblem, rows: int):
     """Requests (rows, MS) and member capacities (rows, S) of the rows
     (R * K) of _rows."""
-    k, m = prob.reqs.shape[1], len(prob.apps)
-    reqs = np.broadcast_to(prob.reqs.T, (rows // k, k, m)).reshape(rows, m)
+    m, k = prob.terms.requests.shape
+    reqs = np.broadcast_to(prob.terms.requests.T, (rows // k, k, m)).reshape(rows, m)
     return reqs, np.broadcast_to(prob.caps.T, (rows // k, k, prob.size)).reshape(rows, -1)
 
 
@@ -517,10 +517,10 @@ def _member_split(prob: CoalitionProblem, own: np.ndarray, t: np.ndarray) -> np.
                      np.maximum(caps - np.where(mine, own[:, None], 0.0).sum(axis=-1), 0.0))
     x = _staircase(spare, foreign)  # (rows, S, MS)
     x[:, owner, np.arange(m)] += own
-    k = prob.reqs.shape[1]
+    k = prob.caps.shape[1]
     x = np.ascontiguousarray(x.reshape(-1, k, size, m).transpose(0, 2, 3, 1))
     _trim(x, prob.caps[:, None, :], -2)
-    _trim(x, prob.reqs, -3)
+    _trim(x, prob.terms.requests, -3)
     return x
 
 
@@ -530,25 +530,26 @@ def _member_split(prob: CoalitionProblem, own: np.ndarray, t: np.ndarray) -> np.
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+_COARSE, _REFINE = 17, 24  # grid points of the scan, golden-section probes
 
 
-def _best_steps(value_at, n: int, coarse: int = 17, refine: int = 24):
+def _best_steps(value_at, n: int):
     """Maximize h_r(gamma) on [0, 1] for n segments at once: a coarse scan,
     then golden-section search around each segment's best coarse point.
     value_at maps one step per segment, shape (n,), to the n values h_r;
     it is called with one grid point, or one probe, per segment at a time.
     Returns each segment's best step and value."""
-    grid = np.linspace(0.0, 1.0, coarse)
+    grid = np.linspace(0.0, 1.0, _COARSE)
     vals = np.stack([value_at(np.full(n, g)) for g in grid], axis=1)
     j = np.argmax(vals, axis=1)
     best_g, best_v = grid[j], vals[np.arange(n), j]
     a = grid[np.maximum(j - 1, 0)]
-    b = grid[np.minimum(j + 1, coarse - 1)]
+    b = grid[np.minimum(j + 1, _COARSE - 1)]
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc = value_at(c)
     fd = value_at(d)
-    for _ in range(refine):
+    for _ in range(_REFINE):
         # fc >= fd keeps [a, d] and probes a new c; otherwise [c, b] and a new d
         left = fc >= fd
         a, b = np.where(left, a, c), np.where(left, d, b)
@@ -656,7 +657,11 @@ def _batched_frank_wolfe(evaluate, lmo, x0: np.ndarray, gap_tol: float, objectiv
     return x, f, iters, gap, vertex
 
 
-def _check_settings(restarts: int, gap_tol: float) -> None:
+def _check_settings(restarts: int, gap_tol: float, s: Scenario | None = None,
+                    n: int = 0) -> None:
+    if s is not None and not 0 <= n < s.n_players:
+        raise ValueError(f"player n = {n} is outside [0, N) for this scenario's "
+                         f"N = {s.n_players} players")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if not (np.isfinite(gap_tol) and gap_tol >= 0):
@@ -878,23 +883,24 @@ def _solve_receipts(terms: AppTerms, budget: np.ndarray, weight: float, exact: b
     return t, value, how
 
 
-def _coalition_starts(s: Scenario, mask: int, size: int, m: int, restarts: int):
+def _coalition_starts(s: Scenario, mask: int, m: int, restarts: int):
     """_starts of the coalition of mask, as a function of the vertices: every
-    coalition draws member and application factors per resource, (K, size
-    + m), whichever coordinates use them, so its streams keep one layout."""
+    coalition draws member and application factors per resource, (K, S + m),
+    whichever coordinates use them, so its streams keep one layout."""
     return functools.partial(_starts, s, _COALITION_TAG, mask, restarts,
-                             (s.n_resources, size + m))
+                             (s.n_resources, mask.bit_count() + m))
 
 
-def _solve_pooled(s: Scenario, mask: int, size: int, terms: AppTerms, budget: np.ndarray,
+def _solve_pooled(s: Scenario, mask: int, terms: AppTerms, budget: np.ndarray,
                   weight: float, restarts: int, gap_tol: float):
     """Best receipts t (MS, K), their value and how, for the coalition of
-    mask (size members) whose credit weights all equal `weight`, on
-    budget, by _solve_receipts: exact where every term is linear or no
-    resource binds, else Frank-Wolfe on the binding resources from the
-    greedy fill of the drawn application factors there, its slack and
-    empty resources fixed."""
-    starts = _coalition_starts(s, mask, size, len(terms.requests), restarts)
+    mask whose credit weights all equal `weight`, on budget, by
+    _solve_receipts: exact where every term is linear or no resource
+    binds, else Frank-Wolfe on the binding resources from the greedy fill
+    of the drawn application factors there, its slack and empty resources
+    fixed."""
+    size = mask.bit_count()
+    starts = _coalition_starts(s, mask, len(terms.requests), restarts)
     return _solve_receipts(terms, budget, weight, terms.all_linear,
                            lambda fill: starts(lambda d: fill(np.swapaxes(d[..., size:], -1, -2))),
                            gap_tol)
@@ -911,14 +917,6 @@ def _report(value, allocation: Allocation, how, t0: float) -> SolveReport:
 # single-provider problems: one budget against per-application caps
 
 
-def _native(s: Scenario, n: int, restarts: int, gap_tol: float):
-    """Player n's receipts (M_n, K) at weight 1, their value and how: its
-    native problem and, times w_n, its singleton coalition's, solved on
-    that coalition's streams."""
-    return _solve_pooled(s, 1 << n, 1, AppTerms.from_scenario(s, s.apps_of(n)),
-                         s.capacities[n], 1.0, restarts, gap_tol)
-
-
 def solve_native(
     s: Scenario,
     n: int,
@@ -926,11 +924,12 @@ def solve_native(
     gap_tol: float = DEFAULT_GAP_TOL,
 ) -> SolveReport:
     """Maximize player n's own utility over its native applications from its
-    own capacity.  Returns the unweighted optimum and the singleton
-    coalition's allocation (1, M_n, K) of the same solve (_native)."""
-    _check_settings(restarts, gap_tol)
+    own capacity, by its singleton coalition's solve at weight 1.  Returns
+    the unweighted optimum and the singleton's allocation (1, M_n, K)."""
+    _check_settings(restarts, gap_tol, s, n)
     t0 = time.perf_counter()
-    t, value, how = _native(s, n, restarts, gap_tol)
+    t, value, how = _solve_pooled(s, 1 << n, AppTerms.from_scenario(s, s.apps_of(n)),
+                                  s.capacities[n], 1.0, restarts, gap_tol)
     return _report(value, Allocation(t[None]), how, t0)
 
 
@@ -954,11 +953,11 @@ def solve_residual(
     where every foreign owner is linear.  The sale is row n of an
     (N, M, K) allocation, the grand coalition's coordinates.
     """
-    _check_settings(restarts, gap_tol)
+    _check_settings(restarts, gap_tol, s, n)
     t0 = time.perf_counter()
     reqs = np.asarray(residual_reqs, dtype=float).copy()
     reqs[s.apps_of(n), :] = 0.0  # own applications are not foreign income
-    terms = AppTerms.from_scenario(s).with_requests(reqs)
+    terms = replace(AppTerms.from_scenario(s), requests=reqs)
     baseline = float(terms.value(np.zeros_like(reqs)).sum())
     foreign_linear = all(
         s.utilities[j].kind == "linear" for j in range(s.n_players) if j != n)
@@ -982,7 +981,7 @@ def _random_staircases(prob: CoalitionProblem, draws: np.ndarray) -> np.ndarray:
     lead = draws.shape[:2]
     x = _lmo_factored(draws[..., :size], draws[..., size:],
                       np.broadcast_to(prob.caps.T, lead + (size,)),
-                      np.broadcast_to(prob.reqs.T, lead + (len(prob.apps),)))
+                      np.broadcast_to(prob.terms.requests.T, lead + (len(prob.apps),)))
     return x.transpose(0, 2, 3, 1)
 
 
@@ -999,7 +998,7 @@ def _member_oracles(prob: CoalitionProblem):
             for r, g in enumerate(gs[..., k]):
                 key = g.tobytes()
                 if key not in vertex_of:
-                    vertex_of[key] = lmo_transport(g, prob.caps[:, k], prob.reqs[:, k])
+                    vertex_of[key] = lmo_transport(g, prob.caps[:, k], prob.terms.requests[:, k])
                 out[r, ..., k] = vertex_of[key]
         return out
 
@@ -1017,7 +1016,7 @@ def solve_coalition(
     per-application caps still bind).  The allocation is local
     (Scenario.local_axes), a copy that pins no restart batch.
 
-    A lone member's problem is its native one times its w (_native).  Any
+    A lone member's report is solve_native's, w times the value.  Any
     other coalition runs one solve (_solve): on pooled receipts where every
     credit weight is equal, shipped by the northwest-corner staircase; in
     own/total coordinates where prob.own_foreign, from its member starts,
@@ -1030,18 +1029,18 @@ def solve_coalition(
     prob = CoalitionProblem.build(s, coalition)
     if prob.size == 1:
         n = prob.members[0]
-        t, value, how = _native(s, n, restarts, gap_tol)
-        return _report(s.w[n] * value, Allocation(t[None]), how, t0)
+        native = solve_native(s, n, restarts, gap_tol)
+        return replace(native, value=float(s.w[n] * native.value),
+                       wall_time=time.perf_counter() - t0)
     if prob.uniform_weight is not None:
-        t, value, how = _solve_pooled(s, coalition.mask, prob.size, prob.terms,
-                                      prob.caps.sum(axis=0), prob.uniform_weight, restarts,
-                                      gap_tol)
+        t, value, how = _solve_pooled(s, coalition.mask, prob.terms, prob.caps.sum(axis=0),
+                                      prob.uniform_weight, restarts, gap_tol)
         x = _staircase(prob.caps.T, t.T).transpose(1, 2, 0)
         return _report(value, Allocation(x), how, t0)
     exact = prob.terms.all_linear
     # member starts: the staircases of the drawn factors, or one zero point
-    starts = _coalition_starts(s, coalition.mask, prob.size, len(prob.apps), restarts)
-    x0 = (np.zeros((1, prob.size, *prob.reqs.shape)) if exact
+    starts = _coalition_starts(s, coalition.mask, len(prob.apps), restarts)
+    x0 = (np.zeros((1, prob.size, *prob.terms.requests.shape)) if exact
           else starts(functools.partial(_random_staircases, prob)))
     if prob.own_foreign:
         oracles = prob.own_total_evaluate, functools.partial(_lmo_own_total, prob)

@@ -50,9 +50,6 @@ class AppTerms:
         coeffs = s.coeff_matrix() if apps is None else s.coeff_matrix()[apps]
         return cls(is_sig[own], mu[own], coeffs, req)
 
-    def with_requests(self, requests: np.ndarray) -> "AppTerms":
-        return AppTerms(self.is_sigmoid, self.mu, self.coeffs, requests)
-
     def resources(self, k: list[int]) -> "AppTerms":
         """The terms of the resources k (indices along the last axis)."""
         return AppTerms(self.is_sigmoid, self.mu, self.coeffs[:, k], self.requests[:, k])
@@ -118,8 +115,7 @@ class CoalitionProblem:
     members: tuple[int, ...]
     apps: np.ndarray  # (MS,) global app indices
     caps: np.ndarray  # (S, K)
-    reqs: np.ndarray  # (MS, K)
-    terms: AppTerms
+    terms: AppTerms  # its requests (MS, K) are the coalition's
     ord_pos: np.ndarray  # (MS, S)
     zseq: np.ndarray  # (MS, S)
     uniform_weight: float | None  # the one value of zseq, if all are equal
@@ -148,7 +144,6 @@ class CoalitionProblem:
             members=tuple(mem.tolist()),
             apps=apps,
             caps=s.capacities[mem],
-            reqs=s.requests[apps],
             terms=AppTerms.from_scenario(s, apps),
             ord_pos=ord_pos,
             zseq=zseq,

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import shlex
 import signal
 import subprocess
@@ -83,8 +84,42 @@ def test_gen_bad_weights(tmp_path):
     assert main(["gen", "--weights", "oops", "--out", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize("command", ["gen", "bench", "run"])
+def test_request_entries_above_the_bound_exit_2(tmp_path, capsys, command):
+    """One request entry above model.MAX_REQUEST_ENTRIES is refused with
+    exit 2 and a message naming the bound: by gen and bench before the
+    first draw, and by a scenario file on load.  The size is one that fits
+    in memory, a single linear player with one resource."""
+    over = model.MAX_REQUEST_ENTRIES + 1
+    size = ["--players", "1", "--apps", str(over), "--resources", "1"]
+    if command == "run":
+        doc = json.loads(model.scenario_to_json(model.generate_scenario(1, 1, 1)))
+        doc["players"][0]["requests"] = [[1.0]] * over
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["run", "--scenario", str(scenario), "--method", "fast"]
+    elif command == "gen":
+        argv = ["gen", *size]
+    else:
+        argv = ["bench", *size, "--utility", "linear", "--repetitions", "1", "--method", "fast"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert f"at most {model.MAX_REQUEST_ENTRIES} request entries" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_gen_unwritable_path_is_io_error(tmp_path):
     assert main(["gen", "--out", str(tmp_path / "no" / "such" / "dir" / "x.json")]) == 3
+
+
+def test_a_key_error_is_a_bug_not_bad_input(monkeypatch, tmp_path):
+    """No input path raises KeyError, so one from a handler is a bug: it
+    propagates instead of exiting 2 as if the input were bad."""
+    def broken(args, parser):
+        raise KeyError("x")
+
+    monkeypatch.setattr(cli, "cmd_gen", broken)
+    with pytest.raises(KeyError, match="x"):
+        main(["gen", "--out", str(tmp_path / "x.json")])
 
 
 # ---------------------------------------------------------------------------
@@ -1102,6 +1137,22 @@ def test_readme_commands_parse():
             cli.build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: edgeshare {shlex.join(argv)}")
+
+
+def test_readme_module_names_resolve():
+    """Every backticked `module.name` README gives for a module of the
+    package resolves to an attribute of it, so a deleted or renamed
+    helper cannot stay named in the docs."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    names = set(re.findall(r"`(solver|utility|model|engine|analysis|cli)\.([\w.]+)`", text))
+    assert len(names) >= 10
+    modules = {"solver": solver, "utility": utility, "model": model, "engine": engine,
+               "analysis": analysis, "cli": cli}
+    for module, dotted in sorted(names):
+        obj = modules[module]
+        for attr in dotted.split("."):
+            assert hasattr(obj, attr), f"README names `{module}.{dotted}`, which is gone"
+            obj = getattr(obj, attr)
 
 
 def test_module_help_exits_0():

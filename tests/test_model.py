@@ -67,6 +67,19 @@ def test_validation_reports_instead_of_raising():
     assert any("requests" in p for p in problems)
 
 
+def test_request_entries_are_bounded():
+    """generate_scenario takes up to MAX_REQUEST_ENTRIES request entries
+    (N * m * K) and refuses one more before drawing; a scenario built
+    with more fails validation."""
+    bound = model.MAX_REQUEST_ENTRIES
+    assert generate_scenario(1, 1, bound).requests.size == bound
+    with pytest.raises(ValueError, match=f"at most {bound} request entries"):
+        generate_scenario(1, 1, bound + 1)
+    with pytest.raises(ValueError, match=f"at most {bound} request entries"):
+        tiny_scenario(requests=np.ones((bound // 2 + 1, 2)),
+                      owner=np.repeat([0, 1], [1, bound // 2]))
+
+
 def test_owner_grouping_enforced():
     with pytest.raises(ValueError, match="grouped by owner"):
         tiny_scenario(owner=np.array([0, 1, 0, 1]))

@@ -471,12 +471,14 @@ def test_own_foreign_oracle_matches_the_transport_lp(case):
         x = own_foreign_vertex(prob, gs)
         assert x.shape == gs.shape and x.min() >= 0.0
         assert_matches_full_search(prob, gs, x, (case, trial))
-        assert (x.sum(axis=-2) <= prob.caps).all() and (x.sum(axis=-3) <= prob.reqs).all()
+        assert (x.sum(axis=-2) <= prob.caps).all()
+        assert (x.sum(axis=-3) <= prob.terms.requests).all()
         for r in range(len(gs)):
             assert audit_allocation(s, Allocation(x[r]), Coalition.grand(s.n_players), tol=0.0) == []
             for k in range(s.n_resources):
                 g = gs[r, ..., k]
-                want = float((g * lmo_transport(g, prob.caps[:, k], prob.reqs[:, k])).sum())
+                vertex = lmo_transport(g, prob.caps[:, k], prob.terms.requests[:, k])
+                want = float((g * vertex).sum())
                 got = float((g * x[r, ..., k]).sum())
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (case, trial, r, k)
 
@@ -507,7 +509,7 @@ def test_own_foreign_oracle_on_a_plateau_of_prices():
     assert_matches_full_search(prob, gs, x, "plateau")
     assert x.sum() == pytest.approx(prob.caps.sum(), rel=1e-15)
     assert audit_allocation(s, Allocation(x[0]), Coalition.grand(2), tol=0.0) == []
-    want = float((g * lmo_transport(g, prob.caps[:, 0], prob.reqs[:, 0])).sum())
+    want = float((g * lmo_transport(g, prob.caps[:, 0], prob.terms.requests[:, 0])).sum())
     assert float((g * x[0, ..., 0]).sum()) == pytest.approx(want, rel=1e-12)
 
 
@@ -588,7 +590,8 @@ def test_member_gradients_take_the_own_foreign_form():
         for r in range(len(gs)):
             for k in range(s.n_resources):
                 g = gs[r, ..., k]
-                want = float((g * lmo_transport(g, prob.caps[:, k], prob.reqs[:, k])).sum())
+                vertex = lmo_transport(g, prob.caps[:, k], prob.terms.requests[:, k])
+                want = float((g * vertex).sum())
                 got = float((g * x[r, ..., k]).sum())
                 assert want * (1 - 1e-12) <= got <= want + 1e-7 * prob.caps[:, k].sum()
 
@@ -630,7 +633,7 @@ def test_own_total_value_and_gradient_match_member_coordinates():
         xs = np.concatenate([x0, x0 * rng.uniform(0.0, 1.0, size=x0.shape)])
         f, grad = prob.evaluate(xs)
         y = prob.own_total(xs)
-        assert y.shape == (len(xs), 2, *prob.reqs.shape)
+        assert y.shape == (len(xs), 2, *prob.terms.requests.shape)
         f_ot, slopes = prob.own_total_evaluate(y)
         d, b = slopes[:, 0], slopes[:, 1]
         zeta = prob.zseq[:, 1]
@@ -696,7 +699,7 @@ def test_linear_own_foreign_solves_ship_the_member_oracle_vertex():
                 if not prob.own_foreign:
                     continue
                 rep = solve_coalition(s, c)
-                gs = prob.evaluate(np.zeros((1, prob.size, *prob.reqs.shape)))[1]
+                gs = prob.evaluate(np.zeros((1, prob.size, *prob.terms.requests.shape)))[1]
                 want = own_foreign_vertex(prob, gs)[0]
                 assert rep.solver_kind == "exact", c.label()
                 assert rep.allocation.x.tobytes() == want.tobytes(), (seed, c.label())
@@ -1132,7 +1135,7 @@ def test_member_gradient_matches_central_differences(n, w, zeta):
     for c in all_coalitions(n):
         prob = CoalitionProblem.build(s, c)
         assert (prob.uniform_weight is None) == (prob.size > 1)
-        x = rng.uniform(0.0, 1.0, (prob.size, *prob.reqs.shape)) * prob.reqs
+        x = rng.uniform(0.0, 1.0, (prob.size, *prob.terms.requests.shape)) * prob.terms.requests
         steps = h * np.eye(x.size).reshape(-1, *x.shape)
         numeric = (prob.objective(x + steps) - prob.objective(x - steps)) / (2 * h)
         err = np.abs(prob.evaluate(x)[1].ravel() - numeric).max()
@@ -1162,6 +1165,24 @@ def test_invalid_gap_tol_is_rejected(gap_tol):
     with pytest.raises(ValueError, match="gap_tol"):
         solve_residual(s, 0, residual_caps=np.ones(2),
                        residual_reqs=s.requests, gap_tol=gap_tol)
+
+
+@pytest.mark.parametrize("solve", ["native", "residual"])
+@pytest.mark.parametrize("n", [3, -1])
+def test_players_outside_the_scenario_are_rejected(monkeypatch, solve, n):
+    """A native or residual solve of a player n outside [0, N) is a
+    ValueError naming n and N, raised before anything is solved (and not
+    an assert, which python -O strips)."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran for a player outside the scenario")
+
+    monkeypatch.setattr(solver, "_solve_receipts", no_solve)
+    s = generate_scenario(3, 2, 2, utility="sigmoid", mu=3.0, seed=3)
+    with pytest.raises(ValueError, match=rf"player n = {n} .* N = 3 "):
+        if solve == "native":
+            solve_native(s, n)
+        else:
+            solve_residual(s, n, residual_caps=np.ones(2), residual_reqs=s.requests)
 
 
 # ---------------------------------------------------------------------------
@@ -1199,10 +1220,10 @@ def test_slack_and_empty_resources_are_fixed_exactly():
         assert (t[:, 1] == 0).all(), n
     for c in all_coalitions(3):
         prob = CoalitionProblem.build(s, c)
-        t, _, how = solver._solve_pooled(s, c.mask, prob.size, prob.terms, prob.caps.sum(axis=0),
+        t, _, how = solver._solve_pooled(s, c.mask, prob.terms, prob.caps.sum(axis=0),
                                          prob.uniform_weight, 16, solver.DEFAULT_GAP_TOL)
         assert how[0] == "multistart_fw", c.label()
-        assert t[:, 0].tobytes() == prob.reqs[:, 0].tobytes(), c.label()
+        assert t[:, 0].tobytes() == prob.terms.requests[:, 0].tobytes(), c.label()
 
 
 def test_all_slack_scenarios_draw_no_starts(monkeypatch):
@@ -1398,7 +1419,7 @@ def test_coalition_solves_draw_the_coalition_streams(monkeypatch):
             prob = CoalitionProblem.build(s, c)
             budget = prob.caps.sum(axis=0)
             binding = [k for k in range(s.n_resources)
-                       if budget[k] > 0 and math.fsum(prob.reqs[:, k]) > budget[k]]
+                       if budget[k] > 0 and math.fsum(prob.terms.requests[:, k]) > budget[k]]
             pooled = prob.uniform_weight is not None
             paths.add("members" if not pooled else len(binding))
             if pooled and not binding:
@@ -1408,12 +1429,12 @@ def test_coalition_solves_draw_the_coalition_streams(monkeypatch):
             assert (tag, ident, shape) == \
                 (solver._COALITION_TAG, c.mask, (s.n_resources, prob.size + len(prob.apps)))
             if not pooled:
-                assert x0.shape == (5, prob.size, *prob.reqs.shape)
+                assert x0.shape == (5, prob.size, *prob.terms.requests.shape)
                 continue
             draws = restart_draws(s.seed, tag, c.mask, 5, 1 + int(np.prod(shape)))
             for r, row in enumerate(draws, start=1):
                 gamma = row[1:].reshape(shape)[:, prob.size:]
-                want = row[0] * solver._greedy_fill(gamma.T, budget, prob.reqs)
+                want = row[0] * solver._greedy_fill(gamma.T, budget, prob.terms.requests)
                 assert x0[r][:, binding].tobytes() == want[:, binding].tobytes(), \
                     f"{c.label()} restart {r}"
     assert paths == {"members", 0, 1, 2}  # no, some and every resource binding
@@ -1503,11 +1524,11 @@ def test_member_oracle_solves_one_lp_per_distinct_slice(monkeypatch):
     prob = CoalitionProblem.build(s, Coalition(0b011))
     assert not prob.own_foreign
     rng = np.random.default_rng(7)
-    g0, g1 = rng.random((2, prob.size, *prob.reqs.shape))
+    g0, g1 = rng.random((2, prob.size, *prob.terms.requests.shape))
     gs = np.stack([g0, g1, g0, g0, g1])
     gs[3, ..., 0] = g1[..., 0]  # restart 3 shares resource 0 with g1 only
     want = np.stack([
-        np.stack([lmo_transport(g[..., k], prob.caps[:, k], prob.reqs[:, k])
+        np.stack([lmo_transport(g[..., k], prob.caps[:, k], prob.terms.requests[:, k])
                   for k in range(s.n_resources)], axis=-1)
         for g in gs])
     calls = count_lps(monkeypatch)
@@ -1653,7 +1674,7 @@ def convex_cases():
     yield "native", *native_fw(s, 1, 16)
     reqs = 0.5 * s.requests
     reqs[s.apps_of(1)] = 0.0
-    terms = AppTerms.from_scenario(s).with_requests(reqs)
+    terms = dataclasses.replace(AppTerms.from_scenario(s), requests=reqs)
     oracles = solver._receipt_oracles(terms, 0.5 * s.capacities[1], 1.0)
     yield "residual", oracles, solver._starts(s, solver._RESIDUAL_TAG, 1, 16,
                                               reqs.shape, oracles[1])
@@ -1706,8 +1727,8 @@ def test_non_convex_solve_searches_the_step(monkeypatch):
     steps = []
     best_steps = solver._best_steps
 
-    def recording(value_at, n, **kwargs):
-        best = best_steps(value_at, n, **kwargs)
+    def recording(value_at, n):
+        best = best_steps(value_at, n)
         steps.extend(best[0])
         return best
 
