@@ -254,8 +254,8 @@ def compare_methods(
     table come from the first repetition, the median from all of them.
     standalone is v({n}) off the table when Shapley ran, else w_n times n's
     native optimum: one solve, so the two agree bit for bit.  Shapley above
-    TABLE_PLAYER_LIMIT players raises the table's ValueError before its
-    first solve.
+    the table limit (engine.check_table_limit) raises its ValueError
+    before the first solve.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")

@@ -17,7 +17,9 @@ each coalition's split over its members from one pass,
 analysis.member_shares.
 
 main builds its parser once per process: in-process callers share it,
-so option defaults are read at the first call.
+so option defaults are read at the first call.  run and bench match
+options in full, not by prefix, so their old --tol (now --tol-gap) is an
+unknown option rather than an abbreviation of the new one.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 usage error or
 unreadable table.npz, 3 I/O error.  All value output is deterministic for
@@ -302,7 +304,7 @@ def _count(text: str) -> int:
 
 
 def _tolerance(text: str) -> float:
-    """--tol, --tol-gap: a finite number, at least 0."""
+    """verify --tol, --tol-gap: a finite number, at least 0."""
     try:
         value = float(text)
     except ValueError:
@@ -358,11 +360,11 @@ def cmd_run(args, parser) -> int:
     s = _load(args)
     methods = ("shapley", "fast") if args.method == "both" else (args.method,)
     if "shapley" in methods:
-        engine.check_table_limit(s.n_players)  # before --out is made
+        engine.check_table_limit(s)  # before --out is made
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rep = analysis.compare_methods(s, methods, repetitions=1, restarts=args.restarts,
-                                   gap_tol=args.tol)
+                                   gap_tol=args.tol_gap)
     for method, stat in rep.stats.items():
         print(f"{method}: total={stat.total:.6g} solves={stat.solves}")
     # payoff rows in the fixed presentation order: fast split, then Shapley
@@ -375,7 +377,7 @@ def cmd_run(args, parser) -> int:
                 [comparison_row(rep, m) for m in rep.stats])
     written = [outdir / name for name in ("coalition.csv", "payoffs.csv", "comparison.csv")]
     if rep.table is not None:
-        write_table_npz(outdir / TABLE_FILE, s, rep.table, args.restarts, args.tol)
+        write_table_npz(outdir / TABLE_FILE, s, rep.table, args.restarts, args.tol_gap)
         written.append(outdir / TABLE_FILE)
     print(f"wrote {', '.join(map(str, written[:-1]))} and {written[-1]}")
     return 0
@@ -422,7 +424,7 @@ def cmd_verify(args, parser) -> int:
             if len(v) != s.n_players:
                 parser.error(f"payoffs for {method!r} in {args.payoffs} have {len(v)} "
                              f"rows, but the scenario has N = {s.n_players} players")
-        engine.check_table_limit(s.n_players)  # before a table is read
+        engine.check_table_limit(s)  # before a table is read
         table, rows, ok = _saved_table(s, Path(args.payoffs).with_name(TABLE_FILE), args)
     if table is None:
         table = engine.build_characteristic_table(
@@ -477,30 +479,39 @@ def cmd_bench(args, parser) -> int:
     if args.utility == "sigmoid" and not mu_list:
         parser.error("sigmoid bench needs at least one --mu value")
     w, zeta = _parse_weights(args.weights, parser)
-    # --method shapley times the fast split alongside; both leaves Shapley
-    # out above the table limit
-    methods = {"fast": ("fast",), "shapley": ("shapley", "fast"),
-               "both": (("shapley", "fast") if args.players <= engine.TABLE_PLAYER_LIMIT
-                        else ("fast",))}[args.method]
-    reports = []
+    # every grid point is drawn, and its table checked, before the first
+    # solve; --method shapley times the fast split alongside, and both
+    # leaves Shapley out where the table limit refuses it
+    grid = []
     for m_apps in apps_list:
         for mu in mu_list:
             s = model.generate_scenario(
                 n_players=args.players, n_resources=args.resources,
                 m_per_player=m_apps, utility=args.utility, mu=mu,
                 seed=args.seed, w=w, zeta=zeta)
-            rep = analysis.compare_methods(
-                s, methods, repetitions=args.repetitions, restarts=args.restarts,
-                gap_tol=args.tol)
-            # the rows read no table, and one at the table limit holds
-            # hundreds of MB of allocations
-            reports.append(dataclasses.replace(rep, table=None))
-            for method in sorted(rep.stats):
-                stat = rep.stats[method]
-                print(f"n={rep.n_players} m={m_apps} mu={mu} {method}: "
-                      f"solves={stat.solves} median={stat.median_ms:.2f}ms")
-            if rep.speedup_pct is not None:
-                print(f"n={rep.n_players} m={m_apps} mu={mu} speedup={rep.speedup_pct:.1f}%")
+            methods = ("fast",)
+            if args.method != "fast":
+                try:
+                    engine.check_table_limit(s)
+                    methods = ("shapley", "fast")
+                except ValueError:
+                    if args.method == "shapley":
+                        raise
+            grid.append((m_apps, mu, s, methods))
+    reports = []
+    for m_apps, mu, s, methods in grid:
+        rep = analysis.compare_methods(
+            s, methods, repetitions=args.repetitions, restarts=args.restarts,
+            gap_tol=args.tol_gap)
+        # the rows read no table, and one at the table limit holds
+        # hundreds of MB of allocations
+        reports.append(dataclasses.replace(rep, table=None))
+        for method in sorted(rep.stats):
+            stat = rep.stats[method]
+            print(f"n={rep.n_players} m={m_apps} mu={mu} {method}: "
+                  f"solves={stat.solves} median={stat.median_ms:.2f}ms")
+        if rep.speedup_pct is not None:
+            print(f"n={rep.n_players} m={m_apps} mu={mu} speedup={rep.speedup_pct:.1f}%")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_comparison_csv(outdir / "comparison.csv", reports)
@@ -530,11 +541,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default="scenario.json")
 
-    run = sub.add_parser("run", help="solve a scenario and write CSVs")
+    run = sub.add_parser("run", help="solve a scenario and write CSVs", allow_abbrev=False)
     run.add_argument("--scenario", required=True)
     run.add_argument("--method", choices=("shapley", "fast", "both"), default="both")
     run.add_argument("--restarts", type=_count, default=solver.DEFAULT_RESTARTS)
-    run.add_argument("--tol", type=_tolerance, default=solver.DEFAULT_GAP_TOL,
+    run.add_argument("--tol-gap", type=_tolerance, default=solver.DEFAULT_GAP_TOL,
                      help="solver stopping gap")
     run.add_argument("--out", default=".")
 
@@ -553,7 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
                      dest="tol_gap", help="solver stopping gap")
     ver.add_argument("--out", default=None, help="directory for verify.csv")
 
-    bench = sub.add_parser("bench", help="time both pipelines across settings")
+    bench = sub.add_parser("bench", help="time both pipelines across settings",
+                           allow_abbrev=False)
     bench.add_argument("--players", type=int, default=3)
     bench.add_argument("--apps", default="3,20,100",
                        help="comma list of applications per player")
@@ -564,7 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--method", choices=("shapley", "fast", "both"), default="both")
     bench.add_argument("--restarts", type=_count, default=solver.DEFAULT_RESTARTS)
-    bench.add_argument("--tol", type=_tolerance, default=solver.DEFAULT_GAP_TOL)
+    bench.add_argument("--tol-gap", type=_tolerance, default=solver.DEFAULT_GAP_TOL,
+                       help="solver stopping gap")
     bench.add_argument("--repetitions", type=_count, default=5)
     bench.add_argument("--out", default=".")
 

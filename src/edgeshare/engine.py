@@ -2,7 +2,7 @@
 
 Two payoff pipelines share the same subproblem solvers.  The Shapley route
 solves one pooled allocation problem per nonempty coalition (2^N - 1
-solves, up to TABLE_PLAYER_LIMIT players), keeps the values as one array
+solves, within check_table_limit), keeps the values as one array
 indexed by mask, and averages marginal contributions with one array sweep
 per player; the fast route performs one native solve and one
 residual-sharing solve per player (2N solves), paying each provider what
@@ -33,6 +33,13 @@ from .solver import (
 # it saving table.npz.  Each player above that doubles both again, and the
 # limit is the largest N whose time and memory have been measured.
 TABLE_PLAYER_LIMIT = 14
+# Those allocations hold K * M * (N + 1) * 2^(N - 2) floats for M
+# applications in all, whatever their owners: 62 MB at N = 14, m = 3,
+# K = 3, but 1.9 GB at N = 12, m = 500, K = 3.  Just under this bound
+# (N = 10, m = 794, K = 3, linear: 511.8 MiB), run --method both took
+# 11.5 s and 674 MB of peak RSS, and verify --payoffs 9.1 s and 685 MB
+# (fresh processes, 2 cores).
+TABLE_ALLOC_BYTES = 512 * 2**20
 
 
 @dataclass(frozen=True)
@@ -66,14 +73,22 @@ class CharacteristicTable:
         return self.values[(1 << np.arange(self.n_players)) - 1]
 
 
-def check_table_limit(n_players: int) -> None:
-    """The ValueError of a table above TABLE_PLAYER_LIMIT players, raised
-    before anything is solved or written."""
-    if n_players > TABLE_PLAYER_LIMIT:
+def check_table_limit(s: Scenario) -> None:
+    """The ValueError of a table above TABLE_PLAYER_LIMIT players or above
+    TABLE_ALLOC_BYTES of allocations, raised before anything is solved or
+    written."""
+    n = s.n_players
+    if n > TABLE_PLAYER_LIMIT:
         raise ValueError(
             f"the exact characteristic table is limited to {TABLE_PLAYER_LIMIT} players "
-            f"(2^N - 1 coalition solves), and this scenario has N = {n_players}; "
+            f"(2^N - 1 coalition solves), and this scenario has N = {n}; "
             "run --method fast splits it without a table")
+    size = 8 * s.n_resources * s.m_total * (n + 1) * 2**n // 4
+    if size > TABLE_ALLOC_BYTES:
+        raise ValueError(
+            f"the exact characteristic table is limited to {TABLE_ALLOC_BYTES // 2**20} MiB "
+            f"of allocations (8 * K * M * (N + 1) * 2^(N - 2) bytes), and this scenario's "
+            f"take {size / 2**20:.0f} MiB; run --method fast splits it without a table")
 
 
 def build_characteristic_table(
@@ -82,9 +97,9 @@ def build_characteristic_table(
     gap_tol: float = DEFAULT_GAP_TOL,
 ) -> CharacteristicTable:
     """Solve the pooled problem of all 2^N - 1 coalitions, serially in
-    ascending mask order.  Above TABLE_PLAYER_LIMIT players nothing is
-    solved: that is a ValueError."""
-    check_table_limit(s.n_players)
+    ascending mask order.  Above the table limit (check_table_limit)
+    nothing is solved: that is a ValueError."""
+    check_table_limit(s)
     reports = {c.mask: solve_coalition(s, c, restarts=restarts, gap_tol=gap_tol)
                for c in all_coalitions(s.n_players)}
     return CharacteristicTable(values=[r.value for r in reports.values()], reports=reports)

@@ -2,16 +2,17 @@
 
 Every optimization here lives on a product of per-resource transportation
 polytopes: ship x_uik >= 0 from providers to applications subject to
-per-provider budgets and per-application request caps.  Linear objectives
-are solved exactly, by one call of the linear oracle on their constant
-gradient; sigmoid objectives run a multi-start Frank-Wolfe conditional
-gradient.  All restarts of one solve advance together in one batched
-driver, and each leaves the batch when its own stopping test fires.  The
-batch is gathered, compacted and written back only in a round where some
-run leaves it; a round in which every run moved adopts the new points,
-values and gradients as the batch, uncopied.  The driver evaluates each
-point once: one sigmoid pass gives its value and its gradient, and a run
-carries the gradient of the point it moved to into its next round.
+per-provider budgets and per-application request caps.  A problem in which
+every term with a nonzero request is linear (AppTerms.exact) is solved
+exactly, by one linear oracle call; any other runs a multi-start
+Frank-Wolfe conditional gradient.  All restarts of one solve advance
+together in one batched driver, and each leaves the batch when its own
+stopping test fires.  The batch is gathered, compacted and written back
+only in a round where some run leaves it; a round in which every run moved
+adopts the new points, values and gradients as the batch, uncopied.  The
+driver evaluates each point once: one sigmoid pass gives its value and its
+gradient, and a run carries the gradient of the point it moved to into its
+next round.
 
 Every sigmoid term is convex at receipts up to its request, and no
 feasible point exceeds a request, so receipt objectives are convex, and so
@@ -27,9 +28,9 @@ coordinates.
 Receipts t_ik per application serve every problem whose objective is one
 weight times the total satisfaction at them: a native or residual
 provider, and a coalition whose credit weights are all equal (w == zeta
-shared by all members).  A singleton coalition is its member's native
-problem, w times: its report is solve_native's, with w times the value,
-one allocation (1, M_n, K) for both.  The receipts the budgets can deliver are exactly 0 <= t <= r with
+shared by all members).  They are solved unweighted, and a coalition
+takes its weight once, on the value; a singleton's report is its
+member's native one.  The reachable receipts are 0 <= t <= r with
 sum_i t_ik at most the pooled budget, so the linear oracle is one greedy
 fill of that budget, and a coalition's members ship the receipts by the
 northwest-corner staircase.  Objective and budgets separate by resource,
@@ -107,8 +108,8 @@ class SolveReport:
 
     value: float
     allocation: Allocation
-    # "exact" for a solve that takes no restarts (every term linear, or no
-    # binding resource), else "multistart_fw"
+    # "exact" where every term with a nonzero request is linear or no
+    # resource binds (no restarts), else "multistart_fw"
     solver_kind: str
     iterations: int
     restarts_used: int
@@ -789,15 +790,14 @@ def _starts(s: Scenario, tag: int, ident: int, restarts: int, draw_shape,
     return x0
 
 
-def _receipt_oracles(terms: AppTerms, budget: np.ndarray, weight: float, held: float = 0.0):
+def _receipt_oracles(terms: AppTerms, budget: np.ndarray, held: float = 0.0):
     """Evaluation (value and gradient) and linear oracle on batched
-    receipts t (R, M, K): the value is weight * sum_ik g_ik(t_ik) + held,
-    held the value of the terms that a caller holds fixed outside t, and
-    the reachable receipts are 0 <= t <= requests with
-    sum_i t_ik <= budget_k."""
+    receipts t (R, M, K): the value is sum_ik g_ik(t_ik) + held, held the
+    value of the terms that a caller holds fixed outside t, and the
+    reachable receipts are 0 <= t <= requests with sum_i t_ik <= budget_k."""
     def evaluate(t):
         g, gp = terms.value_and_slope(t)
-        return weight * g.reshape(len(t), -1).sum(axis=1) + held, weight * gp
+        return g.reshape(len(t), -1).sum(axis=1) + held, gp
 
     def lmo(g):
         return _greedy_fill(g, budget, terms.requests)
@@ -807,10 +807,10 @@ def _receipt_oracles(terms: AppTerms, budget: np.ndarray, weight: float, held: f
 
 def _solve(oracles, exact: bool, x0: np.ndarray, gap_tol: float, objective=None, first=None):
     """One solve of the problem oracles (evaluate, lmo) pose, from the
-    start batch x0: when `exact` (every term with a nonzero request is
-    linear, so the gradient is constant; x0 is one zero point) the
-    oracle's point at x0's gradient, else the best run (the first of equal
-    values) of the batched driver from x0, given objective and first.
+    start batch x0: when `exact` (AppTerms.exact: every term with a
+    nonzero request is linear; x0 is one zero point) the oracle's point at
+    x0's gradient, else the best run (the first of equal values) of the
+    batched driver from x0, given objective and first.
     Returns the best run's index (0 if exact), point and value,
     (solver_kind, iterations, restarts_used, gap), and the oracle's point
     it last moved to (None if it never moved)."""
@@ -824,12 +824,11 @@ def _solve(oracles, exact: bool, x0: np.ndarray, gap_tol: float, objective=None,
     return best, x[best], float(f[best]), how, vertex(best)
 
 
-def _solve_receipts(terms: AppTerms, budget: np.ndarray, weight: float, exact: bool, starts,
-                    gap_tol: float):
-    """Best receipts t (M, K) on budget (K,), their value
-    weight * sum g(t) and how: the oracle's point where `exact`, else by
-    unit steps, since every term is convex up to its request, which the
-    oracle never exceeds.  starts(fill) draws the start points, the scaled
+def _solve_receipts(terms: AppTerms, budget: np.ndarray, starts, gap_tol: float):
+    """Best receipts t (M, K) on budget (K,), their unweighted value
+    sum g(t) and how: the oracle's point where terms.exact, else by unit
+    steps, since every term is convex up to its request, which the oracle
+    never exceeds.  starts(fill) draws the start points, the scaled
     vertices that fill builds from profits (B, M, K).
 
     The objective is a sum over resources, each with its own budget, so a
@@ -846,9 +845,9 @@ def _solve_receipts(terms: AppTerms, budget: np.ndarray, weight: float, exact: b
     point: 1/2 per slack sigmoid term (g(r)), c * r per slack linear one,
     and g(0), from that pass, on an empty resource.  A best run that never
     moved keeps its start on them too."""
-    evaluate, _ = oracles = _receipt_oracles(terms, budget, weight)
+    evaluate, _ = oracles = _receipt_oracles(terms, budget)
     reqs = terms.requests
-    if exact:
+    if terms.exact:
         _, t, value, how, _ = _solve(oracles, True, np.zeros((1, *reqs.shape)), gap_tol)
         return t, value, how
     caps = budget.tolist()
@@ -867,15 +866,14 @@ def _solve_receipts(terms: AppTerms, budget: np.ndarray, weight: float, exact: b
 
     x0 = starts(fill)
     g, gp = terms.value_and_slope(x0)  # the joint problem's start
-    gp = weight * gp
     at, target = x0[..., rest], fixed[:, rest]
     end = np.where([slack[k] for k in rest],
                    np.where(terms.is_sigmoid[:, None], 0.5, terms.coeffs[:, rest] * target),
                    g[0][:, rest])
-    first = (weight * g.reshape(len(x0), -1).sum(axis=1), gp[..., cols],
+    first = (g.reshape(len(x0), -1).sum(axis=1), gp[..., cols],
              (gp[..., rest] * (target - at)).reshape(len(x0), -1).sum(axis=1))
     best, tb, value, how, vertex = _solve(
-        _receipt_oracles(terms.resources(cols), budget[cols], weight, weight * end.sum()), False,
+        _receipt_oracles(terms.resources(cols), budget[cols], end.sum()), False,
         x0[..., cols], gap_tol, first=first)
     t = np.empty(reqs.shape)
     t[:, cols] = tb
@@ -892,18 +890,15 @@ def _coalition_starts(s: Scenario, mask: int, m: int, restarts: int):
 
 
 def _solve_pooled(s: Scenario, mask: int, terms: AppTerms, budget: np.ndarray,
-                  weight: float, restarts: int, gap_tol: float):
-    """Best receipts t (MS, K), their value and how, for the coalition of
-    mask whose credit weights all equal `weight`, on budget, by
-    _solve_receipts: exact where every term is linear or no resource
-    binds, else Frank-Wolfe on the binding resources from the greedy fill
-    of the drawn application factors there, its slack and empty resources
-    fixed."""
+                  restarts: int, gap_tol: float):
+    """_solve_receipts on budget for the coalition of mask, whose credit
+    weights are all equal: its best receipts t (MS, K), unweighted value
+    and how, from the greedy fill of the drawn application factors on each
+    binding resource."""
     size = mask.bit_count()
     starts = _coalition_starts(s, mask, len(terms.requests), restarts)
-    return _solve_receipts(terms, budget, weight, terms.all_linear,
-                           lambda fill: starts(lambda d: fill(np.swapaxes(d[..., size:], -1, -2))),
-                           gap_tol)
+    return _solve_receipts(terms, budget, lambda fill: starts(
+        lambda d: fill(np.swapaxes(d[..., size:], -1, -2))), gap_tol)
 
 
 def _report(value, allocation: Allocation, how, t0: float) -> SolveReport:
@@ -924,12 +919,12 @@ def solve_native(
     gap_tol: float = DEFAULT_GAP_TOL,
 ) -> SolveReport:
     """Maximize player n's own utility over its native applications from its
-    own capacity, by its singleton coalition's solve at weight 1.  Returns
+    own capacity, by its singleton coalition's unweighted solve.  Returns
     the unweighted optimum and the singleton's allocation (1, M_n, K)."""
     _check_settings(restarts, gap_tol, s, n)
     t0 = time.perf_counter()
     t, value, how = _solve_pooled(s, 1 << n, AppTerms.from_scenario(s, s.apps_of(n)),
-                                  s.capacities[n], 1.0, restarts, gap_tol)
+                                  s.capacities[n], restarts, gap_tol)
     return _report(value, Allocation(t[None]), how, t0)
 
 
@@ -950,8 +945,8 @@ def solve_residual(
     _solve_receipts': a resource whose residual capacity covers every
     foreign residual request ships them all, one with no residual capacity
     ships nothing, and Frank-Wolfe runs on the rest, if any; it is exact
-    where every foreign owner is linear.  The sale is row n of an
-    (N, M, K) allocation, the grand coalition's coordinates.
+    where every term with a nonzero request is linear.  The sale is row n
+    of an (N, M, K) allocation, the grand coalition's coordinates.
     """
     _check_settings(restarts, gap_tol, s, n)
     t0 = time.perf_counter()
@@ -959,10 +954,8 @@ def solve_residual(
     reqs[s.apps_of(n), :] = 0.0  # own applications are not foreign income
     terms = replace(AppTerms.from_scenario(s), requests=reqs)
     baseline = float(terms.value(np.zeros_like(reqs)).sum())
-    foreign_linear = all(
-        s.utilities[j].kind == "linear" for j in range(s.n_players) if j != n)
     t, value, how = _solve_receipts(
-        terms, np.asarray(residual_caps, dtype=float), 1.0, foreign_linear,
+        terms, np.asarray(residual_caps, dtype=float),
         functools.partial(_starts, s, _RESIDUAL_TAG, n, restarts, reqs.shape), gap_tol)
     full = np.zeros((s.n_players, s.m_total, s.n_resources))
     full[n] = t
@@ -1016,28 +1009,30 @@ def solve_coalition(
     per-application caps still bind).  The allocation is local
     (Scenario.local_axes), a copy that pins no restart batch.
 
-    A lone member's report is solve_native's, w times the value.  Any
-    other coalition runs one solve (_solve): on pooled receipts where every
-    credit weight is equal, shipped by the northwest-corner staircase; in
-    own/total coordinates where prob.own_foreign, from its member starts,
-    shipped as the member split (_member_split) of the oracle's point where
-    the best run last moved, which unit steps reach up to rounding, or as
-    its member start if it never moved, worth the run's own/total value up
-    to rounding; otherwise in member coordinates, shipped as it is."""
+    Where every credit weight is equal the report is the unweighted
+    receipt problem's with the weight times its value: a lone member's is
+    solve_native's, a larger coalition's ships its pooled receipts by the
+    northwest-corner staircase.  Any other coalition runs one solve
+    (_solve): in own/total coordinates where prob.own_foreign, from its
+    member starts, shipped as the member split (_member_split) of the
+    oracle's point where the best run last moved, which unit steps reach
+    up to rounding, or as its member start if it never moved, worth the
+    run's own/total value up to rounding; otherwise in member coordinates,
+    shipped as it is."""
     _check_settings(restarts, gap_tol)
     t0 = time.perf_counter()
     prob = CoalitionProblem.build(s, coalition)
-    if prob.size == 1:
-        n = prob.members[0]
-        native = solve_native(s, n, restarts, gap_tol)
-        return replace(native, value=float(s.w[n] * native.value),
-                       wall_time=time.perf_counter() - t0)
     if prob.uniform_weight is not None:
-        t, value, how = _solve_pooled(s, coalition.mask, prob.terms, prob.caps.sum(axis=0),
-                                      prob.uniform_weight, restarts, gap_tol)
-        x = _staircase(prob.caps.T, t.T).transpose(1, 2, 0)
-        return _report(value, Allocation(x), how, t0)
-    exact = prob.terms.all_linear
+        if prob.size == 1:
+            report = solve_native(s, prob.members[0], restarts, gap_tol)
+        else:
+            t, value, how = _solve_pooled(s, coalition.mask, prob.terms, prob.caps.sum(axis=0),
+                                          restarts, gap_tol)
+            report = _report(value, Allocation(_staircase(prob.caps.T, t.T).transpose(1, 2, 0)),
+                             how, t0)
+        return replace(report, value=float(prob.uniform_weight * report.value),
+                       wall_time=time.perf_counter() - t0)
+    exact = prob.terms.exact
     # member starts: the staircases of the drawn factors, or one zero point
     starts = _coalition_starts(s, coalition.mask, len(prob.apps), restarts)
     x0 = (np.zeros((1, prob.size, *prob.terms.requests.shape)) if exact

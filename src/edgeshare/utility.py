@@ -64,6 +64,11 @@ class AppTerms:
         """No term is sigmoid: value and slope skip the logistic pass."""
         return not self.is_sigmoid.any()
 
+    @cached_property
+    def exact(self) -> bool:
+        """Every term that can receive (nonzero request) is linear."""
+        return not (self.is_sigmoid & self.requests.any(axis=1)).any()
+
     def _logistic(self, received: np.ndarray) -> np.ndarray:
         """1/(1 + exp(mu*(r - t))) in one fresh array; an exp that
         overflows gives exactly 0, as scipy's expit does."""

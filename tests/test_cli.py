@@ -314,6 +314,60 @@ def test_bench_forced_shapley_above_the_player_limit_exits_2(tmp_path, capsys, s
     assert solve_calls == {}
 
 
+def test_table_above_the_byte_bound_exits_2_before_any_solve(tmp_path, capsys, monkeypatch):
+    """N = 12 with 500 apps and 3 resources per player is within the
+    player limit, but its table would hold 1.9 GB of allocations: run
+    --method both and verify exit 2 naming the byte bound and --method
+    fast, before any coalition solve or --out directory, and bench
+    --method both times the fast split alone there."""
+    scenario = gen(tmp_path, players=12, apps=500, resources=3)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a coalition was solved above the table's byte bound")
+
+    monkeypatch.setattr(engine, "solve_coalition", no_solve)
+    capsys.readouterr()
+    for command in (["run", "--method", "both"], ["verify"]):
+        assert main([*command, "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"limited to {engine.TABLE_ALLOC_BYTES // 2**20} MiB" in err, command
+        assert "--method fast" in err and "Traceback" not in err, command
+        assert not (tmp_path / "o").exists(), command
+    out = tmp_path / "bench"
+    assert main(["bench", "--players", "12", "--apps", "500", "--resources", "3",
+                 "--utility", "linear", "--method", "both", "--repetitions", "1",
+                 "--out", str(out)]) == 0
+    assert [r["method"] for r in read_csv(out / "comparison.csv")] == ["fast"]
+
+
+def test_bench_draws_its_whole_grid_before_the_first_solve(tmp_path, capsys, solve_calls):
+    """A grid point that cannot be drawn (here 400,000 request entries,
+    above model.MAX_REQUEST_ENTRIES) exits 2 before the grid's first
+    point is solved: nothing on stdout, no --out directory."""
+    out = tmp_path / "bench"
+    assert main(["bench", "--players", "2", "--apps", "3,200000", "--resources", "1",
+                 "--utility", "linear", "--repetitions", "1", "--method", "fast",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "request entries" in captured.err
+    assert solve_calls == {}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run", "--scenario"], ["bench", "--out"]])
+def test_old_tol_spelling_of_run_and_bench_exits_2(tmp_path, capsys, command):
+    """run and bench name their solver stopping gap --tol-gap, as verify
+    does; their old --tol is an unknown option, not an abbreviation of
+    it, so it changes nothing silently."""
+    scenario = gen(tmp_path)
+    capsys.readouterr()
+    target = str(scenario) if command[0] == "run" else str(tmp_path / "bench")
+    assert main([*command, target, "--tol", "1e-3"]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --tol 1e-3" in err
+    assert not (tmp_path / "bench").exists()
+
+
 def test_run_zero_requests_gives_zero_values(tmp_path):
     s = model.generate_scenario(2, 2, 2, utility="linear", seed=0)
     s = dataclasses.replace(s, requests=np.zeros_like(s.requests))
@@ -574,17 +628,17 @@ def test_restarts_below_one_is_a_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-0.5", "abc"])
 def test_invalid_tolerance_is_a_usage_error(tmp_path, capsys, tol):
-    # a NaN or infinite --tol used to stop Frank-Wolfe at its start points
-    # and write unoptimized payoffs with exit 0
+    # a NaN or infinite --tol-gap used to stop Frank-Wolfe at its start
+    # points and write unoptimized payoffs with exit 0
     scenario = gen(tmp_path, players=2, utility="sigmoid", mu="3")
     capsys.readouterr()
     bench = ["bench", "--players", "2", "--apps", "2", "--mu", "3",
              "--repetitions", "1", "--out", str(tmp_path / "bench")]
     for argv, flag in ((["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")],
-                        "--tol"),
+                        "--tol-gap"),
                        (["verify", "--scenario", str(scenario)], "--tol"),
                        (["verify", "--scenario", str(scenario)], "--tol-gap"),
-                       (bench, "--tol")):
+                       (bench, "--tol-gap")):
         assert main([*argv, flag, tol]) == 2, (argv[0], flag)
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
@@ -941,7 +995,7 @@ def test_pipeline_builds_one_parser_and_serializes_no_scenario(tmp_path, monkeyp
 
 def test_options_do_not_leak_between_main_calls(tmp_path, capsys):
     scenario = gen(tmp_path)
-    assert main(["run", "--scenario", str(scenario), "--restarts", "4", "--tol", "1e-3",
+    assert main(["run", "--scenario", str(scenario), "--restarts", "4", "--tol-gap", "1e-3",
                  "--out", str(tmp_path / "a")]) == 0
     assert main(["run", "--scenario", str(scenario), "--restarts", "0"]) == 2
     assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "b")]) == 0
@@ -1137,6 +1191,20 @@ def test_readme_commands_parse():
             cli.build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: edgeshare {shlex.join(argv)}")
+
+
+def test_readme_option_spans_name_options_of_their_subcommand():
+    """Every backticked `gen|run|verify|bench --option ...` span of README
+    names only options that subcommand's parser has, so a renamed option
+    (run --tol, now --tol-gap) cannot stay in the prose."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    spans = re.findall(r"`(gen|run|verify|bench)( --[^`]*)`", text)
+    assert len(spans) >= 20
+    [subparsers] = cli.build_parser()._subparsers._group_actions
+    for command, rest in spans:
+        known = subparsers.choices[command]._option_string_actions
+        for option in re.findall(r"(?<!\S)--[\w-]+", rest):
+            assert option in known, f"README names `{command} {option}`, which {command} lacks"
 
 
 def test_readme_module_names_resolve():

@@ -89,7 +89,7 @@ def native_fw(s, n, restarts):
     its singleton coalition's streams: the greedy fill of the drawn
     application factors (K, 1 + M_n)."""
     terms = AppTerms.from_scenario(s, s.apps_of(n))
-    oracles = solver._receipt_oracles(terms, s.capacities[n], 1.0)
+    oracles = solver._receipt_oracles(terms, s.capacities[n])
     x0 = solver._starts(s, solver._COALITION_TAG, 1 << n, restarts,
                         (s.n_resources, 1 + len(terms.requests)),
                         lambda d: oracles[1](np.swapaxes(d[..., 1:], -1, -2)))
@@ -98,8 +98,8 @@ def native_fw(s, n, restarts):
 
 def coalition_fw(s, c, restarts):
     """The oracles and start points a sigmoid coalition solve runs
-    Frank-Wolfe from: pooled receipts when every credit weight is equal,
-    with the greedy fill of the drawn application factors as start
+    Frank-Wolfe from: unweighted pooled receipts when every credit weight
+    is equal, with the greedy fill of the drawn application factors as start
     vertices; own/total coordinates where the members share one zeta
     and every w is at least it, from the own supply and total receipts
     of random staircases; member coordinates otherwise, from the
@@ -112,7 +112,7 @@ def coalition_fw(s, c, restarts):
         return solver._member_oracles(prob), member_starts(s, c, restarts)
     starts = functools.partial(solver._starts, s, solver._COALITION_TAG, c.mask, restarts,
                                (s.n_resources, prob.size + len(prob.apps)))
-    oracles = solver._receipt_oracles(prob.terms, prob.caps.sum(axis=0), prob.uniform_weight)
+    oracles = solver._receipt_oracles(prob.terms, prob.caps.sum(axis=0))
     return oracles, starts(lambda d: oracles[1](np.swapaxes(d[..., prob.size:], -1, -2)))
 
 
@@ -832,6 +832,22 @@ def test_residual_sigmoid_zero_supply_is_exactly_zero():
     assert rep.value == 0.0  # baseline subtracted, nothing shipped
 
 
+def test_residual_exactness_reads_the_nonzero_requests():
+    """A residual solve is exact where every term with a nonzero residual
+    request is linear, whatever kind the owners of the zero rows are:
+    players 0 and 2 linear, sigmoid player 1's rows exhausted, so player
+    0's sale takes one oracle call and no restart, worth what 16 restarts
+    of Frank-Wolfe reached."""
+    s = generate_scenario(3, 2, 3, "sigmoid", mu=3.0, seed=4)
+    s = dataclasses.replace(
+        s, utilities=(UtilitySpec("linear"), s.utilities[1], UtilitySpec("linear")))
+    reqs = s.requests.copy()
+    reqs[s.apps_of(1)] = 0.0
+    rep = solve_residual(s, 0, 0.3 * s.capacities[0], reqs)
+    assert (rep.solver_kind, rep.iterations, rep.restarts_used, rep.gap) == ("exact", 0, 0, 0.0)
+    assert rep.value == 12.424447396151194
+
+
 # ---------------------------------------------------------------------------
 # solve_coalition
 
@@ -876,6 +892,20 @@ def test_singleton_scales_with_own_weight():
     s2 = linear_scenario(caps=[[2.0]], reqs=[[3.0]], owner=[0], w=[2.0])
     assert solve_coalition(s0, Coalition(0b1)).value == pytest.approx(2.0)
     assert solve_coalition(s2, Coalition(0b1)).value == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("c", [3.0, 0.3])
+def test_uniform_weight_scales_every_table_value_bit_for_bit(c):
+    """Receipt problems are solved unweighted and a uniform weight c is
+    applied once, to the value: every table value at c:c is c times its
+    1:1 value, bit for bit, on sigmoid 3x5 and 4x20 (K = 3) at seeds 0-5,
+    singletons and pooled coalitions alike."""
+    for (n, m), seed in itertools.product(((3, 5), (4, 20)), range(6)):
+        mu = (1.0, 3.0, 10.0)[seed % 3]
+        one = build_characteristic_table(generate_scenario(n, 3, m, "sigmoid", mu=mu, seed=seed))
+        scaled = build_characteristic_table(
+            generate_scenario(n, 3, m, "sigmoid", mu=mu, seed=seed, w=c, zeta=c))
+        assert scaled.values.tobytes() == (c * one.values).tobytes(), (n, m, seed)
 
 
 def test_two_player_spillover_value():
@@ -1101,8 +1131,8 @@ def test_member_evaluate_is_objective_bit_for_bit(w, zeta):
 
 def test_receipt_evaluate_is_objective_and_gradient_bit_for_bit():
     """The receipt oracles' evaluate returns exactly objective's values and
-    weight times the term slopes, with all-sigmoid terms and with linear
-    terms mixed in; the terms' own value_and_slope gives their value."""
+    the term slopes, with all-sigmoid terms and with linear terms mixed
+    in; the terms' own value_and_slope gives their value."""
     s = generate_scenario(3, 2, 4, utility="sigmoid", mu=3.0, seed=12)
     mixed = dataclasses.replace(
         s, utilities=(s.utilities[0], UtilitySpec("linear"), s.utilities[2]))
@@ -1110,17 +1140,16 @@ def test_receipt_evaluate_is_objective_and_gradient_bit_for_bit():
     for scen, apps in ((s, s.apps_of(1)), (s, None), (mixed, None)):
         terms = AppTerms.from_scenario(scen, apps)
         assert terms.all_sigmoid is (scen is s)
-        for weight in (1.0, 0.5):
-            evaluate, lmo = solver._receipt_oracles(terms, scen.capacities.sum(axis=0), weight)
-            t = rng.uniform(0.0, 1.2, (7, *terms.requests.shape)) * terms.requests
-            t[0] = 0.0
-            t[1] = lmo(rng.random(t[1:2].shape))[0]
-            f, g = evaluate(t)
-            want = weight * terms.value(t).reshape(len(t), -1).sum(axis=1)
-            assert f.tobytes() == want.tobytes()
-            value, slope = terms.value_and_slope(t)
-            assert g.tobytes() == (weight * slope).tobytes()
-            assert value.tobytes() == terms.value(t).tobytes()
+        evaluate, lmo = solver._receipt_oracles(terms, scen.capacities.sum(axis=0))
+        t = rng.uniform(0.0, 1.2, (7, *terms.requests.shape)) * terms.requests
+        t[0] = 0.0
+        t[1] = lmo(rng.random(t[1:2].shape))[0]
+        f, g = evaluate(t)
+        want = terms.value(t).reshape(len(t), -1).sum(axis=1)
+        assert f.tobytes() == want.tobytes()
+        value, slope = terms.value_and_slope(t)
+        assert g.tobytes() == slope.tobytes()
+        assert value.tobytes() == terms.value(t).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -1221,7 +1250,7 @@ def test_slack_and_empty_resources_are_fixed_exactly():
     for c in all_coalitions(3):
         prob = CoalitionProblem.build(s, c)
         t, _, how = solver._solve_pooled(s, c.mask, prob.terms, prob.caps.sum(axis=0),
-                                         prob.uniform_weight, 16, solver.DEFAULT_GAP_TOL)
+                                         16, solver.DEFAULT_GAP_TOL)
         assert how[0] == "multistart_fw", c.label()
         assert t[:, 0].tobytes() == prob.terms.requests[:, 0].tobytes(), c.label()
 
@@ -1246,9 +1275,10 @@ def test_all_slack_scenarios_draw_no_starts(monkeypatch):
 
 def test_split_solves_never_fall_below_the_joint_solve():
     """On 200 random receipt problems (2-4 resources, 3-8 applications,
-    mu 1, 3 or 10, every fourth with linear terms too, each budget drawn
-    slack, empty or binding), the split solve's value is never below the
-    joint solve's (_solve over every resource, from the same streams) by
+    mu 1, 3 or 10, every fourth with linear terms too, four of those
+    linear alone and so exact, each budget drawn slack, empty or binding),
+    the split solve's value is never below the joint Frank-Wolfe solve's
+    (_solve over every resource, from the same streams) by
     more than 1e-12 relative, and it is the objective at its receipts.
     Where every budget binds, nothing is fixed and the two are one solve:
     equal receipts and value, bit for bit."""
@@ -1266,9 +1296,8 @@ def test_split_solves_never_fall_below_the_joint_solve():
         # the residual streams of a scenario of seed `case`, seller `case`
         starts = functools.partial(solver._starts, types.SimpleNamespace(seed=case),
                                    solver._RESIDUAL_TAG, case, 16, reqs.shape)
-        t, value, _ = solver._solve_receipts(terms, budget, 1.0, False, starts,
-                                             solver.DEFAULT_GAP_TOL)
-        oracles = solver._receipt_oracles(terms, budget, 1.0)
+        t, value, _ = solver._solve_receipts(terms, budget, starts, solver.DEFAULT_GAP_TOL)
+        oracles = solver._receipt_oracles(terms, budget)
         _, joint_t, joint, _, _ = solver._solve(oracles, False, starts(oracles[1]),
                                                 solver.DEFAULT_GAP_TOL)
         assert value >= joint - 1e-12 * abs(joint), case
@@ -1675,7 +1704,7 @@ def convex_cases():
     reqs = 0.5 * s.requests
     reqs[s.apps_of(1)] = 0.0
     terms = dataclasses.replace(AppTerms.from_scenario(s), requests=reqs)
-    oracles = solver._receipt_oracles(terms, 0.5 * s.capacities[1], 1.0)
+    oracles = solver._receipt_oracles(terms, 0.5 * s.capacities[1])
     yield "residual", oracles, solver._starts(s, solver._RESIDUAL_TAG, 1, 16,
                                               reqs.shape, oracles[1])
     for label, w, zeta in (("uniform", [1.0] * 3, [1.0] * 3),
